@@ -215,7 +215,10 @@ impl Machine {
     /// machine (so a recorder can checkpoint mid-run without changing
     /// the run).
     pub fn capture_image(&self) -> MachineImage {
-        let mut w: Vec<u64> = Vec::new();
+        // The sparse memory dump is most of an image: size the buffer
+        // for it, with slack for the other sections, up front.
+        let nonzero = self.phys.nonzero_words();
+        let mut w: Vec<u64> = Vec::with_capacity(2 * nonzero.len() + 256);
         w.push(MAGIC);
         w.push(VERSION);
         // Registers and indicators.
@@ -263,7 +266,6 @@ impl Machine {
         w.push(self.phys.read_count());
         w.push(self.phys.write_count());
         w.push(self.phys.size() as u64);
-        let nonzero = self.phys.nonzero_words();
         w.push(nonzero.len() as u64);
         for (abs, word) in nonzero {
             w.push(u64::from(abs));

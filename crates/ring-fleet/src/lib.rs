@@ -300,10 +300,15 @@ fn supervised(cfg: &FleetConfig) -> bool {
     cfg.supervisor.chaos.is_some() || cfg.supervisor.kill_machine.is_some()
 }
 
-/// Installs `spec`'s workload on a booted system and runs it to
-/// completion (or budget), returning the machine's result.
-fn install_and_run(mut sys: System, cfg: &FleetConfig, spec: MachineSpec) -> MachineResult {
+/// Boots a system with `boot`, installs `spec`'s workload and runs it
+/// to completion (or budget), returning the machine's result.
+fn install_and_run(
+    boot: impl FnOnce() -> System,
+    cfg: &FleetConfig,
+    spec: MachineSpec,
+) -> MachineResult {
     let start = Instant::now();
+    let mut sys = boot();
     let procs = install_workload(&mut sys, cfg, spec);
     sys.enable_metrics();
     sys.machine.set_timer(Some(cfg.quantum));
@@ -370,7 +375,7 @@ pub fn run_member(image: &BootImage, cfg: &FleetConfig, spec: MachineSpec) -> Ma
     if supervised(cfg) {
         run_supervised(&|| System::boot_from_image(image), cfg, spec)
     } else {
-        install_and_run(System::boot_from_image(image), cfg, spec)
+        install_and_run(|| System::boot_from_image(image), cfg, spec)
     }
 }
 
@@ -381,7 +386,7 @@ pub fn run_standalone(cfg: &FleetConfig, spec: MachineSpec) -> MachineResult {
     if supervised(cfg) {
         run_supervised(&|| System::boot_with(cfg.system_config()), cfg, spec)
     } else {
-        install_and_run(System::boot_with(cfg.system_config()), cfg, spec)
+        install_and_run(|| System::boot_with(cfg.system_config()), cfg, spec)
     }
 }
 

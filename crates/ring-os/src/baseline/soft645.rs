@@ -315,12 +315,10 @@ args:
             asm.push_str(&format!("        its 4, {}, {}\n", segs::USER_DATA, i));
         }
         let out = ring_asm::assemble(&asm).expect("user program");
-        for (i, w) in out.words.iter().enumerate() {
-            machine
-                .phys_mut()
-                .poke(code_store.wrapping_add(i as u32), *w)
-                .expect("code poke");
-        }
+        machine
+            .phys_mut()
+            .poke_slice(code_store, &out.words)
+            .expect("code poke");
         // Argument values.
         for i in 0..n_args.max(1) {
             machine

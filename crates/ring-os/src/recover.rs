@@ -137,14 +137,12 @@ pub fn recover_parity(m: &mut Machine, s: &mut OsState, abs: u32) -> ParityOutco
         }
         let entry = entry.expect("checked above");
         let data = &s.fs.segment(entry.id).data;
-        let base = frame * PAGE_WORDS;
-        let lo = (owner.page * PAGE_WORDS) as usize;
-        for i in 0..PAGE_WORDS as usize {
-            let w = data.get(lo + i).copied().unwrap_or(Word::ZERO);
-            let _ = m
-                .phys_mut()
-                .poke(AbsAddr::from_bits(u64::from(base + i as u32)), w);
-        }
+        let lo = ((owner.page * PAGE_WORDS) as usize).min(data.len());
+        let mut page = data[lo..(lo + PAGE_WORDS as usize).min(data.len())].to_vec();
+        page.resize(PAGE_WORDS as usize, Word::ZERO);
+        let _ = m
+            .phys_mut()
+            .poke_slice(AbsAddr::from_bits(u64::from(frame * PAGE_WORDS)), &page);
         m.translator_mut().flush_cache();
         m.phys_mut().clear_poison(abs);
         s.chaos.refetched += 1;

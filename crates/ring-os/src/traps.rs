@@ -220,25 +220,21 @@ fn load_segment(
             .loaded = true;
         return Ok(());
     }
-    let data = s.fs.segment(entry.id).data.clone();
+    let data = &s.fs.segment(entry.id).data;
     if data.len() <= SMALL_SEGMENT_WORDS {
         let words = sdw.length_words();
         let base = a.alloc(words).map_err(|e| format!("out of memory: {e}"))?;
-        for (i, w) in data.iter().enumerate() {
-            m.phys_mut()
-                .poke(base.wrapping_add(i as u32), *w)
-                .map_err(|e| e.to_string())?;
-        }
+        m.phys_mut()
+            .poke_slice(base, data)
+            .map_err(|e| e.to_string())?;
         sdw.addr = base;
         sdw.unpaged = true;
     } else {
         let npages = pages_for(data.len() as u32);
         let pt = a.alloc(npages).map_err(|e| format!("out of memory: {e}"))?;
-        for i in 0..npages {
-            m.phys_mut()
-                .poke(pt.wrapping_add(i), Ptw::MISSING.pack())
-                .map_err(|e| e.to_string())?;
-        }
+        m.phys_mut()
+            .poke_slice(pt, &vec![Ptw::MISSING.pack(); npages as usize])
+            .map_err(|e| e.to_string())?;
         sdw.addr = pt;
         sdw.unpaged = false;
     }
@@ -364,7 +360,7 @@ fn load_page(
         s.sched.stats.evictions += 1;
         m.translator_mut().flush_cache();
     }
-    let base = frame * PAGE_WORDS;
+    let base = AbsAddr::from_bits(u64::from(frame * PAGE_WORDS));
     let fetched = s.backing.fetch(key);
     let major = fetched.is_some();
     if let Some(words) = fetched {
@@ -372,25 +368,16 @@ fn load_page(
         // stale the moment the page is writable in core). The words
         // are copied eagerly for simulation simplicity; the block the
         // caller applies models the transfer time.
-        for (i, w) in words.iter().enumerate() {
-            m.phys_mut()
-                .poke(AbsAddr::from_bits(u64::from(base + i as u32)), *w)
-                .map_err(|e| e.to_string())?;
-        }
+        m.phys_mut()
+            .poke_slice(base, &words)
+            .map_err(|e| e.to_string())?;
     } else {
         let data = &s.fs.segment(entry.id).data;
-        let lo = (page * PAGE_WORDS) as usize;
-        let hi = ((page + 1) * PAGE_WORDS) as usize;
-        for (i, w) in data
-            .iter()
-            .skip(lo)
-            .take(hi.saturating_sub(lo).min(data.len().saturating_sub(lo)))
-            .enumerate()
-        {
-            m.phys_mut()
-                .poke(AbsAddr::from_bits(u64::from(base + i as u32)), *w)
-                .map_err(|e| e.to_string())?;
-        }
+        let lo = ((page * PAGE_WORDS) as usize).min(data.len());
+        let hi = (lo + PAGE_WORDS as usize).min(data.len());
+        m.phys_mut()
+            .poke_slice(base, &data[lo..hi])
+            .map_err(|e| e.to_string())?;
     }
     let ptw = Ptw::present(frame).ok_or("frame number overflow")?;
     m.phys_mut()

@@ -235,14 +235,10 @@ pub fn sweep_out(
     frame: u32,
     page_words: usize,
 ) -> Result<Vec<Word>, Fault> {
-    let base = frame as usize * page_words;
+    let base = (frame as usize * page_words) as u32;
+    let start = AbsAddr::new(base).ok_or(Fault::PhysicalBounds { abs: base })?;
     let mut words = Vec::with_capacity(page_words);
-    for i in 0..page_words {
-        let addr = AbsAddr::new((base + i) as u32).ok_or(Fault::PhysicalBounds {
-            abs: (base + i) as u32,
-        })?;
-        words.push(phys.peek(addr)?);
-    }
+    phys.peek_into(start, page_words, &mut words)?;
     phys.poke(victim.owner.ptw_addr, Ptw::MISSING.pack())?;
     Ok(words)
 }

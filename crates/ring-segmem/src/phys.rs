@@ -13,6 +13,10 @@
 //! machines booted from one frozen image therefore shares almost all
 //! of its storage — each machine pays only for the pages it actually
 //! changes.
+//!
+//! Page- and segment-sized transfers go through [`PhysMem::poke_slice`]
+//! and [`PhysMem::peek_into`]. They have exactly the effect of poking
+//! or peeking word by word, but copy a window at a time.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -168,18 +172,11 @@ impl PhysMem {
                     return None;
                 }
                 let window = i / COW_PAGE_WORDS;
-                if pages[window].is_none() {
-                    let lo = window * COW_PAGE_WORDS;
-                    let mut page = vec![Word::ZERO; COW_PAGE_WORDS].into_boxed_slice();
-                    for (k, slot) in page.iter_mut().enumerate() {
-                        if let Some(w) = base.get(lo + k) {
-                            *slot = *w;
-                        }
-                    }
-                    pages[window] = Some(page);
+                let page = pages[window].get_or_insert_with(|| {
                     *dirty += 1;
-                }
-                pages[window].as_mut().map(|p| &mut p[i % COW_PAGE_WORDS])
+                    base_page(base, window)
+                });
+                Some(&mut page[i % COW_PAGE_WORDS])
             }
         }
     }
@@ -207,13 +204,30 @@ impl PhysMem {
         matches!(self.backing, Backing::Cow { .. })
     }
 
+    /// The stored contents as `(first address, words)` runs in address
+    /// order: one run for flat memory, one per window for copy-on-write
+    /// memory. A run may stop short of its window (a clean window past
+    /// the end of the base image); the words it omits read as zero.
+    fn runs(&self) -> impl Iterator<Item = (usize, &[Word])> + '_ {
+        let (flat, cow) = match &self.backing {
+            Backing::Flat(words) => (Some((0, words.as_slice())), None),
+            Backing::Cow {
+                base, size, pages, ..
+            } => {
+                let windows = (0..pages.len())
+                    .map(move |w| (w * COW_PAGE_WORDS, cow_run(base, *size, pages, w)));
+                (None, Some(windows))
+            }
+        };
+        flat.into_iter().chain(cow.into_iter().flatten())
+    }
+
     /// Captures the full current contents as a shared read-only image
     /// suitable for [`PhysMem::cow`]. Uncounted.
     pub fn freeze_base(&self) -> Arc<Vec<Word>> {
-        let size = self.size();
-        let mut image = Vec::with_capacity(size);
-        for i in 0..size {
-            image.push(self.get(i).unwrap_or(Word::ZERO));
+        let mut image = vec![Word::ZERO; self.size()];
+        for (lo, run) in self.runs() {
+            image[lo..lo + run.len()].copy_from_slice(run);
         }
         Arc::new(image)
     }
@@ -286,6 +300,100 @@ impl PhysMem {
         }
     }
 
+    /// Pokes `words` into consecutive addresses from `start` on, with
+    /// exactly the effect of poking them one at a time: the high-water
+    /// mark rises, poison over the range is cleared, and the
+    /// equality-skip rule holds per copy-on-write window — a window is
+    /// materialized only if some word of it changes or was poisoned. A
+    /// window the slice covers whole is built straight from the slice.
+    ///
+    /// When the range runs past the end of memory the in-range prefix
+    /// is written and the result is [`Fault::PhysicalBounds`] at the
+    /// first address past it.
+    pub fn poke_slice(&mut self, start: AbsAddr, words: &[Word]) -> Result<(), Fault> {
+        let lo = start.value() as usize;
+        let hi = lo.saturating_add(words.len()).min(self.size()).max(lo);
+        let (fits, tail) = words.split_at(hi - lo);
+        if !fits.is_empty() {
+            self.high_water = self.high_water.max(hi as u32);
+            let poisoned = &mut self.poisoned;
+            match &mut self.backing {
+                Backing::Flat(mem) => mem[lo..hi].copy_from_slice(fits),
+                Backing::Cow {
+                    base, pages, dirty, ..
+                } => {
+                    let mut at = lo;
+                    while at < hi {
+                        let window = at / COW_PAGE_WORDS;
+                        let off = at % COW_PAGE_WORDS;
+                        let stop = hi.min(at - off + COW_PAGE_WORDS);
+                        let chunk = &fits[at - lo..stop - lo];
+                        match &mut pages[window] {
+                            Some(page) => page[off..off + chunk.len()].copy_from_slice(chunk),
+                            slot @ None => {
+                                let clean = base_matches(base, at, chunk)
+                                    && poisoned.range(at as u32..stop as u32).next().is_none();
+                                if !clean {
+                                    let page = if chunk.len() == COW_PAGE_WORDS {
+                                        Box::from(chunk)
+                                    } else {
+                                        let mut page = base_page(base, window);
+                                        page[off..off + chunk.len()].copy_from_slice(chunk);
+                                        page
+                                    };
+                                    *slot = Some(page);
+                                    *dirty += 1;
+                                }
+                            }
+                        }
+                        at = stop;
+                    }
+                }
+            }
+            let written = lo as u32..hi as u32;
+            poisoned.retain(|abs| !written.contains(abs));
+        }
+        if tail.is_empty() {
+            Ok(())
+        } else {
+            Err(Fault::PhysicalBounds { abs: hi as u32 })
+        }
+    }
+
+    /// Appends the `n` words from `start` on to `out`, exactly as `n`
+    /// [`PhysMem::peek`]s would read them: uncounted and poison-blind.
+    ///
+    /// When the range runs past the end of memory the in-range prefix
+    /// is appended and the result is [`Fault::PhysicalBounds`] at the
+    /// first address past it.
+    pub fn peek_into(&self, start: AbsAddr, n: usize, out: &mut Vec<Word>) -> Result<(), Fault> {
+        let lo = start.value() as usize;
+        let hi = lo.saturating_add(n).min(self.size()).max(lo);
+        out.reserve(hi - lo);
+        match &self.backing {
+            Backing::Flat(mem) => out.extend_from_slice(mem.get(lo..hi).unwrap_or_default()),
+            Backing::Cow {
+                base, size, pages, ..
+            } => {
+                let mut at = lo;
+                while at < hi {
+                    let off = at % COW_PAGE_WORDS;
+                    let stop = hi.min(at - off + COW_PAGE_WORDS);
+                    let run = cow_run(base, *size, pages, at / COW_PAGE_WORDS);
+                    let stored = run.get(off..run.len().min(stop - at + off)).unwrap_or(&[]);
+                    out.extend_from_slice(stored);
+                    out.resize(out.len() + (stop - at - stored.len()), Word::ZERO);
+                    at = stop;
+                }
+            }
+        }
+        if hi - lo == n {
+            Ok(())
+        } else {
+            Err(Fault::PhysicalBounds { abs: hi as u32 })
+        }
+    }
+
     /// Adds `n` to the read counter without touching memory. The
     /// fast-path engine probes with uncounted [`PhysMem::peek`]s so an
     /// abandoned attempt leaves no trace, then charges the reads the
@@ -303,14 +411,14 @@ impl PhysMem {
     /// The nonzero words with their absolute addresses, for sparse
     /// machine-image capture (uncounted).
     pub fn nonzero_words(&self) -> Vec<(u32, Word)> {
-        let size = self.size();
         let mut out = Vec::new();
-        for i in 0..size {
-            if let Some(w) = self.get(i) {
-                if w.raw() != 0 {
-                    out.push((i as u32, w));
-                }
-            }
+        for (lo, run) in self.runs() {
+            out.extend(
+                run.iter()
+                    .enumerate()
+                    .filter(|(_, w)| w.raw() != 0)
+                    .map(|(k, w)| ((lo + k) as u32, *w)),
+            );
         }
         out
     }
@@ -408,6 +516,41 @@ impl PhysMem {
     #[inline]
     pub fn ref_count(&self) -> u64 {
         self.reads + self.writes
+    }
+}
+
+/// A private copy of window `window` of the base image (zeros past its
+/// end), ready to be written.
+fn base_page(base: &[Word], window: usize) -> Box<[Word]> {
+    let mut page = vec![Word::ZERO; COW_PAGE_WORDS].into_boxed_slice();
+    let stored = base.get(window * COW_PAGE_WORDS..).unwrap_or(&[]);
+    let n = stored.len().min(COW_PAGE_WORDS);
+    page[..n].copy_from_slice(&stored[..n]);
+    page
+}
+
+/// True when `words` equals what the base image holds from address `at`
+/// on (zeros past its end).
+fn base_matches(base: &[Word], at: usize, words: &[Word]) -> bool {
+    let stored = base.get(at..).unwrap_or(&[]);
+    let n = stored.len().min(words.len());
+    words[..n] == stored[..n] && words[n..].iter().all(|w| *w == Word::ZERO)
+}
+
+/// The stored words of copy-on-write window `window`: its private page
+/// if materialized, else the base image's words in it (none past the
+/// end of the base). Clipped to the memory size.
+fn cow_run<'a>(
+    base: &'a [Word],
+    size: usize,
+    pages: &'a [Option<Box<[Word]>>],
+    window: usize,
+) -> &'a [Word] {
+    let lo = window * COW_PAGE_WORDS;
+    let hi = (lo + COW_PAGE_WORDS).min(size);
+    match &pages[window] {
+        Some(page) => &page[..hi - lo],
+        None => base.get(lo..hi.min(base.len())).unwrap_or(&[]),
     }
 }
 
