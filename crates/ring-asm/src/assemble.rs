@@ -85,7 +85,8 @@ impl Ctx {
             ),
             None => 0,
         };
-        Ok(base + e.addend)
+        base.checked_add(e.addend)
+            .ok_or_else(|| err(lineno, "expression overflows"))
     }
 
     fn eval_field(&self, lineno: usize, e: &Expr, bits: u32, what: &str) -> Result<u64, AsmError> {
@@ -276,6 +277,12 @@ pub fn assemble(source: &str) -> Result<Assembled, AsmError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn symbol_plus_huge_addend_is_an_error() {
+        let e = assemble("    nop\nx:  lda x+9223372036854775807\n").unwrap_err();
+        assert!(e.message.contains("overflows"), "{}", e.message);
+    }
 
     #[test]
     fn forward_and_backward_references() {

@@ -60,16 +60,22 @@ pub(crate) fn parse_expr(lineno: usize, s: &str) -> Result<Expr, AsmError> {
     loop {
         rest = rest.trim_start();
         // A leading '-' on the very first term is part of the number.
-        let term_end = rest[1..]
+        let Some(first) = rest.chars().next() else {
+            return Err(err(lineno, format!("malformed expression `{s}`")));
+        };
+        let skip = first.len_utf8();
+        let term_end = rest[skip..]
             .find(['+', '-'])
-            .map(|i| i + 1)
+            .map(|i| i + skip)
             .unwrap_or(rest.len());
         let term = rest[..term_end].trim();
         if term.is_empty() {
             return Err(err(lineno, format!("malformed expression `{s}`")));
         }
         if let Some(v) = parse_number(term) {
-            addend += sign * v;
+            addend = addend
+                .checked_add(sign * v)
+                .ok_or_else(|| err(lineno, format!("expression `{s}` overflows")))?;
         } else if is_ident(term) {
             if sign < 0 {
                 return Err(err(lineno, "cannot negate a symbol"));
@@ -306,6 +312,34 @@ mod tests {
         assert_eq!(e.addend, 2);
         assert!(parse_expr(1, "a+b").is_err());
         assert!(parse_expr(1, "").is_err());
+    }
+
+    #[test]
+    fn hostile_expressions_are_errors_not_panics() {
+        // A trailing operator leaves an empty last term.
+        assert!(parse_expr(1, "x+").is_err());
+        assert!(parse_expr(1, "5 +").is_err());
+        assert!(parse_expr(1, "5 - ").is_err());
+        assert!(parse_line(1, "lda x+").is_err());
+        assert!(parse_line(1, "dw 5 +").is_err());
+        // A multi-byte first character.
+        assert!(parse_expr(1, "é").is_err());
+        assert!(parse_line(1, "lda é").is_err());
+        assert!(parse_expr(1, "1+é-2").is_err());
+        // The sum leaves i64.
+        let e = parse_line(4, "dw 9223372036854775807+1").unwrap_err();
+        assert_eq!(e.lineno, 4);
+        assert!(e.message.contains("overflows"), "{}", e.message);
+        assert!(parse_expr(1, "-9223372036854775807-2").is_err());
+        // The largest sums that fit still parse.
+        assert_eq!(
+            parse_expr(1, "9223372036854775806+1").unwrap().addend,
+            i64::MAX
+        );
+        assert_eq!(
+            parse_expr(1, "-9223372036854775807-1").unwrap().addend,
+            i64::MIN
+        );
     }
 
     #[test]

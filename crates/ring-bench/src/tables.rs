@@ -60,8 +60,6 @@ end:    nop
 /// software even in the paper's design.
 pub fn upward_call_cycles() -> u64 {
     use ring_core::access::{vector, Fault};
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     let mut w = World::new();
     let low = w.add_segment(
@@ -77,37 +75,41 @@ pub fn upward_call_cycles() -> u64 {
     w.add_standard_stacks(16);
     let trap = w.add_trap_segment();
 
+    // The mediator's return-gate stack lives in the machine's
+    // native-state slot.
     type Gate = (Ring, SegAddr);
-    let gates: Rc<RefCell<Vec<Gate>>> = Rc::new(RefCell::new(Vec::new()));
-    {
-        let gates = gates.clone();
-        w.machine.register_native(trap, move |m, entry| {
-            let v = entry.value();
-            if v == vector::UPWARD_CALL {
-                let (_, _, target, _) = m.fault_info()?;
-                let mut state = m.saved_state()?;
-                m.charge(30); // software mediation work
-                gates.borrow_mut().push((state.ipr.ring, state.prs[2].addr));
-                state.ipr = ring_core::registers::Ipr::new(Ring::R4, target);
-                for pr in state.prs.iter_mut() {
-                    *pr = pr.with_ring_floor(Ring::R4);
-                }
-                m.set_saved_state(&state)?;
-                Ok(NativeAction::Resume)
-            } else if v == vector::DOWNWARD_RETURN {
-                let (_, _, target, _) = m.fault_info()?;
-                let (ring, cont) = gates.borrow_mut().pop().ok_or(Fault::IndirectLimit)?;
-                m.charge(25);
-                let mut state = m.saved_state()?;
-                debug_assert_eq!(target.segno, cont.segno);
-                state.ipr = ring_core::registers::Ipr::new(ring, cont);
-                m.set_saved_state(&state)?;
-                Ok(NativeAction::Resume)
-            } else {
-                Ok(NativeAction::Halt)
+    w.machine.set_native_state(Vec::<Gate>::new());
+    w.machine.register_native(trap, |m, entry| {
+        let v = entry.value();
+        if v == vector::UPWARD_CALL {
+            let (_, _, target, _) = m.fault_info()?;
+            let mut state = m.saved_state()?;
+            m.charge(30); // software mediation work
+            m.native_state_mut::<Vec<Gate>>()
+                .ok_or(Fault::IndirectLimit)?
+                .push((state.ipr.ring, state.prs[2].addr));
+            state.ipr = ring_core::registers::Ipr::new(Ring::R4, target);
+            for pr in state.prs.iter_mut() {
+                *pr = pr.with_ring_floor(Ring::R4);
             }
-        });
-    }
+            m.set_saved_state(&state)?;
+            Ok(NativeAction::Resume)
+        } else if v == vector::DOWNWARD_RETURN {
+            let (_, _, target, _) = m.fault_info()?;
+            let (ring, cont) = m
+                .native_state_mut::<Vec<Gate>>()
+                .and_then(Vec::pop)
+                .ok_or(Fault::IndirectLimit)?;
+            m.charge(25);
+            let mut state = m.saved_state()?;
+            debug_assert_eq!(target.segno, cont.segno);
+            state.ipr = ring_core::registers::Ipr::new(ring, cont);
+            m.set_saved_state(&state)?;
+            Ok(NativeAction::Resume)
+        } else {
+            Ok(NativeAction::Halt)
+        }
+    });
     w.machine
         .register_native(high, |m, _| Ok(NativeAction::Return { via: m.pr(2) }));
 
@@ -257,7 +259,7 @@ pub fn fs_search_cycles(depth: u32, siblings: u32, library: bool) -> u64 {
             } else {
                 format!("{prefix}>sib{s}>leafless")
             };
-            let _ = sys.state.borrow_mut().fs.create_segment(
+            let _ = sys.state_mut().fs.create_segment(
                 noise.trim_start_matches('>'),
                 rw_acl("alice"),
                 vec![],

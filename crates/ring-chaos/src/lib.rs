@@ -364,7 +364,9 @@ impl ChaosEngine {
         }
         let detected = next()?;
         let nseg = usize::try_from(next()?).ok()?;
-        let mut seg_corruption = Vec::with_capacity(nseg);
+        // No preallocation: the counts are untrusted, and a stream that
+        // runs dry ends the loops with `None`.
+        let mut seg_corruption = Vec::new();
         for _ in 0..nseg {
             let seg = u32::try_from(next()?).ok()?;
             let n = u32::try_from(next()?).ok()?;
@@ -372,7 +374,7 @@ impl ChaosEngine {
         }
         let corruption_total = u32::try_from(next()?).ok()?;
         let ndeg = usize::try_from(next()?).ok()?;
-        let mut degraded_segs = Vec::with_capacity(ndeg);
+        let mut degraded_segs = Vec::new();
         for _ in 0..ndeg {
             degraded_segs.push(u32::try_from(next()?).ok()?);
         }

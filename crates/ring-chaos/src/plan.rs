@@ -207,7 +207,8 @@ impl FaultPlan {
             0 => Some(FaultPlan::Off),
             1 => {
                 let n = usize::try_from(next()?).ok()?;
-                let mut events = Vec::with_capacity(n);
+                // Untrusted count: grow with the stream, never size by it.
+                let mut events = Vec::new();
                 for _ in 0..n {
                     let at_cycle = next()?;
                     let idx = usize::try_from(next()?).ok()?;

@@ -111,6 +111,7 @@ impl ICacheEntry {
 /// keeping each entry one 32-byte load and the hit test one fused
 /// compare — this lookup sits on the critical path of every fast-path
 /// instruction.
+#[derive(Clone)]
 pub(crate) struct ICache {
     /// Fixed-size boxed array, masked indexing — no bounds check.
     slots: Box<[ICacheEntry; ICACHE_SLOTS]>,
@@ -170,6 +171,7 @@ impl ICache {
 }
 
 /// Per-machine fast-path working state.
+#[derive(Clone)]
 pub(crate) struct FastState {
     pub(crate) icache: ICache,
     /// Reusable buffer of heatmap events accumulated during an attempt

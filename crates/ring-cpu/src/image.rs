@@ -11,9 +11,11 @@
 //!
 //! Deliberately *not* captured:
 //!
-//! - the machine configuration and native-procedure registry — a
-//!   recording is replayed into a machine rebuilt from the same program
-//!   and configuration (function pointers cannot be serialized);
+//! - the machine configuration, native-procedure registry and
+//!   native-state slot — a recording is replayed into a machine rebuilt
+//!   from the same program and configuration (closures and their
+//!   host-side state cannot be serialized; a whole `Machine` is cloned
+//!   instead when that state must travel with it);
 //! - the fast-path TLB and instruction cache — pure acceleration,
 //!   invisible to every architectural outcome including cycles, so a
 //!   restored machine simply starts them cold;
@@ -199,12 +201,26 @@ impl<'a> Reader<'a> {
     }
 
     fn take_n(&mut self, n: usize) -> Result<&'a [u64], String> {
+        let end = self.pos.checked_add(n).ok_or("truncated machine image")?;
         let slice = self
             .words
-            .get(self.pos..self.pos + n)
+            .get(self.pos..end)
             .ok_or("truncated machine image")?;
-        self.pos += n;
+        self.pos = end;
         Ok(slice)
+    }
+
+    /// Reads the count of a section whose items take `item_words`
+    /// words each, refusing a count the remaining words cannot hold
+    /// (so a hostile count never sizes an allocation).
+    fn take_count(&mut self, item_words: usize) -> Result<usize, String> {
+        let count =
+            usize::try_from(self.take()?).map_err(|_| "oversized count in machine image")?;
+        let remaining = self.words.len() - self.pos;
+        match count.checked_mul(item_words) {
+            Some(need) if need <= remaining => Ok(count),
+            _ => Err("truncated machine image".to_string()),
+        }
     }
 }
 
@@ -347,7 +363,10 @@ impl Machine {
         let q = Word::new(r.take()?);
         let mut x = [0u32; 8];
         for xi in x.iter_mut() {
-            *xi = r.take()? as u32;
+            *xi = u32::try_from(r.take()?)
+                .ok()
+                .filter(|&v| v <= ring_core::addr::MAX_WORDNO)
+                .ok_or("index register out of range in machine image")?;
         }
         let flags = r.take()?;
         let timer_value = r.take()?;
@@ -366,20 +385,23 @@ impl Machine {
                 self.phys.size()
             ));
         }
-        let nonzero = r.take()? as usize;
+        let nonzero = r.take_count(2)?;
         let mut mem: Vec<(u32, Word)> = Vec::with_capacity(nonzero);
         for _ in 0..nonzero {
             let abs = r.take()? as u32;
             let word = Word::new(r.take()?);
             mem.push((abs, word));
         }
-        let io_len = r.take()? as usize;
+        let io_len = r.take_count(1)?;
         let io_words = r.take_n(io_len)?.to_vec();
         let cache_capacity = r.take()? as usize;
         if cache_capacity != self.tr.export_cache_state().entries.len() {
             return Err("image SDW-cache capacity mismatch".to_string());
         }
         let next_victim = r.take()? as usize;
+        if next_victim >= cache_capacity.max(1) {
+            return Err("SDW-cache victim out of range in machine image".to_string());
+        }
         let cache_stats = ring_segmem::sdw_cache::CacheStats {
             hits: r.take()?,
             misses: r.take()?,
@@ -397,7 +419,7 @@ impl Machine {
                 entries.push(Some((segno, Sdw::unpack(s0, s1))));
             }
         }
-        let engine_len = r.take()? as usize;
+        let engine_len = r.take_count(1)?;
         let engine_words = r.take_n(engine_len)?;
         let mut engine_it = engine_words.iter().copied();
         let chaos = ring_chaos::ChaosEngine::restore_words(&mut || engine_it.next())
@@ -405,14 +427,14 @@ impl Machine {
         if engine_it.next().is_some() {
             return Err("trailing chaos-engine words in machine image".to_string());
         }
-        let poison_len = r.take()? as usize;
+        let poison_len = r.take_count(1)?;
         let poison: Vec<u32> = r.take_n(poison_len)?.iter().map(|&a| a as u32).collect();
         let repaired = r.take()?;
         let high_water = r.take()? as u32;
-        let veto_len = r.take()? as usize;
+        let veto_len = r.take_count(1)?;
         let veto_segs: Vec<u32> = r.take_n(veto_len)?.iter().map(|&s| s as u32).collect();
         let veto_global = r.take()? != 0;
-        let protect_len = r.take()? as usize;
+        let protect_len = r.take_count(2)?;
         let mut chaos_protect = Vec::with_capacity(protect_len);
         for _ in 0..protect_len {
             let lo = r.take()? as u32;
@@ -432,7 +454,10 @@ impl Machine {
         } else {
             None
         };
-        if mem.iter().any(|(abs, _)| *abs as usize >= size) {
+        if mem.iter().any(|(abs, _)| *abs as usize >= size)
+            || poison.iter().any(|&abs| abs as usize >= size)
+            || high_water as usize > size
+        {
             return Err("image word beyond physical memory".to_string());
         }
 

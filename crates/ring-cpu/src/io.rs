@@ -312,8 +312,9 @@ impl IoSystem {
     pub fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
         let mut pos = 0usize;
         let mut next = |n: usize| -> Result<&[u64], String> {
-            let slice = words
-                .get(pos..pos + n)
+            let slice = pos
+                .checked_add(n)
+                .and_then(|end| words.get(pos..end))
                 .ok_or_else(|| "truncated I/O image".to_string())?;
             pos += n;
             Ok(slice)

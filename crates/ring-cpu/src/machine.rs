@@ -200,6 +200,13 @@ pub enum RunExit {
 /// assert_eq!(w.machine.a().raw(), 42);
 /// assert_eq!(w.machine.ring(), Ring::R4);
 /// ```
+///
+/// A machine is a plain owned value: `Clone` copies every bit of state
+/// (memory, caches, observers, the native-state slot) and shares only
+/// immutable data (native bodies, a copy-on-write base image), so a
+/// clone runs exactly as its source would and neither perturbs the
+/// other.
+#[derive(Clone)]
 pub struct Machine {
     pub(crate) phys: PhysMem,
     pub(crate) tr: Translator,
@@ -217,6 +224,7 @@ pub struct Machine {
     pub(crate) in_trap: bool,
     pub(crate) last_fault: Option<Fault>,
     pub(crate) natives: NativeRegistry,
+    pub(crate) native_state: crate::native::NativeState,
     pub(crate) io: IoSystem,
     pub(crate) halted: bool,
     pub(crate) double_fault: Option<Fault>,
@@ -264,6 +272,7 @@ impl Machine {
             in_trap: false,
             last_fault: None,
             natives: NativeRegistry::new(),
+            native_state: crate::native::NativeState::default(),
             io: IoSystem::new(),
             halted: false,
             double_fault: None,

@@ -17,8 +17,9 @@
 //! incur; and to account for their work with
 //! [`crate::machine::Machine::charge`].
 
+use std::any::Any;
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use ring_core::access::Fault;
 use ring_core::addr::{SegNo, WordNo};
@@ -45,28 +46,32 @@ pub enum NativeAction {
 }
 
 /// Signature of a native procedure body.
-pub type NativeFn = dyn Fn(&mut Machine, WordNo) -> Result<NativeAction, Fault>;
+///
+/// Bodies are shared, immutable code: a cloned machine shares them with
+/// its source. State a body mutates lives in the machine's native-state
+/// slot ([`Machine::with_native_state`]), never in its captures, so a
+/// clone can never perturb the machine it was cloned from.
+pub type NativeFn = dyn Fn(&mut Machine, WordNo) -> Result<NativeAction, Fault> + Send + Sync;
 
 /// Registry mapping segment numbers to native procedure bodies.
+#[derive(Clone, Default)]
 pub struct NativeRegistry {
-    handlers: HashMap<SegNo, Rc<NativeFn>>,
+    handlers: HashMap<SegNo, Arc<NativeFn>>,
 }
 
 impl NativeRegistry {
     /// An empty registry.
     pub fn new() -> NativeRegistry {
-        NativeRegistry {
-            handlers: HashMap::new(),
-        }
+        NativeRegistry::default()
     }
 
     /// Registers `handler` as the body of segment `segno`.
-    pub fn register(&mut self, segno: SegNo, handler: Rc<NativeFn>) {
+    pub fn register(&mut self, segno: SegNo, handler: Arc<NativeFn>) {
         self.handlers.insert(segno, handler);
     }
 
     /// Looks up the handler for `segno`.
-    pub fn handler(&self, segno: SegNo) -> Option<Rc<NativeFn>> {
+    pub fn handler(&self, segno: SegNo) -> Option<Arc<NativeFn>> {
         self.handlers.get(&segno).cloned()
     }
 
@@ -76,9 +81,37 @@ impl NativeRegistry {
     }
 }
 
-impl Default for NativeRegistry {
-    fn default() -> Self {
-        NativeRegistry::new()
+/// A value that can live in the native-state slot: any `Clone + Send`
+/// type, cloned through the box when the machine is.
+trait SlotValue: Any + Send {
+    fn clone_box(&self) -> Box<dyn SlotValue>;
+    fn as_any(&self) -> &dyn Any;
+    fn as_any_mut(&mut self) -> &mut dyn Any;
+}
+
+impl<T: Any + Clone + Send> SlotValue for T {
+    fn clone_box(&self) -> Box<dyn SlotValue> {
+        Box::new(self.clone())
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// The machine's one slot for the state its native bodies mutate (a
+/// supervisor's tables, a baseline's gate table). Empty until world
+/// building fills it.
+#[derive(Default)]
+pub(crate) struct NativeState(Option<Box<dyn SlotValue>>);
+
+impl Clone for NativeState {
+    fn clone(&self) -> Self {
+        NativeState(self.0.as_ref().map(|b| (**b).clone_box()))
     }
 }
 
@@ -89,13 +122,49 @@ impl Machine {
     /// is ever invoked.
     pub fn register_native<F>(&mut self, segno: SegNo, handler: F)
     where
-        F: Fn(&mut Machine, WordNo) -> Result<NativeAction, Fault> + 'static,
+        F: Fn(&mut Machine, WordNo) -> Result<NativeAction, Fault> + Send + Sync + 'static,
     {
-        self.natives.register(segno, Rc::new(handler));
+        self.natives.register(segno, Arc::new(handler));
         // Fetches from this segment must now reach the slow path's
         // intercept; drop any fast-path translations that predate the
         // registration (new installs will carry the slow-fetch mark).
         self.tr.invalidate_tlb_segment(segno);
+    }
+
+    /// Fills the native-state slot with `state`, replacing whatever it
+    /// held. World building does this once, before the bodies that use
+    /// the state can run; the value is then cloned with the machine.
+    pub fn set_native_state<T: Any + Clone + Send>(&mut self, state: T) {
+        self.native_state = NativeState(Some(Box::new(state)));
+    }
+
+    /// The native-state slot's value, if it holds a `T`.
+    pub fn native_state<T: Any>(&self) -> Option<&T> {
+        self.native_state.0.as_ref()?.as_any().downcast_ref()
+    }
+
+    /// Mutable access to the native-state slot's value, if it holds a
+    /// `T`.
+    pub fn native_state_mut<T: Any>(&mut self) -> Option<&mut T> {
+        self.native_state.0.as_mut()?.as_any_mut().downcast_mut()
+    }
+
+    /// Lends the native-state slot's `T` to `f` alongside the machine
+    /// itself, for the length of the call: the way a native body reaches
+    /// its state while it also drives the processor. `None` when the
+    /// slot is empty, holds another type, or is already lent out (a
+    /// body re-entered from inside `f`).
+    pub fn with_native_state<T: Any, R>(
+        &mut self,
+        f: impl FnOnce(&mut Machine, &mut T) -> R,
+    ) -> Option<R> {
+        let mut lent = self.native_state.0.take()?;
+        let out = lent
+            .as_any_mut()
+            .downcast_mut::<T>()
+            .map(|state| f(self, state));
+        self.native_state.0 = Some(lent);
+        out
     }
 }
 
@@ -108,9 +177,38 @@ mod tests {
         let mut r = NativeRegistry::new();
         let seg = SegNo::new(7).unwrap();
         assert!(!r.is_native(seg));
-        r.register(seg, Rc::new(|_, _| Ok(NativeAction::Halt)));
+        r.register(seg, Arc::new(|_, _| Ok(NativeAction::Halt)));
         assert!(r.is_native(seg));
         assert!(r.handler(seg).is_some());
         assert!(r.handler(SegNo::new(8).unwrap()).is_none());
+    }
+
+    #[test]
+    fn machine_is_clone_and_send() {
+        fn check<T: Clone + Send>() {}
+        check::<Machine>();
+    }
+
+    #[test]
+    fn native_state_is_lent_and_cloned_with_the_machine() {
+        let mut m = Machine::new(1024, crate::machine::MachineConfig::default());
+        assert!(m.native_state::<u64>().is_none());
+        assert_eq!(m.with_native_state(|_, n: &mut u64| *n), None);
+        m.set_native_state(5u64);
+        assert!(m.native_state::<u32>().is_none(), "typed slot");
+        let seen = m.with_native_state(|m, n: &mut u64| {
+            // The slot is out on loan for the call: a re-entrant
+            // borrow finds it empty.
+            assert!(m.native_state::<u64>().is_none());
+            *n += 1;
+            *n
+        });
+        assert_eq!(seen, Some(6));
+        let mut c = m.clone();
+        *c.native_state_mut::<u64>().unwrap() = 100;
+        assert_eq!(m.native_state::<u64>(), Some(&6), "clone owns its state");
+        assert_eq!(c.native_state::<u64>(), Some(&100));
+        assert_eq!(m.with_native_state(|_, n: &mut u32| *n), None);
+        assert_eq!(m.native_state::<u64>(), Some(&6), "wrong type leaves it");
     }
 }

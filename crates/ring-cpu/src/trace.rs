@@ -88,6 +88,7 @@ impl std::fmt::Display for TraceEvent {
 }
 
 /// Event recorder: a drop-oldest ring buffer with a capacity bound.
+#[derive(Clone)]
 pub(crate) struct Trace {
     events: Option<EventRing<TraceEvent>>,
 }

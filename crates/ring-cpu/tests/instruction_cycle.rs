@@ -573,8 +573,7 @@ fn software_mediated_upward_call_and_downward_return() {
     // performs the upward call, pushing a return gate; the ring-4
     // procedure returns; the hardware traps the downward return; the
     // handler validates it against the pushed gate and restores ring 1.
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use std::sync::{Arc, Mutex};
 
     let mut w = World::new();
     // Ring-1 caller code (native, so we can observe re-entry).
@@ -594,8 +593,8 @@ fn software_mediated_upward_call_and_downward_return() {
 
     // Return-gate stack maintained by the ring-0 mediator.
     type Gate = (Ring, ring_core::registers::Ipr);
-    let gates: Rc<RefCell<Vec<Gate>>> = Rc::new(RefCell::new(Vec::new()));
-    let phases: Rc<RefCell<Vec<&'static str>>> = Rc::new(RefCell::new(Vec::new()));
+    let gates: Arc<Mutex<Vec<Gate>>> = Arc::new(Mutex::new(Vec::new()));
+    let phases: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
 
     {
         let gates = gates.clone();
@@ -613,14 +612,14 @@ fn software_mediated_upward_call_and_downward_return() {
             .vector();
             let v = vector.value();
             if v == upward {
-                phases.borrow_mut().push("upward-call");
+                phases.lock().unwrap().push("upward-call");
                 let (_, ring, target, _) = m.fault_info().unwrap();
                 let mut state = m.saved_state().unwrap();
                 // Push the dynamic return gate: the caller's declared
                 // return point (PR2 by convention) in the caller's
                 // ring. (The saved IPR is the faulting CALL itself —
                 // resuming there would just retry the call.)
-                gates.borrow_mut().push((
+                gates.lock().unwrap().push((
                     state.ipr.ring,
                     ring_core::registers::Ipr::new(state.ipr.ring, state.prs[2].addr),
                 ));
@@ -635,9 +634,9 @@ fn software_mediated_upward_call_and_downward_return() {
                 m.set_saved_state(&state).unwrap();
                 Ok(NativeAction::Resume)
             } else if v == downward {
-                phases.borrow_mut().push("downward-return");
+                phases.lock().unwrap().push("downward-return");
                 let (_, _, target, _) = m.fault_info().unwrap();
-                let (ring, cont) = gates.borrow_mut().pop().expect("return gate");
+                let (ring, cont) = gates.lock().unwrap().pop().expect("return gate");
                 // Software verification: the return must match the
                 // pushed gate (here: same ring; a real supervisor also
                 // validates the stack pointer).
@@ -655,7 +654,7 @@ fn software_mediated_upward_call_and_downward_return() {
 
     // Ring-1 caller: on first entry CALL the ring-4 gate; on re-entry
     // (after the mediated return) record success and halt.
-    let called_back: Rc<RefCell<bool>> = Rc::new(RefCell::new(false));
+    let called_back: Arc<Mutex<bool>> = Arc::new(Mutex::new(false));
     {
         let called_back = called_back.clone();
         w.machine.register_native(low, move |m, entry| {
@@ -671,7 +670,7 @@ fn software_mediated_upward_call_and_downward_return() {
                 })
             } else {
                 assert_eq!(m.ring(), Ring::R1, "mediated return restored ring 1");
-                *called_back.borrow_mut() = true;
+                *called_back.lock().unwrap() = true;
                 Ok(NativeAction::Halt)
             }
         });
@@ -689,13 +688,13 @@ fn software_mediated_upward_call_and_downward_return() {
     w.machine.set_pr(2, PtrReg::new(Ring::R1, addr(33, 1)));
     let exit = w.machine.run(50);
     assert_eq!(exit, ring_cpu::machine::RunExit::Halted);
-    assert!(*called_back.borrow(), "control returned to ring 1");
+    assert!(*called_back.lock().unwrap(), "control returned to ring 1");
     assert_eq!(
-        *phases.borrow(),
+        *phases.lock().unwrap(),
         vec!["upward-call", "downward-return"],
         "both software assists ran"
     );
-    assert!(gates.borrow().is_empty(), "return gate consumed");
+    assert!(gates.lock().unwrap().is_empty(), "return gate consumed");
 }
 
 // ---------------------------------------------------------------------

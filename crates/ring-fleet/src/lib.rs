@@ -225,8 +225,9 @@ pub struct MachineResult {
     /// the health criterion: recovery may confine (kill) a damaged
     /// process, making `completed` false on a perfectly healthy halt.
     pub halted: bool,
-    /// Copy-on-write pages this machine dirtied (0 on flat boots;
-    /// large after a checkpoint restart, which detaches the image).
+    /// Copy-on-write pages this machine dirtied (0 on flat boots). A
+    /// restart resumes a clone of a checkpoint, which still shares the
+    /// image, so restarts add only the pages the machine writes.
     pub dirty_pages: u32,
     /// The machine's full observability snapshot.
     pub snapshot: MetricsSnapshot,
@@ -266,14 +267,27 @@ pub struct FleetResult {
     pub image_words: usize,
 }
 
-/// Installs `spec`'s workload on a freshly booted system (shared with
-/// the supervised path, which must replay the exact same world build
-/// before restoring a checkpoint).
-pub(crate) fn install_workload(
-    sys: &mut System,
+/// A member's world before its first instruction: the system with its
+/// workload installed, metrics on and the timer armed, plus the
+/// workload's processes.
+pub type MemberWorld = (System, Vec<StormProc>);
+
+/// Builds `spec`'s world on the system `boot` returns: installs the
+/// workload, turns metrics on and arms the scheduler timer.
+fn build_member(
+    boot: impl FnOnce() -> System,
     cfg: &FleetConfig,
     spec: MachineSpec,
-) -> Vec<StormProc> {
+) -> MemberWorld {
+    let mut sys = boot();
+    let procs = install_workload(&mut sys, cfg, spec);
+    sys.enable_metrics();
+    sys.machine.set_timer(Some(cfg.quantum));
+    (sys, procs)
+}
+
+/// Installs `spec`'s workload on a freshly booted system.
+fn install_workload(sys: &mut System, cfg: &FleetConfig, spec: MachineSpec) -> Vec<StormProc> {
     match spec.kind {
         WorkloadKind::PageStorm => install_page_storm(
             sys,
@@ -293,37 +307,37 @@ pub(crate) fn install_workload(
     }
 }
 
+/// Whether every workload process in `procs` exited cleanly.
+pub(crate) fn all_exited(sys: &System, procs: &[StormProc]) -> bool {
+    let st = sys.state();
+    procs
+        .iter()
+        .all(|p| st.processes[p.pid].aborted.as_deref() == Some("exit"))
+}
+
 /// Whether this fleet's machines need the supervisor's slicing and
 /// checkpoint machinery at all; a chaos-free fleet takes the plain
-/// single-run path (no checkpoint clones, no CoW-detaching restores).
+/// single-run path (no checkpoint clones).
 fn supervised(cfg: &FleetConfig) -> bool {
     cfg.supervisor.chaos.is_some() || cfg.supervisor.kill_machine.is_some()
 }
 
-/// Boots a system with `boot`, installs `spec`'s workload and runs it
-/// to completion (or budget), returning the machine's result.
-fn install_and_run(
-    boot: impl FnOnce() -> System,
+/// Builds a member's world with `build` and runs it to completion (or
+/// budget), returning the machine's result.
+fn build_and_run(
+    build: impl FnOnce() -> MemberWorld,
     cfg: &FleetConfig,
     spec: MachineSpec,
 ) -> MachineResult {
     let start = Instant::now();
-    let mut sys = boot();
-    let procs = install_workload(&mut sys, cfg, spec);
-    sys.enable_metrics();
-    sys.machine.set_timer(Some(cfg.quantum));
+    let (mut sys, procs) = build();
     let exit = sys.machine.run(cfg.budget);
-    let st = sys.state.borrow();
-    let all_exited = procs
-        .iter()
-        .all(|p| st.processes[p.pid].aborted.as_deref() == Some("exit"));
-    drop(st);
     MachineResult {
         spec,
         instructions: sys.machine.stats().instructions,
         cycles: sys.machine.cycles(),
         wall_ns: start.elapsed().as_nanos() as u64,
-        completed: exit == RunExit::Halted && all_exited,
+        completed: exit == RunExit::Halted && all_exited(&sys, &procs),
         halted: exit == RunExit::Halted,
         dirty_pages: sys.machine.phys().dirty_pages(),
         snapshot: sys.metrics_snapshot(),
@@ -372,21 +386,24 @@ pub fn build_image(cfg: &FleetConfig, kind: WorkloadKind) -> BootImage {
 /// diverges) before running. Routes through the self-healing
 /// supervisor when the fleet has a chaos campaign configured.
 pub fn run_member(image: &BootImage, cfg: &FleetConfig, spec: MachineSpec) -> MachineResult {
-    if supervised(cfg) {
-        run_supervised(&|| System::boot_from_image(image), cfg, spec)
-    } else {
-        install_and_run(|| System::boot_from_image(image), cfg, spec)
-    }
+    run(|| System::boot_from_image(image), cfg, spec)
 }
 
 /// Runs `spec` standalone on a private flat memory — the reference
 /// a fleet member must be bit-identical to (supervised when the
 /// config says so, exactly as [`run_member`]).
 pub fn run_standalone(cfg: &FleetConfig, spec: MachineSpec) -> MachineResult {
+    run(|| System::boot_with(cfg.system_config()), cfg, spec)
+}
+
+/// Runs `spec` on the systems `boot` returns: once, or under the
+/// supervisor, which builds afresh only when no checkpoint exists yet.
+fn run(boot: impl Fn() -> System, cfg: &FleetConfig, spec: MachineSpec) -> MachineResult {
+    let build = || build_member(&boot, cfg, spec);
     if supervised(cfg) {
-        run_supervised(&|| System::boot_with(cfg.system_config()), cfg, spec)
+        run_supervised(&build, cfg, spec)
     } else {
-        install_and_run(|| System::boot_with(cfg.system_config()), cfg, spec)
+        build_and_run(build, cfg, spec)
     }
 }
 

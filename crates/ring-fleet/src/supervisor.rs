@@ -6,10 +6,11 @@
 //! operator. Each supervised machine runs its chaos campaign in
 //! cycle-bounded slices; at every slice boundary whose protection
 //! invariants hold, the supervisor captures a full
-//! [`SystemCheckpoint`]. When a machine fails terminally — wedged past
-//! its watchdog, double-faulted, invariant-broken after a recovery
-//! that claimed success, or lost to a host panic — the supervisor
-//! restarts it from the latest good checkpoint with a fresh
+//! [`SystemCheckpoint`] — a clone of the system. When a machine fails
+//! terminally — wedged past its watchdog, double-faulted,
+//! invariant-broken after a recovery that claimed success, or lost to
+//! a host panic — the supervisor restarts it by resuming a clone of
+//! the latest good checkpoint, with a fresh
 //! (attempt-salted) fault stream and a deterministic, exponentially
 //! backed-off charge of dead cycles. A machine that exhausts its
 //! restart budget is quarantined: its result is kept and reported, but
@@ -25,9 +26,10 @@ use std::time::Instant;
 
 use ring_chaos::{mix_seed, FailureClass, FaultPlan, MachineFailure};
 use ring_cpu::machine::RunExit;
-use ring_os::{System, SystemCheckpoint};
+use ring_os::workload::StormProc;
+use ring_os::SystemCheckpoint;
 
-use crate::{install_workload, FleetConfig, MachineResult, MachineSpec};
+use crate::{all_exited, FleetConfig, MachineResult, MachineSpec, MemberWorld};
 
 /// Chaos-campaign parameters shared by every supervised machine. Each
 /// machine's actual fault stream is seeded from these plus its own
@@ -112,28 +114,27 @@ struct Attempt {
     snapshot: ring_metrics::MetricsSnapshot,
 }
 
-/// Runs one attempt: boot + install (replaying the world build so the
-/// native-procedure registry matches the checkpoint's memory image),
-/// restore the latest good checkpoint if this is a restart, arm the
-/// attempt-salted chaos stream, then run in checkpoint-cadence slices
-/// under the watchdog.
+/// The latest good restart point: a checkpoint and the workload
+/// processes running on it.
+type RestartPoint = (SystemCheckpoint, Vec<StormProc>);
+
+/// Runs one attempt: resume a clone of the latest good checkpoint, or
+/// build the world afresh when there is none yet (attempt 0, or a
+/// failure before the first checkpoint), arm the attempt-salted chaos
+/// stream, then run in checkpoint-cadence slices under the watchdog.
 fn run_attempt(
-    boot: &dyn Fn() -> System,
+    build: &dyn Fn() -> MemberWorld,
     cfg: &FleetConfig,
     spec: MachineSpec,
     attempt: u32,
-    latest: &mut Option<SystemCheckpoint>,
+    latest: &mut Option<RestartPoint>,
 ) -> Attempt {
     let sup = &cfg.supervisor;
-    let mut sys = boot();
-    let procs = install_workload(&mut sys, cfg, spec);
-    sys.enable_metrics();
-    sys.machine.set_timer(Some(cfg.quantum));
+    let (mut sys, procs) = match latest.as_ref() {
+        Some((ck, procs)) => (ck.resume(), procs.clone()),
+        None => build(),
+    };
     if attempt > 0 {
-        if let Some(ck) = latest.as_ref() {
-            sys.restore_checkpoint(ck)
-                .expect("checkpoint restores onto an identically-built system");
-        }
         // Exponential backoff, in dead simulated cycles: deterministic,
         // and visible to the cycle-addressed chaos stream.
         sys.machine
@@ -199,7 +200,7 @@ fn run_attempt(
                 // A slice boundary with intact invariants is a good
                 // restart point; one with broken invariants means a
                 // recovery lied about succeeding.
-                Ok(()) => *latest = Some(sys.checkpoint()),
+                Ok(()) => *latest = Some((sys.checkpoint(), procs.clone())),
                 Err(v) => {
                     break Err(fail(
                         FailureClass::InvariantViolation,
@@ -212,13 +213,8 @@ fn run_attempt(
     };
 
     let halted = outcome.is_ok();
-    let st = sys.state.borrow();
-    let all_exited = procs
-        .iter()
-        .all(|p| st.processes[p.pid].aborted.as_deref() == Some("exit"));
-    drop(st);
     Attempt {
-        completed: halted && all_exited,
+        completed: halted && all_exited(&sys, &procs),
         halted,
         outcome,
         instructions: sys.machine.stats().instructions,
@@ -240,21 +236,24 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Runs `spec` under the supervisor: attempts, checkpoints, restarts,
-/// and — when the restart budget is spent — quarantine. `boot` must
-/// deterministically produce the machine's freshly-booted world (from
-/// the shared image for fleet members, from flat memory standalone).
+/// and — when the restart budget is spent — quarantine. `build` must
+/// deterministically produce the machine's world before its first
+/// instruction (booted from the shared image for fleet members, from
+/// flat memory standalone, with the workload installed). It runs for
+/// attempt 0 and for a restart that precedes the first checkpoint; any
+/// later restart resumes a clone of the latest checkpoint instead.
 ///
 /// Worker-thread panics inside an attempt are caught and classified
 /// [`FailureClass::HostPanic`]; this function itself never panics on a
 /// machine failure.
 pub fn run_supervised(
-    boot: &dyn Fn() -> System,
+    build: &dyn Fn() -> MemberWorld,
     cfg: &FleetConfig,
     spec: MachineSpec,
 ) -> MachineResult {
     let sup = &cfg.supervisor;
     let start = Instant::now();
-    let mut latest: Option<SystemCheckpoint> = None;
+    let mut latest: Option<RestartPoint> = None;
     let mut health = MachineHealth::default();
     let mut attempt: u32 = 0;
     loop {
@@ -263,9 +262,9 @@ pub fn run_supervised(
             if killed {
                 panic!("host kill injector: machine {}", spec.id);
             }
-            run_attempt(boot, cfg, spec, attempt, &mut latest)
+            run_attempt(build, cfg, spec, attempt, &mut latest)
         }));
-        let ck_cycles = latest.as_ref().map_or(0, |c| c.cycles);
+        let ck_cycles = latest.as_ref().map_or(0, |(ck, _)| ck.cycles());
         let (result, failure) = match caught {
             Ok(att) => {
                 let failure = att.outcome.as_ref().err().cloned();

@@ -192,3 +192,43 @@ fn hot_chaos_fleet_heals_and_reports() {
         "a campaign this hot must exercise ring-0 recovery"
     );
 }
+
+/// Runs one doomed page-storm member under the supervisor with a build
+/// closure that counts its calls, and returns (restarts, builds).
+fn count_builds(checkpoint_every: u64) -> (u32, usize) {
+    use ring_os::workload::{install_page_storm, StormSpec};
+    use ring_os::System;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    let mut cfg = doomed_fleet();
+    cfg.supervisor.checkpoint_every = checkpoint_every;
+    let builds = AtomicUsize::new(0);
+    let build = || {
+        builds.fetch_add(1, Ordering::Relaxed);
+        let mut sys = System::boot_with(cfg.system_config());
+        let procs = install_page_storm(
+            &mut sys,
+            &StormSpec {
+                procs: cfg.procs,
+                pages: cfg.pages,
+                rounds: cfg.base_rounds,
+            },
+        );
+        sys.enable_metrics();
+        sys.machine.set_timer(Some(cfg.quantum));
+        (sys, procs)
+    };
+    let result = ring_fleet::run_supervised(&build, &cfg, cfg.spec(0));
+    (result.health.restarts, builds.load(Ordering::Relaxed))
+}
+
+#[test]
+fn restarts_resume_checkpoint_clones_without_rebuilding() {
+    // Checkpoints every 100 cycles: attempt 0 captures one before it
+    // wedges, so both restarts resume clones and the member is built
+    // exactly once.
+    assert_eq!(count_builds(100), (2, 1));
+    // No checkpoint before the first failure: each restart is rebuilt
+    // from scratch, as attempt 0 was.
+    assert_eq!(count_builds(u64::MAX / 4), (2, 3));
+}

@@ -23,16 +23,13 @@
 //! completes the upward switch — software intervention on both
 //! crossings, exactly as the Background describes.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use ring_core::access::vector;
+use ring_core::access::{vector, Fault};
 use ring_core::addr::{SegAddr, SegNo, WordNo};
 use ring_core::registers::{Ipr, PtrReg};
 use ring_core::ring::Ring;
 use ring_core::sdw::SdwBuilder;
 use ring_core::word::Word;
-use ring_cpu::machine::RunExit;
+use ring_cpu::machine::{Machine, RunExit};
 use ring_cpu::native::NativeAction;
 use ring_cpu::testkit::World;
 
@@ -67,13 +64,21 @@ pub struct GrahamStats {
     pub ups: u64,
 }
 
+/// The crossing handler's state (the machine's native-state value).
+#[derive(Clone, Default)]
+struct Crossings {
+    stats: GrahamStats,
+    /// Pending upward returns: (caller ring, continuation), a
+    /// push-down stack.
+    pending: Vec<(Ring, SegAddr)>,
+}
+
 /// The Graham-1967 fixture: ring-4 user code calling a ring-1 service
 /// with `n_args` arguments, both crossings mediated by software while
 /// all per-reference validation stays in hardware.
 pub struct Graham67 {
     /// The underlying world.
     pub world: World,
-    stats: Rc<RefCell<GrahamStats>>,
 }
 
 impl Graham67 {
@@ -105,53 +110,11 @@ impl Graham67 {
         world.add_standard_stacks(16);
         let trap = world.add_trap_segment();
 
-        let stats = Rc::new(RefCell::new(GrahamStats::default()));
-        type Pending = (Ring, SegAddr);
-        let pending: Rc<RefCell<Vec<Pending>>> = Rc::new(RefCell::new(Vec::new()));
-        {
-            let stats = stats.clone();
-            let pending = pending.clone();
-            world.machine.register_native(trap, move |m, entry| {
-                let v = entry.value();
-                if v != vector::ACCESS_VIOLATION && v != vector::DOWNWARD_RETURN {
-                    return Ok(NativeAction::Halt);
-                }
-                let (_, _, target, _) = m.fault_info()?;
-                let mut state = m.saved_state()?;
-                if target.segno.value() == segs::SERVICE && target.wordno == WordNo::ZERO {
-                    // The downward crossing: validate the software gate
-                    // table (one entry), switch the ring register, and
-                    // plant the sentinel return pointer.
-                    stats.borrow_mut().downs += 1;
-                    m.charge(cost::CROSS_DOWN);
-                    pending
-                        .borrow_mut()
-                        .push((state.ipr.ring, state.prs[2].addr));
-                    state.prs[2] = PtrReg::new(
-                        Ring::R1,
-                        SegAddr::from_parts(segs::SENTINEL, 0).expect("sentinel"),
-                    );
-                    state.ipr = Ipr::new(Ring::R1, target);
-                    m.set_saved_state(&state)?;
-                    return Ok(NativeAction::Resume);
-                }
-                if target.segno.value() == segs::SENTINEL {
-                    // The upward crossing: complete the return.
-                    let Some((ring, cont)) = pending.borrow_mut().pop() else {
-                        return Ok(NativeAction::Halt);
-                    };
-                    stats.borrow_mut().ups += 1;
-                    m.charge(cost::CROSS_UP);
-                    state.ipr = Ipr::new(ring, cont);
-                    for pr in state.prs.iter_mut() {
-                        *pr = pr.with_ring_floor(ring);
-                    }
-                    m.set_saved_state(&state)?;
-                    return Ok(NativeAction::Resume);
-                }
-                Ok(NativeAction::Halt)
-            });
-        }
+        world.machine.set_native_state(Crossings::default());
+        world.machine.register_native(trap, |m, entry| {
+            m.with_native_state(|m, x: &mut Crossings| cross(m, x, entry.value()))
+                .expect("crossing state is installed with the handler")
+        });
 
         // The service body: per-reference hardware validation of
         // arguments (this scheme HAS effective rings), then RETURN via
@@ -198,7 +161,7 @@ args:
             world.poke(data, i, Word::new(u64::from(10 + i)));
         }
 
-        let mut f = Graham67 { world, stats };
+        let mut f = Graham67 { world };
         f.reset(n_args);
         f
     }
@@ -239,8 +202,53 @@ args:
 
     /// Crossing statistics.
     pub fn stats(&self) -> GrahamStats {
-        *self.stats.borrow()
+        self.world
+            .machine
+            .native_state::<Crossings>()
+            .expect("crossing state is installed at build")
+            .stats
     }
+}
+
+/// The software ring-crossing handler: mediates the downward CALL that
+/// faulted on the withheld gate extension, and the upward return that
+/// faulted on the planted sentinel.
+fn cross(m: &mut Machine, x: &mut Crossings, v: u32) -> Result<NativeAction, Fault> {
+    if v != vector::ACCESS_VIOLATION && v != vector::DOWNWARD_RETURN {
+        return Ok(NativeAction::Halt);
+    }
+    let (_, _, target, _) = m.fault_info()?;
+    let mut state = m.saved_state()?;
+    if target.segno.value() == segs::SERVICE && target.wordno == WordNo::ZERO {
+        // The downward crossing: validate the software gate table (one
+        // entry), switch the ring register, and plant the sentinel
+        // return pointer.
+        x.stats.downs += 1;
+        m.charge(cost::CROSS_DOWN);
+        x.pending.push((state.ipr.ring, state.prs[2].addr));
+        state.prs[2] = PtrReg::new(
+            Ring::R1,
+            SegAddr::from_parts(segs::SENTINEL, 0).expect("sentinel"),
+        );
+        state.ipr = Ipr::new(Ring::R1, target);
+        m.set_saved_state(&state)?;
+        return Ok(NativeAction::Resume);
+    }
+    if target.segno.value() == segs::SENTINEL {
+        // The upward crossing: complete the return.
+        let Some((ring, cont)) = x.pending.pop() else {
+            return Ok(NativeAction::Halt);
+        };
+        x.stats.ups += 1;
+        m.charge(cost::CROSS_UP);
+        state.ipr = Ipr::new(ring, cont);
+        for pr in state.prs.iter_mut() {
+            *pr = pr.with_ring_floor(ring);
+        }
+        m.set_saved_state(&state)?;
+        return Ok(NativeAction::Resume);
+    }
+    Ok(NativeAction::Halt)
 }
 
 #[cfg(test)]

@@ -21,10 +21,7 @@
 //! call/return pair, per-argument software validation, two DBR loads,
 //! and two associative-memory flushes.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use ring_core::access::vector;
+use ring_core::access::{vector, Fault};
 use ring_core::addr::{AbsAddr, SegAddr, SegNo, WordNo};
 use ring_core::registers::{Dbr, Ipr, PtrReg};
 use ring_core::ring::Ring;
@@ -62,6 +59,8 @@ pub struct SoftStats {
     pub refused: u64,
 }
 
+/// The gatekeeper's state (the machine's native-state value).
+#[derive(Clone)]
 struct GateTable {
     /// Registered software gates: (location, target ring).
     gates: Vec<(SegAddr, Ring)>,
@@ -95,7 +94,6 @@ pub struct Soft645 {
     pub machine: Machine,
     desc: [AbsAddr; 8],
     user_entry: u32,
-    stats: Rc<RefCell<GateTable>>,
 }
 
 fn poke_sdw(m: &mut Machine, desc: AbsAddr, segno: u32, sdw: &ring_core::sdw::Sdw) {
@@ -199,75 +197,19 @@ impl Soft645 {
             }
         }
 
-        let table = Rc::new(RefCell::new(GateTable {
+        machine.set_native_state(GateTable {
             gates: vec![(
                 SegAddr::from_parts(segs::SERVICE, 0).expect("gate"),
                 Ring::R1,
             )],
             pending: Vec::new(),
             stats: SoftStats::default(),
-        }));
+        });
 
         // The gatekeeper: a native ring-0 trap handler.
-        let gk = table.clone();
-        let desc_copy = desc;
         machine.register_native(SegNo::new(segs::TRAP).expect("segno"), move |m, entry| {
-            let v = entry.value();
-            if v == vector::DERAIL || v != vector::ACCESS_VIOLATION {
-                return Ok(NativeAction::Halt);
-            }
-            let (_, _, target, _) = m.fault_info()?;
-            let mut t = gk.borrow_mut();
-            // Downward crossing?
-            if let Some(&(_, tring)) = t.gates.iter().find(|(g, _)| *g == target) {
-                t.stats.crossings += 1;
-                m.charge(cost::GATE_VALIDATE);
-                let mut state = m.saved_state()?;
-                // Software argument validation: read each indirect pair
-                // through the caller's view and check the named word is
-                // accessible to the caller. The fixture convention puts
-                // the argument count in the caller's X7.
-                let ap = state.prs[1];
-                let nargs = state.x[7];
-                for i in 0..nargs {
-                    let slot = PtrReg::new(
-                        state.ipr.ring,
-                        SegAddr::new(ap.addr.segno, ap.addr.wordno.wrapping_add(2 * i)),
-                    );
-                    let argp = m.read_pointer_validated(slot)?;
-                    let _ = m.read_validated(argp)?;
-                    m.charge(cost::PER_ARG);
-                    t.stats.args_validated += 1;
-                }
-                // Record the pending return and switch worlds.
-                t.pending.push((state.prs[2].addr, state.ipr.ring));
-                m.charge(cost::DBR_SWITCH);
-                m.load_dbr(Dbr::new(
-                    desc_copy[tring.number() as usize],
-                    segs::SLOTS,
-                    SegNo::new(segs::STACK_BASE).expect("segno"),
-                ));
-                state.ipr = Ipr::new(tring, target);
-                m.set_saved_state(&state)?;
-                return Ok(NativeAction::Resume);
-            }
-            // Upward return?
-            if let Some(pos) = t.pending.iter().rposition(|(cont, _)| *cont == target) {
-                let (cont, cring) = t.pending.remove(pos);
-                t.stats.returns += 1;
-                m.charge(cost::RETURN_VALIDATE + cost::DBR_SWITCH);
-                m.load_dbr(Dbr::new(
-                    desc_copy[cring.number() as usize],
-                    segs::SLOTS,
-                    SegNo::new(segs::STACK_BASE).expect("segno"),
-                ));
-                let mut state = m.saved_state()?;
-                state.ipr = Ipr::new(cring, cont);
-                m.set_saved_state(&state)?;
-                return Ok(NativeAction::Resume);
-            }
-            t.stats.refused += 1;
-            Ok(NativeAction::Halt)
+            m.with_native_state(|m, t: &mut GateTable| gatekeeper(m, t, &desc, entry.value()))
+                .expect("gate table is installed with the gatekeeper")
         });
 
         // The service body: native in the SERVICE segment. Reads the
@@ -331,7 +273,6 @@ args:
             machine,
             desc,
             user_entry: 0,
-            stats: table,
         };
         fixture.reset(n_args);
         fixture
@@ -393,8 +334,77 @@ args:
 
     /// Gatekeeper statistics.
     pub fn stats(&self) -> SoftStats {
-        self.stats.borrow().stats
+        self.machine
+            .native_state::<GateTable>()
+            .expect("gate table is installed at build")
+            .stats
     }
+}
+
+/// The software gatekeeper: fields the access violation a cross-ring
+/// transfer raises in the current ring's descriptor segment, and either
+/// performs the validated downward crossing or completes a pending
+/// upward return.
+fn gatekeeper(
+    m: &mut Machine,
+    t: &mut GateTable,
+    desc: &[AbsAddr; 8],
+    v: u32,
+) -> Result<NativeAction, Fault> {
+    if v == vector::DERAIL || v != vector::ACCESS_VIOLATION {
+        return Ok(NativeAction::Halt);
+    }
+    let (_, _, target, _) = m.fault_info()?;
+    // Downward crossing?
+    if let Some(&(_, tring)) = t.gates.iter().find(|(g, _)| *g == target) {
+        t.stats.crossings += 1;
+        m.charge(cost::GATE_VALIDATE);
+        let mut state = m.saved_state()?;
+        // Software argument validation: read each indirect pair through
+        // the caller's view and check the named word is accessible to
+        // the caller. The fixture convention puts the argument count in
+        // the caller's X7.
+        let ap = state.prs[1];
+        let nargs = state.x[7];
+        for i in 0..nargs {
+            let slot = PtrReg::new(
+                state.ipr.ring,
+                SegAddr::new(ap.addr.segno, ap.addr.wordno.wrapping_add(2 * i)),
+            );
+            let argp = m.read_pointer_validated(slot)?;
+            let _ = m.read_validated(argp)?;
+            m.charge(cost::PER_ARG);
+            t.stats.args_validated += 1;
+        }
+        // Record the pending return and switch worlds.
+        t.pending.push((state.prs[2].addr, state.ipr.ring));
+        m.charge(cost::DBR_SWITCH);
+        m.load_dbr(Dbr::new(
+            desc[tring.number() as usize],
+            segs::SLOTS,
+            SegNo::new(segs::STACK_BASE).expect("segno"),
+        ));
+        state.ipr = Ipr::new(tring, target);
+        m.set_saved_state(&state)?;
+        return Ok(NativeAction::Resume);
+    }
+    // Upward return?
+    if let Some(pos) = t.pending.iter().rposition(|(cont, _)| *cont == target) {
+        let (cont, cring) = t.pending.remove(pos);
+        t.stats.returns += 1;
+        m.charge(cost::RETURN_VALIDATE + cost::DBR_SWITCH);
+        m.load_dbr(Dbr::new(
+            desc[cring.number() as usize],
+            segs::SLOTS,
+            SegNo::new(segs::STACK_BASE).expect("segno"),
+        ));
+        let mut state = m.saved_state()?;
+        state.ipr = Ipr::new(cring, cont);
+        m.set_saved_state(&state)?;
+        return Ok(NativeAction::Resume);
+    }
+    t.stats.refused += 1;
+    Ok(NativeAction::Halt)
 }
 
 #[cfg(test)]

@@ -7,9 +7,10 @@
 //! segment with the supervisor template installed plus eight per-ring
 //! stack segments — exactly the paper's model of a layered supervisor
 //! present in the virtual memory of every process.
-
-use std::cell::RefCell;
-use std::rc::Rc;
+//!
+//! A [`System`] is a plain owned value: the supervisor's state lives in
+//! its machine ([`crate::state::Kernel`]), so `System` is
+//! `Clone + Send`, and a checkpoint is a clone.
 
 use ring_core::addr::{AbsAddr, SegNo};
 use ring_core::callret::StackRule;
@@ -24,7 +25,7 @@ use crate::acl::Acl;
 use crate::conventions::{frame, hcs, ring1, segs};
 use crate::fs::SegmentId;
 use crate::process::ProcessState;
-use crate::state::OsState;
+use crate::state::{Kernel, OsState};
 
 /// Configuration knobs for a booted system.
 #[derive(Clone, Copy, Debug)]
@@ -103,32 +104,41 @@ impl BootImage {
     }
 }
 
-/// A restartable world snapshot: the machine's architectural image
-/// plus the supervisor's host-side state and the metrics recorder.
+/// A restartable world snapshot: a frozen clone of the whole system —
+/// machine (memory, caches, metrics recorder) and supervisor state.
 ///
 /// This is the unit of the fleet supervisor's self-healing loop: a
 /// machine that wedges, double-faults, or fails its post-recovery
-/// invariant check is rewound to its last checkpoint
-/// ([`System::restore_checkpoint`]) and re-run — deterministically,
+/// invariant check is replaced by a clone of its last checkpoint
+/// ([`SystemCheckpoint::resume`]) and re-run — deterministically,
 /// since everything influencing execution is inside the snapshot.
 #[derive(Clone)]
 pub struct SystemCheckpoint {
-    image: ring_cpu::MachineImage,
-    os: OsState,
-    metrics: ring_metrics::Metrics,
-    /// Simulated cycles at capture (restart bookkeeping: cycles lost
-    /// to a rewind are `failure_cycles - checkpoint.cycles`).
-    pub cycles: u64,
+    system: System,
 }
 
-/// A booted system: machine plus supervisor state.
+impl SystemCheckpoint {
+    /// Simulated cycles at capture (restart bookkeeping: cycles lost
+    /// to a rewind are `failure_cycles - checkpoint.cycles()`).
+    pub fn cycles(&self) -> u64 {
+        self.system.machine.cycles()
+    }
+
+    /// A runnable clone of the checkpointed system, exactly as it
+    /// stood at capture.
+    pub fn resume(&self) -> System {
+        self.system.clone()
+    }
+}
+
+/// A booted system: machine plus supervisor state. The supervisor
+/// state is the machine's native-state value ([`Kernel`]); reach it
+/// with [`System::state`], [`System::state_mut`] and
+/// [`System::alloc_mut`].
+#[derive(Clone)]
 pub struct System {
     /// The processor and memory.
     pub machine: Machine,
-    /// Shared supervisor state.
-    pub state: Rc<RefCell<OsState>>,
-    /// Shared physical allocator.
-    pub alloc: Rc<RefCell<PhysAllocator>>,
     template: Vec<(u32, Sdw)>,
     cfg: SystemConfig,
 }
@@ -241,24 +251,55 @@ impl System {
         os.quantum = cfg.quantum;
         os.frames = cfg.frame_budget.map(ring_segmem::FramePool::new);
         os.page_in_latency = cfg.page_in_latency;
-        let state = Rc::new(RefCell::new(os));
-        let alloc = Rc::new(RefCell::new(alloc));
+        machine.set_native_state(Kernel { os, alloc });
 
-        crate::traps::install(&mut machine, state.clone(), alloc.clone());
-        crate::gates::install(&mut machine, state.clone());
+        crate::traps::install(&mut machine);
+        crate::gates::install(&mut machine);
 
         System {
             machine,
-            state,
-            alloc,
             template,
             cfg,
         }
     }
 
+    fn kernel(&self) -> &Kernel {
+        self.machine
+            .native_state()
+            .expect("a booted machine carries its kernel")
+    }
+
+    fn kernel_mut(&mut self) -> &mut Kernel {
+        self.machine
+            .native_state_mut()
+            .expect("a booted machine carries its kernel")
+    }
+
+    /// The supervisor state.
+    pub fn state(&self) -> &OsState {
+        &self.kernel().os
+    }
+
+    /// Mutable supervisor state (world building, tests, the shell).
+    pub fn state_mut(&mut self) -> &mut OsState {
+        &mut self.kernel_mut().os
+    }
+
+    /// The physical-storage allocator (world building).
+    pub fn alloc_mut(&mut self) -> &mut PhysAllocator {
+        &mut self.kernel_mut().alloc
+    }
+
+    /// Lends the machine and the supervisor state to `f` together, as a
+    /// native supervisor body sees them — for driving service bodies
+    /// directly.
+    pub fn with_state<R>(&mut self, f: impl FnOnce(&mut Machine, &mut OsState) -> R) -> R {
+        Kernel::lend(&mut self.machine, |m, k| f(m, &mut k.os))
+    }
+
     /// Registers a user.
-    pub fn add_user(&self, name: &str) {
-        self.state.borrow_mut().add_user(name);
+    pub fn add_user(&mut self, name: &str) {
+        self.state_mut().add_user(name);
     }
 
     /// Creates a stored segment in on-line storage (host-level; the
@@ -269,9 +310,8 @@ impl System {
     ///
     /// Panics on storage errors — world-building is expected to be
     /// well-formed.
-    pub fn create_segment(&self, path: &str, acl: Acl, data: Vec<Word>) -> SegmentId {
-        self.state
-            .borrow_mut()
+    pub fn create_segment(&mut self, path: &str, acl: Acl, data: Vec<Word>) -> SegmentId {
+        self.state_mut()
             .fs
             .create_segment(path, acl, data)
             .expect("create stored segment")
@@ -287,17 +327,19 @@ impl System {
     /// be allocated.
     pub fn login(&mut self, user: &str) -> usize {
         self.add_user(user);
-        let mut alloc = self.alloc.borrow_mut();
+        let alloc = self.alloc_mut();
         let desc_base = alloc
             .alloc(2 * segs::DESCRIPTOR_SLOTS)
             .expect("descriptor segment");
+        let stacks: Vec<AbsAddr> = Ring::all()
+            .map(|_| alloc.alloc(1024).expect("stack segment"))
+            .collect();
         // Supervisor template.
         for (segno, sdw) in &self.template {
             Self::poke_sdw(&mut self.machine, desc_base, *segno, sdw);
         }
         // Per-ring stacks: read and write brackets end at ring r.
-        for r in Ring::all() {
-            let base = alloc.alloc(1024).expect("stack segment");
+        for (r, base) in Ring::all().zip(stacks) {
             let sdw = SdwBuilder::data(r, r).addr(base).bound_words(1024).build();
             Self::poke_sdw(
                 &mut self.machine,
@@ -310,14 +352,13 @@ impl System {
                 .poke(base, Word::new(u64::from(frame::FIRST_FRAME)))
                 .expect("stack header");
         }
-        drop(alloc);
         // The new process's trap-segment SDW pair must survive chaos
         // injection: a parity error met while entering a trap is an
         // unrecoverable double fault (the hardware analogue kept its
         // trap storage on corrected memory).
         let trap_pair = desc_base.wrapping_add(2 * segs::TRAP).value();
         self.machine.chaos_protect(trap_pair, trap_pair + 2);
-        let mut st = self.state.borrow_mut();
+        let st = self.state_mut();
         st.processes.push(ProcessState::new(user, desc_base));
         st.processes.len() - 1
     }
@@ -328,7 +369,7 @@ impl System {
     ///
     /// Panics on bad segment numbers or physical faults.
     pub fn install_sdw(&mut self, pid: usize, segno: u32, sdw: &Sdw) {
-        let desc_base = self.state.borrow().processes[pid].dbr.addr;
+        let desc_base = self.state().processes[pid].dbr.addr;
         Self::poke_sdw(&mut self.machine, desc_base, segno, sdw);
         self.machine.translator_mut().flush_cache();
     }
@@ -349,7 +390,7 @@ impl System {
     ///
     /// Panics on physical faults.
     pub fn read_sdw(&self, pid: usize, segno: u32) -> Sdw {
-        let desc_base = self.state.borrow().processes[pid].dbr.addr;
+        let desc_base = self.state().processes[pid].dbr.addr;
         let base = desc_base.wrapping_add(2 * segno);
         let w0 = self.machine.phys().peek(base).expect("descriptor peek");
         let w1 = self
@@ -366,8 +407,8 @@ impl System {
     ///
     /// Panics on an invalid pid.
     pub fn activate(&mut self, pid: usize) {
-        let dbr = self.state.borrow().processes[pid].dbr;
-        self.state.borrow_mut().current = pid;
+        let dbr = self.state().processes[pid].dbr;
+        self.state_mut().current = pid;
         self.machine.load_dbr(dbr);
     }
 
@@ -379,7 +420,7 @@ impl System {
     ///
     /// Panics on an invalid pid.
     pub fn logout(&mut self, pid: usize) {
-        let mut st = self.state.borrow_mut();
+        let st = self.state_mut();
         st.processes[pid].aborted = Some("logout".to_string());
         st.processes[pid].saved = None;
         st.sched.remove(pid);
@@ -387,7 +428,7 @@ impl System {
 
     /// The supervisor statistics snapshot.
     pub fn stats(&self) -> crate::state::SupervisorStats {
-        self.state.borrow().stats
+        self.state().stats
     }
 
     /// Turns on the machine's metrics recorder (ring crossings, faults,
@@ -410,43 +451,25 @@ impl System {
     /// ([`crate::invariants::InvariantViolation`]) so callers can
     /// classify them instead of string-matching.
     pub fn check_invariants(&self) -> Result<(), crate::invariants::InvariantViolation> {
-        crate::invariants::check(&self.machine, &self.state.borrow())
+        crate::invariants::check(&self.machine, self.state())
     }
 
-    /// Captures the complete simulated world — machine image (v2:
-    /// registers, memory, I/O, chaos state), the supervisor's host-side
-    /// state, and the metrics recorder — as a restartable checkpoint.
+    /// Captures the complete simulated world as a restartable
+    /// checkpoint: a clone of the system. A copy-on-write memory stays
+    /// shared with its image; only pages this machine has dirtied are
+    /// copied.
     ///
-    /// Capture is uncounted and read-only: taking a checkpoint never
-    /// perturbs the run (the fleet supervisor checkpoints on a cycle
-    /// cadence mid-execution).
+    /// Taking a checkpoint never perturbs the run (the fleet supervisor
+    /// checkpoints on a cycle cadence mid-execution).
     pub fn checkpoint(&self) -> SystemCheckpoint {
         SystemCheckpoint {
-            image: self.machine.capture_image(),
-            os: self.state.borrow().clone(),
-            metrics: self.machine.metrics().clone(),
-            cycles: self.machine.cycles(),
+            system: self.clone(),
         }
-    }
-
-    /// Rewinds the world to `ck`: machine image, supervisor state, and
-    /// metrics recorder all restored exactly as captured. The system
-    /// must have been built with the same configuration that produced
-    /// the checkpoint.
-    ///
-    /// Restoring detaches a copy-on-write boot from its shared image
-    /// (memory is rematerialized privately), which is architecturally
-    /// invisible but shows up as dirty pages.
-    pub fn restore_checkpoint(&mut self, ck: &SystemCheckpoint) -> Result<(), String> {
-        self.machine.restore_image(&ck.image)?;
-        *self.state.borrow_mut() = ck.os.clone();
-        *self.machine.metrics_mut() = ck.metrics.clone();
-        Ok(())
     }
 
     /// The supervisor's fault-recovery counters.
     pub fn chaos_stats(&self) -> crate::state::ChaosRecoveryStats {
-        self.state.borrow().chaos
+        self.state().chaos
     }
 
     /// Turns on the span flight recorder: every gate CALL and trap the
@@ -493,7 +516,7 @@ impl System {
     /// per-process crossing counts in the `extra` section.
     pub fn metrics_snapshot(&self) -> ring_metrics::MetricsSnapshot {
         let mut snap = self.machine.metrics_snapshot();
-        let st = self.state.borrow();
+        let st = self.state();
         for (k, v) in st.stats.export_pairs() {
             snap.push_extra(k, v);
         }

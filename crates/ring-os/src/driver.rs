@@ -43,7 +43,7 @@ impl System {
     ) -> Staged {
         let out = ring_asm::assemble(source).expect("assembly");
         let words = out.len().max(1);
-        let base = self.alloc.borrow_mut().alloc(words).expect("code storage");
+        let base = self.alloc_mut().alloc(words).expect("code storage");
         self.machine
             .phys_mut()
             .poke_slice(base, &out.words)
@@ -53,7 +53,7 @@ impl System {
             .addr(base)
             .bound_words(words)
             .build();
-        let segno = self.state.borrow_mut().processes[pid]
+        let segno = self.state_mut().processes[pid]
             .alloc_segno()
             .expect("segment number");
         self.install_sdw(pid, segno, &sdw);
@@ -79,7 +79,7 @@ impl System {
         min_words: u32,
     ) -> Staged {
         let words = (data.len() as u32).max(min_words).max(1);
-        let base = self.alloc.borrow_mut().alloc(words).expect("data storage");
+        let base = self.alloc_mut().alloc(words).expect("data storage");
         self.machine
             .phys_mut()
             .poke_slice(base, data)
@@ -88,7 +88,7 @@ impl System {
             .addr(base)
             .bound_words(words)
             .build();
-        let segno = self.state.borrow_mut().processes[pid]
+        let segno = self.state_mut().processes[pid]
             .alloc_segno()
             .expect("segment number");
         self.install_sdw(pid, segno, &sdw);
@@ -120,19 +120,17 @@ impl System {
                 &mut ring_cpu::machine::Machine,
                 ring_core::addr::WordNo,
             ) -> Result<ring_cpu::native::NativeAction, ring_core::access::Fault>
+            + Send
+            + Sync
             + 'static,
     {
-        let base = self
-            .alloc
-            .borrow_mut()
-            .alloc(16)
-            .expect("native segment storage");
+        let base = self.alloc_mut().alloc(16).expect("native segment storage");
         let sdw = SdwBuilder::procedure(ring, ring, r3)
             .gates(gates)
             .addr(base)
             .bound_words(16)
             .build();
-        let segno = self.state.borrow_mut().processes[pid]
+        let segno = self.state_mut().processes[pid]
             .alloc_segno()
             .expect("segment number");
         self.install_sdw(pid, segno, &sdw);
@@ -196,7 +194,7 @@ impl System {
             ind_zero: true,
             ind_neg: false,
         };
-        let mut st = self.state.borrow_mut();
+        let st = self.state_mut();
         st.processes[pid].saved = Some(snap);
         st.sched.make_ready(pid);
     }

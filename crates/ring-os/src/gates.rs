@@ -10,9 +10,6 @@
 //! performs the service, leaves a status code in the A register, and
 //! returns through the return pointer `PR2`.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use ring_core::access::Fault;
 use ring_core::addr::SegNo;
 use ring_core::registers::PtrReg;
@@ -25,7 +22,7 @@ use crate::acl::Modes;
 use crate::conventions::{hcs, ring1, segs, PR_AP, PR_RP};
 use crate::services;
 use crate::services::status;
-use crate::state::OsState;
+use crate::state::{Kernel, OsState};
 use crate::strings::read_string;
 
 /// Reads argument `n` as a pointer (dereferencing the caller's
@@ -77,30 +74,31 @@ fn decode_rings(w: Word) -> ((Ring, Ring, Ring), u32) {
     )
 }
 
-/// Installs the HCS and ring-1 gate dispatchers on the machine.
-pub fn install(machine: &mut Machine, state: Rc<RefCell<OsState>>) {
-    let st = state.clone();
-    machine.register_native(SegNo::new(segs::HCS).expect("segno"), move |m, entry| {
-        let mut s = st.borrow_mut();
-        s.stats.gate_calls_hcs += 1;
-        if !s.processes.is_empty() {
-            s.current_process_mut().gate_calls += 1;
-        }
-        let status = hcs_entry(m, &mut s, entry.value());
-        drop(s);
+/// Installs the HCS and ring-1 gate dispatchers on the machine. Their
+/// state is the machine's [`Kernel`].
+pub fn install(machine: &mut Machine) {
+    machine.register_native(SegNo::new(segs::HCS).expect("segno"), |m, entry| {
+        let status = Kernel::lend(m, |m, k| {
+            let s = &mut k.os;
+            s.stats.gate_calls_hcs += 1;
+            if !s.processes.is_empty() {
+                s.current_process_mut().gate_calls += 1;
+            }
+            hcs_entry(m, s, entry.value())
+        });
         m.set_a(Word::new(status));
         Ok(NativeAction::Return { via: m.pr(PR_RP) })
     });
 
-    let st = state;
-    machine.register_native(SegNo::new(segs::RING1).expect("segno"), move |m, entry| {
-        let mut s = st.borrow_mut();
-        s.stats.gate_calls_ring1 += 1;
-        if !s.processes.is_empty() {
-            s.current_process_mut().gate_calls += 1;
-        }
-        let status = ring1_entry(m, &mut s, entry.value());
-        drop(s);
+    machine.register_native(SegNo::new(segs::RING1).expect("segno"), |m, entry| {
+        let status = Kernel::lend(m, |m, k| {
+            let s = &mut k.os;
+            s.stats.gate_calls_ring1 += 1;
+            if !s.processes.is_empty() {
+                s.current_process_mut().gate_calls += 1;
+            }
+            ring1_entry(m, s, entry.value())
+        });
         m.set_a(Word::new(status));
         Ok(NativeAction::Return { via: m.pr(PR_RP) })
     });

@@ -1,13 +1,18 @@
-//! Shared operating-system state.
+//! Operating-system state.
 //!
 //! Native supervisor procedures are closures registered with the
-//! machine; they share this state through `Rc<RefCell<OsState>>`.
+//! machine. What they mutate — [`OsState`] and the physical allocator,
+//! together a [`Kernel`] — lives in the machine's native-state slot and
+//! is lent to a body for the length of its call, so cloning the machine
+//! clones the supervisor with it.
 
 use std::collections::HashMap;
 
 use ring_core::registers::Ipr;
 use ring_core::ring::Ring;
+use ring_cpu::machine::Machine;
 use ring_sched::Scheduler;
+use ring_segmem::layout::PhysAllocator;
 use ring_segmem::{BackingStore, FramePool};
 
 use crate::fs::FileSystem;
@@ -117,12 +122,36 @@ impl ChaosRecoveryStats {
     }
 }
 
+/// Everything the supervisor's native bodies mutate, as one value: the
+/// supervisor state and the physical allocator. It is the machine's
+/// native-state value on a booted system.
+#[derive(Clone)]
+pub struct Kernel {
+    /// The supervisor state.
+    pub os: OsState,
+    /// The physical-storage allocator.
+    pub alloc: PhysAllocator,
+}
+
+impl Kernel {
+    /// Lends the kernel out of `m`'s native-state slot to `f` for the
+    /// length of the call (how a native body reaches it).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `m` carries no kernel: the supervisor bodies are
+    /// only ever registered by [`crate::boot::System`], which installs
+    /// one first.
+    pub(crate) fn lend<R>(m: &mut Machine, f: impl FnOnce(&mut Machine, &mut Kernel) -> R) -> R {
+        m.with_native_state(f)
+            .expect("supervisor body runs on a machine booted with a kernel")
+    }
+}
+
 /// The supervisor's in-memory state.
 ///
-/// `Clone` exists for checkpointing: the fleet supervisor snapshots
-/// the whole supervisor state alongside a machine image so a failed
-/// machine can be restarted from the checkpoint
-/// ([`crate::boot::System::checkpoint`]).
+/// `Clone` is what makes a booted system cloneable: a checkpoint is a
+/// clone of the whole system ([`crate::boot::System::checkpoint`]).
 #[derive(Clone)]
 pub struct OsState {
     /// Registered user names.

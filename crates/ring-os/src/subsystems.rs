@@ -11,9 +11,6 @@
 //! user-constructed protected subsystems without auditing them for
 //! inclusion in the supervisor").
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use ring_core::addr::SegNo;
 use ring_core::registers::PtrReg;
 use ring_core::ring::Ring;
@@ -23,7 +20,7 @@ use ring_cpu::native::NativeAction;
 
 use crate::boot::System;
 use crate::conventions::{PR_AP, PR_RP};
-use crate::state::{AuditRecord, OsState};
+use crate::state::{AuditRecord, Kernel};
 
 /// Gate entries of the audit subsystem.
 pub mod gate {
@@ -57,23 +54,18 @@ pub fn install(system: &mut System, pid: usize, owner: &str, data: &[Word]) -> A
     let data_segno = staged.segno;
 
     // The audit gate segment: executes in ring 2, gates open to ring 5.
-    let base = system
-        .alloc
-        .borrow_mut()
-        .alloc(16)
-        .expect("gate segment storage");
+    let base = system.alloc_mut().alloc(16).expect("gate segment storage");
     let sdw = SdwBuilder::procedure(Ring::R2, Ring::R2, Ring::R5)
         .gates(gate::COUNT)
         .addr(base)
         .bound_words(16)
         .build();
-    let gate_segno = system.state.borrow_mut().processes[pid]
+    let gate_segno = system.state_mut().processes[pid]
         .alloc_segno()
         .expect("segment number");
     system.install_sdw(pid, gate_segno, &sdw);
 
     let owner = owner.to_string();
-    let state: Rc<RefCell<OsState>> = system.state.clone();
     let data_sn = SegNo::new(data_segno).expect("segno");
     system
         .machine
@@ -100,12 +92,13 @@ pub fn install(system: &mut System, pid: usize, owner: &str, data: &[Word]) -> A
                         .map_err(|_| 1u64)?;
                     let res_ptr = m.arg_pointer(ap, 1).map_err(|_| 4u64)?;
                     m.write_validated(res_ptr, word).map_err(|_| 2u64)?;
-                    let mut s = state.borrow_mut();
-                    let user = s.current_process().user.clone();
-                    s.audit_log.push(AuditRecord {
-                        user,
-                        caller_ring,
-                        operation: format!("read[{idx}] of {owner}'s data"),
+                    Kernel::lend(m, |_, k| {
+                        let user = k.os.current_process().user.clone();
+                        k.os.audit_log.push(AuditRecord {
+                            user,
+                            caller_ring,
+                            operation: format!("read[{idx}] of {owner}'s data"),
+                        });
                     });
                     Ok::<u64, u64>(0)
                 })()
@@ -129,12 +122,13 @@ pub fn install(system: &mut System, pid: usize, owner: &str, data: &[Word]) -> A
                     }
                     let res_ptr = m.arg_pointer(ap, 1).map_err(|_| 4u64)?;
                     m.write_validated(res_ptr, sum).map_err(|_| 2u64)?;
-                    let mut s = state.borrow_mut();
-                    let user = s.current_process().user.clone();
-                    s.audit_log.push(AuditRecord {
-                        user,
-                        caller_ring,
-                        operation: format!("sum[0..{count}] of {owner}'s data"),
+                    Kernel::lend(m, |_, k| {
+                        let user = k.os.current_process().user.clone();
+                        k.os.audit_log.push(AuditRecord {
+                            user,
+                            caller_ring,
+                            operation: format!("sum[0..{count}] of {owner}'s data"),
+                        });
                     });
                     Ok::<u64, u64>(0)
                 })()

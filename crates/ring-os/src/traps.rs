@@ -39,9 +39,6 @@
 //! an address-space switch) and notes the decision on the scheduler
 //! trace and span stream.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use ring_core::access::{vector, Fault};
 use ring_core::addr::{AbsAddr, SegAddr, SegNo};
 use ring_core::registers::Ipr;
@@ -56,7 +53,7 @@ use ring_segmem::PageKey;
 
 use crate::conventions::{segs, PR_RP};
 use crate::services::SMALL_SEGMENT_WORDS;
-use crate::state::OsState;
+use crate::state::{Kernel, OsState};
 
 /// The derail code user programs raise to exit cleanly.
 pub const EXIT_CODE: u32 = 0o777;
@@ -69,16 +66,13 @@ pub const IO_WAIT_CODE: u32 = 0o776;
 /// supervisor gives up and kills the faulting process.
 pub const MAX_DRUM_RETRIES: u32 = 3;
 
-/// Installs the trap dispatcher on the machine.
-pub fn install(
-    machine: &mut Machine,
-    state: Rc<RefCell<OsState>>,
-    alloc: Rc<RefCell<PhysAllocator>>,
-) {
-    machine.register_native(SegNo::new(segs::TRAP).expect("segno"), move |m, entry| {
-        let mut s = state.borrow_mut();
-        let mut a = alloc.borrow_mut();
-        dispatch(m, &mut s, &mut a, entry.value())
+/// Installs the trap dispatcher on the machine. Its state is the
+/// machine's [`Kernel`].
+pub fn install(machine: &mut Machine) {
+    machine.register_native(SegNo::new(segs::TRAP).expect("segno"), |m, entry| {
+        Kernel::lend(m, |m, k| {
+            dispatch(m, &mut k.os, &mut k.alloc, entry.value())
+        })
     });
 }
 

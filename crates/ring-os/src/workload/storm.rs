@@ -146,7 +146,7 @@ where
         // `hcs$initiate`): KST entry plus a not-present SDW, so the
         // first reference segment-faults and builds the page table.
         let data_segno = {
-            let mut st = sys.state.borrow_mut();
+            let st = sys.state_mut();
             let proc = &mut st.processes[pid];
             let segno = proc.alloc_segno().expect("segment number");
             proc.kst.insert(segno, KstEntry { id, loaded: false });
@@ -261,7 +261,7 @@ pub fn install_gate_storm(sys: &mut System, spec: &GateStormSpec) -> Vec<StormPr
 fn activate_first(sys: &mut System, procs: &[StormProc]) {
     let first = procs[0].clone();
     sys.prepare(first.pid, first.code_segno, first.entry, Ring::R4);
-    let mut st = sys.state.borrow_mut();
+    let st = sys.state_mut();
     st.sched.remove(first.pid);
     st.processes[first.pid].saved = None;
 }

@@ -18,7 +18,7 @@ use ring_os::System;
 /// extension up to ring 5 but gives ordinary users no access at all —
 /// the paper's registering-new-users example. The subsystem body is a
 /// single RETURN-via-PR2 stub in machine code.
-fn create_admin_gate(sys: &System) {
+fn create_admin_gate(sys: &mut System) {
     let stub = ring_asm::assemble("        return pr2|0\n").unwrap();
     let mut acl = Acl::new();
     // Admin: executable in ring 1 with gates open through ring 5.
@@ -65,7 +65,7 @@ args:   its 4, {sc}, 0
         sys.machine.a().raw(),
         expect_status,
         "status for {}",
-        sys.state.borrow().processes[pid].user
+        sys.state().processes[pid].user
     );
     exit
 }
@@ -73,12 +73,12 @@ args:   its 4, {sc}, 0
 #[test]
 fn admin_only_gate_is_open_to_admin() {
     let mut sys = System::boot();
-    create_admin_gate(&sys);
+    create_admin_gate(&mut sys);
     let admin = sys.login("admin");
     let exit = initiate_and_call(&mut sys, admin, 0);
     assert_eq!(exit, RunExit::Halted);
     assert_eq!(
-        sys.state.borrow().processes[admin].aborted.as_deref(),
+        sys.state().processes[admin].aborted.as_deref(),
         Some("exit"),
         "the admin's call went down to ring 1 and back"
     );
@@ -87,7 +87,7 @@ fn admin_only_gate_is_open_to_admin() {
 #[test]
 fn admin_only_gate_is_closed_to_others() {
     let mut sys = System::boot();
-    create_admin_gate(&sys);
+    create_admin_gate(&mut sys);
     let bob = sys.login("bob");
     // Initiate itself is refused: no ACL entry for bob.
     initiate_and_call(&mut sys, bob, status::NO_ACCESS);
@@ -138,7 +138,7 @@ args:   its 4, {sc}, 0
         );
         let code = sys.install_code(pid, Ring::R4, Ring::R4, 0, &src);
         sys.run_user(pid, code.segno, 0, Ring::R4, 10_000);
-        let aborted = sys.state.borrow().processes[pid].aborted.clone().unwrap();
+        let aborted = sys.state().processes[pid].aborted.clone().unwrap();
         if ok {
             assert_eq!(aborted, "exit", "carol's call succeeds");
             assert_eq!(sys.machine.a().raw(), 0);
@@ -199,7 +199,7 @@ targ:   its 4, {sc}, 100    ; terminate's arg: the segno word
     );
     let code = sys.install_code(pid, Ring::R4, Ring::R4, 0, &src);
     sys.run_user(pid, code.segno, 0, Ring::R4, 20_000);
-    let aborted = sys.state.borrow().processes[pid].aborted.clone().unwrap();
+    let aborted = sys.state().processes[pid].aborted.clone().unwrap();
     assert!(
         aborted.contains("unknown segment"),
         "reference after terminate must abort: {aborted}"
@@ -271,7 +271,7 @@ scratchp: its 4, {sc}, 0
     );
     let code = sys.install_code(pid, Ring::R4, Ring::R4, 0, &src);
     sys.run_user(pid, code.segno, 0, Ring::R4, 20_000);
-    let aborted = sys.state.borrow().processes[pid].aborted.clone().unwrap();
+    let aborted = sys.state().processes[pid].aborted.clone().unwrap();
     assert!(
         aborted.contains("access violation") && aborted.contains("write"),
         "the narrowed ACL must take effect immediately: {aborted}"

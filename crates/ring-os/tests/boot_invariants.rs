@@ -52,7 +52,7 @@ fn login_installs_the_paper_layout() {
     }
 
     // The DBR uses the standard stack base.
-    let dbr = sys.state.borrow().processes[pid].dbr;
+    let dbr = sys.state().processes[pid].dbr;
     assert_eq!(dbr.stack_base.value(), segs::STACK_BASE);
     assert_eq!(dbr.bound, segs::DESCRIPTOR_SLOTS);
 }
@@ -72,8 +72,8 @@ fn two_logins_share_supervisor_but_not_stacks() {
         sys.read_sdw(b, segs::TRAP).addr
     );
     // Different descriptor segments and different stacks.
-    let dbr_a = sys.state.borrow().processes[a].dbr;
-    let dbr_b = sys.state.borrow().processes[b].dbr;
+    let dbr_a = sys.state().processes[a].dbr;
+    let dbr_b = sys.state().processes[b].dbr;
     assert_ne!(dbr_a.addr, dbr_b.addr);
     for r in Ring::all() {
         let seg = segs::STACK_BASE + u32::from(r.number());
@@ -89,7 +89,7 @@ fn two_logins_share_supervisor_but_not_stacks() {
 fn fresh_process_has_no_user_segments() {
     let mut sys = System::boot();
     let pid = sys.login("alice");
-    let st = sys.state.borrow();
+    let st = sys.state();
     let p = &st.processes[pid];
     assert!(p.kst.is_empty());
     assert_eq!(p.next_segno, segs::FIRST_USER);
@@ -104,7 +104,7 @@ fn logout_removes_the_process_from_scheduling() {
     let b = sys.login("bob");
     sys.logout(a);
     {
-        let st = sys.state.borrow();
+        let st = sys.state();
         assert_eq!(st.processes[a].aborted.as_deref(), Some("logout"));
         assert!(st.processes[a].saved.is_none());
         assert!(st.next_runnable(a) == Some(b));
@@ -115,5 +115,5 @@ fn logout_removes_the_process_from_scheduling() {
         ring_os::acl::Acl::new(),
         vec![ring_core::word::Word::new(1)],
     );
-    assert_eq!(sys.state.borrow().fs.segment_count(), 1);
+    assert_eq!(sys.state().fs.segment_count(), 1);
 }

@@ -16,16 +16,15 @@ fn four_ring_cascade_and_unwind() {
     let pid = sys.login("alice");
 
     // Trace of (ring, depth) entries observed by the native stages.
-    use std::cell::RefCell;
-    use std::rc::Rc;
-    let seen: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
+    use std::sync::{Arc, Mutex};
+    let seen: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
 
     // Innermost: ring 0, increments the argument word via the caller's
     // pointer (validated at the ORIGINAL ring-6 level through the whole
     // chain).
     let inner_seen = seen.clone();
     let ring0 = sys.install_native(pid, Ring::R0, Ring::R6, 1, move |m, _| {
-        inner_seen.borrow_mut().push(m.ring().number());
+        inner_seen.lock().unwrap().push(m.ring().number());
         let ap = m.pr(PR_AP);
         let argp = m.arg_pointer(ap, 0)?;
         assert_eq!(
@@ -46,7 +45,7 @@ fn four_ring_cascade_and_unwind() {
     let make_stage = |sys: &mut System, ring: Ring, r3: Ring, next: u32| {
         let stage_seen = seen.clone();
         sys.install_native(pid, ring, r3, 1, move |m, _| {
-            stage_seen.borrow_mut().push(m.ring().number());
+            stage_seen.lock().unwrap().push(m.ring().number());
             let ap = m.pr(PR_AP);
             let arg = m.arg_pointer(ap, 0)?;
             // New argument list at our stack frame.
@@ -106,13 +105,10 @@ args:   its 6, {arg}, 0
     let code = sys.install_code(pid, Ring::R6, Ring::R6, 0, &src);
     let exit = sys.run_user(pid, code.segno, 0, Ring::R6, 20_000);
     assert_eq!(exit, RunExit::Halted);
-    assert_eq!(
-        sys.state.borrow().processes[pid].aborted.as_deref(),
-        Some("exit")
-    );
+    assert_eq!(sys.state().processes[pid].aborted.as_deref(), Some("exit"));
     // Each stage ran in its own ring; the ring-0 service incremented
     // the ring-6 word through the validated chain.
-    assert_eq!(*seen.borrow(), vec![4, 2, 0]);
+    assert_eq!(*seen.lock().unwrap(), vec![4, 2, 0]);
     let sdw = sys.read_sdw(pid, arg_data.segno);
     assert_eq!(sys.machine.phys().peek(sdw.addr).unwrap(), Word::new(101));
     // Six hardware crossings (three down, three up), zero traps beyond

@@ -70,14 +70,13 @@ fn campaign_survives_and_accounts_for_every_fault() {
         "detection cannot exceed injection ({detected} > {injected})"
     );
     // Every process ends decisively: clean exit or a confined kill.
-    let st = sys.state.borrow();
+    let st = sys.state();
     for p in &st.processes {
         assert!(
             p.aborted.is_some(),
             "process left in limbo after the campaign"
         );
     }
-    drop(st);
     let cs = sys.chaos_stats();
     assert_eq!(
         cs.invariant_failures, 0,
@@ -103,8 +102,8 @@ fn same_seed_same_world_bit_identical() {
         "identical seeds must produce identical metrics snapshots"
     );
     assert_eq!(
-        a.state.borrow().schedule_trace,
-        b.state.borrow().schedule_trace,
+        a.state().schedule_trace,
+        b.state().schedule_trace,
         "identical seeds must produce identical schedules"
     );
 }

@@ -83,7 +83,7 @@ proptest! {
         sys.run_user(alice, staged.segno, 0, Ring::R4, 10_000);
 
         // The probe died on the segment fault instead of exiting.
-        let st = sys.state.borrow();
+        let st = sys.state();
         let reason = st.processes[alice].aborted.as_deref();
         prop_assert!(
             matches!(reason, Some(r) if r != "exit"),

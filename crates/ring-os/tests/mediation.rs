@@ -22,6 +22,8 @@ fn native_seg(
             &mut ring_cpu::machine::Machine,
             ring_core::addr::WordNo,
         ) -> Result<NativeAction, ring_core::access::Fault>
+        + Send
+        + Sync
         + 'static,
 ) -> u32 {
     sys.install_native(pid, ring, r3, gates, handler)
@@ -72,7 +74,7 @@ markp:  its 1, {mark}, 0
     assert_eq!(st.downward_returns, 1);
     assert_eq!(st.forged_returns_refused, 0);
     assert!(
-        sys.state.borrow().processes[pid].return_gates.is_empty(),
+        sys.state().processes[pid].return_gates.is_empty(),
         "the dynamic return gate was consumed"
     );
 }
@@ -145,7 +147,7 @@ gatep:  its 1, {mid}, 0
     assert_eq!(st.downward_returns, 2, "two downward returns mediated");
     assert_eq!(st.forged_returns_refused, 0);
     assert_eq!(
-        sys.state.borrow().processes[pid].aborted.as_deref(),
+        sys.state().processes[pid].aborted.as_deref(),
         Some("exit"),
         "the whole chain unwound to ring 1 and exited cleanly"
     );
@@ -176,7 +178,7 @@ lurep:  its 4, {lure}, 0
     let st = sys.stats();
     assert_eq!(st.downward_returns, 1);
     assert_eq!(st.forged_returns_refused, 1);
-    let reason = sys.state.borrow().processes[pid].aborted.clone().unwrap();
+    let reason = sys.state().processes[pid].aborted.clone().unwrap();
     assert!(reason.contains("no return gate"), "{reason}");
 }
 
@@ -199,7 +201,7 @@ gatep:  its 1, {callee}, 5
     );
     let code = sys.install_code(pid, Ring::R1, Ring::R1, 0, &src);
     sys.run_user(pid, code.segno, 0, Ring::R1, 1_000);
-    let reason = sys.state.borrow().processes[pid].aborted.clone().unwrap();
+    let reason = sys.state().processes[pid].aborted.clone().unwrap();
     assert!(reason.contains("not a gate"), "{reason}");
 }
 
@@ -360,7 +362,7 @@ markp:  its 4, {mark}, 0
     let exit = sys.run_user(pid, code.segno, 0, Ring::R4, 1_000);
     assert_eq!(exit, RunExit::Halted);
     assert_eq!(
-        sys.state.borrow().processes[pid].aborted.as_deref(),
+        sys.state().processes[pid].aborted.as_deref(),
         Some("exit"),
         "the goto skipped the derail 0o776"
     );
@@ -429,7 +431,7 @@ ctrp:   its 1, {counter}, 0
     let st = sys.stats();
     assert_eq!(st.forged_returns_refused, 0, "no gate mismatches");
     assert_eq!(st.aborts, 0, "{:?}", {
-        let s = sys.state.borrow();
+        let s = sys.state();
         s.processes
             .iter()
             .map(|p| p.aborted.clone())
@@ -447,6 +449,6 @@ ctrp:   its 1, {counter}, 0
         let n = sys.machine.phys().peek(sdw.addr).unwrap().raw();
         assert!(n > 2, "process {pid} completed round trips: {n}");
         // At most one gate may be pending (if preempted mid-call).
-        assert!(sys.state.borrow().processes[pid].return_gates.len() <= 1);
+        assert!(sys.state().processes[pid].return_gates.len() <= 1);
     }
 }

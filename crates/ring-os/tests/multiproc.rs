@@ -31,7 +31,7 @@ fn four_process_storm_completes_under_frame_pressure() {
     let (mut sys, procs) = build(spec, 16, 400);
     let exit = sys.machine.run(5_000_000);
     assert_eq!(exit, RunExit::Halted, "storm should run to completion");
-    let st = sys.state.borrow();
+    let st = sys.state();
     for p in &procs {
         let ps = &st.processes[p.pid];
         assert_eq!(
@@ -66,7 +66,6 @@ fn four_process_storm_completes_under_frame_pressure() {
         "every page's first touch is a minor fault"
     );
     assert!(!st.backing.is_empty() || st.backing.writes() > 0);
-    drop(st);
     // The scheduler section reaches the metrics snapshot.
     let json = sys.metrics_json();
     assert!(json.contains("\"scheduler\""));
@@ -87,7 +86,7 @@ fn storm_sweeps_increment_every_page() {
     let (mut sys, procs) = build(spec, 2, 1_000);
     let exit = sys.machine.run(2_000_000);
     assert_eq!(exit, RunExit::Halted);
-    let st = sys.state.borrow();
+    let st = sys.state();
     assert_eq!(st.processes[0].aborted.as_deref(), Some("exit"));
     assert!(st.sched.stats.page_faults_major > 0);
     assert!(
@@ -100,11 +99,10 @@ fn storm_sweeps_increment_every_page() {
         .lookup(procs[0].data_segno)
         .expect("storm segment initiated");
     let seg = entry.id.0;
-    drop(st);
     let sdw = sys.read_sdw(0, procs[0].data_segno);
     for page in 0..spec.pages {
         let key = ring_segmem::PageKey { seg, page };
-        let st = sys.state.borrow();
+        let st = sys.state();
         let want = 1 + u64::from(spec.rounds);
         let got = if let Some(words) = st.backing.peek(key) {
             words[0].raw()
@@ -142,7 +140,7 @@ fn three_process_storm_replays_bit_identically() {
     let exit = run_recorded(&mut a.machine, 5_000_000, &mut rec);
     assert_eq!(exit, RunExit::Halted);
     {
-        let st = a.state.borrow();
+        let st = a.state();
         assert!(st.sched.stats.preemptions > 0, "recording has preemptions");
         assert!(st.sched.stats.evictions > 0, "recording has evictions");
     }
@@ -158,8 +156,8 @@ fn three_process_storm_replays_bit_identically() {
     assert!(report.ok, "divergence: {:?}", report.mismatch);
     // The replayed kernel made the same scheduling decisions.
     assert_eq!(
-        a.state.borrow().schedule_trace,
-        b.state.borrow().schedule_trace,
+        a.state().schedule_trace,
+        b.state().schedule_trace,
         "schedule trace must replay identically"
     );
 }
@@ -214,7 +212,7 @@ fn storm_matches_with_fastpath_off() {
         sys.machine.set_timer(Some(350));
         let exit = sys.machine.run(5_000_000);
         assert_eq!(exit, RunExit::Halted);
-        let st = sys.state.borrow();
+        let st = sys.state();
         (
             sys.machine.stats().instructions,
             st.schedule_trace.clone(),
@@ -245,7 +243,7 @@ fn processes_keep_private_page_contents() {
         .iter()
         .map(|p| sys.read_sdw(p.pid, p.data_segno))
         .collect();
-    let st = sys.state.borrow();
+    let st = sys.state();
     for (p, sdw) in procs.iter().zip(&sdws) {
         let seg = st.processes[p.pid].lookup(p.data_segno).unwrap().id.0;
         let want = p.pid as u64 + 1 + u64::from(spec.rounds);
@@ -290,7 +288,7 @@ fn gate_storm_processes_hammer_ring1_and_exit() {
     sys.machine.set_timer(Some(400));
     let exit = sys.machine.run(5_000_000);
     assert_eq!(exit, RunExit::Halted, "gate storm should run to completion");
-    let st = sys.state.borrow();
+    let st = sys.state();
     for p in &procs {
         let ps = &st.processes[p.pid];
         assert_eq!(

@@ -107,7 +107,7 @@ wildp:  its 4, 1, 100
     sys.machine.set_timer(Some(300));
     assert_eq!(sys.machine.run(5_000), RunExit::BudgetExhausted);
     assert!(
-        sys.state.borrow().processes[p1].aborted.is_some(),
+        sys.state().processes[p1].aborted.is_some(),
         "the bad process aborted"
     );
     let sdw = sys.read_sdw(p0, d0.segno);

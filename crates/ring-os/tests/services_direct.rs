@@ -28,32 +28,32 @@ fn initiate_error_codes() {
     let mut sys = System::boot();
     let pid = sys.login("alice");
     as_supervisor(&mut sys, pid);
-    let mut st = sys.state.borrow_mut();
-
-    // Unknown path.
-    assert_eq!(
-        services::svc_initiate(&mut sys.machine, &mut st, "no>such"),
-        Err(status::NOT_FOUND)
-    );
-    // Malformed path.
-    assert_eq!(
-        services::svc_initiate(&mut sys.machine, &mut st, "a>>b"),
-        Err(status::BAD_ARG)
-    );
-    // Entry with all modes off is no access.
-    st.fs
-        .create_segment(
-            "null>entry",
-            Acl::single(
-                AclEntry::new("alice", Modes::NONE, (Ring::R4, Ring::R4, Ring::R4), 0).unwrap(),
-            ),
-            vec![Word::ZERO],
-        )
-        .unwrap();
-    assert_eq!(
-        services::svc_initiate(&mut sys.machine, &mut st, "null>entry"),
-        Err(status::NO_ACCESS)
-    );
+    sys.with_state(|machine, st| {
+        // Unknown path.
+        assert_eq!(
+            services::svc_initiate(machine, st, "no>such"),
+            Err(status::NOT_FOUND)
+        );
+        // Malformed path.
+        assert_eq!(
+            services::svc_initiate(machine, st, "a>>b"),
+            Err(status::BAD_ARG)
+        );
+        // Entry with all modes off is no access.
+        st.fs
+            .create_segment(
+                "null>entry",
+                Acl::single(
+                    AclEntry::new("alice", Modes::NONE, (Ring::R4, Ring::R4, Ring::R4), 0).unwrap(),
+                ),
+                vec![Word::ZERO],
+            )
+            .unwrap();
+        assert_eq!(
+            services::svc_initiate(machine, st, "null>entry"),
+            Err(status::NO_ACCESS)
+        );
+    });
 }
 
 #[test]
@@ -62,11 +62,12 @@ fn initiate_is_idempotent_per_process() {
     let pid = sys.login("alice");
     sys.create_segment("f", rw_acl("alice"), vec![Word::ZERO]);
     as_supervisor(&mut sys, pid);
-    let mut st = sys.state.borrow_mut();
-    let a = services::svc_initiate(&mut sys.machine, &mut st, "f").unwrap();
-    let b = services::svc_initiate(&mut sys.machine, &mut st, "f").unwrap();
-    assert_eq!(a, b, "second initiation returns the same segment number");
-    assert_eq!(st.processes[pid].kst.len(), 1);
+    sys.with_state(|machine, st| {
+        let a = services::svc_initiate(machine, st, "f").unwrap();
+        let b = services::svc_initiate(machine, st, "f").unwrap();
+        assert_eq!(a, b, "second initiation returns the same segment number");
+        assert_eq!(st.processes[pid].kst.len(), 1);
+    });
 }
 
 #[test]
@@ -74,11 +75,12 @@ fn terminate_unknown_segment() {
     let mut sys = System::boot();
     let pid = sys.login("alice");
     as_supervisor(&mut sys, pid);
-    let mut st = sys.state.borrow_mut();
-    assert_eq!(
-        services::svc_terminate(&mut sys.machine, &mut st, 123),
-        Err(status::NOT_FOUND)
-    );
+    sys.with_state(|machine, st| {
+        assert_eq!(
+            services::svc_terminate(machine, st, 123),
+            Err(status::NOT_FOUND)
+        );
+    });
 }
 
 #[test]
@@ -87,21 +89,22 @@ fn fs_step_error_paths() {
     let pid = sys.login("alice");
     sys.create_segment("d>leaf", rw_acl("alice"), vec![]);
     as_supervisor(&mut sys, pid);
-    let mut st = sys.state.borrow_mut();
-    // Root -> d is a directory handle.
-    let h = services::svc_fs_step(&mut sys.machine, &mut st, 0, "d").unwrap();
-    assert!(h & services::SEGMENT_FLAG == 0, "directory handle");
-    // d -> leaf is a segment.
-    let leaf = services::svc_fs_step(&mut sys.machine, &mut st, h, "leaf").unwrap();
-    assert!(leaf & services::SEGMENT_FLAG != 0, "segment handle");
-    // Unknown component.
-    assert_eq!(
-        services::svc_fs_step(&mut sys.machine, &mut st, 0, "zzz"),
-        Err(status::NOT_FOUND)
-    );
-    // fs_search agrees with the stepwise result.
-    let direct = services::svc_fs_search(&mut sys.machine, &mut st, "d>leaf").unwrap();
-    assert_eq!(u64::from(direct) | services::SEGMENT_FLAG, leaf);
+    sys.with_state(|machine, st| {
+        // Root -> d is a directory handle.
+        let h = services::svc_fs_step(machine, st, 0, "d").unwrap();
+        assert!(h & services::SEGMENT_FLAG == 0, "directory handle");
+        // d -> leaf is a segment.
+        let leaf = services::svc_fs_step(machine, st, h, "leaf").unwrap();
+        assert!(leaf & services::SEGMENT_FLAG != 0, "segment handle");
+        // Unknown component.
+        assert_eq!(
+            services::svc_fs_step(machine, st, 0, "zzz"),
+            Err(status::NOT_FOUND)
+        );
+        // fs_search agrees with the stepwise result.
+        let direct = services::svc_fs_search(machine, st, "d>leaf").unwrap();
+        assert_eq!(u64::from(direct) | services::SEGMENT_FLAG, leaf);
+    });
 }
 
 #[test]
@@ -110,18 +113,19 @@ fn set_acl_bad_ring_order_is_bad_arg() {
     let pid = sys.login("alice");
     sys.create_segment("f", rw_acl("alice"), vec![Word::ZERO]);
     as_supervisor(&mut sys, pid);
-    let mut st = sys.state.borrow_mut();
-    let res = services::svc_set_acl(
-        &mut sys.machine,
-        &mut st,
-        "f",
-        "bob",
-        Modes::R,
-        (Ring::R5, Ring::R4, Ring::R6), // r1 > r2: invalid
-        0,
-        Ring::R0,
-    );
-    assert_eq!(res, Err(status::BAD_ARG));
+    sys.with_state(|machine, st| {
+        let res = services::svc_set_acl(
+            machine,
+            st,
+            "f",
+            "bob",
+            Modes::R,
+            (Ring::R5, Ring::R4, Ring::R6), // r1 > r2: invalid
+            0,
+            Ring::R0,
+        );
+        assert_eq!(res, Err(status::BAD_ARG));
+    });
 }
 
 #[test]
@@ -129,12 +133,13 @@ fn tty_connect_rejects_oversized_transfers() {
     let mut sys = System::boot();
     let pid = sys.login("alice");
     as_supervisor(&mut sys, pid);
-    let mut st = sys.state.borrow_mut();
-    let buf = ring_core::registers::PtrReg::new(Ring::R0, SegAddr::from_parts(4, 0).unwrap());
-    assert_eq!(
-        services::svc_tty_connect(&mut sys.machine, &mut st, buf, services::TTY_BUF_WORDS + 1),
-        Err(status::BAD_ARG)
-    );
+    sys.with_state(|machine, st| {
+        let buf = ring_core::registers::PtrReg::new(Ring::R0, SegAddr::from_parts(4, 0).unwrap());
+        assert_eq!(
+            services::svc_tty_connect(machine, st, buf, services::TTY_BUF_WORDS + 1),
+            Err(status::BAD_ARG)
+        );
+    });
 }
 
 #[test]
@@ -144,19 +149,18 @@ fn accounting_accumulates_per_user() {
     let b = sys.login("bob");
     as_supervisor(&mut sys, a);
     {
-        let mut st = sys.state.borrow_mut();
-        services::svc_acct_charge(&mut sys.machine, &mut st, 10).unwrap();
-        services::svc_acct_charge(&mut sys.machine, &mut st, -3).unwrap();
-        assert_eq!(
-            services::svc_acct_read(&mut sys.machine, &mut st).unwrap(),
-            7
-        );
+        sys.with_state(|machine, st| {
+            services::svc_acct_charge(machine, st, 10).unwrap();
+            services::svc_acct_charge(machine, st, -3).unwrap();
+            assert_eq!(services::svc_acct_read(machine, st).unwrap(), 7);
+        });
     }
     as_supervisor(&mut sys, b);
-    let mut st = sys.state.borrow_mut();
-    assert_eq!(
-        services::svc_acct_read(&mut sys.machine, &mut st).unwrap(),
-        0,
-        "bob's account is separate"
-    );
+    sys.with_state(|machine, st| {
+        assert_eq!(
+            services::svc_acct_read(machine, st).unwrap(),
+            0,
+            "bob's account is separate"
+        );
+    });
 }

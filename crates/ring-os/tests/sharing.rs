@@ -93,8 +93,8 @@ fn writes_by_one_user_are_seen_by_another() {
     assert_eq!(sys.stats().segment_faults, 2, "both faulted...");
     // ...but the second fault mapped the existing image rather than
     // copying: the stored image is recorded once.
-    let id = sys.state.borrow_mut().fs.resolve("shared>board").unwrap();
-    assert!(sys.state.borrow().fs.segment(id).image.is_some());
+    let id = sys.state_mut().fs.resolve("shared>board").unwrap();
+    assert!(sys.state().fs.segment(id).image.is_some());
 }
 
 #[test]
@@ -113,7 +113,7 @@ fn per_user_brackets_differ_on_the_same_segment() {
     assert_eq!(sys.machine.a().raw(), 0);
 
     initiate_then(&mut sys, bob, "shared>board", Some(2));
-    let reason = sys.state.borrow().processes[bob].aborted.clone().unwrap();
+    let reason = sys.state().processes[bob].aborted.clone().unwrap();
     assert!(
         reason.contains("write") && reason.contains("permission flag off"),
         "bob's ACL entry grants no write: {reason}"

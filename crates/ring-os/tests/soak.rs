@@ -130,8 +130,7 @@ args_b: its 4, {sc}, {big}
 }
 
 fn collect_aborts(sys: &System) -> Vec<(usize, String)> {
-    sys.state
-        .borrow()
+    sys.state()
         .processes
         .iter()
         .enumerate()

@@ -103,7 +103,7 @@ datap:  its 4, {data}, 0
     let exit = sys.run_user(pid, caller.segno, 0, Ring::R4, 10_000);
     assert_eq!(exit, RunExit::Halted);
     assert_eq!(
-        sys.state.borrow().processes[pid].aborted.as_deref(),
+        sys.state().processes[pid].aborted.as_deref(),
         Some("exit"),
         "returned through the restored SP and exited cleanly"
     );
@@ -142,7 +142,7 @@ sp1:    its 4, {stack1}, 0
     );
     let code = sys.install_code(pid, Ring::R4, Ring::R4, 0, &src);
     sys.run_user(pid, code.segno, 0, Ring::R4, 1_000);
-    let reason = sys.state.borrow().processes[pid].aborted.clone().unwrap();
+    let reason = sys.state().processes[pid].aborted.clone().unwrap();
     assert!(
         reason.contains("read") && reason.contains("outside bracket"),
         "{reason}"

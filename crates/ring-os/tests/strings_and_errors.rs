@@ -87,7 +87,7 @@ fn gate_with_bad_entry_number_reports_bad_arg() {
     );
     let code = sys.install_code(pid, Ring::R4, Ring::R4, 0, &seq);
     sys.run_user(pid, code.segno, 0, Ring::R4, 2_000);
-    let reason = sys.state.borrow().processes[pid].aborted.clone().unwrap();
+    let reason = sys.state().processes[pid].aborted.clone().unwrap();
     assert!(reason.contains("not directed at a gate"), "{reason}");
 }
 
@@ -120,7 +120,7 @@ fn kst_exhaustion_reports_full() {
     );
     let code = sys.install_code(pid, Ring::R4, Ring::R4, 0, &seq);
     // Exhaust the segment-number space only after staging code/data.
-    sys.state.borrow_mut().processes[pid].next_segno = ring_os::conventions::segs::DESCRIPTOR_SLOTS;
+    sys.state_mut().processes[pid].next_segno = ring_os::conventions::segs::DESCRIPTOR_SLOTS;
     assert_eq!(
         sys.run_user(pid, code.segno, 0, Ring::R4, 10_000),
         RunExit::Halted

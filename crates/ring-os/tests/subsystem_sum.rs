@@ -58,7 +58,7 @@ fn audited_sum_computes_and_logs() {
         Word::new(1),
         "read[0] = 1"
     );
-    let log = sys.state.borrow().audit_log.clone();
+    let log = sys.state().audit_log.clone();
     assert_eq!(log.len(), 2);
     assert!(log[0].operation.contains("sum[0..6]"));
     assert!(log[1].operation.contains("read[0]"));
@@ -92,14 +92,11 @@ fn bad_gate_entry_in_subsystem_reports_error_status() {
     );
     assert_ne!(sys.machine.a().raw(), 0, "error status returned");
     assert_eq!(
-        sys.state.borrow().processes[pid].aborted.as_deref(),
+        sys.state().processes[pid].aborted.as_deref(),
         Some("exit"),
         "the caller continued normally after the refused read"
     );
-    assert!(
-        sys.state.borrow().audit_log.is_empty(),
-        "nothing was audited"
-    );
+    assert!(sys.state().audit_log.is_empty(), "nothing was audited");
 }
 
 #[test]
@@ -150,7 +147,7 @@ fn two_subsystems_in_one_process_are_isolated() {
         sys.machine.phys().peek(sdw.addr.wrapping_add(11)).unwrap(),
         Word::new(0o222)
     );
-    let log = sys.state.borrow().audit_log.clone();
+    let log = sys.state().audit_log.clone();
     assert_eq!(log.len(), 2);
     assert!(log[0].operation.contains("alice"));
     assert!(log[1].operation.contains("carol"));

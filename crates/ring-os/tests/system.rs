@@ -82,10 +82,7 @@ args:   its 4, {scratch}, 0      ; arg0: path string
     assert_eq!(st.segment_faults, 1, "exactly one demand load");
     assert!(st.gate_calls_hcs >= 1);
     // The process exited cleanly.
-    assert_eq!(
-        sys.state.borrow().processes[pid].aborted.as_deref(),
-        Some("exit")
-    );
+    assert_eq!(sys.state().processes[pid].aborted.as_deref(), Some("exit"));
 }
 
 #[test]
@@ -250,7 +247,7 @@ fn ring1_accounting_gates() {
     );
     assert_eq!(sys.machine.a().raw(), status::OK);
     assert_eq!(peek_seg(&sys, pid, scratch.segno, 10), Word::new(25));
-    assert_eq!(sys.state.borrow().accounts["alice"], 25);
+    assert_eq!(sys.state().accounts["alice"], 25);
     assert_eq!(sys.stats().gate_calls_ring1, 2);
 }
 
@@ -275,12 +272,12 @@ datap:  its 4, {data}, 0
         sys.run_user(pid, code.segno, 0, Ring::R4, 1_000),
         RunExit::Halted
     );
-    let aborted = sys.state.borrow().processes[pid].aborted.clone().unwrap();
+    let aborted = sys.state().processes[pid].aborted.clone().unwrap();
     assert!(
         aborted.contains("access violation"),
         "direct reference must abort: {aborted}"
     );
-    assert!(sys.state.borrow().audit_log.is_empty());
+    assert!(sys.state().audit_log.is_empty());
 
     // Gated access: works and is audited.
     let mut sys = System::boot();
@@ -306,7 +303,7 @@ datap:  its 4, {data}, 0
     );
     assert_eq!(sys.machine.a().raw(), 0);
     assert_eq!(peek_seg(&sys, pid, scratch.segno, 10), Word::new(103));
-    let log = sys.state.borrow().audit_log.clone();
+    let log = sys.state().audit_log.clone();
     assert_eq!(log.len(), 1);
     assert_eq!(log[0].user, "bob");
     assert_eq!(log[0].caller_ring, Ring::R4);
@@ -433,7 +430,7 @@ gatep:  its 6, {hcs_seg}, 0
         sys.run_user(pid, code.segno, 0, Ring::R6, 1_000),
         RunExit::Halted
     );
-    let aborted = sys.state.borrow().processes[pid].aborted.clone().unwrap();
+    let aborted = sys.state().processes[pid].aborted.clone().unwrap();
     assert!(
         aborted.contains("gate extension"),
         "ring 6 must be outside the gate extension: {aborted}"
@@ -485,7 +482,7 @@ ctr:    its 4, {data_segno}, 0
     let st = sys.stats();
     assert!(st.schedules >= 2, "scheduler ran: {}", st.schedules);
     assert!(
-        sys.state.borrow().schedule_trace.len() >= 2,
+        sys.state().schedule_trace.len() >= 2,
         "multiple switches recorded"
     );
 }
@@ -589,7 +586,7 @@ args:   its 4, {sc}, 0
         RunExit::Halted
     );
     assert_eq!(
-        sys.state.borrow().processes[pid].aborted.as_deref(),
+        sys.state().processes[pid].aborted.as_deref(),
         Some("exit"),
         "the paged program ran to its exit"
     );

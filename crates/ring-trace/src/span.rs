@@ -139,7 +139,7 @@ impl SpanEvent {
 /// branch and the machine's architectural behaviour is untouched either
 /// way — the recorder only observes crossings, it never participates in
 /// them.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct SpanRecorder {
     enabled: bool,
     events: Vec<SpanEvent>,

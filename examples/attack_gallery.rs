@@ -17,7 +17,7 @@ fn run_attack(name: &str, src: &str, mechanism: &str) -> multiring::metrics::Met
     let pid = sys.login("mallory");
     let code = sys.install_code(pid, Ring::R4, Ring::R4, 0, src);
     sys.run_user(pid, code.segno, 0, Ring::R4, 2_000);
-    let verdict = sys.state.borrow().processes[pid]
+    let verdict = sys.state().processes[pid]
         .aborted
         .clone()
         .unwrap_or_else(|| "STILL RUNNING".into());

@@ -42,7 +42,7 @@ fn main() {
     // [4,5]) so it can be tried in either ring.
     let base = {
         let out = ring_asm::assemble(&src).unwrap();
-        let base = sys.alloc.borrow_mut().alloc(out.len().max(1)).unwrap();
+        let base = sys.alloc_mut().alloc(out.len().max(1)).unwrap();
         for (i, w) in out.words.iter().enumerate() {
             sys.machine
                 .phys_mut()
@@ -58,7 +58,7 @@ fn main() {
         .addr(base)
         .bound_words(32)
         .build();
-    let code_segno = sys.state.borrow_mut().processes[pid].alloc_segno().unwrap();
+    let code_segno = sys.state_mut().processes[pid].alloc_segno().unwrap();
     sys.install_sdw(pid, code_segno, &sdw);
 
     let exit = sys.run_user(pid, code_segno, 0, Ring::R4, 1_000);
@@ -76,7 +76,7 @@ fn main() {
     let valuable = sys.install_data(pid, Ring::R4, Ring::R5, &[Word::new(7); 16], 16);
     let src = buggy_program(valuable.segno);
     let out = ring_asm::assemble(&src).unwrap();
-    let base = sys.alloc.borrow_mut().alloc(out.len().max(1)).unwrap();
+    let base = sys.alloc_mut().alloc(out.len().max(1)).unwrap();
     for (i, w) in out.words.iter().enumerate() {
         sys.machine
             .phys_mut()
@@ -90,13 +90,13 @@ fn main() {
         .addr(base)
         .bound_words(32)
         .build();
-    let code_segno = sys.state.borrow_mut().processes[pid].alloc_segno().unwrap();
+    let code_segno = sys.state_mut().processes[pid].alloc_segno().unwrap();
     sys.install_sdw(pid, code_segno, &sdw);
 
     let exit = sys.run_user(pid, code_segno, 0, Ring::R5, 1_000);
     let vsdw = sys.read_sdw(pid, valuable.segno);
     let after = sys.machine.phys().peek(vsdw.addr.wrapping_add(5)).unwrap();
-    let reason = sys.state.borrow().processes[pid].aborted.clone().unwrap();
+    let reason = sys.state().processes[pid].aborted.clone().unwrap();
     println!(
         "ring 5 run: {exit:?}; valuable[5] = {} (still 7)",
         after.raw()

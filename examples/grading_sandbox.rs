@@ -44,7 +44,7 @@ recp:   its 6, {rec}, 0
     );
     let code = sys.install_code(pid, Ring::R6, Ring::R6, 0, &assignment);
     let exit = sys.run_user(pid, code.segno, 0, Ring::R6, 1_000);
-    let reason = sys.state.borrow().processes[pid].aborted.clone().unwrap();
+    let reason = sys.state().processes[pid].aborted.clone().unwrap();
     println!("student run: {exit:?}");
     println!("  snooping attempt: {reason}");
     assert!(reason.contains("access violation"));
@@ -71,7 +71,7 @@ gatep:  its 6, {hcs}, 0
     );
     let code = sys.install_code(pid, Ring::R6, Ring::R6, 0, &cheat);
     sys.run_user(pid, code.segno, 0, Ring::R6, 1_000);
-    let reason = sys.state.borrow().processes[pid].aborted.clone().unwrap();
+    let reason = sys.state().processes[pid].aborted.clone().unwrap();
     println!("supervisor call from ring 6: {reason}");
     assert!(reason.contains("gate extension"));
 

@@ -73,9 +73,9 @@ fn main() {
         "gate calls: ring-1 {}, internal ring-0 {}; alice's account: {}",
         st.gate_calls_ring1,
         st.gate_calls_hcs,
-        sys.state.borrow().accounts["alice"]
+        sys.state().accounts["alice"]
     );
-    assert_eq!(sys.state.borrow().accounts["alice"], 12);
+    assert_eq!(sys.state().accounts["alice"], 12);
 
     // --- Part 2: processor multiplexing -------------------------------
     let mut sys = System::boot_with(SystemConfig {

@@ -35,7 +35,7 @@ datap:  its 4, {}, 0
     );
     let code = sys.install_code(pid, Ring::R4, Ring::R4, 0, &direct);
     let exit = sys.run_user(pid, code.segno, 0, Ring::R4, 1_000);
-    let reason = sys.state.borrow().processes[pid].aborted.clone().unwrap();
+    let reason = sys.state().processes[pid].aborted.clone().unwrap();
     println!("direct access from ring 4: {exit:?} — process aborted: {reason}");
     assert!(reason.contains("access violation"));
 
@@ -87,13 +87,13 @@ args:   its 4, {sc}, 0      ; arg0: index
     println!("gated read returned {}", value.raw());
     assert_eq!(value.raw(), 1003);
 
-    for rec in sys.state.borrow().audit_log.iter() {
+    for rec in sys.state().audit_log.iter() {
         println!(
             "audit: user {} (ring {}) did {}",
             rec.user, rec.caller_ring, rec.operation
         );
     }
-    assert_eq!(sys.state.borrow().audit_log.len(), 1);
+    assert_eq!(sys.state().audit_log.len(), 1);
     assert_eq!(
         sys.stats().gate_calls_hcs,
         0,

@@ -745,7 +745,7 @@ fn debug_multiproc(
     let mut breakpoints: Vec<(Option<usize>, u32, u32)> = Vec::new();
     let print_where = |sys: &System| {
         let ipr = sys.machine.ipr();
-        let pid = sys.state.borrow().current;
+        let pid = sys.state().current;
         let mut line = format!(
             "  proc {pid} at {}|{} ring {}",
             ipr.addr.segno,
@@ -766,7 +766,7 @@ fn debug_multiproc(
     };
     let bp_hit = |sys: &System, bps: &[(Option<usize>, u32, u32)]| -> bool {
         let at = sys.machine.ipr().addr;
-        let pid = sys.state.borrow().current;
+        let pid = sys.state().current;
         bps.iter().any(|&(p, s, w)| {
             p.is_none_or(|p| p == pid) && s == at.segno.value() && w == at.wordno.value()
         })
@@ -791,7 +791,7 @@ fn debug_multiproc(
             }
             ["r"] => {
                 let m = &sys.machine;
-                let pid = sys.state.borrow().current;
+                let pid = sys.state().current;
                 println!(
                     "  proc {pid}  IPR ring {} at {}   A={:0>12o} Q={:0>12o}  cycles={} instrs={}",
                     m.ring(),
@@ -826,7 +826,7 @@ fn debug_multiproc(
                     if bp_hit(&sys, &breakpoints) {
                         println!(
                             "  breakpoint in proc {} after {ran} instructions",
-                            sys.state.borrow().current
+                            sys.state().current
                         );
                         break;
                     }
@@ -867,7 +867,7 @@ fn debug_multiproc(
                 }
             }
             ["ps"] => {
-                let st = sys.state.borrow();
+                let st = sys.state();
                 for (i, p) in st.processes.iter().enumerate() {
                     let state = if let Some(reason) = p.aborted.as_deref() {
                         if reason == "exit" {
@@ -891,7 +891,7 @@ fn debug_multiproc(
                 }
             }
             ["stats"] => {
-                let sc = sys.state.borrow().sched.stats;
+                let sc = sys.state().sched.stats;
                 println!(
                     "  {} context switches ({} preemptions), {} minor + {} major page \
                      faults, {} evictions, {} io blocks, {} idle cycles",

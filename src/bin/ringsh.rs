@@ -83,12 +83,7 @@ impl Shell {
                 let pid = self.sys.login(user);
                 // A scratch data segment at segno 11, matching the
                 // convention the shipped .rasm samples use.
-                let base = self
-                    .sys
-                    .alloc
-                    .borrow_mut()
-                    .alloc(1024)
-                    .expect("scratch storage");
+                let base = self.sys.alloc_mut().alloc(1024).expect("scratch storage");
                 let sdw = multiring::core::sdw::SdwBuilder::data(Ring::R4, Ring::R4)
                     .addr(base)
                     .bound_words(1024)
@@ -101,7 +96,7 @@ impl Shell {
                 let Some(pid) = self.need_login() else {
                     return true;
                 };
-                let user = self.sys.state.borrow().processes[pid].user.clone();
+                let user = self.sys.state().processes[pid].user.clone();
                 let acl = Acl::single(
                     AclEntry::new(&user, Modes::RW, (Ring::R4, Ring::R4, Ring::R4), 0)
                         .expect("rings ordered"),
@@ -110,13 +105,7 @@ impl Shell {
                     .iter()
                     .map(|w| Word::new(w.parse::<u64>().unwrap_or(0)))
                     .collect();
-                match self
-                    .sys
-                    .state
-                    .borrow_mut()
-                    .fs
-                    .create_segment(path, acl, data)
-                {
+                match self.sys.state_mut().fs.create_segment(path, acl, data) {
                     Ok(id) => println!("  created {path} (stored id {})", id.0),
                     Err(e) => println!("  {e}"),
                 }
@@ -136,7 +125,7 @@ impl Shell {
                 };
                 let entry = AclEntry::new(user, m, (Ring::R4, Ring::R4, Ring::R4), 0)
                     .expect("rings ordered");
-                let mut st = self.sys.state.borrow_mut();
+                let st = self.sys.state_mut();
                 match st.fs.resolve(path) {
                     Ok(id) => match st.fs.segment_mut(id).acl.set(entry, Ring::R4) {
                         Ok(()) => println!("  {user} now has {modes} on {path}"),
@@ -174,7 +163,7 @@ impl Shell {
                 };
                 let entry: u32 = rest.first().and_then(|v| v.parse().ok()).unwrap_or(0);
                 // A fresh run clears a previous exit.
-                self.sys.state.borrow_mut().processes[pid].aborted = None;
+                self.sys.state_mut().processes[pid].aborted = None;
                 let exit = self.sys.run_user(pid, segno, entry, Ring::R4, 200_000);
                 let m = &self.sys.machine;
                 println!(
@@ -183,14 +172,14 @@ impl Shell {
                     m.q().raw(),
                     m.cycles()
                 );
-                if let Some(reason) = &self.sys.state.borrow().processes[pid].aborted {
+                if let Some(reason) = &self.sys.state().processes[pid].aborted {
                     if reason != "exit" {
                         println!("  process stopped: {reason}");
                     }
                 }
             }
             ["cat", path] => {
-                let mut st = self.sys.state.borrow_mut();
+                let st = self.sys.state_mut();
                 match st.fs.resolve(path) {
                     Ok(id) => {
                         let seg = st.fs.segment(id);
@@ -224,7 +213,7 @@ impl Shell {
                 }
             }
             ["ps"] => {
-                let st = self.sys.state.borrow();
+                let st = self.sys.state();
                 for (i, p) in st.processes.iter().enumerate() {
                     let state = if let Some(reason) = p.aborted.as_deref() {
                         if reason == "exit" {
@@ -274,7 +263,7 @@ impl Shell {
                 {
                     // First storm decides the frame budget; later ones
                     // keep the pool (frames may already hold pages).
-                    let mut st = self.sys.state.borrow_mut();
+                    let st = self.sys.state_mut();
                     if st.frames.is_none() && frames > 0 {
                         st.frames = Some(multiring::segmem::FramePool::new(frames));
                     }
@@ -285,7 +274,7 @@ impl Shell {
                     rounds,
                 };
                 let installed = multiring::os::workload::install_page_storm(&mut self.sys, &spec);
-                let quantum = self.sys.state.borrow().quantum;
+                let quantum = self.sys.state().quantum;
                 self.sys.machine.set_timer(Some(quantum));
                 let exit = self.sys.machine.run(5_000_000);
                 println!(
@@ -310,7 +299,7 @@ impl Shell {
                     return true;
                 }
                 {
-                    let mut st = self.sys.state.borrow_mut();
+                    let st = self.sys.state_mut();
                     if st.frames.is_none() {
                         st.frames = Some(multiring::segmem::FramePool::new(16));
                     }
@@ -325,7 +314,7 @@ impl Shell {
                     rounds: 10,
                 };
                 let installed = multiring::os::workload::install_page_storm(&mut self.sys, &spec);
-                let quantum = self.sys.state.borrow().quantum;
+                let quantum = self.sys.state().quantum;
                 self.sys.machine.set_timer(Some(quantum));
                 let exit = self.sys.machine.run(5_000_000);
                 let cs = self.sys.chaos_stats();
@@ -388,7 +377,7 @@ impl Shell {
                     },
                     snap.ring_changes
                 );
-                let sc = self.sys.state.borrow().sched.stats;
+                let sc = self.sys.state().sched.stats;
                 if sc.context_switches > 0
                     || sc.page_faults_minor > 0
                     || sc.page_faults_major > 0
@@ -515,7 +504,7 @@ impl Shell {
                 println!("  typewriter: {:?}", self.sys.tty_printed());
             }
             ["audit"] => {
-                let st = self.sys.state.borrow();
+                let st = self.sys.state();
                 for rec in &st.audit_log {
                     println!(
                         "  {} (ring {}): {}",

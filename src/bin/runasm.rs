@@ -580,7 +580,7 @@ fn run_multiproc(opts: &Options) -> ExitCode {
 
     let mut all_ok = exit == RunExit::Halted;
     {
-        let st = sys.state.borrow();
+        let st = sys.state();
         for p in &procs {
             let ps = &st.processes[p.pid];
             let status = match ps.aborted.as_deref() {

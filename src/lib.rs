@@ -51,7 +51,7 @@
 //!     AclEntry::new("alice", Modes::RW, (Ring::R4, Ring::R4, Ring::R4), 0).unwrap(),
 //! );
 //! sys.create_segment("udd>alice>hello", acl, vec![Word::new(42)]);
-//! assert_eq!(sys.state.borrow().fs.segment_count(), 1);
+//! assert_eq!(sys.state().fs.segment_count(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
