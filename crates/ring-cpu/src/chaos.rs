@@ -221,8 +221,12 @@ impl Machine {
     /// reference — so injection and detection coincide; what matters is
     /// the degradation policy's ledger.
     fn inject_tlb_corrupt(&mut self) {
-        let (pick, which) = (self.chaos.rand(), self.chaos.rand());
-        if let Some(seg) = self.tr.chaos_corrupt_cache(pick, which) {
+        let pick = self.chaos.rand();
+        // The stream spends two draws on this kind; only the first
+        // picks the victim. Keeping the second keeps every later
+        // injection of a seeded campaign where recorded runs put it.
+        let _ = self.chaos.rand();
+        if let Some(seg) = self.tr.chaos_corrupt_cache(pick) {
             self.note_injection(ChaosKind::TlbCorrupt, u64::from(seg));
             self.chaos.note_detected();
             let d = self.chaos.note_corruption(Some(seg));

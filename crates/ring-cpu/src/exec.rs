@@ -71,6 +71,7 @@ impl Machine {
                 let v = self.phys.read(abs)?.wrapping_add(Word::new(1));
                 self.phys.write(abs, v)?;
                 self.set_indicators(v);
+                self.warm_fast_path(addr, ring, &sdw);
                 Ok(())
             }
             OperandUse::Pointer => {
@@ -185,11 +186,7 @@ impl Machine {
         validate::check_read(&sdw, addr, ring)?;
         let abs = self.tr.resolve(&mut self.phys, &sdw, addr, false)?;
         let v = self.phys.read(abs)?;
-        if self.config.fastpath {
-            let slow_fetch = self.natives.is_native(addr.segno);
-            self.tr
-                .fast_install(&self.phys, addr, ring, &sdw, slow_fetch);
-        }
+        self.warm_fast_path(addr, ring, &sdw);
         Ok(v)
     }
 
@@ -202,12 +199,19 @@ impl Machine {
         validate::check_write(&sdw, addr, ring)?;
         let abs = self.tr.resolve(&mut self.phys, &sdw, addr, true)?;
         self.phys.write(abs, value)?;
+        self.warm_fast_path(addr, ring, &sdw);
+        Ok(())
+    }
+
+    /// After a successful reference-path operand reference to `addr`
+    /// from `ring` through `sdw`, installs the lookaside entry that
+    /// lets the next reference to that page commit on the fast path.
+    fn warm_fast_path(&mut self, addr: SegAddr, ring: Ring, sdw: &ring_core::sdw::Sdw) {
         if self.config.fastpath {
             let slow_fetch = self.natives.is_native(addr.segno);
             self.tr
-                .fast_install(&self.phys, addr, ring, &sdw, slow_fetch);
+                .fast_install(&self.phys, addr, ring, sdw, slow_fetch);
         }
-        Ok(())
     }
 
     pub(crate) fn write_value(&self, instr: Instr) -> Word {

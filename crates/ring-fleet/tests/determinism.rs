@@ -12,6 +12,7 @@ use ring_fleet::{
     build_image, run_fleet, run_member, run_standalone, ChaosParams, FleetConfig, SupervisorConfig,
     WorkloadMix,
 };
+use ring_metrics::MetricsSnapshot;
 
 fn small_fleet() -> FleetConfig {
     FleetConfig {
@@ -167,6 +168,42 @@ fn chaos_fleet_is_bit_identical_across_thread_counts() {
             a.spec.id
         );
     }
+}
+
+/// A snapshot's JSON without its `fastpath` block, the one part that
+/// legitimately depends on the engine.
+fn arch_json(snapshot: &MetricsSnapshot) -> String {
+    let mut snapshot = snapshot.clone();
+    snapshot.fastpath = Default::default();
+    snapshot.to_json()
+}
+
+#[test]
+fn chaos_fleet_is_bit_identical_with_fast_path_on_and_off() {
+    let on = run_fleet(&chaotic_fleet(4));
+    let off = run_fleet(&FleetConfig {
+        fastpath: false,
+        ..chaotic_fleet(4)
+    });
+    assert!(on.member_errors.is_empty() && off.member_errors.is_empty());
+    assert_eq!(on.machines.len(), off.machines.len());
+    for (a, b) in on.machines.iter().zip(off.machines.iter()) {
+        let id = a.spec.id;
+        assert_eq!(a.instructions, b.instructions, "machine {id} instructions");
+        assert_eq!(a.cycles, b.cycles, "machine {id} cycles");
+        assert_eq!(a.halted, b.halted, "machine {id} halt");
+        assert_eq!(
+            format!("{:?}", a.health),
+            format!("{:?}", b.health),
+            "machine {id} health"
+        );
+        assert_eq!(
+            arch_json(&a.snapshot),
+            arch_json(&b.snapshot),
+            "machine {id}: a chaos injection must not depend on the fast path"
+        );
+    }
+    assert_eq!(arch_json(&on.merged), arch_json(&off.merged));
 }
 
 #[test]

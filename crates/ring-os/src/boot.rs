@@ -168,14 +168,16 @@ impl System {
         )
     }
 
-    /// Captures this system's physical memory as a shared read-only
-    /// [`BootImage`]. Freeze after world building and workload
-    /// installation, before any execution, so clones replay from the
-    /// exact installed state.
-    pub fn freeze(&self) -> BootImage {
+    /// Turns this system's physical memory into a shared read-only
+    /// [`BootImage`], consuming the system: a prototype is built only
+    /// to be frozen, so its memory moves into the image uncopied.
+    /// Freeze after world building and workload installation, before
+    /// any execution, so clones replay from the exact installed state.
+    pub fn freeze(mut self) -> BootImage {
+        let phys = std::mem::replace(self.machine.phys_mut(), ring_segmem::PhysMem::new(0));
         BootImage {
             cfg: self.cfg,
-            base: self.machine.phys().freeze_base(),
+            base: phys.into_base(),
         }
     }
 

@@ -5,6 +5,10 @@
 //! executed by the simulated processor through every hardware check;
 //! the helpers here only *stage* them (the role a loader plays).
 
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::rc::Rc;
+
 use ring_core::addr::{SegAddr, SegNo, WordNo};
 use ring_core::registers::{Ipr, PtrReg};
 use ring_core::ring::Ring;
@@ -15,19 +19,54 @@ use ring_cpu::machine::RunExit;
 use crate::boot::System;
 use crate::conventions::{frame, segs, PR_AP, PR_RP, PR_SB, PR_SP};
 
+/// Most distinct sources one thread's assembly memo holds before it
+/// starts over.
+const ASM_MEMO_CAPACITY: usize = 64;
+
+thread_local! {
+    /// This thread's assemblies, by source text.
+    static ASM_MEMO: RefCell<HashMap<String, Rc<ring_asm::Assembled>>> =
+        RefCell::new(HashMap::new());
+}
+
+/// Assembles `source`, reusing this thread's earlier assembly of the
+/// same text. Assembly is a pure function of the text, and workload
+/// installers assemble the same few programs for every process of every
+/// machine. The memo is bounded: once it holds [`ASM_MEMO_CAPACITY`]
+/// sources it is emptied before the next one goes in.
+///
+/// # Panics
+///
+/// Panics on assembly errors (see [`System::install_code`]).
+fn assemble_memoised(source: &str) -> Rc<ring_asm::Assembled> {
+    ASM_MEMO.with(|memo| {
+        if let Some(out) = memo.borrow().get(source) {
+            return Rc::clone(out);
+        }
+        let out = Rc::new(ring_asm::assemble(source).expect("assembly"));
+        let mut memo = memo.borrow_mut();
+        if memo.len() >= ASM_MEMO_CAPACITY {
+            memo.clear();
+        }
+        memo.insert(source.to_string(), Rc::clone(&out));
+        out
+    })
+}
+
 /// Where a staged segment ended up.
 #[derive(Clone, Debug)]
 pub struct Staged {
     /// Segment number in the process's virtual memory.
     pub segno: u32,
     /// Symbol table of the assembled source (empty for data segments).
-    pub symbols: std::collections::HashMap<String, u32>,
+    pub symbols: HashMap<String, u32>,
 }
 
 impl System {
     /// Assembles `source` and installs it as a procedure segment for
     /// process `pid` with execute bracket `[ring, ring]`, gate
-    /// extension to `r3`, and `gates` gate words.
+    /// extension to `r3`, and `gates` gate words. Repeated installs of
+    /// the same source on one thread reuse its assembly.
     ///
     /// # Panics
     ///
@@ -41,7 +80,7 @@ impl System {
         gates: u32,
         source: &str,
     ) -> Staged {
-        let out = ring_asm::assemble(source).expect("assembly");
+        let out = assemble_memoised(source);
         let words = out.len().max(1);
         let base = self.alloc_mut().alloc(words).expect("code storage");
         self.machine
@@ -59,7 +98,7 @@ impl System {
         self.install_sdw(pid, segno, &sdw);
         Staged {
             segno,
-            symbols: out.symbols,
+            symbols: out.symbols.clone(),
         }
     }
 
@@ -263,5 +302,46 @@ mod tests {
         assert!(out.symbol("gate0").is_some());
         assert!(out.symbol("args1").is_some());
         assert!(out.len() > 10);
+    }
+
+    /// The first `n` words of a staged segment in physical memory.
+    fn staged_words(sys: &System, pid: usize, staged: &Staged, n: usize) -> Vec<Word> {
+        let sdw = sys.read_sdw(pid, staged.segno);
+        (0..n as u32)
+            .map(|i| {
+                sys.machine
+                    .phys()
+                    .peek(sdw.addr.wrapping_add(i))
+                    .expect("staged word")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn memoised_install_stages_the_words_of_a_fresh_assembly() {
+        let source = "loop:   lda =1\n        tra loop\nk:      dw 7, 8\n";
+        let fresh = ring_asm::assemble(source).expect("assembles");
+        let mut sys = System::boot();
+        let pid = sys.login("alice");
+        let first = sys.install_code(pid, Ring::R4, Ring::R4, 0, source);
+        let again = sys.install_code(pid, Ring::R4, Ring::R4, 0, source);
+        assert_ne!(first.segno, again.segno);
+        for staged in [&first, &again] {
+            assert_eq!(
+                staged_words(&sys, pid, staged, fresh.words.len()),
+                fresh.words
+            );
+            assert_eq!(staged.symbols, fresh.symbols);
+        }
+    }
+
+    #[test]
+    fn assembly_memo_is_bounded() {
+        for i in 0..ASM_MEMO_CAPACITY + 3 {
+            let source = format!("        dw {i}\n");
+            assert_eq!(assemble_memoised(&source).words, vec![Word::new(i as u64)]);
+            let held = ASM_MEMO.with(|memo| memo.borrow().len());
+            assert!((1..=ASM_MEMO_CAPACITY).contains(&held), "memo holds {held}");
+        }
     }
 }

@@ -44,7 +44,7 @@
 //!   match.
 
 use ring_core::access::AccessMode;
-use ring_core::addr::{AbsAddr, SegAddr, SegNo, MAX_SEGNO};
+use ring_core::addr::{AbsAddr, SegAddr, SegNo};
 use ring_core::ring::Ring;
 use ring_core::sdw::Sdw;
 use ring_core::summary::AccessSummary;
@@ -56,6 +56,15 @@ use crate::phys::PhysMem;
 const TLB_SLOTS: usize = 1024;
 /// Key value marking an empty slot (real keys are 26 bits).
 const EMPTY: u32 = u32::MAX;
+/// Buckets of the per-segment occupancy count (a power of two). A
+/// booted system's segment numbers are all below this, so each bucket
+/// counts a single segment there.
+const SEG_BUCKETS: usize = 256;
+
+#[inline]
+fn bucket_of(segno: u16) -> usize {
+    usize::from(segno) & (SEG_BUCKETS - 1)
+}
 
 /// Mode bits within [`TlbEntry::modes`].
 const MODE_READ: u8 = 1 << 0;
@@ -159,10 +168,12 @@ pub struct RingTlb {
     /// reference.
     slots: Box<[TlbEntry; TLB_SLOTS]>,
     epoch: u32,
-    /// Occupied-slot count per segment number, so invalidating a segment
-    /// that was never cached is O(1). Counts include stale-epoch entries
-    /// (they still occupy slots) and are maintained on overwrite.
-    seg_counts: Vec<u16>,
+    /// Occupied-slot count per segment-number bucket ([`bucket_of`]), so
+    /// invalidating a segment that was never cached is O(1) unless
+    /// another segment of its bucket is. Counts include stale-epoch
+    /// entries (they still occupy slots) and are maintained on
+    /// overwrite.
+    seg_counts: [u16; SEG_BUCKETS],
     stats: TlbStats,
 }
 
@@ -178,7 +189,7 @@ impl RingTlb {
         RingTlb {
             slots: Box::new([EMPTY_ENTRY; TLB_SLOTS]),
             epoch: 0,
-            seg_counts: vec![0; MAX_SEGNO as usize + 1],
+            seg_counts: [0; SEG_BUCKETS],
             stats: TlbStats::default(),
         }
     }
@@ -336,7 +347,7 @@ impl RingTlb {
         let slot = slot_of(key);
         let old = &self.slots[slot];
         if old.key != EMPTY {
-            self.seg_counts[usize::from(old.segno)] -= 1;
+            self.seg_counts[bucket_of(old.segno)] -= 1;
         }
         self.slots[slot] = TlbEntry {
             key,
@@ -352,7 +363,7 @@ impl RingTlb {
             ptw_addr: ptw_addr.value(),
             ptw_word,
         };
-        self.seg_counts[addr.segno.value() as usize] += 1;
+        self.seg_counts[bucket_of(addr.segno.value() as u16)] += 1;
         self.stats.installs += 1;
     }
 
@@ -360,16 +371,19 @@ impl RingTlb {
     /// associative memory, or a native handler was registered).
     pub fn invalidate_segment(&mut self, segno: SegNo) {
         self.stats.invalidations += 1;
-        if self.seg_counts[segno.value() as usize] == 0 {
+        let target = segno.value() as u16;
+        let bucket = bucket_of(target);
+        if self.seg_counts[bucket] == 0 {
             return;
         }
-        let target = segno.value() as u16;
+        let mut dropped = 0;
         for e in self.slots.iter_mut() {
             if e.key != EMPTY && e.segno == target {
                 *e = EMPTY_ENTRY;
+                dropped += 1;
             }
         }
-        self.seg_counts[segno.value() as usize] = 0;
+        self.seg_counts[bucket] -= dropped;
     }
 
     /// Flushes everything in O(1) by starting a new epoch (DBR load).
@@ -395,29 +409,6 @@ impl RingTlb {
     pub fn clear_preserving_stats(&mut self) {
         self.slots.fill(EMPTY_ENTRY);
         self.seg_counts.fill(0);
-    }
-
-    /// Chaos hook: damages one live entry, chosen deterministically by
-    /// `pick`, and discards it — modelling a cache-parity detection,
-    /// where the hardware's recovery is simply to drop the entry and
-    /// re-walk. Returns the segment the entry mapped, or `None` when
-    /// the lookaside holds no live entry to damage.
-    pub fn chaos_discard(&mut self, pick: u64) -> Option<u32> {
-        let live: Vec<usize> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.key != EMPTY && e.epoch == self.epoch)
-            .map(|(i, _)| i)
-            .collect();
-        if live.is_empty() {
-            return None;
-        }
-        let idx = live[(pick % live.len() as u64) as usize];
-        let segno = self.slots[idx].segno;
-        self.slots[idx] = EMPTY_ENTRY;
-        self.seg_counts[usize::from(segno)] -= 1;
-        Some(u32::from(segno))
     }
 
     /// Records `n` committed fast-path translations.
@@ -592,6 +583,25 @@ mod tests {
         assert_eq!(tlb.stats().flushes, 1);
         assert_eq!(tlb.stats().invalidations, 1);
         assert_eq!(tlb.stats().installs, 3);
+    }
+
+    #[test]
+    fn invalidation_spares_segments_sharing_a_bucket() {
+        let phys = PhysMem::new(1 << 16);
+        let mut tlb = RingTlb::new();
+        let twin = 3 + SEG_BUCKETS as u32;
+        for segno in [3, twin] {
+            tlb.install(&phys, addr(segno, 0), Ring::R4, &unpaged_sdw(), false);
+        }
+        tlb.invalidate_segment(SegNo::new(3).unwrap());
+        assert!(tlb
+            .probe(&phys, addr(twin, 0), Ring::R4, AccessMode::Read)
+            .is_some());
+        tlb.invalidate_segment(SegNo::new(twin).unwrap());
+        assert!(tlb
+            .probe(&phys, addr(twin, 0), Ring::R4, AccessMode::Read)
+            .is_none());
+        assert_eq!(tlb.seg_counts[bucket_of(3)], 0);
     }
 
     #[test]

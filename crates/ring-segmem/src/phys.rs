@@ -232,6 +232,15 @@ impl PhysMem {
         Arc::new(image)
     }
 
+    /// Like [`PhysMem::freeze_base`], but consumes the memory: a flat
+    /// array becomes the image without a copy.
+    pub fn into_base(self) -> Arc<Vec<Word>> {
+        match self.backing {
+            Backing::Flat(words) => Arc::new(words),
+            Backing::Cow { .. } => self.freeze_base(),
+        }
+    }
+
     /// Reads the word at `addr`. A counted read is parity-checked: a
     /// damaged word raises [`Fault::ParityError`].
     pub fn read(&mut self, addr: AbsAddr) -> Result<Word, Fault> {
@@ -800,6 +809,18 @@ mod tests {
             Word::new(0o17)
         );
         assert_eq!(m.nonzero_words(), flat.nonzero_words());
+    }
+
+    #[test]
+    fn into_base_matches_freeze_base() {
+        let mut flat = PhysMem::new(3 * COW_PAGE_WORDS);
+        flat.poke(AbsAddr::new(5).unwrap(), Word::new(9)).unwrap();
+        let frozen = flat.freeze_base();
+        let mut cow = PhysMem::cow(Arc::clone(&frozen), 3 * COW_PAGE_WORDS);
+        cow.poke(AbsAddr::new(2048).unwrap(), Word::new(7)).unwrap();
+        let cow_frozen = cow.freeze_base();
+        assert_eq!(flat.into_base(), frozen);
+        assert_eq!(cow.into_base(), cow_frozen);
     }
 
     #[test]

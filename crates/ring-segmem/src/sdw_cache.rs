@@ -9,14 +9,17 @@
 //! (one descriptor segment per ring, DBR switch on every ring crossing)
 //! expensive; experiment T5 sweeps the cache size to measure this.
 //!
-//! Lookup is O(1): a direct segno → slot index shadows the entry array
-//! (the hardware probes all comparators in parallel; a linear scan per
-//! reference was the old software stand-in). The index is pure
-//! acceleration — replacement stays round-robin, flush and invalidate
-//! semantics and [`CacheStats`] accounting are unchanged, which the
-//! model-equivalence test at the bottom pins.
+//! Lookup compares the segment number against a per-slot key array —
+//! the software stand-in for the hardware's parallel comparators. The
+//! keys are a dense copy of the segment numbers in the entry array, so
+//! a lookup scans a few cache lines no matter how large the segment
+//! space is, and booting or cloning a cache copies only its slots. The
+//! keys are pure acceleration — replacement stays round-robin, flush
+//! and invalidate semantics and [`CacheStats`] accounting are those of
+//! a scan over the entries, which the model-equivalence test at the
+//! bottom pins.
 
-use ring_core::addr::{SegNo, MAX_SEGNO};
+use ring_core::addr::SegNo;
 use ring_core::sdw::Sdw;
 
 /// Hit/miss/flush statistics for the associative memory.
@@ -63,11 +66,19 @@ pub struct SdwCacheState {
 #[derive(Clone, Debug)]
 pub struct SdwCache {
     entries: Vec<Option<(SegNo, Sdw)>>,
-    /// Direct map from segment number to occupied slot, stored as
-    /// `slot + 1` (0 = not cached). Empty when capacity is 0.
-    index: Vec<u16>,
+    /// The segment number held by each slot of `entries`, or
+    /// [`EMPTY_KEY`] for a free slot.
+    keys: Vec<u16>,
     next_victim: usize,
     stats: CacheStats,
+}
+
+/// Key of a free slot (segment numbers are 15 bits).
+const EMPTY_KEY: u16 = u16::MAX;
+
+#[inline]
+fn key_of(segno: SegNo) -> u16 {
+    segno.value() as u16
 }
 
 impl SdwCache {
@@ -75,19 +86,10 @@ impl SdwCache {
     pub const DEFAULT_CAPACITY: usize = 16;
 
     /// Creates a cache with `capacity` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` does not fit the slot index (`>= u16::MAX`).
     pub fn new(capacity: usize) -> SdwCache {
-        assert!(capacity < u16::MAX as usize, "SDW cache too large");
         SdwCache {
             entries: vec![None; capacity],
-            index: if capacity == 0 {
-                Vec::new()
-            } else {
-                vec![0; MAX_SEGNO as usize + 1]
-            },
+            keys: vec![EMPTY_KEY; capacity],
             next_victim: 0,
             stats: CacheStats::default(),
         }
@@ -98,13 +100,17 @@ impl SdwCache {
         self.entries.len()
     }
 
-    /// Occupied slot holding `segno`, if any (O(1) via the index).
+    /// Occupied slot holding `segno`, if any.
     #[inline]
     fn slot_of(&self, segno: SegNo) -> Option<usize> {
-        match self.index.get(segno.value() as usize) {
-            Some(&e) if e != 0 => Some(usize::from(e) - 1),
-            _ => None,
-        }
+        let key = key_of(segno);
+        self.keys.iter().position(|&k| k == key)
+    }
+
+    /// Fills `slot` with `(segno, sdw)`.
+    fn fill(&mut self, slot: usize, segno: SegNo, sdw: Sdw) {
+        self.entries[slot] = Some((segno, sdw));
+        self.keys[slot] = key_of(segno);
     }
 
     /// Whether `segno` is currently resident (no statistics update).
@@ -119,7 +125,7 @@ impl SdwCache {
         match self.slot_of(segno) {
             Some(slot) => {
                 self.stats.hits += 1;
-                Some(self.entries[slot].expect("indexed slot is occupied").1)
+                Some(self.entries[slot].expect("keyed slot is occupied").1)
             }
             None => {
                 self.stats.misses += 1;
@@ -155,29 +161,21 @@ impl SdwCache {
             self.entries[slot] = Some((segno, sdw));
             return Some(segno);
         }
-        if let Some(slot) = self.entries.iter().position(|e| e.is_none()) {
-            self.entries[slot] = Some((segno, sdw));
-            self.index[segno.value() as usize] = slot as u16 + 1;
+        if let Some(slot) = self.keys.iter().position(|&k| k == EMPTY_KEY) {
+            self.fill(slot, segno, sdw);
             return None;
         }
         let victim = self.next_victim;
         let displaced = self.entries[victim].map(|(s, _)| s);
-        if let Some(s) = displaced {
-            self.index[s.value() as usize] = 0;
-        }
-        self.entries[victim] = Some((segno, sdw));
-        self.index[segno.value() as usize] = victim as u16 + 1;
+        self.fill(victim, segno, sdw);
         self.next_victim = (victim + 1) % self.entries.len();
         displaced
     }
 
     /// Flushes every entry (performed by a DBR load).
     pub fn flush(&mut self) {
-        for e in self.entries.iter_mut() {
-            if let Some((s, _)) = e.take() {
-                self.index[s.value() as usize] = 0;
-            }
-        }
+        self.entries.fill(None);
+        self.keys.fill(EMPTY_KEY);
         self.next_victim = 0;
         self.stats.flushes += 1;
     }
@@ -188,7 +186,7 @@ impl SdwCache {
     pub fn invalidate(&mut self, segno: SegNo) {
         if let Some(slot) = self.slot_of(segno) {
             self.entries[slot] = None;
-            self.index[segno.value() as usize] = 0;
+            self.keys[slot] = EMPTY_KEY;
         }
         self.stats.invalidations += 1;
     }
@@ -228,13 +226,8 @@ impl SdwCache {
         self.entries.clone_from(&state.entries);
         self.next_victim = state.next_victim;
         self.stats = state.stats;
-        for e in self.index.iter_mut() {
-            *e = 0;
-        }
-        for (slot, entry) in self.entries.iter().enumerate() {
-            if let Some((s, _)) = entry {
-                self.index[s.value() as usize] = slot as u16 + 1;
-            }
+        for (key, entry) in self.keys.iter_mut().zip(&self.entries) {
+            *key = entry.map_or(EMPTY_KEY, |(s, _)| key_of(s));
         }
     }
 
@@ -367,11 +360,10 @@ mod tests {
         assert_eq!(fresh.export_state(), c.export_state());
     }
 
-    /// The O(n)-scan cache the index replaced, kept as an executable
-    /// model: the indexed cache must be observationally identical
-    /// (lookups, contents, replacement order, statistics) over a long
-    /// pseudo-random workload. This pins the satellite requirement that
-    /// the index changes complexity only.
+    /// A scan over the entries themselves, kept as an executable model:
+    /// the keyed cache must be observationally identical (lookups,
+    /// contents, replacement order, statistics) over a long
+    /// pseudo-random workload, so the key array changes speed only.
     struct ModelCache {
         entries: Vec<Option<(SegNo, Sdw)>>,
         next_victim: usize,

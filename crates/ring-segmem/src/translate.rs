@@ -313,20 +313,16 @@ impl Translator {
         self.tlb.invalidate_segment(segno);
     }
 
-    /// Chaos hook: damages one live translation-cache entry. `pick`
-    /// chooses the victim deterministically; even picks hit the
-    /// lookaside, odd picks the SDW associative memory (falling back
-    /// to the other when the first is empty). Cache parity detects the
-    /// damage on the spot, so the entry is simply discarded — the
-    /// recovery is a re-walk. Returns the segment affected, or `None`
-    /// when both caches were empty.
-    pub fn chaos_corrupt_cache(&mut self, pick: u64, which: u64) -> Option<u32> {
-        let tlb_first = which.is_multiple_of(2);
-        if tlb_first {
-            if let Some(seg) = self.tlb.chaos_discard(pick) {
-                return Some(seg);
-            }
-        }
+    /// Chaos hook: damages one live SDW associative-memory entry, chosen
+    /// deterministically among the occupied slots by `pick`. Cache
+    /// parity detects the damage on the spot, so the entry is simply
+    /// discarded — the recovery is a re-walk — and the segment's
+    /// lookaside entries go with it. The lookaside is never a victim in
+    /// its own right: it is host acceleration, so an injection must
+    /// land identically whether the fast path is on or off. Returns the
+    /// segment affected, or `None` when the associative memory is
+    /// empty.
+    pub fn chaos_corrupt_cache(&mut self, pick: u64) -> Option<u32> {
         let occupied: Vec<ring_core::addr::SegNo> = self
             .cache
             .export_state()
@@ -335,16 +331,13 @@ impl Translator {
             .flatten()
             .map(|(segno, _)| segno)
             .collect();
-        if !occupied.is_empty() {
-            let segno = occupied[(pick % occupied.len() as u64) as usize];
-            self.cache.invalidate(segno);
-            self.tlb.invalidate_segment(segno);
-            return Some(segno.value());
+        if occupied.is_empty() {
+            return None;
         }
-        if !tlb_first {
-            return self.tlb.chaos_discard(pick);
-        }
-        None
+        let segno = occupied[(pick % occupied.len() as u64) as usize];
+        self.cache.invalidate(segno);
+        self.tlb.invalidate_segment(segno);
+        Some(segno.value())
     }
 }
 

@@ -22,7 +22,9 @@
 //! Targeted tests then pin the three invalidation protocols: raw-word
 //! compare catching self-modifying code, descriptor-store invalidation
 //! catching supervisor revocation, and the DBR-load flush catching an
-//! address-space switch.
+//! address-space switch. A booted page storm steps both engines through
+//! all three at once, under CLOCK eviction, major page faults and
+//! timer-driven process switches.
 
 use multiring::core::access::Fault;
 use multiring::core::registers::{Dbr, IndWord, Ipr, PtrReg};
@@ -34,6 +36,8 @@ use multiring::cpu::isa::{Instr, Opcode};
 use multiring::cpu::machine::{Machine, MachineConfig, StepOutcome};
 use multiring::cpu::native::NativeAction;
 use multiring::cpu::testkit::{addr, World};
+use multiring::os::workload::{install_page_storm, StormSpec};
+use multiring::os::{System, SystemConfig};
 use multiring::segmem::Ptw;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -763,5 +767,112 @@ fn timer_runout_lands_identically() {
     assert!(
         matches!(fast.machine.last_fault(), Some(Fault::TimerRunout)),
         "halt did not come from the timer trap"
+    );
+}
+
+/// A booted multiprocess page storm on both engines, in lockstep. The
+/// frame budget is below the processes' combined working set and the
+/// timer slices between them, so the run crosses CLOCK eviction, drum
+/// write-back, major faults that block a process, and the DBR switches
+/// of every dispatch. Registers, cycles and counted references must
+/// agree after every step. Once the sweep is warm, the storm's
+/// `aos pr4|0` must also commit on the fast path.
+#[test]
+fn booted_page_storm_agrees_in_lockstep() {
+    let spec = StormSpec {
+        procs: 3,
+        pages: 5,
+        rounds: 12,
+    };
+    let boot = |fastpath: bool| {
+        let mut sys = System::boot_with(SystemConfig {
+            phys_words: 1 << 17,
+            quantum: 400,
+            frame_budget: Some(8),
+            fastpath,
+            ..SystemConfig::default()
+        });
+        let procs = install_page_storm(&mut sys, &spec);
+        sys.enable_metrics();
+        sys.machine.set_timer(Some(400));
+        (sys, procs)
+    };
+    let (mut fast, procs) = boot(true);
+    let (mut slow, _) = boot(false);
+    // The sweep's AOS instructions sit at words 2, 4, .. of each code
+    // segment (after `lda rounds` and each page's `eap`).
+    let is_aos = |m: &Machine| {
+        let at = m.ipr().addr;
+        let word = at.wordno.value();
+        procs.iter().any(|p| p.code_segno == at.segno.value())
+            && word >= 2
+            && word <= 2 * spec.pages
+            && word.is_multiple_of(2)
+    };
+    let (mut aos_steps, mut aos_fast) = (0u64, 0u64);
+    let mut halted = false;
+    for i in 0..200_000 {
+        let aos = is_aos(&fast.machine);
+        let fast_before = fast.machine.stats().fast_steps;
+        let of = fast.machine.step();
+        let os = slow.machine.step();
+        let at = format!("at step {i}");
+        assert_eq!(of, os, "outcome diverged {at}");
+        assert_machines_equal(&fast.machine, &slow.machine, &at);
+        assert_eq!(
+            fast.machine.phys().read_count(),
+            slow.machine.phys().read_count(),
+            "counted reads diverged {at}"
+        );
+        assert_eq!(
+            fast.machine.phys().write_count(),
+            slow.machine.phys().write_count(),
+            "counted writes diverged {at}"
+        );
+        if aos {
+            aos_steps += 1;
+            aos_fast += fast.machine.stats().fast_steps - fast_before;
+        }
+        if of == StepOutcome::Halted {
+            halted = true;
+            break;
+        }
+    }
+    assert!(halted, "storm did not finish");
+    for p in &procs {
+        assert_eq!(
+            fast.state().processes[p.pid].aborted.as_deref(),
+            Some("exit"),
+            "process {} did not exit cleanly",
+            p.pid
+        );
+    }
+    let sched = fast.state().sched.stats;
+    assert!(sched.evictions > 0, "frame budget never bit");
+    assert!(sched.page_faults_major > 0, "no major page fault");
+    assert!(sched.context_switches > 0, "processes never switched");
+    let arch_json = |sys: &System| {
+        let mut snap = sys.metrics_snapshot();
+        snap.fastpath = Default::default();
+        snap.to_json()
+    };
+    assert_eq!(arch_json(&fast), arch_json(&slow), "snapshots diverged");
+    assert_eq!(
+        fast.machine.sdw_cache_stats(),
+        slow.machine.sdw_cache_stats(),
+        "SDW cache statistics diverged"
+    );
+    // Steps taken at an AOS also include faulting attempts and timer
+    // runouts recognised there; exactly one per page and round commits.
+    let committed = u64::from(spec.rounds) * u64::from(spec.pages) * spec.procs as u64;
+    assert!(aos_steps >= committed);
+    // A page's first AOS after a page-in, a CLOCK sweep or a process
+    // switch takes the reference path (it must set the PTW's used and
+    // modified bits, or refill the SDW cache). Under this much frame
+    // pressure that is most of them, but the reference path warms the
+    // lookaside, so a good share of the rest commit on the fast path.
+    assert!(
+        aos_fast * 4 > committed,
+        "only {aos_fast} of {committed} AOS commits took the fast path"
     );
 }

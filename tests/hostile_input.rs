@@ -1,7 +1,9 @@
 //! Hostile input never panics the host. One property per decoder that
 //! reads untrusted bytes: assembler source, chaos plan files, flight
 //! recordings (decoded, then replayed), and machine images. Each
-//! decoder must answer every input with a value or an error.
+//! decoder must answer every input with a value or an error, and so
+//! must the recording decoder on nesting deep enough to overflow a
+//! recursive parser's stack.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -189,6 +191,17 @@ proptest! {
         if let Ok(plan) = FaultPlan::parse(&text) {
             let _ = multiring::cpu::ChaosEngine::with_plan(plan);
         }
+    }
+}
+
+/// Nesting far past any real recording is an error. A parser that
+/// recursed once per level would overflow the stack here, which aborts
+/// the process where no test can catch it.
+#[test]
+fn deeply_nested_recording_is_an_error() {
+    for open in ["[", "{\"checkpoints\": "] {
+        let text = open.repeat(100_000);
+        assert!(Recording::from_json(&text).is_err(), "{open} x 100000");
     }
 }
 
