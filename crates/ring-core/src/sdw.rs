@@ -207,6 +207,15 @@ impl Sdw {
         (w0, w1)
     }
 
+    /// The presence bit and the R1, R2, R3 fields of a descriptor's
+    /// first word, exactly as stored. [`Sdw::unpack`] clamps the ring
+    /// fields into order, so only these show a descriptor that breaks
+    /// `R1 ≤ R2 ≤ R3`.
+    pub fn raw_brackets(w0: Word) -> (bool, [u8; 3]) {
+        let ring = |lo| w0.field(lo, 3) as u8;
+        (w0.bit(33), [ring(24), ring(27), ring(30)])
+    }
+
     /// Decodes an SDW from its two-word storage representation.
     ///
     /// Ring fields that violate `R1 ≤ R2 ≤ R3` are repaired by clamping

@@ -482,9 +482,7 @@ impl Machine {
         // never commit here.
         if self.fast.record {
             self.metrics.instruction(at0.ring, use_class.metric_class());
-            for _ in 0..lookups {
-                self.metrics.sdw_lookup(true, 0);
-            }
+            self.metrics.sdw_hits(lookups);
             let buf = std::mem::take(&mut self.fast.access_buf);
             for &(segno, mode) in &buf {
                 self.metrics.access(segno, mode);

@@ -18,7 +18,6 @@
 //! [`crate::machine::Machine::charge`].
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use ring_core::access::Fault;
@@ -54,9 +53,14 @@ pub enum NativeAction {
 pub type NativeFn = dyn Fn(&mut Machine, WordNo) -> Result<NativeAction, Fault> + Send + Sync;
 
 /// Registry mapping segment numbers to native procedure bodies.
+///
+/// A system registers a handful of native segments, and the reference
+/// path asks about one on every instruction fetch, so the registry is a
+/// short vector scanned in place: no hashing, and a body is cloned out
+/// only when it is about to run.
 #[derive(Clone, Default)]
 pub struct NativeRegistry {
-    handlers: HashMap<SegNo, Arc<NativeFn>>,
+    handlers: Vec<(SegNo, Arc<NativeFn>)>,
 }
 
 impl NativeRegistry {
@@ -67,17 +71,24 @@ impl NativeRegistry {
 
     /// Registers `handler` as the body of segment `segno`.
     pub fn register(&mut self, segno: SegNo, handler: Arc<NativeFn>) {
-        self.handlers.insert(segno, handler);
+        match self.handlers.iter_mut().find(|(s, _)| *s == segno) {
+            Some((_, body)) => *body = handler,
+            None => self.handlers.push((segno, handler)),
+        }
     }
 
     /// Looks up the handler for `segno`.
     pub fn handler(&self, segno: SegNo) -> Option<Arc<NativeFn>> {
-        self.handlers.get(&segno).cloned()
+        self.handlers
+            .iter()
+            .find(|(s, _)| *s == segno)
+            .map(|(_, body)| Arc::clone(body))
     }
 
     /// True if `segno` is a native segment.
+    #[inline]
     pub fn is_native(&self, segno: SegNo) -> bool {
-        self.handlers.contains_key(&segno)
+        self.handlers.iter().any(|(s, _)| *s == segno)
     }
 }
 

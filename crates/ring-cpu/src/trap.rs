@@ -29,8 +29,11 @@ use ring_core::access::{AccessMode, Fault};
 use ring_core::addr::{pack_pointer, unpack_pointer, SegAddr, WordNo, MAX_WORDNO};
 use ring_core::registers::{Ipr, PtrReg, NUM_PR};
 use ring_core::ring::Ring;
+use ring_core::sdw::Sdw;
 use ring_core::word::Word;
 use ring_metrics::{Crossing, EventSink};
+use ring_segmem::paging::{split_wordno, PAGE_WORDS};
+use ring_segmem::phys::PhysMem;
 
 use crate::machine::{Machine, StepOutcome};
 use crate::trace::TraceEvent;
@@ -197,50 +200,94 @@ impl Machine {
     }
 
     fn write_save_area(&mut self, snapshot: &SavedState, fault: &Fault) -> Result<(), Fault> {
-        let seg = self.config.trap_segno;
-        let base = self.config.trap_save_offset;
-        let sdw = self.sdw_for(
-            SegAddr::new(seg, WordNo::from_bits(u64::from(base))),
-            AccessMode::Write,
-        )?;
+        let sdw = self.save_area_sdw(AccessMode::Write)?;
         // Hardware state saving bypasses the access brackets (it is the
         // processor, not a program, storing) but not presence or bounds.
-        let last = SegAddr::new(seg, WordNo::from_bits(u64::from(base + SAVE_WORDS - 1)));
+        let last = SegAddr::new(
+            self.config.trap_segno,
+            WordNo::from_bits(u64::from(self.config.trap_save_offset + SAVE_WORDS - 1)),
+        );
         sdw.check_present_and_bounds(AccessMode::Write, last)?;
-        let words = snapshot.pack();
-        for (i, w) in words.iter().enumerate() {
-            let addr = SegAddr::new(seg, WordNo::from_bits(u64::from(base + i as u32)));
-            let abs = self.tr.resolve(&mut self.phys, &sdw, addr, true)?;
-            self.phys.write(abs, *w)?;
-        }
         let (fap, detail) = fault_detail(fault);
-        let extra = [Word::new(u64::from(fault.vector())), fap, detail];
-        for (i, w) in extra.iter().enumerate() {
-            let addr = SegAddr::new(seg, WordNo::from_bits(u64::from(base + 16 + i as u32)));
-            let abs = self.tr.resolve(&mut self.phys, &sdw, addr, true)?;
-            self.phys.write(abs, *w)?;
-        }
-        Ok(())
+        let mut words = [Word::ZERO; SAVE_WORDS as usize];
+        words[..16].copy_from_slice(&snapshot.pack());
+        words[16..].copy_from_slice(&[Word::new(u64::from(fault.vector())), fap, detail]);
+        self.move_save_words(&sdw, 0, SaveWords::Store(&words))
     }
 
     /// Reads the save area back into a snapshot plus fault vector.
     pub(crate) fn read_save_area(&mut self) -> Result<(SavedState, u32), Fault> {
-        let seg = self.config.trap_segno;
-        let base = self.config.trap_save_offset;
-        let sdw = self.sdw_for(
-            SegAddr::new(seg, WordNo::from_bits(u64::from(base))),
-            AccessMode::Read,
-        )?;
-        let mut words = [Word::ZERO; 16];
-        for (i, w) in words.iter_mut().enumerate() {
-            let addr = SegAddr::new(seg, WordNo::from_bits(u64::from(base + i as u32)));
-            let abs = self.tr.resolve(&mut self.phys, &sdw, addr, false)?;
-            *w = self.phys.read(abs)?;
+        let sdw = self.save_area_sdw(AccessMode::Read)?;
+        let mut words = [Word::ZERO; 17];
+        self.move_save_words(&sdw, 0, SaveWords::Load(&mut words))?;
+        let mut state = [Word::ZERO; 16];
+        state.copy_from_slice(&words[..16]);
+        Ok((SavedState::unpack(&state), words[16].raw() as u32))
+    }
+
+    /// The trap segment's SDW, fetched as a `mode` reference to the
+    /// first save-area word.
+    fn save_area_sdw(&mut self, mode: AccessMode) -> Result<Sdw, Fault> {
+        let first = WordNo::from_bits(u64::from(self.config.trap_save_offset));
+        self.sdw_for(SegAddr::new(self.config.trap_segno, first), mode)
+    }
+
+    /// Moves save-area words from word `first` of the save area on,
+    /// with exactly the counted references, errors and PTW updates of
+    /// translating and accessing them one word at a time.
+    ///
+    /// The words go in runs, one translation and one bulk transfer per
+    /// run. A run is what the word loop would reach through one
+    /// translation: consecutive word numbers of one page (of the whole
+    /// segment when unpaged) at consecutive absolute addresses. In a
+    /// paged segment every word after a run's first still charges the
+    /// counted PTW read its own walk would make, up to the failing word
+    /// on an error, and a store onto the PTW itself ends the run so
+    /// the next walk reads the new value.
+    fn move_save_words(
+        &mut self,
+        sdw: &Sdw,
+        first: u32,
+        mut words: SaveWords<'_>,
+    ) -> Result<(), Fault> {
+        let write = matches!(words, SaveWords::Store(_));
+        let n = words.len();
+        let mut i = 0;
+        while i < n {
+            let wordno =
+                WordNo::from_bits(u64::from(self.config.trap_save_offset + first + i as u32));
+            let addr = SegAddr::new(self.config.trap_segno, wordno);
+            let abs = self.tr.resolve(&mut self.phys, sdw, addr, write)?;
+            // Neither the word number nor the absolute address may wrap
+            // inside a run.
+            let mut run = (n - i)
+                .min((MAX_WORDNO - wordno.value()) as usize + 1)
+                .min(PhysMem::MAX_WORDS - abs.value() as usize);
+            if !sdw.unpaged {
+                let (page, offset) = split_wordno(wordno);
+                run = run.min((PAGE_WORDS - offset) as usize);
+                let ptw = sdw.addr.wrapping_add(page).value();
+                if write && ptw >= abs.value() && ((ptw - abs.value()) as usize) < run {
+                    run = (ptw - abs.value()) as usize + 1;
+                }
+            }
+            let moved = match &mut words {
+                SaveWords::Load(buf) => self.phys.read_slice(abs, &mut buf[i..i + run]),
+                SaveWords::Store(buf) => self.phys.write_slice(abs, &buf[i..i + run]),
+            };
+            if !sdw.unpaged {
+                let walked = match moved {
+                    Err(Fault::ParityError { abs: bad } | Fault::PhysicalBounds { abs: bad }) => {
+                        (bad - abs.value()) as usize + 1
+                    }
+                    _ => run,
+                };
+                self.phys.charge_reads(walked as u64 - 1);
+            }
+            moved?;
+            i += run;
         }
-        let vaddr = SegAddr::new(seg, WordNo::from_bits(u64::from(base + 16)));
-        let abs = self.tr.resolve(&mut self.phys, &sdw, vaddr, false)?;
-        let vector = self.phys.read(abs)?.raw() as u32;
-        Ok((SavedState::unpack(&words), vector))
+        Ok(())
     }
 
     /// The RETT instruction: restores the saved processor state and
@@ -262,18 +309,9 @@ impl Machine {
     /// registers. Native trap handlers read this instead of re-parsing
     /// memory.
     pub fn fault_info(&mut self) -> Result<(u32, Ring, SegAddr, Word), Fault> {
-        let seg = self.config.trap_segno;
-        let base = self.config.trap_save_offset;
-        let sdw = self.sdw_for(
-            SegAddr::new(seg, WordNo::from_bits(u64::from(base))),
-            AccessMode::Read,
-        )?;
+        let sdw = self.save_area_sdw(AccessMode::Read)?;
         let mut out = [Word::ZERO; 3];
-        for (i, w) in out.iter_mut().enumerate() {
-            let addr = SegAddr::new(seg, WordNo::from_bits(u64::from(base + 16 + i as u32)));
-            let abs = self.tr.resolve(&mut self.phys, &sdw, addr, false)?;
-            *w = self.phys.read(abs)?;
-        }
+        self.move_save_words(&sdw, 16, SaveWords::Load(&mut out))?;
         let (ring, addr) = unpack_pointer(out[1]);
         Ok((out[0].raw() as u32, ring, addr, out[2]))
     }
@@ -288,26 +326,36 @@ impl Machine {
     /// Overwrites the saved state (supervisor handlers adjusting the
     /// resume point, e.g. completing a software ring crossing).
     pub fn set_saved_state(&mut self, state: &SavedState) -> Result<(), Fault> {
-        let seg = self.config.trap_segno;
-        let base = self.config.trap_save_offset;
-        let sdw = self.sdw_for(
-            SegAddr::new(seg, WordNo::from_bits(u64::from(base))),
-            AccessMode::Write,
-        )?;
-        let words = state.pack();
-        for (i, w) in words.iter().enumerate() {
-            let addr = SegAddr::new(seg, WordNo::from_bits(u64::from(base + i as u32)));
-            let abs = self.tr.resolve(&mut self.phys, &sdw, addr, true)?;
-            self.phys.write(abs, *w)?;
+        let sdw = self.save_area_sdw(AccessMode::Write)?;
+        self.move_save_words(&sdw, 0, SaveWords::Store(&state.pack()))
+    }
+}
+
+/// The two directions of a save-area transfer.
+enum SaveWords<'a> {
+    /// Read memory into the buffer.
+    Load(&'a mut [Word]),
+    /// Write the buffer to memory.
+    Store(&'a [Word]),
+}
+
+impl SaveWords<'_> {
+    fn len(&self) -> usize {
+        match self {
+            SaveWords::Load(buf) => buf.len(),
+            SaveWords::Store(buf) => buf.len(),
         }
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ring_core::addr::SegNo;
+    use crate::machine::MachineConfig;
+    use crate::testkit::World;
+    use ring_core::addr::{AbsAddr, SegNo};
+    use ring_core::sdw::SdwBuilder;
+    use ring_segmem::paging::Ptw;
 
     fn sample_state() -> SavedState {
         let mut prs = [PtrReg::NULL; NUM_PR];
@@ -346,5 +394,140 @@ mod tests {
             let r = SavedState::unpack(&s.pack());
             assert_eq!((r.ind_zero, r.ind_neg), (z, n));
         }
+    }
+
+    /// The frames holding the two pages of the paged trap segment.
+    const FRAMES: [u32; 2] = [200, 201];
+
+    /// A machine whose trap segment is paged, with the save area
+    /// straddling its two pages and both PTWs' used and modified bits
+    /// off, so the transfer sets them on the way.
+    fn paged_trap_machine() -> Machine {
+        let config = MachineConfig {
+            trap_save_offset: PAGE_WORDS - 7,
+            ..MachineConfig::default()
+        };
+        let mut w = World::with_config(config);
+        let pt = w.alloc_raw(2);
+        for (page, frame) in FRAMES.into_iter().enumerate() {
+            let ptw = Ptw::present(frame).unwrap().pack();
+            w.machine
+                .phys_mut()
+                .poke(pt.wrapping_add(page as u32), ptw)
+                .unwrap();
+        }
+        let sdw = SdwBuilder::procedure(Ring::R0, Ring::R0, Ring::R0)
+            .write(true)
+            .unpaged(false)
+            .addr(pt)
+            .bound_words(2 * PAGE_WORDS)
+            .build();
+        let segno = w.machine.config().trap_segno.value();
+        w.install_sdw(segno, &sdw);
+        w.machine
+    }
+
+    /// The word-at-a-time transfer the bulk runs replace: one SDW fetch,
+    /// then a translation and a counted access per word.
+    fn word_loop(
+        m: &mut Machine,
+        first: u32,
+        words: &mut [Word],
+        write: bool,
+    ) -> Result<(), Fault> {
+        let mode = if write {
+            AccessMode::Write
+        } else {
+            AccessMode::Read
+        };
+        let sdw = m.save_area_sdw(mode)?;
+        for (i, w) in words.iter_mut().enumerate() {
+            let wordno = u64::from(m.config.trap_save_offset + first + i as u32);
+            let addr = SegAddr::new(m.config.trap_segno, WordNo::from_bits(wordno));
+            let abs = m.tr.resolve(&mut m.phys, &sdw, addr, write)?;
+            if write {
+                m.phys.write(abs, *w)?;
+            } else {
+                *w = m.phys.read(abs)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Counters, both frames and both PTWs.
+    fn observed(m: &Machine) -> (u64, u64, Vec<Word>) {
+        let mut words = Vec::new();
+        for frame in FRAMES {
+            let base = AbsAddr::new(frame * PAGE_WORDS).unwrap();
+            m.phys()
+                .peek_into(base, PAGE_WORDS as usize, &mut words)
+                .unwrap();
+        }
+        let sdw = m.clone().save_area_sdw(AccessMode::Read).unwrap();
+        m.phys().peek_into(sdw.addr, 2, &mut words).unwrap();
+        (m.phys().read_count(), m.phys().write_count(), words)
+    }
+
+    #[test]
+    fn paged_save_area_charges_the_references_of_the_word_loop() {
+        let state = sample_state();
+        let fault = Fault::PageFault {
+            addr: SegAddr::from_parts(100, 5).unwrap(),
+        };
+        let mut bulk = paged_trap_machine();
+        let mut by_word = bulk.clone();
+
+        bulk.write_save_area(&state, &fault).unwrap();
+        let (fap, detail) = fault_detail(&fault);
+        let mut saved = [Word::ZERO; SAVE_WORDS as usize];
+        saved[..16].copy_from_slice(&state.pack());
+        saved[16..].copy_from_slice(&[Word::new(u64::from(fault.vector())), fap, detail]);
+        word_loop(&mut by_word, 0, &mut saved, true).unwrap();
+        assert_eq!(observed(&bulk), observed(&by_word), "trap entry");
+
+        let info = bulk.fault_info().unwrap();
+        let mut words = [Word::ZERO; 3];
+        word_loop(&mut by_word, 16, &mut words, false).unwrap();
+        assert_eq!(info.0, words[0].raw() as u32);
+        assert_eq!(observed(&bulk), observed(&by_word), "fault_info");
+
+        assert_eq!(bulk.saved_state().unwrap(), state);
+        let mut words = [Word::ZERO; 17];
+        word_loop(&mut by_word, 0, &mut words, false).unwrap();
+        assert_eq!(observed(&bulk), observed(&by_word), "saved_state");
+
+        let mut moved = state;
+        moved.a = Word::new(0o5555);
+        bulk.set_saved_state(&moved).unwrap();
+        word_loop(&mut by_word, 0, &mut moved.pack(), true).unwrap();
+        assert_eq!(observed(&bulk), observed(&by_word), "set_saved_state");
+    }
+
+    #[test]
+    fn paged_save_area_fails_where_the_word_loop_fails() {
+        // A poisoned word on the second page: the read stops there.
+        let mut bulk = paged_trap_machine();
+        let poisoned = FRAMES[1] * PAGE_WORDS + 3;
+        bulk.phys_mut().corrupt(poisoned, 1);
+        let mut by_word = bulk.clone();
+        let got = bulk.read_save_area().map(|_| ());
+        let mut words = [Word::ZERO; 17];
+        let want = word_loop(&mut by_word, 0, &mut words, false);
+        assert_eq!(got, want);
+        assert_eq!(got, Err(Fault::ParityError { abs: poisoned }));
+        assert_eq!(observed(&bulk), observed(&by_word));
+
+        // The second page missing: the store stops at its first word.
+        let mut bulk = paged_trap_machine();
+        let sdw = bulk.save_area_sdw(AccessMode::Write).unwrap();
+        bulk.phys_mut()
+            .poke(sdw.addr.wrapping_add(1), Ptw::MISSING.pack())
+            .unwrap();
+        let mut by_word = bulk.clone();
+        let got = bulk.set_saved_state(&sample_state());
+        let want = word_loop(&mut by_word, 0, &mut sample_state().pack(), true);
+        assert_eq!(got, want);
+        assert!(matches!(got, Err(Fault::PageFault { .. })));
+        assert_eq!(observed(&bulk), observed(&by_word));
     }
 }

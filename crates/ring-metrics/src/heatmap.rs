@@ -1,8 +1,6 @@
 //! Per-segment access heatmap: R/W/E reference counts and refused
 //! (bracket-violation) attempts.
 
-use std::collections::BTreeMap;
-
 use ring_core::access::AccessMode;
 
 /// Reference counts for one segment.
@@ -26,9 +24,14 @@ impl SegHeat {
 }
 
 /// Access counts per segment number, ordered for stable export.
+///
+/// A machine touches a few dozen segments at most and records several
+/// references per instruction when metrics are on, so the counts live
+/// in a vector sorted by segment number: a binary search per reference
+/// and no node allocation.
 #[derive(Clone, Debug, Default)]
 pub struct SegmentHeatmap {
-    segs: BTreeMap<u32, SegHeat>,
+    segs: Vec<(u32, SegHeat)>,
 }
 
 impl SegmentHeatmap {
@@ -39,7 +42,7 @@ impl SegmentHeatmap {
 
     /// Records one reference of `mode` to segment `segno`.
     pub fn record(&mut self, segno: u32, mode: AccessMode) {
-        let heat = self.segs.entry(segno).or_default();
+        let heat = self.entry(segno);
         match mode {
             AccessMode::Read => heat.reads += 1,
             AccessMode::Write => heat.writes += 1,
@@ -49,12 +52,25 @@ impl SegmentHeatmap {
 
     /// Records one refused reference to segment `segno`.
     pub fn record_violation(&mut self, segno: u32) {
-        self.segs.entry(segno).or_default().violations += 1;
+        self.entry(segno).violations += 1;
+    }
+
+    /// The counts for `segno`, inserted zeroed in segment order if new.
+    fn entry(&mut self, segno: u32) -> &mut SegHeat {
+        let i = match self.segs.binary_search_by_key(&segno, |(s, _)| *s) {
+            Ok(i) => i,
+            Err(i) => {
+                self.segs.insert(i, (segno, SegHeat::default()));
+                i
+            }
+        };
+        &mut self.segs[i].1
     }
 
     /// The counts for `segno`, if any reference touched it.
     pub fn get(&self, segno: u32) -> Option<&SegHeat> {
-        self.segs.get(&segno)
+        let i = self.segs.binary_search_by_key(&segno, |(s, _)| *s).ok()?;
+        Some(&self.segs[i].1)
     }
 
     /// Number of segments touched.

@@ -57,9 +57,18 @@ impl CycleHistogram {
 
     /// Records one observation.
     pub fn record(&mut self, value: u64) {
-        self.buckets[Self::bucket_of(value)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
+        self.record_n(value, 1);
+    }
+
+    /// Records `n` observations of the same `value`, exactly as `n`
+    /// calls of [`CycleHistogram::record`] would.
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[Self::bucket_of(value)] += n;
+        self.count += n;
+        self.sum = self.sum.saturating_add(value.saturating_mul(n));
         self.min = self.min.min(value);
         self.max = self.max.max(value);
     }

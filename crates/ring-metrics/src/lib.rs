@@ -98,6 +98,14 @@ pub trait EventSink {
         let _ = (hit, extra_refs);
     }
 
+    /// `n` SDW lookups hit the cache: the same as `n` hit
+    /// [`EventSink::sdw_lookup`]s, in one event.
+    fn sdw_hits(&mut self, n: u64) {
+        for _ in 0..n {
+            self.sdw_lookup(true, 0);
+        }
+    }
+
     /// A CALL instruction completed, costing `cycles`.
     fn call_cycles(&mut self, cycles: u64) {
         let _ = cycles;
@@ -236,6 +244,13 @@ impl EventSink for Metrics {
         } else {
             self.sdw_miss_refs.record(extra_refs);
         }
+    }
+
+    fn sdw_hits(&mut self, n: u64) {
+        if !self.enabled {
+            return;
+        }
+        self.sdw_hit_refs.record_n(0, n);
     }
 
     fn call_cycles(&mut self, cycles: u64) {

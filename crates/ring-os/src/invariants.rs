@@ -23,6 +23,7 @@ use ring_cpu::machine::Machine;
 use ring_segmem::paging::Ptw;
 
 use ring_core::sdw::Sdw;
+use ring_core::word::Word;
 
 use crate::state::OsState;
 
@@ -86,29 +87,59 @@ pub fn check(m: &Machine, s: &OsState) -> Result<(), InvariantViolation> {
 }
 
 /// Invariant 1: bracket ordering in every live descriptor segment.
+///
+/// Each descriptor segment is read as one slice, and the ring fields
+/// are checked raw: [`Sdw::unpack`] clamps them into order, so a
+/// decoded SDW could never show the damage. Poison is looked up only
+/// for a descriptor that breaks the ordering.
 fn check_descriptor_brackets(m: &Machine, s: &OsState) -> Result<(), String> {
+    let phys = m.phys();
+    let misordered = |w0: Word| {
+        let (present, [r1, r2, r3]) = Sdw::raw_brackets(w0);
+        present && !(r1 <= r2 && r2 <= r3)
+    };
+    let mut words = Vec::new();
     for (pid, p) in s.processes.iter().enumerate() {
         if p.aborted.is_some() {
             continue;
         }
         let dbr = p.dbr;
-        for segno in 0..dbr.bound {
-            let a0 = dbr.addr.wrapping_add(2 * segno);
-            let a1 = a0.wrapping_add(1);
-            if m.phys().is_poisoned(a0) || m.phys().is_poisoned(a1) {
+        let pair_at = |segno: u32| dbr.addr.wrapping_add(2 * segno);
+        let poisoned = |segno: u32| {
+            phys.is_poisoned(pair_at(segno)) || phys.is_poisoned(pair_at(segno).wrapping_add(1))
+        };
+        let report = |segno: u32, w0: Word| {
+            let (_, [r1, r2, r3]) = Sdw::raw_brackets(w0);
+            Err(format!(
+                "pid {pid}: segment {segno} violates R1 <= R2 <= R3 ({r1} {r2} {r3})"
+            ))
+        };
+        words.clear();
+        // A descriptor segment that runs past the end of memory reads
+        // its in-range prefix; the pairs beyond it are peeked one by one.
+        let _ = phys.peek_into(dbr.addr, 2 * dbr.bound as usize, &mut words);
+        let first_bad = words
+            .chunks_exact(2)
+            .map(|pair| pair[0])
+            .enumerate()
+            .find(|&(segno, w0)| misordered(w0) && !poisoned(segno as u32));
+        if let Some((segno, w0)) = first_bad {
+            return report(segno as u32, w0);
+        }
+        for segno in (words.len() / 2) as u32..dbr.bound {
+            if poisoned(segno) {
                 continue;
             }
-            let (Ok(w0), Ok(w1)) = (m.phys().peek(a0), m.phys().peek(a1)) else {
+            let (Ok(w0), Ok(_)) = (
+                phys.peek(pair_at(segno)),
+                phys.peek(pair_at(segno).wrapping_add(1)),
+            ) else {
                 return Err(format!(
                     "pid {pid}: descriptor pair for segment {segno} is out of physical bounds"
                 ));
             };
-            let sdw = Sdw::unpack(w0, w1);
-            if sdw.present && !(sdw.r1 <= sdw.r2 && sdw.r2 <= sdw.r3) {
-                return Err(format!(
-                    "pid {pid}: segment {segno} violates R1 <= R2 <= R3 ({:?} {:?} {:?})",
-                    sdw.r1, sdw.r2, sdw.r3
-                ));
+            if misordered(w0) {
+                return report(segno, w0);
             }
         }
     }

@@ -7,7 +7,7 @@
 //! segment numbers in every descriptor segment), while stacks and
 //! initiated segments are per-process.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use ring_core::addr::{AbsAddr, SegNo};
 use ring_core::registers::{Dbr, Ipr};
@@ -35,7 +35,7 @@ pub struct ProcessState {
     /// The process's descriptor base register value.
     pub dbr: Dbr,
     /// Known segment table: segno → initiated segment.
-    pub kst: HashMap<u32, KstEntry>,
+    pub kst: BTreeMap<u32, KstEntry>,
     /// Next segment number to hand out at initiation.
     pub next_segno: u32,
     /// Processor state while not running (the scheduler swaps this with
@@ -68,7 +68,7 @@ impl ProcessState {
                 segs::DESCRIPTOR_SLOTS,
                 SegNo::new(segs::STACK_BASE).expect("stack base segno"),
             ),
-            kst: HashMap::new(),
+            kst: BTreeMap::new(),
             next_segno: segs::FIRST_USER,
             saved: None,
             return_gates: Vec::new(),

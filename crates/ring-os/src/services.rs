@@ -350,14 +350,18 @@ pub fn svc_ios_write(
 /// Ring-1 accounting: charge `units` to the current user's account.
 pub fn svc_acct_charge(m: &mut Machine, st: &mut OsState, units: i64) -> Result<(), u64> {
     m.charge(cost::ACCT);
-    let user = st.current_process().user.clone();
-    *st.accounts.entry(user).or_insert(0) += units;
+    let user = &st.processes[st.current].user;
+    match st.accounts.get_mut(user) {
+        Some(balance) => *balance += units,
+        None => {
+            st.accounts.insert(user.clone(), units);
+        }
+    }
     Ok(())
 }
 
 /// Ring-1 accounting: read the current user's balance.
 pub fn svc_acct_read(m: &mut Machine, st: &mut OsState) -> Result<i64, u64> {
     m.charge(cost::ACCT);
-    let user = st.current_process().user.clone();
-    Ok(*st.accounts.get(&user).unwrap_or(&0))
+    Ok(*st.accounts.get(&st.current_process().user).unwrap_or(&0))
 }

@@ -6,7 +6,7 @@
 //! is lent to a body for the length of its call, so cloning the machine
 //! clones the supervisor with it.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use ring_core::registers::Ipr;
 use ring_core::ring::Ring;
@@ -165,7 +165,7 @@ pub struct OsState {
     /// The audit subsystem's log.
     pub audit_log: Vec<AuditRecord>,
     /// Per-user account balances (ring-1 accounting layer).
-    pub accounts: HashMap<String, i64>,
+    pub accounts: BTreeMap<String, i64>,
     /// Supervisor counters.
     pub stats: SupervisorStats,
     /// Scheduler quantum in cycles (timer reload value).
@@ -199,7 +199,7 @@ impl OsState {
             processes: Vec::new(),
             current: 0,
             audit_log: Vec::new(),
-            accounts: HashMap::new(),
+            accounts: BTreeMap::new(),
             stats: SupervisorStats::default(),
             quantum: 5_000,
             schedule_trace: Vec::new(),

@@ -42,11 +42,12 @@
 use ring_core::access::{vector, Fault};
 use ring_core::addr::{AbsAddr, SegAddr, SegNo};
 use ring_core::registers::Ipr;
+use ring_core::word::Word;
 use ring_cpu::io::NUM_CHANNELS;
 use ring_cpu::machine::Machine;
 use ring_cpu::native::NativeAction;
 use ring_sched::BlockReason;
-use ring_segmem::frames::{sweep_out, FrameOwner};
+use ring_segmem::frames::{page_out, FrameOwner};
 use ring_segmem::layout::PhysAllocator;
 use ring_segmem::paging::{pages_for, Ptw, PAGE_WORDS};
 use ring_segmem::PageKey;
@@ -65,6 +66,9 @@ pub const IO_WAIT_CODE: u32 = 0o776;
 /// Consecutive drum-read failures a page-in survives before the
 /// supervisor gives up and kills the faulting process.
 pub const MAX_DRUM_RETRIES: u32 = 3;
+
+/// A page of zeros, for the part of a frame a file image does not fill.
+const ZERO_PAGE: [Word; PAGE_WORDS as usize] = [Word::ZERO; PAGE_WORDS as usize];
 
 /// Installs the trap dispatcher on the machine. Its state is the
 /// machine's [`Kernel`].
@@ -300,6 +304,7 @@ fn load_page(
         return Ok(Some(m.cycles() + (s.page_in_latency << n)));
     }
     let mut victim = None;
+    let mut major = false;
     let frame = match s.frames.as_mut() {
         Some(pool) => {
             let got = pool
@@ -335,8 +340,22 @@ fn load_page(
                     v.owner.pid, v.owner.segno
                 )
             })?;
-        let words =
-            sweep_out(m.phys_mut(), &v, frame, PAGE_WORDS as usize).map_err(|e| e.to_string())?;
+        // When the faulting page is on the drum, it and the victim
+        // trade places in one move.
+        let outgoing = PageKey {
+            seg: vseg,
+            page: v.owner.page,
+        };
+        major = page_out(
+            m.phys_mut(),
+            &v,
+            frame,
+            PAGE_WORDS as usize,
+            &mut s.backing,
+            outgoing,
+            key,
+        )
+        .map_err(|e| e.to_string())?;
         // An armed drum write error fails the first transfer of the
         // victim to the drum; the supervisor retries (modelled as an
         // immediate success — the words are still in hand).
@@ -344,34 +363,33 @@ fn load_page(
             s.chaos.drum_retries += 1;
             s.chaos.recovered += 1;
         }
-        s.backing.store(
-            PageKey {
-                seg: vseg,
-                page: v.owner.page,
-            },
-            words,
-        );
         s.sched.stats.evictions += 1;
         m.translator_mut().flush_cache();
     }
     let base = AbsAddr::from_bits(u64::from(frame * PAGE_WORDS));
-    let fetched = s.backing.fetch(key);
-    let major = fetched.is_some();
-    if let Some(words) = fetched {
-        // Refill from the drum (consuming the drum copy, which goes
-        // stale the moment the page is writable in core). The words
-        // are copied eagerly for simulation simplicity; the block the
-        // caller applies models the transfer time.
-        m.phys_mut()
-            .poke_slice(base, &words)
-            .map_err(|e| e.to_string())?;
-    } else {
-        let data = &s.fs.segment(entry.id).data;
-        let lo = ((page * PAGE_WORDS) as usize).min(data.len());
-        let hi = (lo + PAGE_WORDS as usize).min(data.len());
-        m.phys_mut()
-            .poke_slice(base, &data[lo..hi])
-            .map_err(|e| e.to_string())?;
+    if !major {
+        if let Some(words) = s.backing.fetch(key) {
+            // Refill from the drum (consuming the drum copy, which goes
+            // stale the moment the page is writable in core). The words
+            // are copied eagerly for simulation simplicity; the block the
+            // caller applies models the transfer time.
+            major = true;
+            m.phys_mut()
+                .poke_slice(base, &words)
+                .map_err(|e| e.to_string())?;
+        } else {
+            // The file image may end mid-page: zero the rest of the
+            // frame, or its previous owner's words would show through.
+            let data = &s.fs.segment(entry.id).data;
+            let lo = ((page * PAGE_WORDS) as usize).min(data.len());
+            let hi = (lo + PAGE_WORDS as usize).min(data.len());
+            let rest = base.wrapping_add((hi - lo) as u32);
+            let phys = m.phys_mut();
+            phys.poke_slice(base, &data[lo..hi])
+                .map_err(|e| e.to_string())?;
+            phys.poke_slice(rest, &ZERO_PAGE[hi - lo..])
+                .map_err(|e| e.to_string())?;
+        }
     }
     let ptw = Ptw::present(frame).ok_or("frame number overflow")?;
     m.phys_mut()
@@ -380,7 +398,7 @@ fn load_page(
     s.processes[cur].page_faults += 1;
     // The fill succeeded: any drum-retry history for this page has
     // resolved into a recovery.
-    if s.drum_attempts.remove(&(cur, segno, page)).is_some() {
+    if !s.drum_attempts.is_empty() && s.drum_attempts.remove(&(cur, segno, page)).is_some() {
         s.chaos.recovered += 1;
     }
     if major {

@@ -190,3 +190,25 @@ proptest! {
         prop_assert_eq!(a.metrics_json(), b.metrics_json());
     }
 }
+
+#[test]
+fn misordered_ring_fields_break_bracket_ordering() {
+    // Decoding clamps R2 up to R1 and R3 up to R2, so only the raw
+    // fields of a stored descriptor can show R1 > R2.
+    let mut sys = System::boot();
+    let pid = sys.login("alice");
+    sys.check_invariants().expect("a fresh login is consistent");
+    let dbr = sys.state().processes[pid].dbr;
+    let segno = ring_core::addr::SegNo::new(ring_os::conventions::segs::SUP_DATA).unwrap();
+    let w0_addr = dbr.sdw_addr(segno).unwrap();
+    let w0 = sys.machine.phys().peek(w0_addr).unwrap();
+    assert!(w0.bit(33), "the descriptor is present");
+    let damaged = w0.with_field(24, 3, 5).with_field(27, 3, 3);
+    sys.machine.phys_mut().poke(w0_addr, damaged).unwrap();
+    let violation = sys.check_invariants().unwrap_err();
+    assert_eq!(
+        violation.class,
+        ring_os::invariants::InvariantClass::BracketOrdering,
+        "{violation}"
+    );
+}

@@ -2,10 +2,18 @@
 //! one simulated processor under a preemptive quantum and a physical
 //! frame budget, with demand paging to a simulated drum.
 
+use ring_core::addr::AbsAddr;
+use ring_core::ring::Ring;
+use ring_core::sdw::SdwBuilder;
+use ring_core::word::Word;
 use ring_cpu::machine::RunExit;
 use ring_cpu::recorder::{replay, run_recorded, Recorder};
+use ring_os::acl::{Acl, AclEntry, Modes};
 use ring_os::boot::{System, SystemConfig};
+use ring_os::process::KstEntry;
 use ring_os::workload::{install_page_storm, GateStormSpec, StormProc, StormSpec};
+use ring_segmem::paging::{Ptw, PAGE_WORDS};
+use ring_segmem::PageKey;
 
 fn build(spec: StormSpec, frames: u32, quantum: u64) -> (System, Vec<StormProc>) {
     let cfg = SystemConfig {
@@ -366,4 +374,124 @@ fn boot_from_image_replays_bit_identically_and_stays_clean() {
         dirty < total / 2,
         "execution should dirty a minority of the image ({dirty}/{total})"
     );
+}
+
+/// The words of page `page` of `pid`'s segment `segno` wherever the
+/// page lives: on the drum, or in the frame its PTW names.
+fn page_words(sys: &System, pid: usize, segno: u32, page: u32) -> Vec<Word> {
+    let st = sys.state();
+    let seg = st.processes[pid].lookup(segno).expect("initiated").id.0;
+    if let Some(words) = st.backing.peek(PageKey { seg, page }) {
+        return words.to_vec();
+    }
+    let sdw = sys.read_sdw(pid, segno);
+    let phys = sys.machine.phys();
+    let ptw = Ptw::unpack(phys.peek(sdw.addr.wrapping_add(page)).expect("ptw"));
+    assert!(ptw.present, "page {page} neither on the drum nor resident");
+    let mut words = Vec::new();
+    phys.peek_into(
+        AbsAddr::from_bits(u64::from(ptw.frame * PAGE_WORDS)),
+        PAGE_WORDS as usize,
+        &mut words,
+    )
+    .expect("frame in memory");
+    words
+}
+
+#[test]
+fn processes_keep_private_page_contents_on_copy_on_write_memory() {
+    // The fleet's backing: members boot over a frozen image, and only
+    // there does a page coming in from the drum trade places with the
+    // victim instead of being copied. Every word of every page must
+    // still hold its own process's value.
+    let cfg = SystemConfig {
+        quantum: 250,
+        phys_words: 1 << 17,
+        frame_budget: Some(4),
+        ..SystemConfig::default()
+    };
+    let spec = StormSpec {
+        procs: 3,
+        pages: 5,
+        rounds: 15,
+    };
+    let mut proto = System::boot_with(cfg);
+    install_page_storm(&mut proto, &spec);
+    let image = proto.freeze();
+    let mut sys = System::boot_from_image(&image);
+    assert!(sys.machine.phys().is_cow());
+    let procs = install_page_storm(&mut sys, &spec);
+    sys.machine.set_timer(Some(250));
+    assert_eq!(sys.machine.run(5_000_000), RunExit::Halted);
+    let sched = sys.state().sched.stats;
+    assert!(sched.page_faults_major > 0 && sched.evictions > 0);
+    for p in &procs {
+        let seed = p.pid as u64 + 1;
+        for page in 0..spec.pages {
+            let words = page_words(&sys, p.pid, p.data_segno, page);
+            assert_eq!(
+                words[0].raw(),
+                seed + u64::from(spec.rounds),
+                "process {} page {page} swept word",
+                p.pid
+            );
+            assert!(
+                words[1..].iter().all(|w| w.raw() == seed),
+                "process {} page {page} kept its other words",
+                p.pid
+            );
+        }
+    }
+}
+
+#[test]
+fn a_recycled_frame_shows_none_of_its_previous_owner() {
+    // A one-process storm fills both frames of a 2-frame budget with
+    // pages of ones, then exits. A second process owns a 4 100-word
+    // zero segment: its last page holds 4 file words, but the segment
+    // bound (16-word granules) reaches word 4 111. Reading word 4 100
+    // takes a minor fault into a frame just taken from the storm; the
+    // words past the file image must read zero, not the storm's ones.
+    let spec = StormSpec {
+        procs: 1,
+        pages: 5,
+        rounds: 2,
+    };
+    let (mut sys, _) = build(spec, 2, 1_000);
+    assert_eq!(sys.machine.run(2_000_000), RunExit::Halted);
+
+    let pid = sys.login("reader");
+    let id = sys.create_segment(
+        "/reader/zeros",
+        Acl::single(
+            AclEntry::new("reader", Modes::RW, (Ring::R4, Ring::R4, Ring::R4), 0)
+                .expect("well-formed ACL"),
+        ),
+        vec![Word::ZERO; 4_100],
+    );
+    let segno = {
+        let proc = &mut sys.state_mut().processes[pid];
+        let segno = proc.alloc_segno().expect("segment number");
+        proc.kst.insert(segno, KstEntry { id, loaded: false });
+        segno
+    };
+    let sdw = SdwBuilder::data(Ring::R4, Ring::R4)
+        .present(false)
+        .bound_words(4_100)
+        .build();
+    sys.install_sdw(pid, segno, &sdw);
+    let source = format!(
+        "        eap pr4, p,*\n        lda pr4|0\n        drl 0o{:o}\np:      its 4, {segno}, 4100\n",
+        ring_os::traps::EXIT_CODE
+    );
+    let code = sys.install_code(pid, Ring::R4, Ring::R4, 0, &source);
+    sys.machine.set_timer(None);
+    let exit = sys.run_user(pid, code.segno, 0, Ring::R4, 100_000);
+    assert_eq!(exit, RunExit::Halted);
+    assert_eq!(sys.state().processes[pid].aborted.as_deref(), Some("exit"));
+    assert!(
+        sys.state().sched.stats.evictions > 0,
+        "the frame was recycled"
+    );
+    assert_eq!(sys.machine.a(), Word::ZERO, "word 4100 of a zero segment");
 }

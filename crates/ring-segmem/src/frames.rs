@@ -10,18 +10,19 @@
 //! every miss) and evicting the first page found unreferenced since the
 //! hand last passed.
 //!
-//! The pool never touches page *contents* — the kernel copies the
-//! victim to the backing store and refills the frame. It does read and
-//! rewrite PTWs, and it reports every `used` bit it clears so the
-//! kernel can invalidate the matching TLB entries: a cleared reference
-//! bit must force the next access back through the full walk, otherwise
-//! a fast-path hit would leave the bit stale and replacement would
-//! starve the page.
+//! The pool never touches page *contents* — the kernel moves the
+//! victim to the backing store ([`page_out`]) and refills the frame. It
+//! does read and rewrite PTWs, and it reports every `used` bit it
+//! clears so the kernel can invalidate the matching TLB entries: a
+//! cleared reference bit must force the next access back through the
+//! full walk, otherwise a fast-path hit would leave the bit stale and
+//! replacement would starve the page.
 
 use ring_core::access::Fault;
 use ring_core::word::Word;
 use ring_core::AbsAddr;
 
+use crate::backing::{BackingStore, PageKey};
 use crate::layout::PhysAllocator;
 use crate::paging::Ptw;
 use crate::phys::PhysMem;
@@ -243,6 +244,47 @@ pub fn sweep_out(
     Ok(words)
 }
 
+/// Pages the victim out of `frame` to the drum under `outgoing`, with
+/// exactly the effect of [`sweep_out`] followed by
+/// [`BackingStore::store`]. When the drum holds page `incoming`, that
+/// page is taken and put in the frame in the same move, with exactly
+/// the effect of a later [`BackingStore::fetch`] and
+/// [`PhysMem::poke_slice`]: the two pages trade places instead of being
+/// copied each way. Returns whether `incoming` came in; if not, the
+/// frame still holds the victim's words for the caller to refill.
+///
+/// The trade is skipped where it could differ from the copying
+/// sequence: when the two keys are equal, when the frame or the PTW
+/// lies outside memory (the sequence fails part-way), or when the PTW
+/// lies inside the frame (its order shows). On an error nothing is
+/// stored and the drum keeps `incoming`.
+pub fn page_out(
+    phys: &mut PhysMem,
+    victim: &Evicted,
+    frame: u32,
+    page_words: usize,
+    drum: &mut BackingStore,
+    outgoing: PageKey,
+    incoming: PageKey,
+) -> Result<bool, Fault> {
+    let base = frame as usize * page_words;
+    let ptw = victim.owner.ptw_addr;
+    let tradeable = outgoing != incoming
+        && base + page_words <= phys.size()
+        && (ptw.value() as usize) < phys.size()
+        && !(base..base + page_words).contains(&(ptw.value() as usize));
+    let (words, came_in) = match tradeable.then(|| drum.fetch(incoming)).flatten() {
+        Some(mut page) => {
+            phys.swap_slice(AbsAddr::from_bits(base as u64), &mut page)?;
+            phys.poke(ptw, Ptw::MISSING.pack())?;
+            (page, true)
+        }
+        None => (sweep_out(phys, victim, frame, page_words)?, false),
+    };
+    drum.store(outgoing, words);
+    Ok(came_in)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,5 +399,77 @@ mod tests {
             .acquire(&mut alloc, &mut phys, owner(1, 11, 0, 101))
             .unwrap();
         assert_eq!(got.frame, fa);
+    }
+
+    #[test]
+    fn page_out_trades_pages_exactly_as_sweep_and_refill() {
+        let key = |seg, page| PageKey { seg, page };
+        for cow in [false, true] {
+            let (mut alloc, mut phys) = world();
+            if cow {
+                phys = PhysMem::cow(phys.freeze_base(), phys.size());
+            }
+            // Page tables above the frames, so the PTWs lie outside them.
+            let mut pool = FramePool::new(1);
+            let a = owner(0, 10, 0, 60_000);
+            let fa = pool.acquire(&mut alloc, &mut phys, a).unwrap().frame;
+            map(&mut phys, &a, fa, false);
+            let base = AbsAddr::new(fa * PAGE_WORDS).unwrap();
+            phys.poke_slice(base, &[Word::new(0o123); 7]).unwrap();
+            let got = pool
+                .acquire(&mut alloc, &mut phys, owner(0, 10, 1, 60_001))
+                .unwrap();
+            let victim = got.victim.unwrap();
+            let mut drum = BackingStore::new();
+            drum.store(key(10, 1), vec![Word::new(0o456); PAGE_WORDS as usize]);
+
+            for incoming in [key(10, 1), key(10, 0)] {
+                // The copying sequence the trade stands in for.
+                let (mut want_phys, mut want_drum) = (phys.clone(), drum.clone());
+                let words = sweep_out(&mut want_phys, &victim, fa, PAGE_WORDS as usize).unwrap();
+                want_drum.store(key(10, 0), words);
+                let fetched = want_drum.fetch(incoming);
+                if let Some(words) = &fetched {
+                    want_phys.poke_slice(base, words).unwrap();
+                }
+
+                let (mut got_phys, mut got_drum) = (phys.clone(), drum.clone());
+                let came_in = page_out(
+                    &mut got_phys,
+                    &victim,
+                    fa,
+                    PAGE_WORDS as usize,
+                    &mut got_drum,
+                    key(10, 0),
+                    incoming,
+                )
+                .unwrap();
+                // An equal key is left to the caller's later fetch.
+                assert_eq!(came_in, incoming != key(10, 0), "cow {cow}");
+                if !came_in {
+                    let words = got_drum.fetch(incoming).unwrap();
+                    got_phys.poke_slice(base, &words).unwrap();
+                }
+                let mut want_words = Vec::new();
+                let mut got_words = Vec::new();
+                want_phys
+                    .peek_into(AbsAddr::new(0).unwrap(), want_phys.size(), &mut want_words)
+                    .unwrap();
+                got_phys
+                    .peek_into(AbsAddr::new(0).unwrap(), got_phys.size(), &mut got_words)
+                    .unwrap();
+                assert!(got_words == want_words, "cow {cow}: contents");
+                assert_eq!(got_phys.dirty_pages(), want_phys.dirty_pages());
+                assert_eq!(got_phys.high_water(), want_phys.high_water());
+                assert_eq!(got_phys.ref_count(), want_phys.ref_count());
+                for k in [key(10, 0), key(10, 1)] {
+                    assert_eq!(got_drum.peek(k), want_drum.peek(k), "cow {cow}: drum {k:?}");
+                }
+                assert_eq!(
+                    (got_drum.reads(), got_drum.writes()),
+                    (want_drum.reads(), want_drum.writes())
+                );
+            }
+        }
     }
 }

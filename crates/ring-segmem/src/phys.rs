@@ -14,9 +14,12 @@
 //! of its storage — each machine pays only for the pages it actually
 //! changes.
 //!
-//! Page- and segment-sized transfers go through [`PhysMem::poke_slice`]
-//! and [`PhysMem::peek_into`]. They have exactly the effect of poking
-//! or peeking word by word, but copy a window at a time.
+//! Page- and segment-sized transfers go through [`PhysMem::poke_slice`],
+//! [`PhysMem::peek_into`], [`PhysMem::read_slice`],
+//! [`PhysMem::write_slice`] and [`PhysMem::swap_slice`]. They have
+//! exactly the effect of poking, peeking, reading or writing word by
+//! word, but copy a window at a time — or, for a whole private
+//! copy-on-write window, move it.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -378,29 +381,181 @@ impl PhysMem {
     pub fn peek_into(&self, start: AbsAddr, n: usize, out: &mut Vec<Word>) -> Result<(), Fault> {
         let lo = start.value() as usize;
         let hi = lo.saturating_add(n).min(self.size()).max(lo);
-        out.reserve(hi - lo);
-        match &self.backing {
-            Backing::Flat(mem) => out.extend_from_slice(mem.get(lo..hi).unwrap_or_default()),
-            Backing::Cow {
-                base, size, pages, ..
-            } => {
-                let mut at = lo;
-                while at < hi {
-                    let off = at % COW_PAGE_WORDS;
-                    let stop = hi.min(at - off + COW_PAGE_WORDS);
-                    let run = cow_run(base, *size, pages, at / COW_PAGE_WORDS);
-                    let stored = run.get(off..run.len().min(stop - at + off)).unwrap_or(&[]);
-                    out.extend_from_slice(stored);
-                    out.resize(out.len() + (stop - at - stored.len()), Word::ZERO);
-                    at = stop;
-                }
-            }
-        }
+        let at = out.len();
+        out.resize(at + (hi - lo), Word::ZERO);
+        self.copy_out(lo, &mut out[at..]);
         if hi - lo == n {
             Ok(())
         } else {
             Err(Fault::PhysicalBounds { abs: hi as u32 })
         }
+    }
+
+    /// Copies the stored words from `lo` on into `out`, which must fit
+    /// below the end of memory. Uncounted and poison-blind.
+    fn copy_out(&self, lo: usize, out: &mut [Word]) {
+        if out.is_empty() {
+            return;
+        }
+        match &self.backing {
+            Backing::Flat(mem) => out.copy_from_slice(&mem[lo..lo + out.len()]),
+            Backing::Cow {
+                base, size, pages, ..
+            } => {
+                let mut done = 0;
+                while done < out.len() {
+                    let at = lo + done;
+                    let off = at % COW_PAGE_WORDS;
+                    let take = (out.len() - done).min(COW_PAGE_WORDS - off);
+                    let run = cow_run(base, *size, pages, at / COW_PAGE_WORDS);
+                    let stored = run.get(off..run.len().min(off + take)).unwrap_or(&[]);
+                    out[done..done + stored.len()].copy_from_slice(stored);
+                    out[done + stored.len()..done + take].fill(Word::ZERO);
+                    done += take;
+                }
+            }
+        }
+    }
+
+    /// Reads `out.len()` words from `start` on, with exactly the effect
+    /// of that many [`PhysMem::read`]s in address order that stop at the
+    /// first error: every attempted word counts one read, the failing
+    /// one included. The first address past the end of memory fails
+    /// with [`Fault::PhysicalBounds`], the first poisoned word with
+    /// [`Fault::ParityError`]. On an error the words of `out` from the
+    /// failing one on are left as they were.
+    pub fn read_slice(&mut self, start: AbsAddr, out: &mut [Word]) -> Result<(), Fault> {
+        let lo = start.value() as usize;
+        let hi = lo.saturating_add(out.len()).min(self.size()).max(lo);
+        let mut failure =
+            (hi - lo < out.len()).then_some((hi, Fault::PhysicalBounds { abs: hi as u32 }));
+        let first_poisoned = if self.poisoned.is_empty() {
+            None
+        } else {
+            self.poisoned.range(lo as u32..hi as u32).next()
+        };
+        if let Some(&abs) = first_poisoned {
+            failure = Some((abs as usize, Fault::ParityError { abs }));
+        }
+        let good = failure.map_or(hi, |(at, _)| at) - lo;
+        self.reads += good as u64 + u64::from(failure.is_some());
+        self.copy_out(lo, &mut out[..good]);
+        failure.map_or(Ok(()), |(_, fault)| Err(fault))
+    }
+
+    /// Writes `words` to consecutive addresses from `start` on, with
+    /// exactly the effect of that many [`PhysMem::write`]s in address
+    /// order that stop at the first error: every attempted word counts
+    /// one write, the high-water mark rises, every copy-on-write window
+    /// written is materialized (even where the value is unchanged), and
+    /// each poisoned word overwritten counts as repaired.
+    ///
+    /// When the range runs past the end of memory the in-range prefix
+    /// is written and the result is [`Fault::PhysicalBounds`] at the
+    /// first address past it.
+    pub fn write_slice(&mut self, start: AbsAddr, words: &[Word]) -> Result<(), Fault> {
+        let lo = start.value() as usize;
+        let hi = lo.saturating_add(words.len()).min(self.size()).max(lo);
+        let (fits, tail) = words.split_at(hi - lo);
+        self.writes += fits.len() as u64 + u64::from(!tail.is_empty());
+        if !fits.is_empty() {
+            self.high_water = self.high_water.max(hi as u32);
+            match &mut self.backing {
+                Backing::Flat(mem) => mem[lo..hi].copy_from_slice(fits),
+                Backing::Cow {
+                    base, pages, dirty, ..
+                } => {
+                    let mut at = lo;
+                    while at < hi {
+                        let window = at / COW_PAGE_WORDS;
+                        let off = at % COW_PAGE_WORDS;
+                        let stop = hi.min(at - off + COW_PAGE_WORDS);
+                        let page = pages[window].get_or_insert_with(|| {
+                            *dirty += 1;
+                            base_page(base, window)
+                        });
+                        page[off..off + (stop - at)].copy_from_slice(&fits[at - lo..stop - lo]);
+                        at = stop;
+                    }
+                }
+            }
+            if !self.poisoned.is_empty() {
+                let before = self.poisoned.len();
+                let written = lo as u32..hi as u32;
+                self.poisoned.retain(|abs| !written.contains(abs));
+                self.repaired += (before - self.poisoned.len()) as u64;
+            }
+        }
+        if tail.is_empty() {
+            Ok(())
+        } else {
+            Err(Fault::PhysicalBounds { abs: hi as u32 })
+        }
+    }
+
+    /// Exchanges `words` with the `words.len()` words stored from
+    /// `start` on. Memory ends up exactly as [`PhysMem::poke_slice`] of
+    /// the incoming words would leave it, and `words` holds what
+    /// [`PhysMem::peek_into`] would have read before. A whole, aligned
+    /// copy-on-write window that is already private is moved, not
+    /// copied: the buffer and the window's page trade places.
+    ///
+    /// A range that runs past the end of memory changes nothing and
+    /// fails with [`Fault::PhysicalBounds`] at the first address past
+    /// it.
+    pub fn swap_slice(&mut self, start: AbsAddr, words: &mut Vec<Word>) -> Result<(), Fault> {
+        let lo = start.value() as usize;
+        let hi = lo.saturating_add(words.len());
+        if hi > self.size() {
+            return Err(Fault::PhysicalBounds {
+                abs: lo.max(self.size()) as u32,
+            });
+        }
+        if words.is_empty() {
+            return Ok(());
+        }
+        self.high_water = self.high_water.max(hi as u32);
+        let poisoned = &mut self.poisoned;
+        match &mut self.backing {
+            Backing::Flat(mem) => mem[lo..hi].swap_with_slice(words),
+            Backing::Cow {
+                base, pages, dirty, ..
+            } => {
+                let mut at = lo;
+                while at < hi {
+                    let window = at / COW_PAGE_WORDS;
+                    let off = at % COW_PAGE_WORDS;
+                    let stop = hi.min(at - off + COW_PAGE_WORDS);
+                    let whole = stop - at == words.len();
+                    let chunk = &mut words[at - lo..stop - lo];
+                    match &mut pages[window] {
+                        // The buffer is exactly this private window:
+                        // trade the allocations.
+                        Some(page) if whole && chunk.len() == COW_PAGE_WORDS => {
+                            let incoming = std::mem::take(words).into_boxed_slice();
+                            *words = std::mem::replace(page, incoming).into_vec();
+                        }
+                        Some(page) => page[off..off + chunk.len()].swap_with_slice(chunk),
+                        slot @ None => {
+                            // A clean window keeping its base contents
+                            // already equals the buffer: nothing moves.
+                            let clean = base_matches(base, at, chunk)
+                                && poisoned.range(at as u32..stop as u32).next().is_none();
+                            if !clean {
+                                let mut page = base_page(base, window);
+                                page[off..off + chunk.len()].swap_with_slice(chunk);
+                                *slot = Some(page);
+                                *dirty += 1;
+                            }
+                        }
+                    }
+                    at = stop;
+                }
+            }
+        }
+        let written = lo as u32..hi as u32;
+        poisoned.retain(|abs| !written.contains(abs));
+        Ok(())
     }
 
     /// Adds `n` to the read counter without touching memory. The

@@ -1,8 +1,10 @@
 //! Property tests of the page-granular physical-memory transfers: a
-//! bulk write is indistinguishable from poking its words one at a
-//! time, a bulk read from peeking them one at a time, and the windowed
-//! image scans from a per-word walk — on flat and copy-on-write
-//! memories, with poison, across window boundaries and past the end.
+//! bulk poke is indistinguishable from poking its words one at a time,
+//! a bulk peek from peeking them one at a time, a counted bulk read or
+//! write from a loop of counted reads or writes, a page exchange from a
+//! peek followed by a poke, and the windowed image scans from a
+//! per-word walk — on flat and copy-on-write memories, with poison,
+//! across window boundaries and past the end.
 
 use std::sync::Arc;
 
@@ -192,6 +194,104 @@ proptest! {
         prop_assert_eq!(got, expected);
         prop_assert_eq!(got_words, expected_words);
         prop_assert_eq!(m.ref_count(), 0);
+    }
+
+    /// `read_slice` has exactly the effect of a per-word `read` loop that
+    /// stops at its first error: the same words, the same counted reads
+    /// (the failing one included), and the same fault.
+    #[test]
+    fn read_slice_matches_read_loop(s in shape()) {
+        let mut rng = Mix(s.seed);
+        let mut bulk = build(s, &mut rng);
+        let (start, len) = range(&mut rng, s.size);
+        let mut oracle = bulk.clone();
+        let mut expected_words = vec![Word::new(0o777); len];
+        let mut expected: Result<(), Fault> = Ok(());
+        for (i, slot) in expected_words.iter_mut().enumerate() {
+            match oracle.read(addr(start + i)) {
+                Ok(w) => *slot = w,
+                Err(e) => {
+                    expected = Err(e);
+                    break;
+                }
+            }
+        }
+        let mut got_words = vec![Word::new(0o777); len];
+        let got = bulk.read_slice(addr(start), &mut got_words);
+        prop_assert_eq!(got, expected);
+        prop_assert_eq!(got_words, expected_words);
+        prop_assert_eq!(bulk.read_count(), oracle.read_count());
+        assert_same(&bulk, &oracle);
+    }
+
+    /// `write_slice` has exactly the effect of a per-word `write` loop
+    /// that stops at its first error: contents, counted writes,
+    /// high-water mark, repaired poison and materialized windows.
+    #[test]
+    fn write_slice_matches_write_loop(s in shape(), mode in 0usize..3) {
+        let mut rng = Mix(s.seed);
+        let mut bulk = build(s, &mut rng);
+        let (start, len) = range(&mut rng, s.size);
+        let words: Vec<Word> = (0..len)
+            .map(|i| match mode {
+                0 => bulk.peek(addr(start + i)).unwrap_or(Word::ZERO),
+                1 => Word::ZERO,
+                _ => rng.word(),
+            })
+            .collect();
+        let mut oracle = bulk.clone();
+        let mut expected: Result<(), Fault> = Ok(());
+        for (i, w) in words.iter().enumerate() {
+            if let Err(e) = oracle.write(addr(start + i), *w) {
+                expected = Err(e);
+                break;
+            }
+        }
+        let got = bulk.write_slice(addr(start), &words);
+        prop_assert_eq!(got, expected);
+        prop_assert_eq!(bulk.write_count(), oracle.write_count());
+        assert_same(&bulk, &oracle);
+    }
+
+    /// `swap_slice` leaves memory exactly as `poke_slice` of the
+    /// incoming words would and hands back what `peek_into` would have
+    /// read first; past the end it fails at the same address and
+    /// changes nothing.
+    #[test]
+    fn swap_slice_matches_peek_then_poke(s in shape(), mode in 0usize..4) {
+        let mut rng = Mix(s.seed);
+        let mut bulk = build(s, &mut rng);
+        let (start, len) = match rng.below(3) {
+            // A whole, aligned window: the move case.
+            0 => (rng.below(s.size.div_ceil(COW_PAGE_WORDS)) * COW_PAGE_WORDS, COW_PAGE_WORDS),
+            _ => range(&mut rng, s.size),
+        };
+        let incoming: Vec<Word> = (0..len)
+            .map(|i| {
+                let current = bulk.peek(addr(start + i)).unwrap_or(Word::ZERO);
+                match mode {
+                    0 => current,
+                    1 if rng.below(64) != 0 => current,
+                    2 => Word::ZERO,
+                    _ => rng.word(),
+                }
+            })
+            .collect();
+        let untouched = bulk.clone();
+        let mut oracle = bulk.clone();
+        let mut expected_words = Vec::new();
+        let read = oracle.peek_into(addr(start), len, &mut expected_words);
+        let mut buf = incoming.clone();
+        let got = bulk.swap_slice(addr(start), &mut buf);
+        if read.is_err() {
+            prop_assert_eq!(got, read);
+            prop_assert_eq!(buf, incoming);
+            assert_same(&bulk, &untouched);
+        } else {
+            prop_assert_eq!(got, oracle.poke_slice(addr(start), &incoming));
+            prop_assert_eq!(buf, expected_words);
+            assert_same(&bulk, &oracle);
+        }
     }
 
     /// The windowed image scans agree with a per-word walk.
