@@ -9,10 +9,8 @@ use ring_core::access::{AccessMode, Fault};
 use ring_core::addr::{SegAddr, SegNo, WordNo};
 use ring_core::callret::{call_stack_segno, check_call, check_return};
 use ring_core::registers::{PtrReg, Tpr};
-use ring_metrics::{Crossing, EventSink};
 
 use crate::machine::Machine;
-use crate::trace::TraceEvent;
 
 impl Machine {
     /// Performs a CALL whose effective address (and effective ring) is
@@ -36,31 +34,16 @@ impl Machine {
         // segment for the new ring of execution."
         self.prs[0] = PtrReg::new(decision.new_ring, SegAddr::new(stack_segno, WordNo::ZERO));
 
-        self.trace.push(|| TraceEvent::Call {
-            from: self.ipr,
-            to: tpr.addr,
-            new_ring: decision.new_ring,
-        });
         if decision.downward {
             self.stats.calls_downward += 1;
         } else {
             self.stats.calls_same_ring += 1;
         }
-        let kind = if decision.downward {
-            Crossing::CallDown
-        } else {
-            Crossing::CallSameRing
-        };
-        self.metrics
-            .crossing(kind, self.ipr.ring, decision.new_ring);
-        self.spans.open(
-            ring_trace::SpanKind::Call,
-            ring_trace::SpanKey {
-                ring: decision.new_ring.number(),
-                segno: tpr.addr.segno.value(),
-                entry: tpr.addr.wordno.value(),
-            },
-            self.ipr.ring.number(),
+        self.obs.call(
+            self.ipr,
+            tpr.addr,
+            decision.new_ring,
+            decision.downward,
             self.cycles,
         );
 
@@ -74,11 +57,6 @@ impl Machine {
         let sdw = self.sdw_for(tpr.addr, AccessMode::Execute)?;
         let decision = check_return(&sdw, tpr.addr, tpr.ring, self.ipr.ring)?;
 
-        self.trace.push(|| TraceEvent::Return {
-            from: self.ipr,
-            to: tpr.addr,
-            new_ring: decision.new_ring,
-        });
         if decision.upward {
             // "The ring number fields in all pointer registers are
             // replaced with the larger of their current values and the
@@ -90,14 +68,13 @@ impl Machine {
         } else {
             self.stats.returns_same_ring += 1;
         }
-        let kind = if decision.upward {
-            Crossing::ReturnUp
-        } else {
-            Crossing::ReturnSameRing
-        };
-        self.metrics
-            .crossing(kind, self.ipr.ring, decision.new_ring);
-        self.spans.close(decision.new_ring.number(), self.cycles);
+        self.obs.ret(
+            self.ipr,
+            tpr.addr,
+            decision.new_ring,
+            decision.upward,
+            self.cycles,
+        );
 
         self.ipr.ring = decision.new_ring;
         self.ipr.addr = tpr.addr;

@@ -35,7 +35,6 @@
 use ring_chaos::{ChaosKind, Degrade};
 use ring_core::sdw::Sdw;
 use ring_core::word::WORD_BITS;
-use ring_trace::InstantKind;
 
 use crate::machine::Machine;
 
@@ -72,8 +71,7 @@ impl Machine {
     /// Ledger + flight-recorder bookkeeping for one applied injection.
     fn note_injection(&mut self, kind: ChaosKind, detail: u64) {
         self.chaos.note_injected(kind);
-        let (ring, cycles) = (self.ipr.ring.number(), self.cycles);
-        self.spans.instant(InstantKind::Marker, ring, cycles, || {
+        self.obs.marker(self.ipr.ring, self.cycles, || {
             format!("chaos: {kind} @{detail:#o}")
         });
     }

@@ -15,7 +15,6 @@ use ring_core::effective;
 use ring_core::registers::{IndWord, Tpr};
 use ring_core::validate;
 use ring_core::word::Word;
-use ring_metrics::EventSink;
 
 use crate::isa::{AddrMode, Instr};
 use crate::machine::Machine;
@@ -110,7 +109,8 @@ impl Machine {
         // Fig. 5 telemetry: chain depth, and whether folding raised the
         // effective ring above the ring of execution (a TPR
         // ring-maximisation event).
-        self.metrics
+        self.obs
+            .metrics
             .ea_formed(depth, tpr.ring.number() > self.ipr.ring.number());
 
         Ok(EffAddr {

@@ -32,9 +32,9 @@
 //!   exactly the paths whose full Figs. 8/9 sequencing is the point of
 //!   the simulator.
 //! * **Mirror the observability surface.** A committed fast instruction
-//!   reports the same SDW-lookup, access-heatmap, instruction-mix and
-//!   EA-depth events to `ring-metrics`, and the same [`TraceEvent`], as
-//!   its slow twin.
+//!   makes one observer call carrying the same trace event and the same
+//!   SDW-lookup, access-heatmap, instruction-mix and EA-depth counts as
+//!   its slow twin reports.
 //!
 //! The instruction cache needs no invalidation protocol: each fetch
 //! re-peeks the instruction word through the TLB translation and a hit
@@ -47,11 +47,9 @@ use ring_core::effective;
 use ring_core::registers::{IndWord, Ipr, PtrReg};
 use ring_core::ring::Ring;
 use ring_core::word::Word;
-use ring_metrics::EventSink;
 
 use crate::isa::{AddrMode, Instr, Opcode, OperandUse};
 use crate::machine::Machine;
-use crate::trace::TraceEvent;
 
 /// Number of direct-mapped predecoded-instruction slots.
 const ICACHE_SLOTS: usize = 1024;
@@ -232,7 +230,7 @@ impl Machine {
         // Counted reads and SDW lookups the slow path would have made.
         let mut reads = fetch.ptw_reads + 1;
         let mut lookups = 1u64;
-        self.fast.record = self.metrics.is_enabled();
+        self.fast.record = self.obs.metrics.is_enabled();
         if self.fast.record {
             self.fast.access_buf.clear();
             self.fast
@@ -476,22 +474,17 @@ impl Machine {
         self.phys.charge_reads(reads);
         self.tr.fast_commit_hits(lookups);
         self.stats.fast_steps += 1;
-        self.trace.push(|| TraceEvent::Instr { at: at0, instr });
         // `last_use` stays `None`: its only consumer attributes cycle
         // costs to the CALL/RETURN histograms, and those two classes
         // never commit here.
-        if self.fast.record {
-            self.metrics.instruction(at0.ring, use_class.metric_class());
-            self.metrics.sdw_hits(lookups);
-            let buf = std::mem::take(&mut self.fast.access_buf);
-            for &(segno, mode) in &buf {
-                self.metrics.access(segno, mode);
-            }
-            self.fast.access_buf = buf;
-            if let Some((depth, maximised)) = ea_event {
-                self.metrics.ea_formed(depth, maximised);
-            }
-        }
+        self.obs.fast_instruction(
+            at0,
+            instr,
+            use_class,
+            lookups,
+            &self.fast.access_buf,
+            ea_event,
+        );
         self.ipr.addr = SegAddr::new(at0.addr.segno, at0.addr.wordno.wrapping_add(1));
     }
 }

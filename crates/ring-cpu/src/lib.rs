@@ -37,6 +37,7 @@ pub mod io;
 pub mod isa;
 pub mod machine;
 pub mod native;
+mod observe;
 pub mod recorder;
 pub mod testkit;
 pub mod trace;

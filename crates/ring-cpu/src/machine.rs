@@ -26,14 +26,15 @@ use ring_core::ring::Ring;
 use ring_core::sdw::Sdw;
 use ring_core::validate;
 use ring_core::word::Word;
-use ring_metrics::{EventSink, FastPathStats, Metrics, MetricsSnapshot, SdwCacheStats};
+use ring_metrics::{FastPathStats, Metrics, MetricsSnapshot, SdwCacheStats};
 use ring_segmem::phys::PhysMem;
 use ring_segmem::translate::Translator;
 
 use crate::io::IoSystem;
 use crate::isa::Instr;
 use crate::native::{NativeAction, NativeRegistry};
-use crate::trace::{Trace, TraceEvent};
+use crate::observe::Observer;
+use crate::trace::TraceEvent;
 use crate::trap::SavedState;
 
 /// Fixed cycle costs beyond counted memory references.
@@ -229,16 +230,12 @@ pub struct Machine {
     pub(crate) halted: bool,
     pub(crate) double_fault: Option<Fault>,
     pub(crate) stats: ExecStats,
-    pub(crate) trace: Trace,
-    pub(crate) metrics: Metrics,
+    pub(crate) obs: Observer,
     pub(crate) last_use: Option<crate::isa::OperandUse>,
     pub(crate) extra_cycles: u64,
     pub(crate) fast: crate::fastpath::FastState,
-    pub(crate) spans: ring_trace::SpanRecorder,
     pub(crate) chaos: ring_chaos::ChaosEngine,
     pub(crate) chaos_protect: Vec<(u32, u32)>,
-    pub(crate) prof: ring_prof::Profiler,
-    pub(crate) timeseries: ring_prof::TimeSeries,
 }
 
 impl Machine {
@@ -277,16 +274,12 @@ impl Machine {
             halted: false,
             double_fault: None,
             stats: ExecStats::default(),
-            trace: Trace::disabled(),
-            metrics: Metrics::disabled(),
+            obs: Observer::default(),
             last_use: None,
             extra_cycles: 0,
             fast: crate::fastpath::FastState::new(),
-            spans: ring_trace::SpanRecorder::new(),
             chaos: ring_chaos::ChaosEngine::off(),
             chaos_protect: Vec::new(),
-            prof: ring_prof::Profiler::default(),
-            timeseries: ring_prof::TimeSeries::default(),
         }
     }
 
@@ -453,23 +446,23 @@ impl Machine {
 
     /// Enables execution tracing with the given capacity.
     pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Trace::enabled(capacity);
+        self.obs.enable_trace(capacity);
     }
 
     /// Drains and returns the trace events recorded so far.
     pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        self.trace.take()
+        self.take_trace_seq().into_iter().map(|(_, e)| e).collect()
     }
 
     /// Drains the trace with global sequence numbers, so a consumer can
     /// tell how many earlier events were dropped by the ring buffer.
     pub fn take_trace_seq(&mut self) -> Vec<(u64, TraceEvent)> {
-        self.trace.take_seq()
+        self.obs.take_trace_seq()
     }
 
     /// Trace events discarded so far because the buffer was full.
     pub fn trace_dropped(&self) -> u64 {
-        self.trace.dropped()
+        self.obs.trace_dropped()
     }
 
     /// Turns on the span flight recorder: every CALL and trap entry
@@ -478,54 +471,51 @@ impl Machine {
     /// one branch on the CALL/RETURN/trap slow paths only and changes
     /// no architectural state either way.
     pub fn enable_spans(&mut self) {
-        self.spans.enable();
+        self.obs.spans.enable();
     }
 
     /// The span recorder (read-only).
     pub fn spans(&self) -> &ring_trace::SpanRecorder {
-        &self.spans
+        &self.obs.spans
     }
 
     /// Drains the recorded span events (the recorder stays enabled).
     pub fn take_span_events(&mut self) -> Vec<ring_trace::SpanEvent> {
-        self.prof.note_drained(self.spans.events());
-        self.spans.take_events()
+        self.obs.spans.take_events()
     }
 
     /// Attaches the cycle-driven sampling profiler (`ring-prof`):
     /// every `sample_every` simulated cycles a weighted stack sample
     /// is taken at a step boundary (never inside a trap), and every
-    /// `timeseries_every` cycles the full metrics snapshot is recorded
+    /// `timeseries_every` cycles five cumulative counters (cycles,
+    /// instructions, faults, ring changes, page faults) are recorded
     /// for interval telemetry. Either period can be zero to disable
-    /// that pipeline. Enabling the profiler also enables the span
-    /// recorder (the sampled stacks are derived from it). Profiling is
-    /// purely observational: simulated cycles, registers and faults
-    /// are bit-identical with it on or off.
+    /// that pipeline. The profiler keeps its own stack of open CALL
+    /// and trap frames, so it needs neither the span recorder nor the
+    /// metrics recorder. Profiling is purely observational: simulated
+    /// cycles, registers and faults are bit-identical with it on or
+    /// off.
     pub fn enable_profiler(&mut self, sample_every: u64, timeseries_every: u64) {
-        self.prof = ring_prof::Profiler::new(sample_every);
-        self.timeseries = ring_prof::TimeSeries::new(timeseries_every);
-        if sample_every > 0 {
-            self.spans.enable();
-        }
+        self.obs.enable_profiler(sample_every, timeseries_every);
     }
 
     /// The sampling profiler (read-only).
     pub fn profiler(&self) -> &ring_prof::Profiler {
-        &self.prof
+        &self.obs.prof
     }
 
     /// The interval time-series pipeline (read-only).
     pub fn timeseries(&self) -> &ring_prof::TimeSeries {
-        &self.timeseries
+        &self.obs.timeseries
     }
 
     /// Notes that the supervisor dispatched process `pid` at the
     /// current cycle count. Paints per-process scheduler tracks in the
-    /// span flight recorder; a no-op (one branch) while spans are off,
-    /// and never a change to architectural state.
+    /// span flight recorder and roots later profiler samples at `pid`;
+    /// one branch per recorder while they are off, and never a change
+    /// to architectural state.
     pub fn note_sched(&mut self, pid: u32) {
-        let cycles = self.cycles;
-        self.spans.sched(pid, cycles);
+        self.obs.sched(pid, self.cycles);
     }
 
     /// Turns on metrics collection (ring crossings, faults, cycle
@@ -533,17 +523,12 @@ impl Machine {
     /// recorder costs one branch per event and changes no architectural
     /// state either way.
     pub fn enable_metrics(&mut self) {
-        self.metrics.enable();
+        self.obs.metrics.enable();
     }
 
     /// The metrics recorder (read-only).
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// Mutable access to the metrics recorder (reset, re-enablement).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
+        &self.obs.metrics
     }
 
     /// SDW associative-memory statistics, independent of the metrics
@@ -558,7 +543,7 @@ impl Machine {
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let cs = self.tr.cache_stats();
         let mut snap = MetricsSnapshot::new(
-            &self.metrics,
+            &self.obs.metrics,
             self.stats.instructions,
             self.cycles,
             SdwCacheStats {
@@ -570,12 +555,12 @@ impl Machine {
             self.fastpath_stats(),
         );
         snap.prof = ring_metrics::ProfStats {
-            samples: self.prof.samples(),
-            sample_every: self.prof.sample_every(),
-            timeseries_points: self.timeseries.len() as u64,
-            timeseries_every: self.timeseries.every(),
+            samples: self.obs.prof.samples(),
+            sample_every: self.obs.prof.sample_every(),
+            timeseries_points: self.obs.timeseries.len() as u64,
+            timeseries_every: self.obs.timeseries.every(),
         };
-        snap.trace_dropped = self.trace.dropped();
+        snap.trace_dropped = self.trace_dropped();
         if self.chaos.enabled() {
             for (k, v) in self.chaos.export_pairs() {
                 snap.push_extra(k, v);
@@ -720,17 +705,18 @@ impl Machine {
         addr: SegAddr,
         mode: ring_core::access::AccessMode,
     ) -> Result<Sdw, Fault> {
-        if !self.metrics.is_enabled() {
+        if !self.obs.metrics.is_enabled() {
             return self.tr.fetch_sdw(&mut self.phys, &self.dbr, addr, mode);
         }
         let hits_before = self.tr.cache_stats().hits;
         let refs_before = self.phys.ref_count();
         let result = self.tr.fetch_sdw(&mut self.phys, &self.dbr, addr, mode);
         let hit = self.tr.cache_stats().hits > hits_before;
-        self.metrics
+        self.obs
+            .metrics
             .sdw_lookup(hit, self.phys.ref_count() - refs_before);
         if result.is_ok() {
-            self.metrics.access(addr.segno.value(), mode);
+            self.obs.metrics.access(addr.segno.value(), mode);
         }
         result
     }
@@ -851,21 +837,12 @@ impl Machine {
         // injection obeys the same eligibility window, so it is part of
         // the deterministic simulated state and replays identically.
         if !self.in_trap {
-            // The profiler samples at the same eligibility window:
-            // deterministic in simulated cycles, purely observational
-            // (no counted memory references), so cycle counts are
-            // identical with it on or off.
-            if self.prof.due(self.cycles) {
-                let (cycles, ring, segno) = (
-                    self.cycles,
-                    self.ipr.ring.number(),
-                    self.ipr.addr.segno.value(),
-                );
-                self.prof.tick(cycles, ring, segno, self.spans.events());
-            }
-            if self.timeseries.due(self.cycles) {
-                let snap = self.metrics_snapshot();
-                self.timeseries.record(self.cycles, snap);
+            // The profiler and the time series sample at the same
+            // eligibility window: deterministic in simulated cycles,
+            // purely observational (no counted memory references), so
+            // cycle counts are identical with them on or off.
+            if self.obs.due(self.cycles) {
+                self.obs.tick(self.cycles, self.ipr, &self.stats);
             }
             if self.chaos.enabled() {
                 self.chaos_tick();
@@ -897,12 +874,12 @@ impl Machine {
         if let Some(t) = self.timer.as_mut() {
             *t = t.saturating_sub(spent);
         }
-        if result.is_ok() && self.metrics.is_enabled() {
+        if result.is_ok() && self.obs.metrics.is_enabled() {
             // Attribute the whole instruction's cycle cost to the
             // CALL/RETURN path histograms (completed paths only).
             match self.last_use {
-                Some(crate::isa::OperandUse::Call) => self.metrics.call_cycles(spent),
-                Some(crate::isa::OperandUse::Return) => self.metrics.return_cycles(spent),
+                Some(crate::isa::OperandUse::Call) => self.obs.metrics.call_cycles(spent),
+                Some(crate::isa::OperandUse::Return) => self.obs.metrics.return_cycles(spent),
                 _ => {}
             }
         }
@@ -988,10 +965,7 @@ impl Machine {
         validate::check_fetch(&isdw, iaddr, self.ipr.ring)?;
         if let Some(handler) = self.natives.handler(iaddr.segno) {
             self.stats.native_calls += 1;
-            self.trace.push(|| TraceEvent::Native {
-                segno: iaddr.segno,
-                entry: iaddr.wordno,
-            });
+            self.obs.native(iaddr.segno, iaddr.wordno);
             let action = handler(self, iaddr.wordno)?;
             return self.apply_native_action(action);
         }
@@ -1008,14 +982,9 @@ impl Machine {
         if self.config.fastpath {
             self.fast.icache.install(iaddr, iword, instr);
         }
-        self.trace.push(|| TraceEvent::Instr {
-            at: self.ipr,
-            instr,
-        });
         let use_class = instr.opcode.operand_use();
         self.last_use = Some(use_class);
-        self.metrics
-            .instruction(self.ipr.ring, use_class.metric_class());
+        self.obs.instruction(self.ipr, instr, use_class);
         // The instruction counter advances before execution; transfers
         // overwrite it.
         self.ipr.addr = SegAddr::new(iaddr.segno, iaddr.wordno.wrapping_add(1));

@@ -1,17 +1,17 @@
 //! Execution tracing for examples, debugging and tests.
 //!
-//! Disabled by default; when enabled the machine records one event per
-//! instruction plus call/return/trap/native events into a drop-oldest
-//! ring buffer ([`ring_metrics::EventRing`]): beyond the capacity the
-//! *oldest* events are discarded, so the recorder always holds the most
-//! recent window of execution. Sequence numbers reveal how many earlier
-//! events were dropped.
+//! Disabled by default; when enabled ([`crate::Machine::enable_trace`])
+//! the machine records one event per instruction plus
+//! call/return/trap/native events into a drop-oldest ring buffer
+//! ([`ring_metrics::EventRing`]): beyond the capacity the *oldest*
+//! events are discarded, so the recorder always holds the most recent
+//! window of execution. Sequence numbers reveal how many earlier events
+//! were dropped.
 
 use ring_core::access::Fault;
 use ring_core::addr::{SegAddr, SegNo, WordNo};
 use ring_core::registers::Ipr;
 use ring_core::ring::Ring;
-use ring_metrics::EventRing;
 
 use crate::isa::Instr;
 
@@ -87,103 +87,9 @@ impl std::fmt::Display for TraceEvent {
     }
 }
 
-/// Event recorder: a drop-oldest ring buffer with a capacity bound.
-#[derive(Clone)]
-pub(crate) struct Trace {
-    events: Option<EventRing<TraceEvent>>,
-}
-
-impl Trace {
-    pub(crate) fn disabled() -> Trace {
-        Trace { events: None }
-    }
-
-    pub(crate) fn enabled(capacity: usize) -> Trace {
-        Trace {
-            events: Some(EventRing::new(capacity)),
-        }
-    }
-
-    /// Records the event produced by `make` if tracing is on; once the
-    /// buffer is full the oldest event is discarded to make room (the
-    /// closure avoids constructing events when disabled).
-    pub(crate) fn push<F: FnOnce() -> TraceEvent>(&mut self, make: F) {
-        if let Some(ring) = self.events.as_mut() {
-            ring.push(make());
-        }
-    }
-
-    /// Events discarded so far because the buffer was full.
-    pub(crate) fn dropped(&self) -> u64 {
-        self.events.as_ref().map_or(0, |r| r.dropped())
-    }
-
-    pub(crate) fn take(&mut self) -> Vec<TraceEvent> {
-        match self.events.as_mut() {
-            Some(ring) => ring.drain().into_iter().map(|(_, e)| e).collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Drains the recorded events with their global sequence numbers.
-    pub(crate) fn take_seq(&mut self) -> Vec<(u64, TraceEvent)> {
-        match self.events.as_mut() {
-            Some(ring) => ring.drain(),
-            None => Vec::new(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disabled_trace_records_nothing() {
-        let mut t = Trace::disabled();
-        t.push(|| TraceEvent::Trap {
-            fault: Fault::TimerRunout,
-        });
-        assert!(t.take().is_empty());
-    }
-
-    #[test]
-    fn enabled_trace_respects_capacity() {
-        let mut t = Trace::enabled(2);
-        for _ in 0..5 {
-            t.push(|| TraceEvent::Trap {
-                fault: Fault::TimerRunout,
-            });
-        }
-        assert_eq!(t.take().len(), 2);
-        // take() drains.
-        assert!(t.take().is_empty());
-    }
-
-    #[test]
-    fn full_trace_keeps_newest_events() {
-        let mut t = Trace::enabled(2);
-        for i in 0..5u32 {
-            t.push(|| TraceEvent::Trap {
-                fault: Fault::Derail { code: i },
-            });
-        }
-        assert_eq!(t.dropped(), 3);
-        let held = t.take_seq();
-        // The two *newest* events survive, with their true positions in
-        // the event stream — the drop-oldest contract.
-        assert_eq!(held.len(), 2);
-        assert_eq!(held[0].0, 3);
-        assert_eq!(held[1].0, 4);
-        for (seq, e) in held {
-            match e {
-                TraceEvent::Trap {
-                    fault: Fault::Derail { code },
-                } => assert_eq!(u64::from(code), seq),
-                other => panic!("unexpected event {other:?}"),
-            }
-        }
-    }
 
     #[test]
     fn display_formats() {

@@ -31,12 +31,10 @@ use ring_core::registers::{Ipr, PtrReg, NUM_PR};
 use ring_core::ring::Ring;
 use ring_core::sdw::Sdw;
 use ring_core::word::Word;
-use ring_metrics::{Crossing, EventSink};
 use ring_segmem::paging::{split_wordno, PAGE_WORDS};
 use ring_segmem::phys::PhysMem;
 
 use crate::machine::{Machine, StepOutcome};
-use crate::trace::TraceEvent;
 
 /// Number of words in the processor-state save area.
 pub const SAVE_WORDS: u32 = 19;
@@ -142,41 +140,13 @@ impl Machine {
             Fault::DownwardReturn { .. } => self.stats.downward_return_traps += 1,
             _ => {}
         }
-        self.trace.push(|| TraceEvent::Trap { fault });
         // A parity or I/O-error trap is the *detection* of an injected
         // hardware fault reaching the supervisor.
         if matches!(fault, Fault::ParityError { .. } | Fault::IoError { .. }) {
             self.chaos.note_detected();
         }
-        let from = self.ipr.ring;
-        self.metrics.fault(&fault, from);
-        // The software-assisted crossings get their own kind; every
-        // other trap is a plain forced entry to ring 0.
-        let kind = match fault {
-            Fault::UpwardCall { .. } => Crossing::UpwardCallTrap,
-            Fault::DownwardReturn { .. } => Crossing::DownwardReturnTrap,
-            _ => Crossing::TrapToRing0,
-        };
-        self.metrics.crossing(kind, from, Ring::R0);
-        if self.spans.is_enabled() {
-            let ikind = if matches!(fault, Fault::AccessViolation { .. }) {
-                ring_trace::InstantKind::Violation
-            } else {
-                ring_trace::InstantKind::Fault
-            };
-            self.spans
-                .instant(ikind, from.number(), self.cycles, || fault.to_string());
-            self.spans.open(
-                ring_trace::SpanKind::Trap,
-                ring_trace::SpanKey {
-                    ring: 0,
-                    segno: self.config.trap_segno.value(),
-                    entry: fault.vector(),
-                },
-                from.number(),
-                self.cycles,
-            );
-        }
+        self.obs
+            .trap(fault, self.ipr.ring, self.config.trap_segno, self.cycles);
         self.cycles += self.config.costs.trap_overhead;
         self.last_fault = Some(fault);
 
@@ -299,7 +269,7 @@ impl Machine {
         self.restore(&state);
         self.in_trap = false;
         self.last_fault = None;
-        self.spans.close(self.ipr.ring.number(), self.cycles);
+        self.obs.rett(self.ipr.ring, self.cycles);
         self.charge(self.config.costs.rett_overhead);
         Ok(())
     }

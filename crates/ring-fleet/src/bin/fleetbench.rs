@@ -23,12 +23,24 @@
 //! quarantine hash — are bit-stable across `--threads` values for a
 //! fixed seed — the determinism contract CI enforces.
 
+use std::fmt::Display;
+use std::process::ExitCode;
+use std::str::FromStr;
+
 use ring_fleet::report::{fleet_json, fnv1a64, HealthReport, Percentiles};
 use ring_fleet::{run_fleet, ChaosParams, FleetConfig, WorkloadMix};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
+/// The value after `flag`, parsed.
+fn value<T: FromStr>(flag: &str, it: &mut std::slice::Iter<String>) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let v = it.next().ok_or(format!("{flag} takes a value"))?;
+    v.parse().map_err(|e| format!("{flag} {v:?}: {e}"))
+}
+
+/// The fleet and the report path the command line asks for.
+fn parse_args(args: &[String], quick: bool) -> Result<(FleetConfig, String), String> {
     let mut cfg = FleetConfig {
         machines: if quick { 256 } else { 10_000 },
         ..FleetConfig::default()
@@ -38,28 +50,25 @@ fn main() {
     let mut chaos_rate: Option<u64> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut take = |what: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{what} takes a value"))
-                .clone()
-        };
         match a.as_str() {
             "--quick" => {}
-            "--machines" => cfg.machines = take("--machines").parse().expect("machine count"),
-            "--threads" => cfg.threads = take("--threads").parse().expect("thread count"),
-            "--seed" => cfg.seed = take("--seed").parse().expect("seed"),
+            "--machines" => cfg.machines = value(a, &mut it)?,
+            "--threads" => cfg.threads = value(a, &mut it)?,
+            "--seed" => cfg.seed = value(a, &mut it)?,
             "--mix" => {
-                cfg.mix = match take("--mix").as_str() {
+                cfg.mix = match value::<String>(a, &mut it)?.as_str() {
                     "pagestorm" => WorkloadMix::PageStorm,
                     "gatestorm" => WorkloadMix::GateStorm,
                     "mixed" => WorkloadMix::Mixed,
-                    other => panic!("unknown mix {other:?} (pagestorm|gatestorm|mixed)"),
+                    other => {
+                        return Err(format!("unknown mix {other:?} (pagestorm|gatestorm|mixed)"))
+                    }
                 }
             }
-            "--chaos-seed" => chaos_seed = Some(take("--chaos-seed").parse().expect("chaos seed")),
-            "--chaos-rate" => chaos_rate = Some(take("--chaos-rate").parse().expect("chaos rate")),
-            "--out" => out = take("--out"),
-            other => panic!("unknown option {other:?}"),
+            "--chaos-seed" => chaos_seed = Some(value(a, &mut it)?),
+            "--chaos-rate" => chaos_rate = Some(value(a, &mut it)?),
+            "--out" => out = value(a, &mut it)?,
+            other => return Err(format!("unknown option {other:?}")),
         }
     }
     if chaos_seed.is_some() || chaos_rate.is_some() {
@@ -68,6 +77,19 @@ fn main() {
             mean_interval: chaos_rate.unwrap_or(50_000).max(1),
         });
     }
+    Ok((cfg, out))
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let quick = args.iter().any(|a| a == "--quick");
+    let (cfg, out) = match parse_args(&args, quick) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("fleetbench: {e}");
+            return ExitCode::from(2);
+        }
+    };
 
     let result = run_fleet(&cfg);
     let completed = result.machines.iter().filter(|m| m.completed).count();
@@ -124,7 +146,10 @@ fn main() {
         );
     }
 
-    std::fs::write(&out, fleet_json(&cfg, &result, quick)).expect("write report");
+    if let Err(e) = std::fs::write(&out, fleet_json(&cfg, &result, quick)) {
+        eprintln!("fleetbench: cannot write {out}: {e}");
+        return ExitCode::FAILURE;
+    }
     println!("wrote {out}");
 
     assert!(
@@ -153,4 +178,5 @@ fn main() {
             "every machine must run its workload to completion"
         );
     }
+    ExitCode::SUCCESS
 }

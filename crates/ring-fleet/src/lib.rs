@@ -351,33 +351,13 @@ fn build_and_run(
 /// memory into a shared [`BootImage`].
 pub fn build_image(cfg: &FleetConfig, kind: WorkloadKind) -> BootImage {
     let mut proto = System::boot_with(cfg.system_config());
-    let proto_spec = MachineSpec {
+    let spec = MachineSpec {
         id: 0,
         seed: 0,
         kind,
         rounds: cfg.base_rounds,
     };
-    match kind {
-        WorkloadKind::PageStorm => {
-            install_page_storm(
-                &mut proto,
-                &StormSpec {
-                    procs: cfg.procs,
-                    pages: cfg.pages,
-                    rounds: proto_spec.rounds,
-                },
-            );
-        }
-        WorkloadKind::GateStorm => {
-            install_gate_storm(
-                &mut proto,
-                &GateStormSpec {
-                    procs: cfg.procs,
-                    rounds: proto_spec.rounds,
-                },
-            );
-        }
-    }
+    install_workload(&mut proto, cfg, spec);
     proto.freeze()
 }
 

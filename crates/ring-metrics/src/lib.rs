@@ -4,9 +4,9 @@
 //! happen in hardware *without trapping*, so the cost of protection is a
 //! handful of checks per reference. This crate is the instrumentation
 //! substrate that lets the simulator show it: every layer of the stack
-//! reports events into a [`Metrics`] aggregate through the
-//! [`EventSink`] trait, and the result is exported as a machine-readable
-//! [`snapshot::MetricsSnapshot`] (JSON or CSV).
+//! reports events into a [`Metrics`] aggregate, and the result is
+//! exported as a machine-readable [`snapshot::MetricsSnapshot`] (JSON or
+//! CSV).
 //!
 //! What is recorded:
 //!
@@ -26,7 +26,7 @@
 //!   indirect-chain depth, and SDW-cache hit/miss descriptor-walk
 //!   costs, plus a count of Fig. 5 TPR ring-maximisation events.
 //! * **Per-segment heatmap** ([`heatmap::SegmentHeatmap`]) — R/W/E
-//!   reference counts and bracket-violation attempts per segment.
+//!   reference counts and access-violation faults per segment.
 //! * **Bounded event recording** ([`ring_buffer::EventRing`]) — the
 //!   generic drop-oldest ring buffer the CPU's execution trace is built
 //!   on.
@@ -56,76 +56,6 @@ pub use snapshot::{
 
 use ring_core::access::{AccessMode, Fault};
 use ring_core::ring::Ring;
-
-/// Receiver of instrumentation events from the simulator.
-///
-/// Every method has an empty default body, so a sink implements only
-/// what it cares about; [`Metrics`] implements all of them, and the unit
-/// type `()` is the always-off null sink.
-pub trait EventSink {
-    /// An instruction of the given operand class completed decode in
-    /// `ring`.
-    fn instruction(&mut self, ring: Ring, class: OpClass) {
-        let _ = (ring, class);
-    }
-
-    /// Control crossed (or stayed within) a ring boundary.
-    fn crossing(&mut self, kind: Crossing, from: Ring, to: Ring) {
-        let _ = (kind, from, to);
-    }
-
-    /// A fault was detected while executing in `ring`.
-    fn fault(&mut self, fault: &Fault, ring: Ring) {
-        let _ = (fault, ring);
-    }
-
-    /// A reference of the given mode reached segment `segno`'s
-    /// descriptor. The bracket check happens after descriptor fetch, so
-    /// this counts *attempts*; a refused attempt additionally shows up
-    /// as a [`EventSink::bracket_violation`] on the same segment.
-    fn access(&mut self, segno: u32, mode: AccessMode) {
-        let _ = (segno, mode);
-    }
-
-    /// An access-bracket or gate check refused a reference to `segno`.
-    fn bracket_violation(&mut self, segno: u32) {
-        let _ = segno;
-    }
-
-    /// An SDW lookup completed: a cache hit, or a miss costing
-    /// `extra_refs` descriptor-walk memory references.
-    fn sdw_lookup(&mut self, hit: bool, extra_refs: u64) {
-        let _ = (hit, extra_refs);
-    }
-
-    /// `n` SDW lookups hit the cache: the same as `n` hit
-    /// [`EventSink::sdw_lookup`]s, in one event.
-    fn sdw_hits(&mut self, n: u64) {
-        for _ in 0..n {
-            self.sdw_lookup(true, 0);
-        }
-    }
-
-    /// A CALL instruction completed, costing `cycles`.
-    fn call_cycles(&mut self, cycles: u64) {
-        let _ = cycles;
-    }
-
-    /// A RETURN instruction completed, costing `cycles`.
-    fn return_cycles(&mut self, cycles: u64) {
-        let _ = cycles;
-    }
-
-    /// Effective-address formation finished after following `depth`
-    /// indirect words; `maximised` reports whether any fold raised the
-    /// effective ring above the ring of execution (Fig. 5).
-    fn ea_formed(&mut self, depth: u32, maximised: bool) {
-        let _ = (depth, maximised);
-    }
-}
-
-/// The null sink: discards everything.
-impl EventSink for () {}
 
 /// The aggregate recorder threaded through the machine and supervisor.
 ///
@@ -186,17 +116,9 @@ impl Metrics {
         self.enabled = true;
     }
 
-    /// Zeroes every counter, preserving the enabled flag.
-    pub fn reset(&mut self) {
-        *self = Metrics {
-            enabled: self.enabled,
-            ..Metrics::default()
-        };
-    }
-}
-
-impl EventSink for Metrics {
-    fn instruction(&mut self, ring: Ring, class: OpClass) {
+    /// An instruction of the given operand class completed decode in
+    /// `ring`.
+    pub fn instruction(&mut self, ring: Ring, class: OpClass) {
         if !self.enabled {
             return;
         }
@@ -204,14 +126,17 @@ impl EventSink for Metrics {
         self.opclasses.record(class);
     }
 
-    fn crossing(&mut self, kind: Crossing, from: Ring, to: Ring) {
+    /// Control crossed (or stayed within) a ring boundary.
+    pub fn crossing(&mut self, kind: Crossing, from: Ring, to: Ring) {
         if !self.enabled {
             return;
         }
         self.crossings.record(kind, from, to);
     }
 
-    fn fault(&mut self, fault: &Fault, ring: Ring) {
+    /// A fault was detected while executing in `ring`. An access
+    /// violation also marks the faulting segment in the heatmap.
+    pub fn fault(&mut self, fault: &Fault, ring: Ring) {
         if !self.enabled {
             return;
         }
@@ -221,21 +146,19 @@ impl EventSink for Metrics {
         }
     }
 
-    fn access(&mut self, segno: u32, mode: AccessMode) {
+    /// A reference of the given mode reached segment `segno`'s
+    /// descriptor. The bracket check happens after descriptor fetch, so
+    /// this counts *attempts*.
+    pub fn access(&mut self, segno: u32, mode: AccessMode) {
         if !self.enabled {
             return;
         }
         self.heatmap.record(segno, mode);
     }
 
-    fn bracket_violation(&mut self, segno: u32) {
-        if !self.enabled {
-            return;
-        }
-        self.heatmap.record_violation(segno);
-    }
-
-    fn sdw_lookup(&mut self, hit: bool, extra_refs: u64) {
+    /// An SDW lookup completed: a cache hit, or a miss costing
+    /// `extra_refs` descriptor-walk memory references.
+    pub fn sdw_lookup(&mut self, hit: bool, extra_refs: u64) {
         if !self.enabled {
             return;
         }
@@ -246,28 +169,35 @@ impl EventSink for Metrics {
         }
     }
 
-    fn sdw_hits(&mut self, n: u64) {
+    /// `n` SDW lookups hit the cache: the same as `n` hit
+    /// [`Metrics::sdw_lookup`]s, in one event.
+    pub fn sdw_hits(&mut self, n: u64) {
         if !self.enabled {
             return;
         }
         self.sdw_hit_refs.record_n(0, n);
     }
 
-    fn call_cycles(&mut self, cycles: u64) {
+    /// A CALL instruction completed, costing `cycles`.
+    pub fn call_cycles(&mut self, cycles: u64) {
         if !self.enabled {
             return;
         }
         self.call_cycles.record(cycles);
     }
 
-    fn return_cycles(&mut self, cycles: u64) {
+    /// A RETURN instruction completed, costing `cycles`.
+    pub fn return_cycles(&mut self, cycles: u64) {
         if !self.enabled {
             return;
         }
         self.return_cycles.record(cycles);
     }
 
-    fn ea_formed(&mut self, depth: u32, maximised: bool) {
+    /// Effective-address formation finished after following `depth`
+    /// indirect words; `maximised` reports whether any fold raised the
+    /// effective ring above the ring of execution (Fig. 5).
+    pub fn ea_formed(&mut self, depth: u32, maximised: bool) {
         if !self.enabled {
             return;
         }
@@ -342,14 +272,5 @@ mod tests {
         assert_eq!(m.sdw_miss_refs.count(), 1);
         assert_eq!(m.call_cycles.count(), 1);
         assert_eq!(m.tpr_maximisations, 1);
-    }
-
-    #[test]
-    fn reset_preserves_enablement() {
-        let mut m = Metrics::enabled();
-        m.instruction(Ring::R3, OpClass::Write);
-        m.reset();
-        assert!(m.is_enabled());
-        assert_eq!(m.opclasses.total(), 0);
     }
 }

@@ -786,7 +786,7 @@ pub fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Crossing, EventSink, OpClass};
+    use crate::{Crossing, OpClass};
     use ring_core::access::AccessMode;
     use ring_core::ring::Ring;
 

@@ -488,10 +488,10 @@ impl System {
 
     /// Attaches the cycle-driven sampling profiler and time-series
     /// pipeline (`ring-prof`). Per-process attribution comes free: the
-    /// scheduler's dispatch events ride in the span stream, so sampled
+    /// scheduler reports each dispatch to the profiler, so sampled
     /// stacks are rooted at the running process. Either period can be
-    /// zero to disable that pipeline; enabling sampling also enables
-    /// the span recorder.
+    /// zero to disable that pipeline. Neither needs the span or metrics
+    /// recorder.
     pub fn enable_profiler(&mut self, sample_every: u64, timeseries_every: u64) {
         self.machine.enable_profiler(sample_every, timeseries_every);
     }

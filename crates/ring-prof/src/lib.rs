@@ -3,19 +3,19 @@
 //! Two pipelines, both driven by **simulated cycles** so they are
 //! deterministic and replay-stable:
 //!
-//! * [`Profiler`] — a sampling profiler. Every `sample_every` cycles,
-//!   at a `Machine::step` boundary (never inside a trap, the ring-chaos
-//!   discipline), the machine hands it the current execution point and
-//!   the span stream; the profiler folds the open spans into a stack
-//!   `process;span…;ring:segment` and accumulates a sample. The result
-//!   exports as folded stacks (`flamegraph.pl` format) and Perfetto
-//!   counter tracks.
+//! * [`Profiler`] — a sampling profiler. The machine reports every
+//!   span opening (CALL, trap entry), closing (RETURN, RETT) and
+//!   scheduler dispatch to it, and it keeps its own frame stack from
+//!   those calls. Every `sample_every` cycles, at a `Machine::step`
+//!   boundary (never inside a trap, the ring-chaos discipline), it
+//!   folds that stack into `process;span…;ring:segment` and
+//!   accumulates a sample. The result exports as folded stacks
+//!   (`flamegraph.pl` format) and Perfetto counter tracks.
 //! * [`TimeSeries`] — interval telemetry. Every `timeseries_every`
-//!   cycles the machine records its full
-//!   [`MetricsSnapshot`]; the pipeline
-//!   deltas consecutive snapshots into a `ring-prof/timeseries/v1`
-//!   JSON stream (instructions-per-cycle, fault-rate and paging-rate
-//!   curves over time).
+//!   cycles the machine records five cumulative counters
+//!   ([`Totals`]); the pipeline deltas consecutive points into a
+//!   `ring-prof/timeseries/v1` JSON stream (instructions-per-cycle,
+//!   fault-rate and paging-rate curves over time).
 //!
 //! Both are pure observers: they read state that already exists and
 //! never touch the memory system, so simulated cycles are identical
@@ -27,8 +27,8 @@
 
 use std::collections::BTreeMap;
 
-use ring_metrics::{json_escape, MetricsSnapshot};
-use ring_trace::{SpanEvent, SpanKey, SpanKind};
+use ring_metrics::json_escape;
+use ring_trace::{SpanKey, SpanKind};
 
 /// One frame of the sampled stack: an open span (gate or trap entry).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,20 +51,18 @@ impl Frame {
 
 /// The deterministic sampling profiler.
 ///
-/// Feed it the machine's span stream incrementally via [`Profiler::tick`];
-/// it mirrors the open-span stack and the scheduler's current process,
-/// and whenever simulated time crosses a sampling boundary it records
-/// one weighted sample against the folded stack. A sampling period of
-/// zero leaves the profiler inert.
+/// The machine reports each span opening and closing and each
+/// scheduler dispatch ([`Profiler::open`], [`Profiler::close`],
+/// [`Profiler::dispatch`]); whenever simulated time crosses a sampling
+/// boundary, [`Profiler::tick`] records one weighted sample against the
+/// folded stack. A sampling period of zero leaves the profiler inert.
 #[derive(Clone, Debug, Default)]
 pub struct Profiler {
     sample_every: u64,
     next_sample: u64,
-    /// Events already consumed from the span stream.
-    cursor: usize,
-    /// Mirror of the machine's open-span stack.
+    /// The open spans, innermost last.
     stack: Vec<Frame>,
-    /// Process dispatched by the most recent scheduler event.
+    /// Process dispatched most recently.
     pid: Option<u32>,
     /// Folded stack → accumulated sample weight.
     folded: BTreeMap<String, u64>,
@@ -107,29 +105,45 @@ impl Profiler {
         &self.by_ring
     }
 
-    /// True when the cycle counter has reached the next sample
-    /// boundary. This is the one comparison a profiling run adds to
-    /// the per-step hot path — callers gate [`Profiler::tick`] on it
-    /// so the span-stream mirror is advanced lazily, in batches, only
-    /// when a sample is actually taken.
+    /// The cycle count at which the next sample is due (`u64::MAX`
+    /// while disabled). A caller compares the cycle counter against it
+    /// and calls [`Profiler::tick`] only once it is reached.
     #[inline]
-    pub fn due(&self, cycles: u64) -> bool {
-        self.sample_every > 0 && cycles >= self.next_sample
+    pub fn next_due(&self) -> u64 {
+        if self.is_enabled() {
+            self.next_sample
+        } else {
+            u64::MAX
+        }
+    }
+
+    /// A span opened: control entered `key` by a CALL or a trap.
+    pub fn open(&mut self, kind: SpanKind, key: SpanKey) {
+        if self.is_enabled() {
+            self.stack.push(Frame { kind, key });
+        }
+    }
+
+    /// The innermost open span closed (RETURN or RETT). A close with no
+    /// span open is ignored.
+    pub fn close(&mut self) {
+        self.stack.pop();
+    }
+
+    /// The scheduler dispatched process `pid`; later samples are
+    /// rooted at it.
+    pub fn dispatch(&mut self, pid: u32) {
+        if self.is_enabled() {
+            self.pid = Some(pid);
+        }
     }
 
     /// The step-boundary hook. `cycles` is the machine's simulated
-    /// cycle count, `(ring, segno)` the instruction about to execute,
-    /// and `events` the span stream recorded so far (the profiler
-    /// remembers how much of it it has already consumed).
-    ///
-    /// Catches up on any span events emitted since the last sample,
-    /// then records one weighted sample for the current stack.
-    pub fn tick(&mut self, cycles: u64, ring: u8, segno: u32, events: &[SpanEvent]) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.consume(events);
-        if cycles < self.next_sample {
+    /// cycle count and `(ring, segno)` the instruction about to
+    /// execute. Records one weighted sample for the current stack once
+    /// a sampling boundary has been reached.
+    pub fn tick(&mut self, cycles: u64, ring: u8, segno: u32) {
+        if !self.is_enabled() || cycles < self.next_sample {
             return;
         }
         // One weighted sample covers every boundary the last
@@ -151,35 +165,6 @@ impl Profiler {
         self.samples += weight;
         self.by_ring[(ring & 7) as usize] += weight;
         self.timeline.push((cycles, ring & 7, weight));
-    }
-
-    /// Advances the span-stream mirror without sampling.
-    fn consume(&mut self, events: &[SpanEvent]) {
-        for ev in events.iter().skip(self.cursor) {
-            match ev {
-                SpanEvent::Open { kind, key, .. } => self.stack.push(Frame {
-                    kind: *kind,
-                    key: *key,
-                }),
-                SpanEvent::Close { .. } => {
-                    self.stack.pop();
-                }
-                SpanEvent::Sched { pid, .. } => self.pid = Some(*pid),
-                SpanEvent::Instant { .. } => {}
-            }
-        }
-        self.cursor = events.len();
-    }
-
-    /// Tells the profiler the span stream it mirrors is about to be
-    /// drained (`take_events`): it consumes any `pending` events it has
-    /// not yet seen, then resets so newly recorded events start at
-    /// index zero again. The folded state is unaffected.
-    pub fn note_drained(&mut self, pending: &[SpanEvent]) {
-        if self.is_enabled() {
-            self.consume(pending);
-        }
-        self.cursor = 0;
     }
 
     /// The profile as folded stacks, one `stack count` line per unique
@@ -240,15 +225,32 @@ pub struct TimeSeriesPoint {
     pub paging_rate: f64,
 }
 
-/// The interval time-series pipeline: a cumulative
-/// [`MetricsSnapshot`] every `every` simulated cycles, exported as
-/// per-interval deltas (`ring-prof/timeseries/v1`).
+/// The cumulative counters a time-series point records: everything
+/// its deltas are computed from.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Totals {
+    /// Simulated cycles.
+    pub cycles: u64,
+    /// Instructions retired.
+    pub instructions: u64,
+    /// Traps taken, by any cause.
+    pub faults: u64,
+    /// Crossings that changed the ring of execution: downward CALLs,
+    /// upward RETURNs and traps.
+    pub ring_changes: u64,
+    /// Traps through the `page_fault` vector.
+    pub page_faults: u64,
+}
+
+/// The interval time-series pipeline: cumulative [`Totals`] every
+/// `every` simulated cycles, exported as per-interval deltas
+/// (`ring-prof/timeseries/v1`).
 #[derive(Clone, Debug, Default)]
 pub struct TimeSeries {
     every: u64,
     next: u64,
-    /// Cumulative snapshots at their capture cycle, in time order.
-    points: Vec<(u64, MetricsSnapshot)>,
+    /// Cumulative counters in time order.
+    points: Vec<Totals>,
 }
 
 impl TimeSeries {
@@ -273,22 +275,25 @@ impl TimeSeries {
         self.every
     }
 
-    /// Whether a point is due at `cycles`. The caller checks this
-    /// before building a snapshot so the off-interval cost is one
-    /// comparison.
+    /// The cycle count at which the next point is due (`u64::MAX`
+    /// while disabled).
     #[inline]
-    pub fn due(&self, cycles: u64) -> bool {
-        self.every > 0 && cycles >= self.next
+    pub fn next_due(&self) -> u64 {
+        if self.is_enabled() {
+            self.next
+        } else {
+            u64::MAX
+        }
     }
 
-    /// Records the cumulative snapshot captured at `cycles` and
-    /// advances to the next interval boundary past `cycles`.
-    pub fn record(&mut self, cycles: u64, snapshot: MetricsSnapshot) {
-        if !self.due(cycles) {
+    /// Records `totals` if a point is due at `totals.cycles`, and
+    /// advances to the next interval boundary past it.
+    pub fn record(&mut self, totals: Totals) {
+        if totals.cycles < self.next_due() {
             return;
         }
-        self.next = (cycles / self.every + 1) * self.every;
-        self.points.push((cycles, snapshot));
+        self.next = (totals.cycles / self.every + 1) * self.every;
+        self.points.push(totals);
     }
 
     /// Number of points recorded.
@@ -303,50 +308,36 @@ impl TimeSeries {
 
     /// The per-interval deltas (first point deltas against zero).
     pub fn deltas(&self) -> Vec<TimeSeriesPoint> {
-        let mut out = Vec::with_capacity(self.points.len());
-        let mut prev_cycles = 0u64;
-        let mut prev_instr = 0u64;
-        let mut prev_faults = 0u64;
-        let mut prev_changes = 0u64;
-        let mut prev_pages = 0u64;
-        for (cycles, snap) in &self.points {
-            let pages = snap
-                .faults_by_vector
-                .iter()
-                .find(|(k, _)| *k == "page_fault")
-                .map(|(_, v)| *v)
-                .unwrap_or(0)
-                + snap.sched.page_faults();
-            let dcycles = cycles.saturating_sub(prev_cycles);
-            let instructions = snap.instructions.saturating_sub(prev_instr);
-            let faults = snap.faults_total.saturating_sub(prev_faults);
-            let ring_changes = snap.ring_changes.saturating_sub(prev_changes);
-            let page_faults = pages.saturating_sub(prev_pages);
-            let rate = |n: u64| {
-                if dcycles == 0 {
-                    0.0
-                } else {
-                    n as f64 / dcycles as f64
+        let mut prev = Totals::default();
+        self.points
+            .iter()
+            .map(|t| {
+                let dcycles = t.cycles.saturating_sub(prev.cycles);
+                let instructions = t.instructions.saturating_sub(prev.instructions);
+                let faults = t.faults.saturating_sub(prev.faults);
+                let ring_changes = t.ring_changes.saturating_sub(prev.ring_changes);
+                let page_faults = t.page_faults.saturating_sub(prev.page_faults);
+                prev = *t;
+                let rate = |n: u64| {
+                    if dcycles == 0 {
+                        0.0
+                    } else {
+                        n as f64 / dcycles as f64
+                    }
+                };
+                TimeSeriesPoint {
+                    cycles: t.cycles,
+                    dcycles,
+                    instructions,
+                    faults,
+                    ring_changes,
+                    page_faults,
+                    ipc: rate(instructions),
+                    fault_rate: rate(faults),
+                    paging_rate: rate(page_faults),
                 }
-            };
-            out.push(TimeSeriesPoint {
-                cycles: *cycles,
-                dcycles,
-                instructions,
-                faults,
-                ring_changes,
-                page_faults,
-                ipc: rate(instructions),
-                fault_rate: rate(faults),
-                paging_rate: rate(page_faults),
-            });
-            prev_cycles = *cycles;
-            prev_instr = snap.instructions;
-            prev_faults = snap.faults_total;
-            prev_changes = snap.ring_changes;
-            prev_pages = pages;
-        }
-        out
+            })
+            .collect()
     }
 
     /// Serializes the series as a `ring-prof/timeseries/v1` JSON
@@ -427,72 +418,65 @@ pub fn perfetto_counters(profiler: &Profiler, series: &TimeSeries) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ring_metrics::Metrics;
-    use ring_metrics::{FastPathStats, SdwCacheStats};
 
-    fn open(ring: u8, segno: u32, entry: u32, cycles: u64) -> SpanEvent {
-        SpanEvent::Open {
-            kind: SpanKind::Call,
-            key: SpanKey { ring, segno, entry },
-            from_ring: 4,
-            cycles,
-        }
-    }
-
-    fn close(cycles: u64) -> SpanEvent {
-        SpanEvent::Close { to_ring: 4, cycles }
+    fn call(ring: u8, segno: u32, entry: u32) -> SpanKey {
+        SpanKey { ring, segno, entry }
     }
 
     #[test]
     fn disabled_profiler_records_nothing() {
         let mut p = Profiler::new(0);
-        p.tick(1_000_000, 4, 10, &[]);
+        p.dispatch(2);
+        p.open(SpanKind::Call, call(1, 20, 0));
+        p.tick(1_000_000, 4, 10);
         assert!(!p.is_enabled());
+        assert_eq!(p.next_due(), u64::MAX);
         assert_eq!(p.samples(), 0);
         assert!(p.folded().is_empty());
+        assert!(p.stack.is_empty());
     }
 
     #[test]
     fn samples_land_on_cycle_boundaries_with_weights() {
         let mut p = Profiler::new(100);
-        p.tick(50, 4, 10, &[]); // before the first boundary
+        p.tick(50, 4, 10); // before the first boundary
         assert_eq!(p.samples(), 0);
-        p.tick(100, 4, 10, &[]); // exactly on it
+        p.tick(100, 4, 10); // exactly on it
         assert_eq!(p.samples(), 1);
-        p.tick(150, 4, 10, &[]); // not yet
+        assert_eq!(p.next_due(), 200);
+        p.tick(150, 4, 10); // not yet
         assert_eq!(p.samples(), 1);
         // A long excursion skipped boundaries 200..=500: one weighted
         // sample covers all four.
-        p.tick(520, 4, 10, &[]);
+        p.tick(520, 4, 10);
         assert_eq!(p.samples(), 5);
+        assert_eq!(p.next_due(), 600);
         assert_eq!(p.folded(), "machine;r4:s10 5\n");
         assert_eq!(p.samples_by_ring()[4], 5);
     }
 
     #[test]
     fn folded_stacks_mirror_open_spans_and_process() {
-        let events = vec![
-            SpanEvent::Sched { pid: 2, cycles: 5 },
-            open(1, 20, 0, 10),
-            open(0, 30, 2, 20),
-            close(50),
-            close(90),
-        ];
         let mut p = Profiler::new(100);
-        // Sample at cycle 100 with only the Sched + first Open seen:
-        // stack is pid2 -> gate -> leaf.
-        p.tick(100, 1, 20, &events[..2]);
+        p.dispatch(2);
+        p.open(SpanKind::Call, call(1, 20, 0));
+        // Sample at cycle 100: pid2 -> gate -> leaf.
+        p.tick(100, 1, 20);
+        p.open(SpanKind::Trap, call(0, 30, 2));
         // Deeper: both spans open.
-        p.tick(200, 0, 30, &events[..3]);
-        // All closed again.
-        p.tick(300, 4, 10, &events);
+        p.tick(200, 0, 30);
+        p.close();
+        p.close();
+        // All closed again; a stray close changes nothing.
+        p.close();
+        p.tick(300, 4, 10);
         let folded = p.folded();
         assert!(
             folded.contains("pid2;call:r1:s20:e0;r1:s20 1\n"),
             "{folded}"
         );
         assert!(
-            folded.contains("pid2;call:r1:s20:e0;call:r0:s30:e2;r0:s30 1\n"),
+            folded.contains("pid2;call:r1:s20:e0;trap:r0:s30:e2;r0:s30 1\n"),
             "{folded}"
         );
         assert!(folded.contains("pid2;r4:s10 1\n"), "{folded}");
@@ -500,79 +484,41 @@ mod tests {
     }
 
     #[test]
-    fn drained_stream_does_not_double_count() {
-        let mut p = Profiler::new(100);
-        let first = vec![open(1, 20, 0, 10)];
-        p.tick(100, 1, 20, &first);
-        p.note_drained(&first);
-        // The drained events are gone; a fresh stream starts at index 0.
-        let second = vec![close(150)];
-        p.tick(200, 4, 10, &second);
-        let folded = p.folded();
-        assert!(
-            folded.contains("machine;call:r1:s20:e0;r1:s20 1\n"),
-            "{folded}"
-        );
-        assert!(folded.contains("machine;r4:s10 1\n"), "{folded}");
-    }
-
-    #[test]
-    fn drain_consumes_events_the_profiler_has_not_seen() {
-        // A span opens after the last tick; the stream is then drained.
-        // The stack mirror must still pick the open frame up.
-        let mut p = Profiler::new(100);
-        p.tick(100, 4, 10, &[]);
-        let unseen = vec![open(1, 20, 0, 150)];
-        p.note_drained(&unseen);
-        p.tick(200, 1, 20, &[]);
-        let folded = p.folded();
-        assert!(
-            folded.contains("machine;call:r1:s20:e0;r1:s20 1\n"),
-            "{folded}"
-        );
-    }
-
-    #[test]
     fn identical_input_gives_bit_identical_profile() {
-        let events = [open(1, 20, 0, 10), close(90), open(0, 30, 1, 120)];
         let run = || {
             let mut p = Profiler::new(64);
-            let mut seen = 0;
-            for (cycles, upto) in [(64, 1), (130, 3), (512, 3)] {
-                p.tick(cycles, (cycles % 8) as u8, 10, &events[..upto]);
-                seen = upto;
-            }
-            let _ = seen;
+            p.open(SpanKind::Call, call(1, 20, 0));
+            p.tick(64, 0, 10);
+            p.close();
+            p.open(SpanKind::Call, call(0, 30, 1));
+            p.tick(130, 2, 10);
+            p.tick(512, 0, 10);
             p.folded()
         };
         assert_eq!(run(), run());
     }
 
-    fn snapshot_with(instr: u64, cycles: u64, faults: u64) -> MetricsSnapshot {
-        let m = Metrics::enabled();
-        let mut s = MetricsSnapshot::new(
-            &m,
-            instr,
+    fn totals(cycles: u64, instructions: u64, faults: u64) -> Totals {
+        Totals {
             cycles,
-            SdwCacheStats::default(),
-            FastPathStats::default(),
-        );
-        s.faults_total = faults;
-        s
+            instructions,
+            faults,
+            ..Totals::default()
+        }
     }
 
     #[test]
     fn timeseries_records_on_interval_and_deltas() {
         let mut ts = TimeSeries::new(1000);
-        assert!(!ts.due(999));
-        assert!(ts.due(1000));
-        ts.record(1000, snapshot_with(300, 1000, 2));
-        assert!(!ts.due(1500));
+        assert_eq!(ts.next_due(), 1000);
+        ts.record(totals(999, 200, 1)); // not due: ignored
+        assert!(ts.is_empty());
+        ts.record(totals(1000, 300, 2));
+        assert_eq!(ts.next_due(), 2000);
         // Skipping a whole interval still lands one point at the next
         // boundary crossing.
-        assert!(ts.due(3100));
-        ts.record(3100, snapshot_with(900, 3100, 5));
-        assert!(!ts.due(3900));
+        ts.record(totals(3100, 900, 5));
+        assert_eq!(ts.next_due(), 4000);
         assert_eq!(ts.len(), 2);
         let d = ts.deltas();
         assert_eq!(d[0].instructions, 300);
@@ -581,13 +527,14 @@ mod tests {
         assert_eq!(d[1].dcycles, 2100);
         assert_eq!(d[1].faults, 3);
         assert!((d[0].ipc - 0.3).abs() < 1e-9);
+        assert_eq!(TimeSeries::new(0).next_due(), u64::MAX);
     }
 
     #[test]
     fn timeseries_json_carries_schema_and_points() {
         let mut ts = TimeSeries::new(500);
-        ts.record(500, snapshot_with(100, 500, 0));
-        ts.record(1000, snapshot_with(260, 1000, 1));
+        ts.record(totals(500, 100, 0));
+        ts.record(totals(1000, 260, 1));
         let json = ts.to_json();
         assert!(json.contains("\"schema\": \"ring-prof/timeseries/v1\""));
         assert!(json.contains("\"interval\": 500"));
@@ -602,10 +549,10 @@ mod tests {
     #[test]
     fn perfetto_counters_emit_counter_phase_events() {
         let mut p = Profiler::new(100);
-        p.tick(100, 1, 20, &[]);
-        p.tick(200, 4, 10, &[]);
+        p.tick(100, 1, 20);
+        p.tick(200, 4, 10);
         let mut ts = TimeSeries::new(100);
-        ts.record(100, snapshot_with(30, 100, 0));
+        ts.record(totals(100, 30, 0));
         let doc = perfetto_counters(&p, &ts);
         assert!(doc.contains("\"ph\": \"C\""));
         assert!(doc.contains("prof.samples.r1"));

@@ -47,8 +47,8 @@
 //!   the name ends in `.json`. `--sample-every N` sets the sampling
 //!   period in simulated cycles (default 1000).
 //! * `--timeseries-out <file.json>` — record an interval time series
-//!   of the full metrics snapshot and write the
-//!   `ring-prof/timeseries/v1` delta stream (ipc, fault-rate,
+//!   of cycles, instructions, faults, ring changes and page faults and
+//!   write the `ring-prof/timeseries/v1` delta stream (ipc, fault-rate,
 //!   paging-rate curves). `--timeseries-every N` sets the interval in
 //!   simulated cycles (default 5000).
 //!

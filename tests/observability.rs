@@ -14,7 +14,8 @@ use multiring::cpu::native::NativeAction;
 use multiring::cpu::testkit::World;
 use multiring::os::conventions::{gate_addr, ring1, segs};
 use multiring::os::driver::gen_call_sequence;
-use multiring::os::System;
+use multiring::os::workload::{install_page_storm, StormSpec};
+use multiring::os::{System, SystemConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -373,6 +374,91 @@ fn trace_ring_wraparound_drop_count_survives_export() {
         csv.lines().any(|l| l == format!("trace.dropped,{dropped}")),
         "drop count missing from CSV"
     );
+}
+
+/// A three-process page storm under a six-frame budget (what `runasm
+/// --procs 3 --frames 6 --pages 5 --rounds 20` runs), with the
+/// observers `observe` turns on, ready to run.
+fn page_storm(observe: impl FnOnce(&mut System)) -> System {
+    let cfg = SystemConfig {
+        quantum: 400,
+        frame_budget: Some(6),
+        ..SystemConfig::default()
+    };
+    let mut sys = System::boot_with(cfg);
+    let spec = StormSpec {
+        procs: 3,
+        pages: 5,
+        rounds: 20,
+    };
+    install_page_storm(&mut sys, &spec);
+    observe(&mut sys);
+    sys.machine.set_timer(Some(cfg.quantum));
+    sys
+}
+
+fn run_storm(observe: impl FnOnce(&mut System)) -> System {
+    let mut sys = page_storm(observe);
+    assert_eq!(sys.machine.run(5_000_000), RunExit::Halted);
+    sys
+}
+
+/// The time series counts faults, ring changes and page faults from
+/// the machine's own commit points, so it reads the same whether or
+/// not the metrics recorder is on.
+#[test]
+fn timeseries_counts_faults_with_metrics_off() {
+    let off = run_storm(|s| s.enable_profiler(0, 2_000));
+    let on = run_storm(|s| {
+        s.enable_metrics();
+        s.enable_profiler(0, 2_000);
+    });
+    let deltas = off.timeseries().deltas();
+    assert!(deltas.iter().any(|p| p.page_faults > 0), "the storm pages");
+    assert!(deltas.iter().any(|p| p.ring_changes > p.page_faults));
+    assert_eq!(off.timeseries().to_json(), on.timeseries().to_json());
+}
+
+/// The profiler keeps its own frame stack: alone, it records no span
+/// events, and its profile and time series equal those of the same run
+/// with the span recorder on.
+#[test]
+fn profiler_alone_records_no_spans_and_profiles_as_with_spans() {
+    let alone = run_storm(|s| s.enable_profiler(50, 2_000));
+    let with_spans = run_storm(|s| {
+        s.enable_spans();
+        s.enable_profiler(50, 2_000);
+    });
+    assert!(alone.machine.spans().events().is_empty());
+    assert!(!with_spans.machine.spans().events().is_empty());
+    let folded = alone.profiler().folded();
+    assert!(
+        folded.contains("\npid1;r4:"),
+        "samples are rooted at the running process:\n{folded}"
+    );
+    assert_eq!(folded, with_spans.profiler().folded());
+    assert_eq!(
+        alone.timeseries().to_json(),
+        with_spans.timeseries().to_json()
+    );
+}
+
+/// Draining the span log mid-run is invisible to the profiler.
+#[test]
+fn draining_spans_mid_run_leaves_the_profile_unchanged() {
+    let observe = |s: &mut System| {
+        s.enable_spans();
+        s.enable_profiler(50, 2_000);
+    };
+    let whole = run_storm(observe);
+    let mut drained = page_storm(observe);
+    let mut events = 0;
+    while drained.machine.run(100) != RunExit::Halted {
+        events += drained.take_span_events().len();
+    }
+    assert!(events > 0, "spans were drained mid-run");
+    assert_eq!(drained.profiler().folded(), whole.profiler().folded());
+    assert_eq!(drained.profiler().samples(), whole.profiler().samples());
 }
 
 /// The CSV flattening is collision-free and lossless: every dotted key
