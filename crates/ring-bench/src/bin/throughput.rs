@@ -19,8 +19,8 @@
 //! * `tight_loop` — a same-ring counting loop: fetch + operand
 //!   read/write/AOS + taken transfer, all fast-path eligible.
 //! * `gate_storm` — a cross-ring CALL/RETURN round trip per iteration:
-//!   CALL and RETURN themselves always take the slow path, so this
-//!   bounds the speedup on crossing-heavy code.
+//!   CALL and RETURN commit on the fast path through the reference
+//!   Fig. 8–9 check once their target descriptors are resident.
 //! * `indirect_chain` — each iteration follows a three-deep indirect
 //!   chain, exercising the per-hop lookaside probes.
 //!

@@ -121,19 +121,12 @@ impl Machine {
                 }
                 Ok(())
             }
-            OperandUse::Call => {
+            use_class @ (OperandUse::Call | OperandUse::Return) => {
                 let ea = self.form_ea(&instr, iseg)?;
                 if ea.immediate.is_some() {
                     return Err(Fault::IllegalModifier);
                 }
-                self.exec_call(ea.tpr, iseg)
-            }
-            OperandUse::Return => {
-                let ea = self.form_ea(&instr, iseg)?;
-                if ea.immediate.is_some() {
-                    return Err(Fault::IllegalModifier);
-                }
-                self.exec_return(ea.tpr)
+                self.exec_call_return(use_class, ea.tpr, iseg)
             }
             OperandUse::AddressOnly => {
                 let ea = self.form_ea(&instr, iseg)?;

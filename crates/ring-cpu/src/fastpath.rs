@@ -27,10 +27,16 @@
 //!   missing pages, decode errors, indirect-limit overruns: the fast
 //!   path never produces a fault itself; it steps aside and lets the
 //!   slow path produce it, byte-for-byte.
-//! * **Bail on anything rare.** CALL, RETURN, SPRI, DRL and the
-//!   privileged instructions always take the slow path — they are
-//!   exactly the paths whose full Figs. 8/9 sequencing is the point of
-//!   the simulator.
+//! * **Bail on anything rare.** SPRI, DRL and the privileged
+//!   instructions always take the slow path.
+//! * **Cross rings through the reference decision.** CALL and RETURN
+//!   commit here when the target segment's SDW is resident in the
+//!   associative memory. The Fig. 8/9 check is the slow path's own
+//!   ([`Machine::check_call_return`], over the pure
+//!   `ring_core::callret` functions), and so is the state change
+//!   ([`Machine::apply_call_return`]); this module holds no copy of
+//!   either. A refused crossing bails before anything moves, and the
+//!   slow path raises the fault.
 //! * **Mirror the observability surface.** A committed fast instruction
 //!   makes one observer call carrying the same trace event and the same
 //!   SDW-lookup, access-heatmap, instruction-mix and EA-depth counts as
@@ -44,7 +50,7 @@
 use ring_core::access::AccessMode;
 use ring_core::addr::{SegAddr, SegNo, WordNo, MAX_WORDNO};
 use ring_core::effective;
-use ring_core::registers::{IndWord, Ipr, PtrReg};
+use ring_core::registers::{IndWord, Ipr, PtrReg, Tpr};
 use ring_core::ring::Ring;
 use ring_core::word::Word;
 
@@ -223,8 +229,8 @@ impl Machine {
         }
         let iword = self.phys.peek(fetch.abs).ok()?;
         // The cache also answers eligibility: the privileged group and
-        // DRL (and, below, CALL/RETURN/SPRI) keep their reference
-        // implementation, so a lookup on one of those bails here.
+        // DRL (and, below, SPRI) keep their reference implementation,
+        // so a lookup on one of those bails here.
         let (instr, use_class) = self.fast.icache.lookup_or_decode(iaddr, iword)?;
 
         // Counted reads and SDW lookups the slow path would have made.
@@ -374,10 +380,52 @@ impl Machine {
                 self.exec_address_only(instr, count);
                 Some(())
             }
-            // CALL/RETURN ring switching and the SPRI double store stay
-            // on the reference path.
-            OperandUse::Call | OperandUse::Return | OperandUse::WritePair => None,
+            OperandUse::Call | OperandUse::Return => {
+                self.fast_call_return(at0, instr, use_class, reads, lookups)
+            }
+            // The SPRI double store stays on the reference path.
+            OperandUse::WritePair => None,
         }
+    }
+
+    /// CALL and RETURN (Figs. 8–9) on the target's resident SDW: the
+    /// reference path's check and apply step, with the descriptor read
+    /// by a pure peek instead of a counted lookup. A non-resident
+    /// target or a refused crossing bails with nothing mutated. Kept
+    /// out of line so the arms above compile as they would without it.
+    #[inline(never)]
+    fn fast_call_return(
+        &mut self,
+        at0: Ipr,
+        instr: Instr,
+        use_class: OperandUse,
+        mut reads: u64,
+        mut lookups: u64,
+    ) -> Option<()> {
+        let iseg = at0.addr.segno;
+        let ea = self.fast_form_ea(&instr, iseg, &mut reads, &mut lookups)?;
+        if ea.immediate.is_some() {
+            return None; // IllegalModifier on the slow path
+        }
+        let tpr = Tpr {
+            ring: ea.ring,
+            addr: ea.addr,
+        };
+        let sdw = self.tr.fast_sdw(tpr.addr.segno)?;
+        let decision = self.check_call_return(use_class, &sdw, tpr, iseg).ok()?;
+        // The target lookup hits the associative memory without a
+        // lookaside translation, and it costs no counted read.
+        self.tr.fast_commit_sdw_hit();
+        if self.fast.record {
+            self.fast
+                .access_buf
+                .push((tpr.addr.segno.value(), AccessMode::Execute));
+        }
+        let ea_event = Some((ea.depth, ea.ring.number() > at0.ring.number()));
+        self.fast_commit(at0, instr, use_class, reads, lookups, ea_event);
+        self.last_use = Some(use_class);
+        self.apply_call_return(tpr.addr, decision);
+        Some(())
     }
 
     /// Fig. 5 effective-address formation on pure probes. Mirrors
@@ -460,8 +508,10 @@ impl Machine {
     }
 
     /// Commits an attempt: charges the counted reads, credits the cache
-    /// statistics, mirrors the slow path's trace and metrics events, and
-    /// advances the instruction counter (transfers overwrite it after).
+    /// statistics with `lookups` lookaside translations, mirrors the
+    /// slow path's trace and metrics events, and advances the
+    /// instruction counter (transfers, CALL and RETURN overwrite it
+    /// after).
     fn fast_commit(
         &mut self,
         at0: Ipr,
@@ -476,15 +526,9 @@ impl Machine {
         self.stats.fast_steps += 1;
         // `last_use` stays `None`: its only consumer attributes cycle
         // costs to the CALL/RETURN histograms, and those two classes
-        // never commit here.
-        self.obs.fast_instruction(
-            at0,
-            instr,
-            use_class,
-            lookups,
-            &self.fast.access_buf,
-            ea_event,
-        );
+        // set it themselves.
+        self.obs
+            .fast_instruction(at0, instr, use_class, &self.fast.access_buf, ea_event);
         self.ipr.addr = SegAddr::new(at0.addr.segno, at0.addr.wordno.wrapping_add(1));
     }
 }

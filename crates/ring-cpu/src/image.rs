@@ -18,14 +18,18 @@
 //!   instead when that state must travel with it);
 //! - the fast-path TLB and instruction cache — pure acceleration,
 //!   invisible to every architectural outcome including cycles, so a
-//!   restored machine simply starts them cold;
+//!   restored machine simply starts them cold — and with them the
+//!   fast-path count in [`ExecStats`]: which engine ran a step is not
+//!   architectural state, so a restore zeroes the count along with the
+//!   instruction-cache counters, and all three then cover only the
+//!   steps since the restore;
 //! - the observability layer (trace, metrics, spans) — observers are
 //!   re-armed by the replay harness, not part of the machine's state.
 //!
-//! The encoding is a flat `Vec<u64>` so the recording container
-//! (`ring-trace`) can treat images as opaque words. Capture uses only
-//! uncounted reads (`peek`), so taking a checkpoint never perturbs the
-//! run being recorded.
+//! The encoding (version 3) is a flat `Vec<u64>` so the recording
+//! container (`ring-trace`) can treat images as opaque words. Capture
+//! uses only uncounted reads (`peek`), so taking a checkpoint never
+//! perturbs the run being recorded.
 
 use ring_core::access::{AccessMode, Fault, Violation};
 use ring_core::addr::{AbsAddr, SegAddr, SegNo, WordNo};
@@ -37,9 +41,13 @@ use ring_segmem::sdw_cache::SdwCacheState;
 
 use crate::machine::{ExecStats, Machine};
 
-/// Identifies the image encoding (bumped on layout changes).
+/// Identifies the image encoding.
 const MAGIC: u64 = 0x52_49_4E_47_49_4D_47; // "RINGIMG"
-const VERSION: u64 = 2; // v2 appends chaos state (engine, poison, vetoes)
+/// The layout version, bumped on layout changes. v2 appended the chaos
+/// state (engine, poison, vetoes); v3 dropped the fast-path step count,
+/// so a seek lands in the same image as a from-scratch run whichever
+/// engine ran the steps before it.
+const VERSION: u64 = 3;
 
 /// An opaque, complete snapshot of a machine's architectural state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -276,7 +284,6 @@ impl Machine {
             s.upward_call_traps,
             s.downward_return_traps,
             s.native_calls,
-            s.fast_steps,
         ]);
         // Physical memory: traffic counters plus sparse nonzero words.
         w.push(self.phys.read_count());
@@ -342,7 +349,8 @@ impl Machine {
     /// (physical memory size, SDW-cache capacity, cost model) as the
     /// one that produced the image; mismatches are reported as errors.
     /// The fast-path TLB and instruction cache restart cold, which is
-    /// architecturally invisible.
+    /// architecturally invisible, and the fast-path step count restarts
+    /// at zero with the instruction-cache counters.
     pub fn restore_image(&mut self, image: &MachineImage) -> Result<(), String> {
         let mut r = Reader {
             words: &image.words,
@@ -375,7 +383,7 @@ impl Machine {
         let d1 = Word::new(r.take()?);
         let last_fault_words: [u64; 4] = r.take_n(4)?.try_into().expect("4 words");
         let double_fault_words: [u64; 4] = r.take_n(4)?.try_into().expect("4 words");
-        let stats_words = r.take_n(10)?.to_vec();
+        let stats_words = r.take_n(9)?.to_vec();
         let reads = r.take()?;
         let writes = r.take()?;
         let size = r.take()? as usize;
@@ -487,7 +495,7 @@ impl Machine {
             upward_call_traps: stats_words[6],
             downward_return_traps: stats_words[7],
             native_calls: stats_words[8],
-            fast_steps: stats_words[9],
+            fast_steps: 0,
         };
         self.phys.zero_all();
         for (abs, word) in mem {

@@ -144,7 +144,8 @@ pub struct ExecStats {
     /// Native-procedure invocations.
     pub native_calls: u64,
     /// Instructions committed by the fast-path engine (a subset of
-    /// `instructions`).
+    /// `instructions`). Not part of a machine image: a restore zeroes
+    /// it, so afterwards it counts the steps since the restore.
     pub fast_steps: u64,
 }
 
@@ -468,7 +469,7 @@ impl Machine {
     /// Turns on the span flight recorder: every CALL and trap entry
     /// opens a span and every RETURN/RETT closes it, keyed by `(ring,
     /// segment, entry word)`. Off by default: a disabled recorder costs
-    /// one branch on the CALL/RETURN/trap slow paths only and changes
+    /// one branch per CALL, RETURN, trap entry and RETT only and changes
     /// no architectural state either way.
     pub fn enable_spans(&mut self) {
         self.obs.spans.enable();

@@ -114,15 +114,16 @@ impl Observer {
     }
 
     /// The fast path committed `instr` from `at`: the same events as
-    /// its reference twin, with the twin's `lookups` SDW-cache hits,
-    /// segment `accesses` and effective-address event.
+    /// its reference twin, with the twin's segment `accesses` and
+    /// effective-address event. Each access stands for one SDW lookup
+    /// that hit the associative memory, since the twin's
+    /// `Machine::sdw_for` reports a lookup and an access together.
     #[inline]
     pub(crate) fn fast_instruction(
         &mut self,
         at: Ipr,
         instr: Instr,
         use_class: OperandUse,
-        lookups: u64,
         accesses: &[(u32, AccessMode)],
         ea_event: Option<(u32, bool)>,
     ) {
@@ -131,7 +132,7 @@ impl Observer {
             return;
         }
         self.metrics.instruction(at.ring, use_class.metric_class());
-        self.metrics.sdw_hits(lookups);
+        self.metrics.sdw_hits(accesses.len() as u64);
         for &(segno, mode) in accesses {
             self.metrics.access(segno, mode);
         }

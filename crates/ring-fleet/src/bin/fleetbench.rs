@@ -21,13 +21,18 @@
 //! wall-clock, and writes a `ring-fleet/bench/v2` JSON report whose
 //! `merged_snapshot_hash` — and, under chaos, health report and
 //! quarantine hash — are bit-stable across `--threads` values for a
-//! fixed seed — the determinism contract CI enforces.
+//! fixed seed — the determinism contract CI enforces. The report's
+//! `merged_snapshot_hash_without_fastpath` hashes the merged snapshot
+//! with its `fastpath` block zeroed: the simulation alone, whichever
+//! engine ran each step.
 
 use std::fmt::Display;
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use ring_fleet::report::{fleet_json, fnv1a64, HealthReport, Percentiles};
+use ring_fleet::report::{
+    fleet_json, snapshot_hash, snapshot_hash_without_fastpath, HealthReport, Percentiles,
+};
 use ring_fleet::{run_fleet, ChaosParams, FleetConfig, WorkloadMix};
 
 /// The value after `flag`, parsed.
@@ -103,7 +108,7 @@ fn main() -> ExitCode {
         .collect();
     let dirty_stats = Percentiles::of(&dirty);
     let image_pages = result.image_words.div_ceil(ring_segmem::COW_PAGE_WORDS);
-    let hash = fnv1a64(result.merged.to_json().as_bytes());
+    let hash = snapshot_hash(&result.merged);
 
     println!(
         "fleet: {} machines, {} threads, seed {:#x}",
@@ -129,6 +134,10 @@ fn main() -> ExitCode {
         image_pages, dirty_stats.p50, dirty_stats.p99,
     );
     println!("  merged snapshot hash: fnv1a64:{hash:016x}");
+    println!(
+        "  without the fastpath block: fnv1a64:{:016x}",
+        snapshot_hash_without_fastpath(&result.merged)
+    );
     let health = HealthReport::of(&result.machines);
     if cfg.supervisor.chaos.is_some() {
         println!(

@@ -2,6 +2,7 @@
 //! fleet health report, and the `ring-fleet/bench/v2` JSON trajectory.
 
 use ring_chaos::FailureClass;
+use ring_metrics::{FastPathStats, MetricsSnapshot};
 
 use crate::{FleetConfig, FleetResult, MachineResult, WorkloadKind};
 
@@ -62,6 +63,21 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
+}
+
+/// [`fnv1a64`] of a snapshot's JSON export: the merged-snapshot hash.
+pub fn snapshot_hash(snap: &MetricsSnapshot) -> u64 {
+    fnv1a64(snap.to_json().as_bytes())
+}
+
+/// [`snapshot_hash`] with the `fastpath` block zeroed. Those counters
+/// record which engine ran each step; everything else is the simulation
+/// itself, which must not depend on that choice.
+pub fn snapshot_hash_without_fastpath(snap: &MetricsSnapshot) -> u64 {
+    snapshot_hash(&MetricsSnapshot {
+        fastpath: FastPathStats::default(),
+        ..snap.clone()
+    })
 }
 
 /// One quarantined machine in the health report.
@@ -199,7 +215,8 @@ pub fn fleet_json(cfg: &FleetConfig, result: &FleetResult, quick: bool) -> Strin
     } else {
         0.0
     };
-    let hash = fnv1a64(result.merged.to_json().as_bytes());
+    let hash = snapshot_hash(&result.merged);
+    let hash_without_fastpath = snapshot_hash_without_fastpath(&result.merged);
     let health = HealthReport::of(&result.machines);
     let halted = result.machines.iter().filter(|m| m.halted).count();
     format!(
@@ -216,7 +233,8 @@ pub fn fleet_json(cfg: &FleetConfig, result: &FleetResult, quick: bool) -> Strin
          \"dirty_pages\": {dirty_pct}, \"shared_fraction\": {shared:.4}}},\n  \
          \"chaos\": {chaos},\n  \
          \"member_errors\": {member_errors},\n  \
-         \"merged_snapshot_hash\": \"fnv1a64:{hash:016x}\"\n}}\n",
+         \"merged_snapshot_hash\": \"fnv1a64:{hash:016x}\",\n  \
+         \"merged_snapshot_hash_without_fastpath\": \"fnv1a64:{hash_without_fastpath:016x}\"\n}}\n",
         chaos = health.json(cfg),
         member_errors = result.member_errors.len(),
         machines = result.machines.len(),

@@ -119,6 +119,15 @@ impl SdwCache {
         self.slot_of(segno).is_some()
     }
 
+    /// The SDW resident for `segno`, if any, without counting a lookup:
+    /// the pure read behind the fast path's CALL and RETURN, which
+    /// credits the hit with [`SdwCache::count_hits`] only on commit.
+    #[inline]
+    pub fn peek(&self, segno: SegNo) -> Option<Sdw> {
+        self.slot_of(segno)
+            .and_then(|slot| self.entries[slot].map(|(_, sdw)| sdw))
+    }
+
     /// Looks up the SDW for `segno`, updating hit/miss statistics.
     #[inline]
     pub fn lookup(&mut self, segno: SegNo) -> Option<Sdw> {
@@ -331,6 +340,20 @@ mod tests {
         assert!(c.contains(seg(1)));
         assert!(!c.contains(seg(2)));
         assert_eq!(c.stats(), CacheStats::default());
+    }
+
+    #[test]
+    fn peek_reads_residents_without_touching_stats() {
+        let mut c = SdwCache::new(2);
+        c.insert(seg(1), sdw(7));
+        c.lookup(seg(3));
+        let before = c.stats();
+        assert_eq!(c.peek(seg(1)).map(|s| s.bound), Some(7));
+        assert_eq!(c.peek(seg(2)), None);
+        assert_eq!(c.stats(), before);
+        c.invalidate(seg(1));
+        assert_eq!(c.peek(seg(1)), None);
+        assert_eq!(SdwCache::new(0).peek(seg(1)), None);
     }
 
     #[test]

@@ -227,6 +227,27 @@ impl Translator {
         self.tlb.probe_transfer(addr, ring)
     }
 
+    /// Fast-path read of a resident descriptor: the SDW the associative
+    /// memory holds for `segno`, counting no lookup. Pure. `None` when
+    /// the segment is not resident or its fast path is vetoed, and the
+    /// caller bails to the slow path's counted [`Translator::fetch_sdw`].
+    #[inline]
+    pub fn fast_sdw(&self, segno: ring_core::addr::SegNo) -> Option<Sdw> {
+        if self.vetoed(segno) {
+            return None;
+        }
+        self.cache.peek(segno)
+    }
+
+    /// Records one committed [`Translator::fast_sdw`] read: the
+    /// associative-memory hit the slow path's lookup would have scored.
+    /// No lookaside translation stands behind it, so the lookaside's
+    /// statistics do not move.
+    #[inline]
+    pub fn fast_commit_sdw_hit(&mut self) {
+        self.cache.count_hits(1);
+    }
+
     /// Installs a fast-path translation after a successful slow-path
     /// reference through `sdw`. Skipped unless `addr.segno` is resident
     /// in the associative memory (the residency invariant above; this
@@ -518,5 +539,35 @@ mod tests {
         tr.fetch_sdw(&mut phys, &dbr, addr(1, 0), AccessMode::Read)
             .unwrap();
         assert_eq!(phys.read_count(), before + 2, "miss re-walks descriptor");
+    }
+
+    #[test]
+    fn fast_sdw_reads_residents_and_honours_vetoes() {
+        let (mut phys, dbr, mut tr) = world();
+        let sdw = SdwBuilder::procedure(Ring::R1, Ring::R1, Ring::R4)
+            .gates(1)
+            .build();
+        install(&mut phys, &dbr, 1, &sdw);
+        install(&mut phys, &dbr, 2, &sdw);
+        assert_eq!(tr.fast_sdw(SegNo::new(1).unwrap()), None, "not resident");
+        for s in [1, 2] {
+            tr.fetch_sdw(&mut phys, &dbr, addr(s, 0), AccessMode::Execute)
+                .unwrap();
+        }
+        let (stats, reads) = (tr.cache_stats(), phys.read_count());
+        assert_eq!(tr.fast_sdw(SegNo::new(1).unwrap()), Some(sdw));
+        assert_eq!(tr.cache_stats(), stats, "a peek counts nothing");
+        assert_eq!(phys.read_count(), reads);
+
+        tr.set_fast_veto(1);
+        assert_eq!(tr.fast_sdw(SegNo::new(1).unwrap()), None, "vetoed");
+        assert_eq!(tr.fast_sdw(SegNo::new(2).unwrap()), Some(sdw));
+        tr.set_global_fast_veto();
+        assert_eq!(tr.fast_sdw(SegNo::new(2).unwrap()), None, "vetoed");
+
+        let tlb = tr.tlb_stats();
+        tr.fast_commit_sdw_hit();
+        assert_eq!(tr.cache_stats().hits, stats.hits + 1);
+        assert_eq!(tr.tlb_stats(), tlb, "no lookaside translation");
     }
 }

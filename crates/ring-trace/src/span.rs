@@ -8,8 +8,8 @@
 //!
 //! [`SpanRecorder`] is the machine-facing half: a cheap append-only
 //! event log that is a no-op until enabled (the recorder is consulted
-//! only on the CALL/RETURN/trap slow paths, so the disabled cost is a
-//! single branch on paths that are already hundreds of cycles).
+//! only at CALL, RETURN, trap entry and RETT, so the disabled cost is
+//! a single branch per crossing).
 //! [`build_tree`] and [`gate_table`] are the analysis half.
 
 use std::fmt;

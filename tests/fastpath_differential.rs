@@ -27,16 +27,19 @@
 //! timer-driven process switches.
 
 use multiring::core::access::Fault;
+use multiring::core::oracle;
 use multiring::core::registers::{Dbr, IndWord, Ipr, PtrReg};
 use multiring::core::ring::Ring;
 use multiring::core::sdw::SdwBuilder;
 use multiring::core::word::Word;
-use multiring::core::{AbsAddr, SegNo};
+use multiring::core::{AbsAddr, SegAddr, SegNo};
 use multiring::cpu::isa::{Instr, Opcode};
 use multiring::cpu::machine::{Machine, MachineConfig, StepOutcome};
 use multiring::cpu::native::NativeAction;
 use multiring::cpu::testkit::{addr, World};
-use multiring::os::workload::{install_page_storm, StormSpec};
+use multiring::os::workload::{
+    install_gate_storm, install_page_storm, micro, GateStormSpec, StormSpec,
+};
 use multiring::os::{System, SystemConfig};
 use multiring::segmem::Ptw;
 use proptest::prelude::*;
@@ -875,4 +878,437 @@ fn booted_page_storm_agrees_in_lockstep() {
         aos_fast * 4 > committed,
         "only {aos_fast} of {committed} AOS commits took the fast path"
     );
+}
+
+/// Steps `fast` and `slow` in lockstep until both halt (at most
+/// `budget` steps), checking outcome, registers (the IPR carries the
+/// ring), cycles, faults and counted references after every step.
+/// Returns how many steps each CALL class took on the fast engine:
+/// `(committed fast, taken by the reference path)`.
+fn crossings_in_lockstep(fast: &mut Machine, slow: &mut Machine, budget: usize) -> (u64, u64) {
+    let (mut fast_calls, mut ref_calls) = (0u64, 0u64);
+    for i in 0..budget {
+        let calls_before = fast.stats().calls_downward + fast.stats().calls_same_ring;
+        let fast_before = fast.stats().fast_steps;
+        let of = fast.step();
+        let os = slow.step();
+        let at = format!("at step {i}");
+        assert_eq!(of, os, "outcome diverged {at}");
+        assert_machines_equal(fast, slow, &at);
+        assert_eq!(
+            fast.phys().read_count(),
+            slow.phys().read_count(),
+            "counted reads diverged {at}"
+        );
+        assert_eq!(
+            fast.phys().write_count(),
+            slow.phys().write_count(),
+            "counted writes diverged {at}"
+        );
+        if fast.stats().calls_downward + fast.stats().calls_same_ring > calls_before {
+            if fast.stats().fast_steps > fast_before {
+                fast_calls += 1;
+            } else {
+                ref_calls += 1;
+            }
+        }
+        if of == StepOutcome::Halted {
+            return (fast_calls, ref_calls);
+        }
+    }
+    panic!("no halt within {budget} steps");
+}
+
+/// After a lockstep run, the recorders that see only committed events
+/// must hold the same span stream, folded profile and time series.
+fn assert_recorders_equal(fast: &mut Machine, slow: &mut Machine) {
+    assert_eq!(
+        fast.take_span_events(),
+        slow.take_span_events(),
+        "span event streams diverged"
+    );
+    assert_eq!(
+        fast.profiler().folded(),
+        slow.profiler().folded(),
+        "folded profiles diverged"
+    );
+    assert_eq!(
+        fast.timeseries().to_json(),
+        slow.timeseries().to_json(),
+        "time series diverged"
+    );
+}
+
+/// The gate storm with every recorder on: each CALL down through the
+/// gate and each RETURN back up commits on the fast path, through the
+/// same Fig. 8–9 decision and apply step as the reference path, so
+/// both engines agree at every step and in every export but the
+/// `fastpath` counters.
+#[test]
+fn gate_storm_crossings_commit_fast_in_lockstep() {
+    let build = |fastpath: bool| {
+        let mut w = micro::gate_storm(fastpath, 250);
+        w.machine.enable_metrics();
+        w.machine.enable_spans();
+        w.machine.enable_profiler(64, 256);
+        w
+    };
+    let (mut fast, mut slow) = (build(true), build(false));
+    let (fast_calls, ref_calls) =
+        crossings_in_lockstep(&mut fast.machine, &mut slow.machine, 10_000);
+    assert_eq!(fast_calls + ref_calls, 250);
+    let arch_json = |m: &Machine| {
+        let mut snap = m.metrics_snapshot();
+        snap.fastpath = Default::default();
+        snap.to_json()
+    };
+    assert_eq!(
+        arch_json(&fast.machine),
+        arch_json(&slow.machine),
+        "snapshots diverged"
+    );
+    assert_eq!(
+        fast.machine.sdw_cache_stats(),
+        slow.machine.sdw_cache_stats(),
+        "SDW cache statistics diverged"
+    );
+    assert_recorders_equal(&mut fast.machine, &mut slow.machine);
+    let stats = fast.machine.stats();
+    assert!(
+        stats.fast_steps * 100 >= stats.instructions * 99,
+        "only {} of {} steps committed on the fast path",
+        stats.fast_steps,
+        stats.instructions
+    );
+}
+
+/// A booted gate storm under timer slices: every CALL enters the
+/// native ring-1 `acct_charge` gate, and each dispatch's DBR load
+/// flushes the associative memory, so the first CALL after it finds
+/// its target descriptor missing and takes the reference path while
+/// later ones commit fast. Both engines agree at every step and in
+/// every export but the `fastpath` counters.
+#[test]
+fn booted_gate_storm_agrees_in_lockstep() {
+    let spec = GateStormSpec {
+        procs: 3,
+        rounds: 20,
+    };
+    let boot = |fastpath: bool| {
+        let mut sys = System::boot_with(SystemConfig {
+            phys_words: 1 << 17,
+            quantum: 400,
+            fastpath,
+            ..SystemConfig::default()
+        });
+        let procs = install_gate_storm(&mut sys, &spec);
+        sys.enable_metrics();
+        sys.enable_spans();
+        sys.enable_profiler(64, 256);
+        sys.machine.set_timer(Some(400));
+        (sys, procs)
+    };
+    let (mut fast, procs) = boot(true);
+    let (mut slow, _) = boot(false);
+    let (fast_calls, ref_calls) =
+        crossings_in_lockstep(&mut fast.machine, &mut slow.machine, 200_000);
+    for p in &procs {
+        assert_eq!(
+            fast.state().processes[p.pid].aborted.as_deref(),
+            Some("exit"),
+            "process {} did not exit cleanly",
+            p.pid
+        );
+    }
+    assert!(
+        fast.state().sched.stats.context_switches > 0,
+        "processes never switched"
+    );
+    assert!(
+        fast_calls + ref_calls >= u64::from(spec.rounds) * spec.procs as u64,
+        "gate calls missing"
+    );
+    assert!(fast_calls > 0, "no CALL committed on the fast path");
+    assert!(ref_calls > 0, "no CALL met a flushed associative memory");
+    let arch_json = |sys: &System| {
+        let mut snap = sys.metrics_snapshot();
+        snap.fastpath = Default::default();
+        snap.to_json()
+    };
+    assert_eq!(arch_json(&fast), arch_json(&slow), "snapshots diverged");
+    assert_eq!(
+        fast.machine.sdw_cache_stats(),
+        slow.machine.sdw_cache_stats(),
+        "SDW cache statistics diverged"
+    );
+    assert_recorders_equal(&mut fast.machine, &mut slow.machine);
+}
+
+/// One CALL or RETURN built from random inputs, for the Fig. 8–9
+/// oracle check.
+#[derive(Clone, Copy, Debug)]
+struct CrossingCase {
+    call: bool,
+    /// Target brackets R1 ≤ R2 ≤ R3.
+    rings: [Ring; 3],
+    gates: u32,
+    bound_words: u32,
+    execute: bool,
+    present: bool,
+    /// Target word number.
+    word: u32,
+    /// Ring folded into the effective ring: through PR3's ring, or
+    /// through an indirect word's ring when `indirect`.
+    ring: Ring,
+    indirect: bool,
+    /// Current ring of execution.
+    current: Ring,
+    /// Target in the instruction's own segment.
+    same_segment: bool,
+    /// Target SDW warmed into the associative memory before the step.
+    resident: bool,
+}
+
+/// Segment of the CALL or RETURN, and of a same-segment target.
+const XCODE: u32 = 10;
+/// Segment of another-segment targets.
+const XTARGET: u32 = 20;
+
+fn gen_crossing(rng: &mut StdRng) -> CrossingCase {
+    let ring = |rng: &mut StdRng| Ring::new(rng.gen_range(0..8u8)).expect("ring");
+    let mut rings = [ring(rng), ring(rng), ring(rng)];
+    rings.sort();
+    let same_segment = rng.gen_bool(0.2);
+    let gates = rng.gen_range(0..4u32);
+    let bound_words = if rng.gen_bool(0.5) { 16 } else { 32 };
+    let word = if rng.gen_bool(0.5) {
+        rng.gen_range(0..=gates)
+    } else {
+        rng.gen_range(0..48u32)
+    };
+    // The instruction's own segment must let the current ring fetch it.
+    let (execute, present, current) = if same_segment {
+        let cur = rng.gen_range(rings[0].number()..=rings[1].number());
+        (true, true, Ring::new(cur).expect("ring"))
+    } else {
+        (rng.gen_bool(0.9), rng.gen_bool(0.9), ring(rng))
+    };
+    CrossingCase {
+        call: rng.gen_bool(0.5),
+        rings,
+        gates,
+        bound_words,
+        execute,
+        present,
+        word,
+        ring: ring(rng),
+        indirect: rng.gen_bool(0.5),
+        current,
+        same_segment,
+        resident: same_segment || rng.gen_bool(0.9),
+    }
+}
+
+/// The world of `case` on one engine, stopped at the CALL or RETURN
+/// (word 1 of segment `XCODE`), with the instruction's page and any
+/// indirect word in the lookaside and, if `case.resident`, the
+/// target's SDW in the associative memory.
+fn crossing_world(case: &CrossingCase, fastpath: bool) -> World {
+    let mut w = World::with_config(MachineConfig {
+        fastpath,
+        ..MachineConfig::default()
+    });
+    let [r1, r2, r3] = case.rings;
+    let target = SdwBuilder::procedure(r1, r2, r3)
+        .gates(case.gates)
+        .bound_words(case.bound_words)
+        .execute(case.execute)
+        .present(case.present);
+    let target_segno = if case.same_segment {
+        w.add_segment(XCODE, target)
+    } else {
+        let cur = case.current;
+        w.add_segment(XCODE, SdwBuilder::procedure(cur, cur, cur).bound_words(16));
+        w.add_segment(XTARGET, target)
+    };
+    // Indirect words live in a segment readable from every ring whose
+    // write bracket (folded in at the indirect word) is ring 0.
+    let table = w.add_segment(TABLE, SdwBuilder::data(Ring::R0, Ring::R7).bound_words(16));
+    w.write_ind_word(
+        table,
+        0,
+        IndWord::new(
+            case.ring,
+            SegAddr::new(target_segno, word_no(case.word)),
+            false,
+        ),
+    );
+    w.add_standard_stacks(16);
+    let trap = w.add_trap_segment();
+    w.machine
+        .register_native(trap, |_, _| Ok(NativeAction::Halt));
+    let opcode = if case.call {
+        Opcode::Call
+    } else {
+        Opcode::Return
+    };
+    let operand = |op: Opcode| {
+        if case.indirect {
+            Instr::pr_relative(op, 3, 0).with_indirect()
+        } else {
+            Instr::pr_relative(op, 3, case.word)
+        }
+    };
+    let code = SegNo::new(XCODE).expect("segno");
+    // Word 0 forms the same effective address without referencing it:
+    // the reference path's fetch and indirect-word reads warm the
+    // lookaside for the CALL or RETURN at word 1.
+    w.poke_instr(code, 0, operand(Opcode::Eap).with_xreg(4));
+    w.poke_instr(code, 1, operand(opcode));
+    let pr3 = if case.indirect {
+        PtrReg::new(case.current, addr(TABLE, 0))
+    } else {
+        PtrReg::new(case.ring, SegAddr::new(target_segno, word_no(0)))
+    };
+    w.machine.set_pr(3, pr3);
+    w.machine.enable_metrics();
+    w.machine.enable_spans();
+    w.start(case.current, code, 0);
+    if case.resident {
+        w.machine
+            .segment_descriptor(target_segno)
+            .expect("descriptor in range");
+    }
+    assert_eq!(w.machine.step(), StepOutcome::Ran, "EAP at word 0");
+    w
+}
+
+fn word_no(word: u32) -> multiring::core::WordNo {
+    multiring::core::WordNo::new(word).expect("word number")
+}
+
+/// Runs `case`'s CALL or RETURN on both engines and checks them against
+/// each other and against `ring_core::oracle`. Returns a label naming
+/// the outcome: the fault, or whether an allowed crossing committed on
+/// the fast path.
+fn check_crossing(case: &CrossingCase) -> String {
+    let mut fast = crossing_world(case, true);
+    let mut slow = crossing_world(case, false);
+    let fast_before = fast.machine.stats().fast_steps;
+    let of = fast.machine.step();
+    let os = slow.machine.step();
+    let at = format!("in {case:?}");
+    assert_eq!(of, os, "outcome diverged {at}");
+    assert_machines_equal(&fast.machine, &slow.machine, &at);
+    assert_eq!(
+        fast.machine.phys().read_count(),
+        slow.machine.phys().read_count(),
+        "counted reads diverged {at}"
+    );
+    assert_eq!(
+        fast.machine.sdw_cache_stats(),
+        slow.machine.sdw_cache_stats(),
+        "SDW cache statistics diverged {at}"
+    );
+    assert_eq!(
+        arch_metrics_csv(&fast.machine),
+        arch_metrics_csv(&slow.machine),
+        "architectural metrics diverged {at}"
+    );
+    assert_eq!(
+        fast.machine.take_span_events(),
+        slow.machine.take_span_events(),
+        "span event streams diverged {at}"
+    );
+
+    let effective = case.current.least_privileged(case.ring);
+    let target = SegAddr::new(
+        SegNo::new(if case.same_segment { XCODE } else { XTARGET }).expect("segno"),
+        word_no(case.word),
+    );
+    let sdw = fast.read_sdw(target.segno.value());
+    let expected = if case.call {
+        oracle::call(&sdw, case.word, effective, case.current, case.same_segment)
+    } else {
+        oracle::ret(&sdw, case.word, effective, case.current)
+    };
+    let committed_fast = fast.machine.stats().fast_steps > fast_before;
+    let (outcome, label) = match of {
+        StepOutcome::Ran => {
+            assert_eq!(fast.machine.ipr().addr, target, "transfer target {at}");
+            assert_eq!(
+                committed_fast, case.resident,
+                "an allowed crossing commits fast exactly when its target is resident {at}"
+            );
+            let label = if case.resident {
+                "allowed, committed fast"
+            } else {
+                "allowed, target not resident"
+            };
+            (
+                oracle::Outcome::Allowed(fast.machine.ring()),
+                label.to_string(),
+            )
+        }
+        StepOutcome::Trapped(fault) => {
+            assert!(!committed_fast, "a refused crossing committed {at}");
+            let outcome = match fault {
+                Fault::SegmentFault { .. } => oracle::Outcome::Missing,
+                Fault::UpwardCall { .. } | Fault::DownwardReturn { .. } => {
+                    oracle::Outcome::SoftwareAssist
+                }
+                Fault::AccessViolation { .. } => oracle::Outcome::Violation,
+                other => panic!("unexpected fault {other:?} {at}"),
+            };
+            let label = match fault {
+                Fault::AccessViolation { violation, .. } => format!("{violation:?}"),
+                Fault::SegmentFault { .. } => "SegmentFault".to_string(),
+                Fault::UpwardCall { .. } => "UpwardCall".to_string(),
+                _ => "DownwardReturn".to_string(),
+            };
+            (outcome, label)
+        }
+        StepOutcome::Halted => panic!("halted {at}"),
+    };
+    assert_eq!(outcome, expected, "oracle disagrees {at}");
+    label
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A random CALL or RETURN on its resident (or absent) target
+    /// descriptor: both engines reach the same state and the same
+    /// fault, the oracle's outcome class, and the fast engine commits
+    /// every allowed crossing whose target is resident.
+    #[test]
+    fn crossings_match_the_oracle_on_both_engines(seed in any::<u64>()) {
+        check_crossing(&gen_crossing(&mut StdRng::seed_from_u64(seed)));
+    }
+}
+
+/// The random crossings are not vacuous: between them they raise every
+/// fault `check_call` and `check_return` can return, commit allowed
+/// crossings on the fast path, and take the reference path for a
+/// target whose descriptor is not resident.
+#[test]
+fn crossing_cases_reach_every_fig_8_9_outcome() {
+    let seen: std::collections::BTreeSet<String> = (0..1500u64)
+        .map(|seed| check_crossing(&gen_crossing(&mut StdRng::seed_from_u64(seed))))
+        .collect();
+    for label in [
+        "SegmentFault",
+        "OutOfBounds",
+        "FlagOff",
+        "AboveGateExtension",
+        "UpwardCall",
+        "NotAGate",
+        "CallRingAnomaly",
+        "OutsideBracket",
+        "DownwardReturn",
+        "allowed, committed fast",
+        "allowed, target not resident",
+    ] {
+        assert!(seen.contains(label), "no case produced {label}: {seen:?}");
+    }
 }

@@ -25,6 +25,14 @@ passed in that order: obs-metrics.json obs-trace.json obs.folded
 obs-ts.json sub-metrics.json sub-trace.json counters.json sub-ts.json
 sub.out. The second run's standard output prints the trace ring.
 
+Each fleet report also gives `merged_snapshot_hash_without_fastpath`,
+and each metrics export (an OUTPUT, or CHAOS_METRICS.json, that is a
+JSON object with a `fastpath` block) is hashed a second time with that
+block removed. The `fastpath` counters record which engine ran each
+step, so these lines pin the simulation apart from that choice: a
+change that moves work between the fast path and the reference
+interpreter must leave them unchanged.
+
 CI diffs the output against the committed file, so a change that alters
 the simulation or an export must update that file in the same diff.
 """
@@ -39,6 +47,28 @@ def sha256(path):
         return hashlib.sha256(f.read()).hexdigest()
 
 
+def sha256_without_fastpath(path):
+    """SHA-256 of a metrics export with its `fastpath` block removed,
+    re-serialised canonically; None for a file that is not one."""
+    try:
+        with open(path) as f:
+            snap = json.load(f)
+    except (UnicodeDecodeError, ValueError):
+        return None
+    if not isinstance(snap, dict) or "fastpath" not in snap:
+        return None
+    del snap["fastpath"]
+    canon = json.dumps(snap, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def print_file(label, path):
+    print(f"{label}: sha256 {sha256(path)}")
+    digest = sha256_without_fastpath(path)
+    if digest is not None:
+        print(f"{label} without fastpath: sha256 {digest}")
+
+
 fleet, chaos_fleet, chaos_metrics = sys.argv[1:4]
 print("# Regenerate with tests/golden/sim_hashes.py (see its docstring).")
 for label, path in (
@@ -46,7 +76,9 @@ for label, path in (
     ("fleetbench --quick --chaos-seed 7 --chaos-rate 300", chaos_fleet),
 ):
     with open(path) as f:
-        print(f"{label}: merged_snapshot_hash {json.load(f)['merged_snapshot_hash']}")
-print(f"chaos smoke chaos.json: sha256 {sha256(chaos_metrics)}")
+        report = json.load(f)
+    for key in ("merged_snapshot_hash", "merged_snapshot_hash_without_fastpath"):
+        print(f"{label}: {key} {report[key]}")
+print_file("chaos smoke chaos.json", chaos_metrics)
 for path in sys.argv[4:]:
-    print(f"observer run {path}: sha256 {sha256(path)}")
+    print_file(f"observer run {path}", path)

@@ -13,6 +13,7 @@ use multiring::cpu::machine::RunExit;
 use multiring::cpu::native::NativeAction;
 use multiring::cpu::testkit::World;
 use multiring::cpu::{replay, run_recorded, seek, Direction, IoSystem, Recorder};
+use multiring::os::workload::micro;
 use multiring::trace::Recording;
 
 /// A gate storm: `calls` unrolled gate calls from ring 4 into a ring-1
@@ -277,4 +278,43 @@ fn seek_matches_a_from_scratch_run() {
         ref_w.machine.capture_image().words(),
         "seek state differs from a from-scratch run at the same instruction"
     );
+}
+
+/// A seek restarts the fast-path caches cold, so the steps it re-runs
+/// may take the reference path where the recorded run took the fast
+/// path. Which engine ran a step is not machine state: seeking three
+/// instructions past every checkpoint of a same-ring loop and of a
+/// cross-ring gate storm must land in the image a from-scratch run
+/// reaches there.
+#[test]
+fn seek_past_every_checkpoint_matches_a_from_scratch_run() {
+    for name in ["tight_loop", "gate_storm"] {
+        let build = || match name {
+            "tight_loop" => micro::tight_loop(true, 40),
+            _ => micro::gate_storm(true, 20),
+        };
+        let mut rec_w = build();
+        let mut recorder = Recorder::start(&rec_w.machine, name, 64);
+        assert_eq!(
+            run_recorded(&mut rec_w.machine, 10_000, &mut recorder),
+            RunExit::Halted
+        );
+        let recording = recorder.finish(&rec_w.machine);
+        assert!(recording.checkpoints.len() >= 4, "{name}: few checkpoints");
+        for cp in &recording.checkpoints {
+            let target = cp.instructions + 3;
+            assert!(target < recording.final_instructions);
+            let mut ref_w = build();
+            while ref_w.machine.stats().instructions < target {
+                ref_w.machine.step();
+            }
+            let mut seek_w = build();
+            seek(&mut seek_w.machine, &recording, target).expect("seek");
+            assert_eq!(
+                seek_w.machine.capture_image().words(),
+                ref_w.machine.capture_image().words(),
+                "{name}: seek to instruction {target} differs from a from-scratch run"
+            );
+        }
+    }
 }
