@@ -154,6 +154,20 @@ impl World {
         self.machine.phys().peek(abs).expect("peek")
     }
 
+    /// Reads the word at `(segno, wordno)` like [`World::peek`], or
+    /// `None` when there is no such word: the segment number is outside
+    /// the descriptor segment, the segment is missing or paged, the
+    /// word is at or past its bound, or the address is past memory.
+    pub fn try_peek(&self, segno: SegNo, wordno: u32) -> Option<Word> {
+        self.dbr.sdw_addr(segno)?;
+        let sdw = self.read_sdw(segno.value());
+        if !sdw.present || !sdw.unpaged || wordno >= sdw.length_words() {
+            return None;
+        }
+        let abs = AbsAddr::new(sdw.addr.value().checked_add(wordno)?)?;
+        self.machine.phys().peek(abs).ok()
+    }
+
     /// Assembles `instr` into `(segno, wordno)`.
     pub fn poke_instr(&mut self, segno: SegNo, wordno: u32, instr: Instr) {
         self.poke(segno, wordno, instr.encode());
@@ -238,6 +252,34 @@ mod tests {
         let s = w.add_segment(2, SdwBuilder::data(Ring::R4, Ring::R4).bound_words(32));
         w.poke(s, 5, Word::new(99));
         assert_eq!(w.peek(s, 5), Word::new(99));
+    }
+
+    #[test]
+    fn try_peek_refuses_every_missing_word() {
+        let mut w = World::new();
+        let s = w.add_segment(2, SdwBuilder::data(Ring::R4, Ring::R4).bound_words(32));
+        w.poke(s, 31, Word::new(7));
+        assert_eq!(w.try_peek(s, 31), Some(Word::new(7)));
+        assert_eq!(w.try_peek(s, 32), None, "at the bound");
+        assert_eq!(w.try_peek(s, u32::MAX), None, "far past the bound");
+        let missing = SegNo::new(3).unwrap();
+        assert_eq!(w.try_peek(missing, 0), None, "no SDW");
+        let outside = SegNo::new(TEST_SEGMENTS).unwrap();
+        assert_eq!(w.try_peek(outside, 0), None, "beyond the descriptor");
+        let paged = SdwBuilder::data(Ring::R4, Ring::R4)
+            .unpaged(false)
+            .bound_words(32)
+            .build();
+        w.install_sdw(4, &paged);
+        assert_eq!(w.try_peek(SegNo::new(4).unwrap(), 0), None, "paged");
+        let past_memory = SdwBuilder::data(Ring::R4, Ring::R4)
+            .addr(AbsAddr::new(256 * 1024 - 8).unwrap())
+            .bound_words(32)
+            .build();
+        w.install_sdw(5, &past_memory);
+        let s5 = SegNo::new(5).unwrap();
+        assert!(w.try_peek(s5, 7).is_some());
+        assert_eq!(w.try_peek(s5, 8), None, "past physical memory");
     }
 
     #[test]

@@ -16,6 +16,9 @@
 //! the dominant cost is CALL/RETURN ring crossings and supervisor
 //! dispatch rather than paging.
 
+use std::ops::RangeInclusive;
+
+use ring_core::addr::MAX_WORDNO;
 use ring_core::ring::Ring;
 use ring_core::sdw::SdwBuilder;
 use ring_core::word::Word;
@@ -35,6 +38,16 @@ pub struct StormSpec {
     pub pages: u32,
     /// Sweep rounds each process performs before exiting.
     pub rounds: u32,
+}
+
+impl StormSpec {
+    /// The page counts a storm data segment may have: more than the
+    /// small-segment threshold, or it is loaded contiguously and never
+    /// pages, and no more than one 18-bit segment holds.
+    pub const PAGES: RangeInclusive<u32> = {
+        let small_pages = crate::services::SMALL_SEGMENT_WORDS as u32 / PAGE_WORDS;
+        (small_pages + 1)..=((MAX_WORDNO + 1) / PAGE_WORDS)
+    };
 }
 
 impl Default for StormSpec {
@@ -92,8 +105,9 @@ fn storm_source(data_segno: u32, pages: u32, rounds: u32) -> String {
 ///
 /// # Panics
 ///
-/// Panics on exhausted memory or assembly errors — workload building
-/// is expected to be well-formed.
+/// Panics on exhausted memory, assembly errors, or a page count
+/// outside [`StormSpec::PAGES`] — workload building is expected to be
+/// well-formed.
 pub fn install_page_storm(sys: &mut System, spec: &StormSpec) -> Vec<StormProc> {
     install_storm_with(sys, spec, |data_segno| {
         storm_source(data_segno, spec.pages, spec.rounds)
@@ -108,7 +122,8 @@ pub fn install_page_storm(sys: &mut System, spec: &StormSpec) -> Vec<StormProc> 
 ///
 /// # Panics
 ///
-/// Panics on exhausted memory or assembly errors.
+/// Panics on exhausted memory, assembly errors, or a page count
+/// outside [`StormSpec::PAGES`].
 pub fn install_storm_program(sys: &mut System, spec: &StormSpec, source: &str) -> Vec<StormProc> {
     install_storm_with(sys, spec, |_| source.to_string())
 }
@@ -122,16 +137,16 @@ where
     F: Fn(u32) -> String,
 {
     assert!(
-        u64::from(spec.pages * PAGE_WORDS) > crate::services::SMALL_SEGMENT_WORDS as u64,
-        "storm data segment ({} words) must exceed the small-segment \
-         threshold ({} words) or it will be loaded contiguously and \
-         never page",
-        spec.pages * PAGE_WORDS,
-        crate::services::SMALL_SEGMENT_WORDS,
+        StormSpec::PAGES.contains(&spec.pages),
+        "storm data segment of {} pages is outside {:?}",
+        spec.pages,
+        StormSpec::PAGES,
     );
     let mut out = Vec::with_capacity(spec.procs);
     for i in 0..spec.procs {
-        let user = format!("storm{i}");
+        // Named after the pid it is about to get, so a later storm on
+        // the same system creates fresh users and segments.
+        let user = format!("storm{}", sys.state().processes.len());
         let pid = sys.login(&user);
         let words = (spec.pages * PAGE_WORDS) as usize;
         let id = sys.create_segment(

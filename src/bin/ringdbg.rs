@@ -3,17 +3,20 @@
 //! recorder).
 //!
 //! ```text
-//! ringdbg <file.rasm> [--ring N] [--no-fastpath]
-//! ringdbg [file.rasm] --procs N [--frames N] [--quantum N]
-//!                     [--pages N] [--rounds N]
+//! ringdbg [machine flags]
 //! ```
+//!
+//! `ringdbg` takes only the machine flags — the program file, `--ring`,
+//! `--no-fastpath`, `--procs` with the kernel and storm flags, and the
+//! chaos flags — which `multiring::cli` lists. It reads its commands
+//! from stdin.
 //!
 //! With `--procs` the debugger boots the full multiprogramming kernel
 //! (see `docs/KERNEL.md`) instead of the bare world: `N` DBR-switched
 //! processes run the given program — or the built-in page-storm sweep
-//! when no file is named — under the preemptive scheduler and the
-//! `--frames` budget, and the prompt switches to the process-aware
-//! command set:
+//! when no file is named — under the preemptive scheduler, the
+//! `--frames` budget and any chaos campaign, and the prompt switches to
+//! the process-aware command set:
 //!
 //! ```text
 //! s [n]            step n instructions through the whole system
@@ -58,23 +61,26 @@
 //! works by restoring the nearest flight-recorder checkpoint at or
 //! before the target instruction and re-executing forward — the
 //! simulator is deterministic, so the machine lands exactly where it
-//! was.
+//! was. `d`, `m` and `w` stop at a word that is not there (no such
+//! segment, a paged one, out of bounds, or past memory), print the
+//! reason and return to the prompt.
 
 use std::io::{BufRead, Write as _};
 use std::process::ExitCode;
 
 use multiring::asm::disassemble_word;
+use multiring::cli::{process_state, MachineArgs, Session, PROGRAM_SEGNO};
 use multiring::core::addr::SegNo;
 use multiring::core::ring::Ring;
-use multiring::core::sdw::SdwBuilder;
+use multiring::core::word::Word;
 use multiring::cpu::machine::StepOutcome;
 use multiring::cpu::native::NativeAction;
 use multiring::cpu::testkit::World;
 use multiring::cpu::{seek, Recorder, TraceEvent, DEFAULT_CHECKPOINT_EVERY};
 use multiring::metrics::json_escape;
+use multiring::os::workload::StormProc;
+use multiring::os::System;
 use multiring::trace::Recording;
-
-const CODE_SEG: u32 = 10;
 
 /// One trace event as a JSON object (for `trace --json`).
 fn trace_event_json(seq: u64, ev: &TraceEvent) -> String {
@@ -143,15 +149,29 @@ fn print_regs(w: &World) {
 }
 
 fn print_instr_at(w: &World) {
-    let ipr = w.machine.ipr();
-    if ipr.addr.segno.value() == CODE_SEG {
-        let word = w.peek(ipr.addr.segno, ipr.addr.wordno.value());
-        println!(
-            "  next: {}|{}: {}",
-            ipr.addr.segno,
-            ipr.addr.wordno,
-            disassemble_word(word)
-        );
+    let at = w.machine.ipr().addr;
+    if at.segno == PROGRAM_SEGNO {
+        match w.try_peek(at.segno, at.wordno.value()) {
+            Some(word) => println!("  next: {at}: {}", disassemble_word(word)),
+            None => unreadable(at.segno, at.wordno.value()),
+        }
+    }
+}
+
+/// The one-line reason a front-panel read found no word.
+fn unreadable(segno: SegNo, wordno: u32) {
+    println!("  no word at {segno}|{wordno}: no such segment, paged, out of bounds or past memory");
+}
+
+/// Shows `n` words of `segno` from word `at` on, stopping with the
+/// reason at the first word that is not there.
+fn dump(world: &World, segno: SegNo, at: u32, n: u32, show: impl Fn(u32, Word)) {
+    for i in (0..n).map_while(|k| at.checked_add(k)) {
+        let Some(w) = world.try_peek(segno, i) else {
+            unreadable(segno, i);
+            return;
+        };
+        show(i, w);
     }
 }
 
@@ -201,7 +221,7 @@ impl Flight {
 
 /// A data watchpoint: break when `segno|wordno` changes value.
 struct Watchpoint {
-    segno: u32,
+    segno: SegNo,
     wordno: u32,
     last: u64,
 }
@@ -210,8 +230,10 @@ struct Watchpoint {
 /// rebaselines the first that changed.
 fn watch_hit(world: &World, watchpoints: &mut [Watchpoint]) -> bool {
     for wp in watchpoints.iter_mut() {
-        let seg = SegNo::new(wp.segno).expect("validated on creation");
-        let now = world.peek(seg, wp.wordno).raw();
+        let Some(now) = world.try_peek(wp.segno, wp.wordno) else {
+            continue;
+        };
+        let now = now.raw();
         if now != wp.last {
             println!(
                 "  watchpoint {}|{}: {:o} -> {:o}",
@@ -228,146 +250,41 @@ fn watch_hit(world: &World, watchpoints: &mut [Watchpoint]) -> bool {
 /// replay repositions the machine).
 fn rebaseline(world: &World, watchpoints: &mut [Watchpoint]) {
     for wp in watchpoints.iter_mut() {
-        let seg = SegNo::new(wp.segno).expect("validated on creation");
-        wp.last = world.peek(seg, wp.wordno).raw();
+        if let Some(w) = world.try_peek(wp.segno, wp.wordno) {
+            wp.last = w.raw();
+        }
     }
 }
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let mut file = String::new();
-    let mut ring = Ring::R4;
-    let mut fastpath = true;
-    let mut procs = 0usize;
-    let mut frames = 16u32;
-    let mut quantum = 400u64;
-    let mut pages = 5u32;
-    let mut rounds = 30u32;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--ring" => {
-                ring = match args
-                    .next()
-                    .and_then(|n| n.parse::<u8>().ok())
-                    .and_then(Ring::new)
-                {
-                    Some(r) => r,
-                    None => {
-                        eprintln!("--ring takes 0..=7");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--no-fastpath" => fastpath = false,
-            "--procs" => {
-                procs = match args.next().and_then(|v| v.parse().ok()).filter(|&n| n > 0) {
-                    Some(n) => n,
-                    None => {
-                        eprintln!("--procs takes a process count >= 1");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--frames" => {
-                frames = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) => n,
-                    None => {
-                        eprintln!("--frames takes a frame count (0 = unlimited)");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--quantum" => {
-                quantum = match args.next().and_then(|v| v.parse().ok()).filter(|&n| n > 0) {
-                    Some(n) => n,
-                    None => {
-                        eprintln!("--quantum takes a cycle count >= 1");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--pages" => {
-                pages = match args.next().and_then(|v| v.parse().ok()).filter(|&n| n > 0) {
-                    Some(n) => n,
-                    None => {
-                        eprintln!("--pages takes a page count >= 1");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--rounds" => {
-                rounds = match args.next().and_then(|v| v.parse().ok()).filter(|&n| n > 0) {
-                    Some(n) => n,
-                    None => {
-                        eprintln!("--rounds takes a round count >= 1");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            f if !f.starts_with('-') && file.is_empty() => file = f.to_string(),
-            other => {
-                eprintln!("unknown argument `{other}`");
-                return ExitCode::FAILURE;
-            }
+    let built = MachineArgs::parse(std::env::args().skip(1), |_, _| Ok(false))
+        .and_then(|args| Ok((args.build()?, args)));
+    match built {
+        Ok((Session::Bare { world, trap, image }, args)) => {
+            debug_bare(world, trap, image.len(), args.ring)
         }
-    }
-    if procs > 0 {
-        return debug_multiproc(&file, procs, frames, quantum, pages, rounds, fastpath);
-    }
-    if file.is_empty() {
-        eprintln!(
-            "usage: ringdbg <file.rasm> [--ring N] [--no-fastpath] | ringdbg [file.rasm] \
-             --procs N [--frames N] [--quantum N] [--pages N] [--rounds N]"
-        );
-        return ExitCode::FAILURE;
-    }
-    let source = match std::fs::read_to_string(&file) {
-        Ok(s) => s,
+        Ok((Session::Kernel { sys, procs }, args)) => debug_multiproc(sys, &procs, &args),
         Err(e) => {
-            eprintln!("cannot read {file}: {e}");
-            return ExitCode::FAILURE;
+            eprintln!("{e}");
+            ExitCode::FAILURE
         }
-    };
-    let image = match multiring::asm::assemble(&source) {
-        Ok(i) => i,
-        Err(e) => {
-            eprintln!("{file}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    }
+}
 
-    let mut world = World::with_config(multiring::cpu::machine::MachineConfig {
-        fastpath,
-        ..multiring::cpu::machine::MachineConfig::default()
-    });
-    let code = world.add_segment(
-        CODE_SEG,
-        SdwBuilder::procedure(ring, ring, Ring::R7)
-            .gates(4)
-            .bound_words(image.len().max(16)),
-    );
-    world.add_segment(11, SdwBuilder::data(ring, ring).bound_words(1024));
-    world.add_standard_stacks(16);
-    let trap = world.add_trap_segment();
+/// The single-process debugger over the bare program world.
+fn debug_bare(mut world: World, trap: SegNo, loaded: u32, ring: Ring) -> ExitCode {
     world.machine.register_native(trap, |m, vector| {
         if let Some(f) = m.last_fault() {
             println!("  ** trap (vector {}): {f}", vector.value());
         }
         Ok(NativeAction::Halt)
     });
-    for (i, w) in image.words.iter().enumerate() {
-        world.poke(code, i as u32, *w);
-    }
-    world.start(ring, code, 0);
     world.machine.enable_trace(4096);
     world.machine.enable_metrics();
     world.machine.enable_spans();
     world.machine.enable_profiler(500, 5_000);
     let mut flight = Flight::start(&world);
-    println!(
-        "loaded {} words into segment {CODE_SEG}; ring {ring}",
-        image.len()
-    );
+    println!("loaded {loaded} words into segment {PROGRAM_SEGNO}; ring {ring}");
     print_instr_at(&world);
 
     let mut breakpoints: Vec<(u32, u32)> = Vec::new();
@@ -461,10 +378,9 @@ fn main() -> ExitCode {
             ["d", at, rest @ ..] => {
                 let at: u32 = at.parse().unwrap_or(0);
                 let n: u32 = rest.first().and_then(|v| v.parse().ok()).unwrap_or(8);
-                for i in at..(at + n).min(image.len().max(at + n)) {
-                    let w = world.peek(code, i);
+                dump(&world, PROGRAM_SEGNO, at, n, |i, w| {
                     println!("{i:6}  {:0>12o}  {}", w.raw(), disassemble_word(w));
-                }
+                });
             }
             ["m", s, at, rest @ ..] => {
                 let (Ok(s), Ok(at)) = (s.parse::<u32>(), at.parse::<u32>()) else {
@@ -473,12 +389,9 @@ fn main() -> ExitCode {
                 };
                 let n: u32 = rest.first().and_then(|v| v.parse().ok()).unwrap_or(8);
                 match SegNo::new(s) {
-                    Some(seg) => {
-                        for i in at..at + n {
-                            let w = world.peek(seg, i);
-                            println!("{s}|{i:<6}  {:0>12o}", w.raw());
-                        }
-                    }
+                    Some(seg) => dump(&world, seg, at, n, |i, w| {
+                        println!("{s}|{i:<6}  {:0>12o}", w.raw());
+                    }),
                     None => println!("  bad segment number"),
                 }
             }
@@ -642,7 +555,7 @@ fn main() -> ExitCode {
             }
             ["b", at] => {
                 let at: u32 = at.parse().unwrap_or(0);
-                toggle_breakpoint(&mut breakpoints, CODE_SEG, at);
+                toggle_breakpoint(&mut breakpoints, PROGRAM_SEGNO.value(), at);
             }
             ["b", seg, at] => {
                 let (Ok(seg), Ok(at)) = (seg.parse::<u32>(), at.parse::<u32>()) else {
@@ -666,18 +579,20 @@ fn main() -> ExitCode {
                 };
                 if let Some(pos) = watchpoints
                     .iter()
-                    .position(|wp| wp.segno == seg && wp.wordno == at)
+                    .position(|wp| wp.segno == segno && wp.wordno == at)
                 {
                     watchpoints.remove(pos);
                     println!("  cleared watchpoint at {seg}|{at}");
-                } else {
-                    let last = world.peek(segno, at).raw();
+                } else if let Some(last) = world.try_peek(segno, at) {
+                    let last = last.raw();
                     watchpoints.push(Watchpoint {
-                        segno: seg,
+                        segno,
                         wordno: at,
                         last,
                     });
                     println!("  set watchpoint at {seg}|{at} (current value {last:o})");
+                } else {
+                    unreadable(segno, at);
                 }
             }
             other => println!("  unknown command {other:?} (try help)"),
@@ -691,54 +606,12 @@ fn main() -> ExitCode {
 /// understands which process the processor is executing for, so
 /// breakpoints can be qualified by pid (the same virtual address means
 /// a different word in every address space).
-fn debug_multiproc(
-    file: &str,
-    procs: usize,
-    frames: u32,
-    quantum: u64,
-    pages: u32,
-    rounds: u32,
-    fastpath: bool,
-) -> ExitCode {
-    use multiring::os::workload::{install_page_storm, install_storm_program, StormSpec};
-    use multiring::os::{System, SystemConfig};
-
-    let spec = StormSpec {
-        procs,
-        pages,
-        rounds,
-    };
-    let cfg = SystemConfig {
-        quantum,
-        frame_budget: (frames > 0).then_some(frames),
-        fastpath,
-        ..SystemConfig::default()
-    };
-    let mut sys = System::boot_with(cfg);
-    let installed = if file.is_empty() {
-        install_page_storm(&mut sys, &spec)
-    } else {
-        let source = match std::fs::read_to_string(file) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read {file}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = multiring::asm::assemble(&source) {
-            eprintln!("{file}: {e}");
-            return ExitCode::FAILURE;
-        }
-        install_storm_program(&mut sys, &spec, &source)
-    };
-    sys.machine.set_timer(Some(quantum));
+fn debug_multiproc(mut sys: System, installed: &[StormProc], args: &MachineArgs) -> ExitCode {
+    let procs = installed.len();
     println!(
-        "kernel world: {} processes (code segment {}, paged data segment {}), \
-         {} frames, quantum {quantum}",
-        installed.len(),
-        installed[0].code_segno,
-        installed[0].data_segno,
-        frames
+        "kernel world: {procs} processes (code segment {}, paged data segment {}), \
+         {} frames, quantum {}",
+        installed[0].code_segno, installed[0].data_segno, args.frames, args.quantum
     );
 
     // (pid filter, segno, wordno); `None` pid hits in every process.
@@ -869,21 +742,7 @@ fn debug_multiproc(
             ["ps"] => {
                 let st = sys.state();
                 for (i, p) in st.processes.iter().enumerate() {
-                    let state = if let Some(reason) = p.aborted.as_deref() {
-                        if reason == "exit" {
-                            "exited".to_string()
-                        } else {
-                            format!("aborted ({reason})")
-                        }
-                    } else if let Some(reason) = st.sched.blocked_reason(i) {
-                        format!("blocked ({reason})")
-                    } else if st.sched.is_ready(i) {
-                        "ready".to_string()
-                    } else if st.current == i {
-                        "running".to_string()
-                    } else {
-                        "idle".to_string()
-                    };
+                    let state = process_state(&sys, i);
                     println!(
                         "  {i}: {} state={state} faults={} preempts={}",
                         p.user, p.page_faults, p.preemptions

@@ -47,9 +47,13 @@
 use std::io::{BufRead, Write as _};
 use std::process::ExitCode;
 
+use multiring::cli::process_state;
+use multiring::core::addr::{SegNo, WordNo};
 use multiring::core::ring::Ring;
 use multiring::core::word::Word;
+use multiring::cpu::machine::RunExit;
 use multiring::os::acl::{Acl, AclEntry, Modes};
+use multiring::os::workload::{install_page_storm, StormSpec};
 use multiring::os::System;
 
 struct Shell {
@@ -63,6 +67,23 @@ impl Shell {
             println!("  no process: `login <user>` first");
         }
         self.current
+    }
+
+    /// Installs a page storm and runs it to the end; the storm's first
+    /// process becomes current. The first storm on the system sets the
+    /// frame budget (0 = unlimited); later ones keep the pool, whose
+    /// frames may already hold pages.
+    fn run_storm(&mut self, spec: &StormSpec, frames: u32) -> RunExit {
+        let st = self.sys.state_mut();
+        if st.frames.is_none() && frames > 0 {
+            st.frames = Some(multiring::segmem::FramePool::new(frames));
+        }
+        let installed = install_page_storm(&mut self.sys, spec);
+        let quantum = self.sys.state().quantum;
+        self.sys.machine.set_timer(Some(quantum));
+        let exit = self.sys.machine.run(5_000_000);
+        self.current = Some(installed[0].pid);
+        exit
     }
 
     fn cmd(&mut self, parts: &[&str]) -> bool {
@@ -157,14 +178,18 @@ impl Shell {
                 let Some(pid) = self.need_login() else {
                     return true;
                 };
-                let Ok(segno) = segno.parse::<u32>() else {
+                let entry = rest.first().and_then(|v| v.parse().ok()).unwrap_or(0);
+                let (Some(segno), Some(entry)) =
+                    (segno.parse().ok().and_then(SegNo::new), WordNo::new(entry))
+                else {
                     println!("  run <segno> [entry]");
                     return true;
                 };
-                let entry: u32 = rest.first().and_then(|v| v.parse().ok()).unwrap_or(0);
                 // A fresh run clears a previous exit.
                 self.sys.state_mut().processes[pid].aborted = None;
-                let exit = self.sys.run_user(pid, segno, entry, Ring::R4, 200_000);
+                let exit = self
+                    .sys
+                    .run_user(pid, segno.value(), entry.value(), Ring::R4, 200_000);
                 let m = &self.sys.machine;
                 println!(
                     "  {exit:?}: A={:o} Q={:o} cycles={}",
@@ -215,21 +240,7 @@ impl Shell {
             ["ps"] => {
                 let st = self.sys.state();
                 for (i, p) in st.processes.iter().enumerate() {
-                    let state = if let Some(reason) = p.aborted.as_deref() {
-                        if reason == "exit" {
-                            "exited".to_string()
-                        } else {
-                            format!("aborted ({reason})")
-                        }
-                    } else if let Some(reason) = st.sched.blocked_reason(i) {
-                        format!("blocked ({reason})")
-                    } else if st.sched.is_ready(i) {
-                        "ready".to_string()
-                    } else if st.current == i {
-                        "running".to_string()
-                    } else {
-                        "idle".to_string()
-                    };
+                    let state = process_state(&self.sys, i);
                     println!(
                         "  {i}: {} segs={} state={state} faults={} preempts={}{}",
                         p.user,
@@ -254,35 +265,18 @@ impl Shell {
                 let pages: u32 = rest.get(1).and_then(|v| v.parse().ok()).unwrap_or(5);
                 let rounds: u32 = rest.get(2).and_then(|v| v.parse().ok()).unwrap_or(10);
                 let frames: u32 = rest.get(3).and_then(|v| v.parse().ok()).unwrap_or(16);
-                if procs == 0 || u64::from(pages) * 1024 <= 4096 {
+                let Some(spec) = storm_spec(procs, pages, rounds) else {
+                    let (lo, hi) = StormSpec::PAGES.into_inner();
                     println!(
-                        "  storm [procs>=1] [pages>=5] [rounds] [frames] (segments must page)"
+                        "  storm [procs>=1] [pages {lo}..={hi}] [rounds] [frames] (segments must page)"
                     );
                     return true;
-                }
-                {
-                    // First storm decides the frame budget; later ones
-                    // keep the pool (frames may already hold pages).
-                    let st = self.sys.state_mut();
-                    if st.frames.is_none() && frames > 0 {
-                        st.frames = Some(multiring::segmem::FramePool::new(frames));
-                    }
-                }
-                let spec = multiring::os::workload::StormSpec {
-                    procs,
-                    pages,
-                    rounds,
                 };
-                let installed = multiring::os::workload::install_page_storm(&mut self.sys, &spec);
-                let quantum = self.sys.state().quantum;
-                self.sys.machine.set_timer(Some(quantum));
-                let exit = self.sys.machine.run(5_000_000);
+                let exit = self.run_storm(&spec, frames);
                 println!(
-                    "  {exit:?} after {} cycles; {} storm processes (see ps / stats)",
-                    self.sys.machine.cycles(),
-                    installed.len()
+                    "  {exit:?} after {} cycles; {procs} storm processes (see ps / stats)",
+                    self.sys.machine.cycles()
                 );
-                self.current = Some(installed[0].pid);
             }
             ["chaos", rest @ ..] => {
                 // The paging storm again, but under a seeded fault
@@ -294,29 +288,15 @@ impl Shell {
                 };
                 let rate: u64 = rest.get(1).and_then(|v| v.parse().ok()).unwrap_or(5_000);
                 let procs: usize = rest.get(2).and_then(|v| v.parse().ok()).unwrap_or(3);
-                if rate == 0 || procs == 0 {
+                let Some(spec) = storm_spec(procs, 5, 10).filter(|_| rate > 0) else {
                     println!("  chaos <seed> [rate-cycles>=1] [procs>=1]");
                     return true;
-                }
-                {
-                    let st = self.sys.state_mut();
-                    if st.frames.is_none() {
-                        st.frames = Some(multiring::segmem::FramePool::new(16));
-                    }
-                }
+                };
                 self.sys.enable_chaos(multiring::cpu::FaultPlan::Campaign {
                     seed,
                     mean_interval: rate,
                 });
-                let spec = multiring::os::workload::StormSpec {
-                    procs,
-                    pages: 5,
-                    rounds: 10,
-                };
-                let installed = multiring::os::workload::install_page_storm(&mut self.sys, &spec);
-                let quantum = self.sys.state().quantum;
-                self.sys.machine.set_timer(Some(quantum));
-                let exit = self.sys.machine.run(5_000_000);
+                let exit = self.run_storm(&spec, 16);
                 let cs = self.sys.chaos_stats();
                 let e = self.sys.machine.chaos();
                 println!(
@@ -341,7 +321,6 @@ impl Shell {
                     Ok(()) => println!("  invariants OK"),
                     Err(msg) => println!("  INVARIANT VIOLATION: {msg}"),
                 }
-                self.current = Some(installed[0].pid);
             }
             ["stats"] => {
                 // Every section prints under the same rule — whenever
@@ -521,8 +500,25 @@ impl Shell {
     }
 }
 
+/// The storm shape, if it can run: at least one process, and a data
+/// segment that pages and fits one segment.
+fn storm_spec(procs: usize, pages: u32, rounds: u32) -> Option<StormSpec> {
+    (procs > 0 && StormSpec::PAGES.contains(&pages)).then_some(StormSpec {
+        procs,
+        pages,
+        rounds,
+    })
+}
+
 fn main() -> ExitCode {
-    let fastpath = !std::env::args().skip(1).any(|a| a == "--no-fastpath");
+    let mut fastpath = true;
+    for arg in std::env::args().skip(1) {
+        if arg != "--no-fastpath" {
+            eprintln!("usage: ringsh [--no-fastpath] (commands are read from stdin)");
+            return ExitCode::FAILURE;
+        }
+        fastpath = false;
+    }
     println!("multiring shell — `help` for commands");
     let mut sys = System::boot_with(multiring::os::boot::SystemConfig {
         fastpath,

@@ -37,6 +37,10 @@
 //!   across host threads, booted from one shared copy-on-write image,
 //!   with fleet-level snapshot aggregation (see `docs/FLEET.md`).
 //!
+//! Its own module [`cli`] holds the command line that the `runasm` and
+//! `ringdbg` tools share: the machine flags and the builder of the world
+//! they describe.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -56,6 +60,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod cli;
 
 pub use ring_asm as asm;
 pub use ring_core as core;

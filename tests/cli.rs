@@ -1,0 +1,120 @@
+//! The machine tools (`runasm`, `ringdbg`, `ringsh`) refuse bad command
+//! lines with a message and a nonzero exit status, survive hostile
+//! commands on stdin, and print the same bytes on either engine.
+
+use std::io::Write as _;
+use std::process::{Command, Output, Stdio};
+
+const RUNASM: &str = env!("CARGO_BIN_EXE_runasm");
+const RINGDBG: &str = env!("CARGO_BIN_EXE_ringdbg");
+const RINGSH: &str = env!("CARGO_BIN_EXE_ringsh");
+
+/// Runs `bin` with `args`, feeding it `stdin`.
+fn run(bin: &str, args: &[&str], stdin: &str) -> Output {
+    let mut child = Command::new(bin)
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("tool starts");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(stdin.as_bytes())
+        .expect("stdin written");
+    child.wait_with_output().expect("tool exits")
+}
+
+fn text(bytes: &[u8]) -> String {
+    String::from_utf8_lossy(bytes).into_owned()
+}
+
+/// Runs `bin` and requires a clean exit with no panic anywhere.
+fn survives(bin: &str, args: &[&str], stdin: &str) -> String {
+    let out = run(bin, args, stdin);
+    let (stdout, stderr) = (text(&out.stdout), text(&out.stderr));
+    assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+    assert!(out.status.success(), "{bin} {args:?}: {stderr}");
+    stdout
+}
+
+#[test]
+fn bad_command_lines_exit_nonzero_with_a_message() {
+    let prog = "examples/asm/gcd.rasm";
+    let refused = |bin: &str, args: &[&str]| {
+        let out = run(bin, args, "");
+        let stderr = text(&out.stderr);
+        assert!(!out.status.success(), "{bin} {args:?} succeeded");
+        assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+        assert!(!stderr.trim().is_empty(), "{bin} {args:?} printed nothing");
+    };
+    for args in [
+        &["--frobnicate", prog][..],
+        &[prog, "--quantum"],
+        &["--procs", "many"],
+        &["--ring", "9", prog],
+        &["--procs", "0"],
+        &["--procs", "1", "--pages", "4"],
+        &["--procs", "1", "--pages", "257"],
+        &["--chaos-seed", "1", prog],
+    ] {
+        refused(RUNASM, args);
+        refused(RINGDBG, args);
+    }
+    refused(RUNASM, &["--record", "a", "--replay", "b", prog]);
+    refused(RINGSH, &["--frobnicate"]);
+}
+
+#[test]
+fn hostile_monitor_commands_print_a_reason() {
+    let session = "m 12 0\nw 12 0\nm 10 99999999\nd 0 4294967295\nd 4294967295 8\ng\nq\n";
+    let out = survives(RINGDBG, &["examples/asm/subroutine.rasm"], session);
+    assert_eq!(out.matches("  no word at ").count(), 5, "{out}");
+    assert!(
+        out.contains("no word at 10|16:"),
+        "d stops at the bound: {out}"
+    );
+    assert!(out.contains("halted after"), "{out}");
+}
+
+#[test]
+fn hostile_shell_commands_and_repeated_storms_run() {
+    let session = "login alice\nrun 99999\nrun 64 999999\nstorm 1 300\n\
+                   storm 2 5 3\nstorm 2 5 3\nchaos 7 300 2\nps\nquit\n";
+    let out = survives(RINGSH, &[], session);
+    assert_eq!(out.matches("run <segno> [entry]").count(), 2, "{out}");
+    assert_eq!(out.matches("storm [procs>=1]").count(), 1, "{out}");
+    assert_eq!(out.matches("storm processes").count(), 2, "{out}");
+    assert!(out.contains("invariants OK"), "{out}");
+    assert!(out.contains("6: storm6"), "pid-named storm users: {out}");
+}
+
+/// Runs the session on both engines and requires identical output.
+fn same_on_both_engines(bin: &str, args: &[&str], session: &str) {
+    let fast = survives(bin, args, session);
+    let reference = [args, &["--no-fastpath"]].concat();
+    assert_eq!(fast, survives(bin, &reference, session), "{bin} {args:?}");
+}
+
+#[test]
+fn debugger_sessions_print_the_same_bytes_on_both_engines() {
+    let rec = format!("{}/cli-parity.rec", env!("CARGO_TARGET_TMPDIR"));
+    let bare = format!(
+        "r\ns 3\nd 0 6\nm 11 0 4\nseg 10\nb 10 7\ng\nw 11 2\ng\nrs 2\nr\nspans\n\
+         trace --json\nrecord {rec}\ns 5\nrecord stop\nreplay {rec}\nstats\nb 10 7\n\
+         g\nprof 3\nq\n"
+    );
+    same_on_both_engines(RINGDBG, &["examples/asm/subroutine.rasm"], &bare);
+    let kernel = "r\ns 40\nps\nb * 65 2\ng 20000\nb * 65 2\nb 1 65 6\ng\nr\nps\n\
+                  stats\nb 1 65 6\ng\nps\nstats\nq\n";
+    same_on_both_engines(RINGDBG, &["--procs", "3", "--frames", "8"], kernel);
+}
+
+#[test]
+fn shell_sessions_print_the_same_bytes_on_both_engines() {
+    let session = "login alice\nasm examples/asm/subroutine.rasm\nrun 64\nstorm 3 5 8\n\
+                   storm 2 6 4 8\nchaos 7 300 2\nps\nstats\ntop 5\nheatmap\nquit\n";
+    same_on_both_engines(RINGSH, &[], session);
+}

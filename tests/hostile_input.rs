@@ -1,6 +1,7 @@
 //! Hostile input never panics the host. One property per decoder that
-//! reads untrusted bytes: assembler source, chaos plan files, flight
-//! recordings (decoded, then replayed), and machine images. Each
+//! reads untrusted bytes: assembler source, chaos plan files, the
+//! machine tools' command line, flight recordings (decoded, then
+//! replayed), and machine images. Each
 //! decoder must answer every input with a value or an error, and so
 //! must the recording decoder on nesting deep enough to overflow a
 //! recursive parser's stack.
@@ -8,6 +9,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use multiring::cli::{number, value, MachineArgs};
 use multiring::core::ring::Ring;
 use multiring::core::sdw::SdwBuilder;
 use multiring::core::SegNo;
@@ -102,6 +104,43 @@ const PLAN_TOKENS: &[&str] = &[
     "\u{1F600}",
 ];
 
+/// Command-line token soup: every machine flag, a tool flag with a
+/// value, values in and out of every range, file names, and words no
+/// tool knows.
+const ARG_TOKENS: &[&str] = &[
+    "--ring",
+    "--no-fastpath",
+    "--procs",
+    "--quantum",
+    "--frames",
+    "--pages",
+    "--rounds",
+    "--chaos-seed",
+    "--chaos-rate",
+    "--chaos-plan",
+    "--budget",
+    "--frobnicate",
+    "-",
+    "--",
+    "prog.rasm",
+    "plan.txt",
+    "0",
+    "1",
+    "4",
+    "5",
+    "7",
+    "8",
+    "256",
+    "257",
+    "-1",
+    "18446744073709551615",
+    "18446744073709551616",
+    "x",
+    "",
+    "é",
+    "\u{1F600}",
+];
+
 /// A ring-4 program making `calls` gate calls into a ring-1 native
 /// service, then exiting through a halting trap segment, with a chaos
 /// campaign armed so captured images carry every section.
@@ -183,6 +222,15 @@ proptest! {
     fn assembler_never_panics(picks in vec(0..ASM_TOKENS.len(), 0..24)) {
         let source: String = picks.iter().map(|&i| ASM_TOKENS[i]).collect();
         let _ = multiring::asm::assemble(&source);
+    }
+
+    #[test]
+    fn machine_args_parser_never_panics(picks in vec(0..ARG_TOKENS.len(), 0..16)) {
+        let args = picks.iter().map(|&i| ARG_TOKENS[i].to_string());
+        let _ = MachineArgs::parse(args, |flag, args| match flag {
+            "--budget" => value(args, flag, "a count", number::<u64>).map(|_| true),
+            _ => Ok(false),
+        });
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! architectural state with metrics on or off — and its counters must
 //! agree with what a known workload actually does.
 
+use multiring::cli::{MachineArgs, Session};
 use multiring::core::addr::SegAddr;
 use multiring::core::registers::{Dbr, Ipr, PtrReg};
 use multiring::core::ring::Ring;
@@ -14,8 +15,7 @@ use multiring::cpu::native::NativeAction;
 use multiring::cpu::testkit::World;
 use multiring::os::conventions::{gate_addr, ring1, segs};
 use multiring::os::driver::gen_call_sequence;
-use multiring::os::workload::{install_page_storm, StormSpec};
-use multiring::os::{System, SystemConfig};
+use multiring::os::System;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -380,20 +380,18 @@ fn trace_ring_wraparound_drop_count_survives_export() {
 /// --procs 3 --frames 6 --pages 5 --rounds 20` runs), with the
 /// observers `observe` turns on, ready to run.
 fn page_storm(observe: impl FnOnce(&mut System)) -> System {
-    let cfg = SystemConfig {
-        quantum: 400,
-        frame_budget: Some(6),
-        ..SystemConfig::default()
-    };
-    let mut sys = System::boot_with(cfg);
-    let spec = StormSpec {
+    let args = MachineArgs {
         procs: 3,
+        frames: 6,
         pages: 5,
         rounds: 20,
+        quantum: 400,
+        ..MachineArgs::default()
     };
-    install_page_storm(&mut sys, &spec);
+    let Ok(Session::Kernel { mut sys, .. }) = args.build() else {
+        panic!("--procs builds the kernel");
+    };
     observe(&mut sys);
-    sys.machine.set_timer(Some(cfg.quantum));
     sys
 }
 

@@ -1,32 +1,25 @@
 //! The shipped sample assembly programs (`examples/asm/*.rasm`)
 //! assemble and compute the right answers on the simulator.
 
-use multiring::core::ring::Ring;
-use multiring::core::sdw::SdwBuilder;
+use multiring::cli::{MachineArgs, Session};
 use multiring::cpu::machine::RunExit;
 use multiring::cpu::native::NativeAction;
 use multiring::cpu::testkit::World;
 
 fn run_sample(path: &str, budget: u64) -> (World, RunExit) {
-    let source = std::fs::read_to_string(path).expect("sample exists");
-    let image = multiring::asm::assemble(&source).expect("sample assembles");
-    let mut world = World::new();
-    let code = world.add_segment(
-        10,
-        SdwBuilder::procedure(Ring::R4, Ring::R4, Ring::R7)
-            .gates(4)
-            .bound_words(image.len().max(16)),
-    );
-    world.add_segment(11, SdwBuilder::data(Ring::R4, Ring::R4).bound_words(1024));
-    world.add_standard_stacks(16);
-    let trap = world.add_trap_segment();
+    let args = MachineArgs {
+        file: Some(path.to_string()),
+        ..MachineArgs::default()
+    };
+    let Session::Bare {
+        mut world, trap, ..
+    } = args.build().expect("sample assembles")
+    else {
+        panic!("no --procs builds the bare world");
+    };
     world
         .machine
         .register_native(trap, |_, _| Ok(NativeAction::Halt));
-    for (i, w) in image.words.iter().enumerate() {
-        world.poke(code, i as u32, *w);
-    }
-    world.start(Ring::R4, code, 0);
     let exit = world.machine.run(budget);
     (world, exit)
 }
