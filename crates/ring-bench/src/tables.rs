@@ -9,6 +9,7 @@ use ring_core::word::Word;
 use ring_cpu::machine::RunExit;
 use ring_cpu::native::NativeAction;
 use ring_cpu::testkit::{addr, World};
+use ring_cpu::Crossing;
 use ring_os::acl::{Acl, AclEntry, Modes};
 use ring_os::baseline::graham67::Graham67;
 use ring_os::baseline::hardware::HardRings;
@@ -720,27 +721,31 @@ pub fn t7_table() -> String {
     let iters = 50;
     let same = crossing_census(Ring::R4, iters);
     let down = crossing_census(Ring::R1, iters);
-    let lookup =
-        |s: &ring_cpu::MetricsSnapshot, key: &str| s.crossing(key).unwrap_or(0).to_string();
     let mut rows: Vec<Vec<String>> = [
-        "call_down",
-        "call_same_ring",
-        "return_up",
-        "return_same_ring",
-        "trap_to_ring0",
+        Crossing::CallDown,
+        Crossing::CallSameRing,
+        Crossing::ReturnUp,
+        Crossing::ReturnSameRing,
+        Crossing::TrapToRing0,
     ]
     .into_iter()
-    .map(|k| vec![k.to_string(), lookup(&same, k), lookup(&down, k)])
+    .map(|k| {
+        vec![
+            k.key().to_string(),
+            same.crossings.count(k).to_string(),
+            down.crossings.count(k).to_string(),
+        ]
+    })
     .collect();
     rows.push(vec![
         "ring changes".into(),
-        same.ring_changes.to_string(),
-        down.ring_changes.to_string(),
+        same.crossings.total_ring_changes().to_string(),
+        down.crossings.total_ring_changes().to_string(),
     ]);
     rows.push(vec![
         "faults".into(),
-        same.faults_total.to_string(),
-        down.faults_total.to_string(),
+        same.faults.total().to_string(),
+        down.faults.total().to_string(),
     ]);
     rows.push(vec![
         "mean CALL cycles".into(),
@@ -846,17 +851,17 @@ mod tests {
         let n = u64::from(iters);
         // One hardware down-call and one up-return per round trip,
         // plus the exit derail's trap to ring 0 — and nothing else.
-        assert_eq!(down.crossing("call_down"), Some(n));
-        assert_eq!(down.crossing("return_up"), Some(n));
-        assert_eq!(down.crossing("trap_to_ring0"), Some(n));
-        assert_eq!(down.crossing("upward_call_trap"), Some(0));
-        assert_eq!(down.faults_total, n);
+        assert_eq!(down.crossings.count(Crossing::CallDown), n);
+        assert_eq!(down.crossings.count(Crossing::ReturnUp), n);
+        assert_eq!(down.crossings.count(Crossing::TrapToRing0), n);
+        assert_eq!(down.crossings.count(Crossing::UpwardCallTrap), 0);
+        assert_eq!(down.faults.total(), n);
         assert_eq!(down.call_cycles.count, n);
         // The same-ring control crosses no ring boundary on CALL.
         let same = crossing_census(Ring::R4, iters);
-        assert_eq!(same.crossing("call_down"), Some(0));
-        assert_eq!(same.crossing("call_same_ring"), Some(n));
-        assert!(same.ring_changes < down.ring_changes);
+        assert_eq!(same.crossings.count(Crossing::CallDown), 0);
+        assert_eq!(same.crossings.count(Crossing::CallSameRing), n);
+        assert!(same.crossings.total_ring_changes() < down.crossings.total_ring_changes());
     }
 
     #[test]

@@ -35,6 +35,9 @@ pub struct World {
 /// Number of SDW slots in the test descriptor segment.
 pub const TEST_SEGMENTS: u32 = 64;
 
+/// Words of physical memory in a world.
+pub const WORLD_WORDS: u32 = 256 * 1024;
+
 impl World {
     /// A world with the default machine configuration.
     pub fn new() -> World {
@@ -43,13 +46,13 @@ impl World {
 
     /// A world with a custom machine configuration.
     ///
-    /// 256 KiW of physical memory; the descriptor segment (for
+    /// [`WORLD_WORDS`] of physical memory; the descriptor segment (for
     /// [`TEST_SEGMENTS`] segments) is placed at the bottom and the DBR
     /// loaded. The DBR stack base is segment 48, so per-ring stacks are
     /// segments 48–55 under the footnote rule.
     pub fn with_config(config: MachineConfig) -> World {
-        let mut machine = Machine::new(256 * 1024, config);
-        let mut alloc = PhysAllocator::new(0o100, 256 * 1024);
+        let mut machine = Machine::new(WORLD_WORDS as usize, config);
+        let mut alloc = PhysAllocator::new(0o100, WORLD_WORDS);
         let desc = alloc
             .alloc(2 * TEST_SEGMENTS)
             .expect("room for descriptor segment");
@@ -73,14 +76,22 @@ impl World {
     ///
     /// Panics on allocation failure or a bad segment number.
     pub fn add_segment(&mut self, segno: u32, builder: SdwBuilder) -> SegNo {
+        self.try_add_segment(segno, builder)
+            .expect("segment storage")
+    }
+
+    /// [`World::add_segment`], or `None` when the segment does not fit
+    /// the physical memory left.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a bad segment number.
+    pub fn try_add_segment(&mut self, segno: u32, builder: SdwBuilder) -> Option<SegNo> {
         let probe = builder.build();
-        let base = self
-            .alloc
-            .alloc(probe.length_words())
-            .expect("segment storage");
+        let base = self.alloc.alloc(probe.length_words()).ok()?;
         let sdw = builder.addr(base).build();
         self.install_sdw(segno, &sdw);
-        SegNo::new(segno).expect("segment number")
+        Some(SegNo::new(segno).expect("segment number"))
     }
 
     /// Installs an SDW verbatim (for segments whose storage the caller
@@ -201,9 +212,19 @@ impl World {
     /// present, unpaged ring-0 procedure segment big enough for the
     /// vector table and the processor-state save area. Returns its
     /// segment number; tests typically register a native handler on it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when physical memory is exhausted.
     pub fn add_trap_segment(&mut self) -> SegNo {
+        self.try_add_trap_segment().expect("trap segment storage")
+    }
+
+    /// [`World::add_trap_segment`], or `None` when the segment does not
+    /// fit the physical memory left.
+    pub fn try_add_trap_segment(&mut self) -> Option<SegNo> {
         let segno = self.machine.config().trap_segno.value();
-        self.add_segment(
+        self.try_add_segment(
             segno,
             SdwBuilder::procedure(Ring::R0, Ring::R0, Ring::R0)
                 .write(true)
@@ -216,13 +237,25 @@ impl World {
     /// paper prescribes ("the stack segment for procedures executing in
     /// ring n has read and write brackets that end at ring n"), with the
     /// next-free-frame word initialised to `first_frame`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when physical memory is exhausted.
     pub fn add_standard_stacks(&mut self, first_frame: u32) {
+        self.try_add_standard_stacks(first_frame)
+            .expect("stack storage");
+    }
+
+    /// [`World::add_standard_stacks`], or `None` when a stack does not
+    /// fit the physical memory left.
+    pub fn try_add_standard_stacks(&mut self, first_frame: u32) -> Option<()> {
         let base = self.dbr.stack_base.value();
         for r in Ring::all() {
             let segno = base + u32::from(r.number());
-            let sn = self.add_segment(segno, SdwBuilder::data(r, r).bound_words(1024));
+            let sn = self.try_add_segment(segno, SdwBuilder::data(r, r).bound_words(1024))?;
             self.poke(sn, 0, Word::new(u64::from(first_frame)));
         }
+        Some(())
     }
 }
 

@@ -246,7 +246,7 @@ pub fn fleet_json(cfg: &FleetConfig, result: &FleetResult, quick: bool) -> Strin
         ips = instructions as f64 / result.wall_seconds.max(1e-9),
         switches = result.merged.sched.context_switches,
         pfaults = result.merged.sched.page_faults(),
-        crossings = result.merged.ring_changes,
+        crossings = result.merged.crossings.total_ring_changes(),
         wall_pct = Percentiles::of(&wall_ns).json(),
         instr_pct = Percentiles::of(&instr).json(),
         words = cfg.phys_words,

@@ -107,6 +107,19 @@ impl CrossingCounters {
             .map(|k| self.count(*k))
             .sum()
     }
+
+    /// `(export key, count)` for every kind, in [`Crossing::ALL`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        Crossing::ALL.into_iter().map(|k| (k.key(), self.count(k)))
+    }
+
+    /// Adds `other`'s counts, matrix included, into these.
+    pub fn merge(&mut self, other: &CrossingCounters) {
+        add_counts(&mut self.counts, &other.counts);
+        for (mine, theirs) in self.matrix.iter_mut().zip(&other.matrix) {
+            add_counts(mine, theirs);
+        }
+    }
 }
 
 /// Instruction classes by operand reference — the paper's grouping for
@@ -197,6 +210,16 @@ impl OpClassCounters {
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
+
+    /// `(export key, count)` for every class, in [`OpClass::ALL`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        OpClass::ALL.into_iter().map(|c| (c.key(), self.count(c)))
+    }
+
+    /// Adds `other`'s counts into these.
+    pub fn merge(&mut self, other: &OpClassCounters) {
+        add_counts(&mut self.counts, &other.counts);
+    }
 }
 
 /// The stable export name of a trap vector.
@@ -246,6 +269,24 @@ impl FaultCounters {
     /// Total faults recorded.
     pub fn total(&self) -> u64 {
         self.by_vector.iter().sum()
+    }
+
+    /// `(export key, count)` for every trap vector, in vector order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        (0..NUM_VECTORS as u32).map(|v| (vector_key(v), self.count_vector(v)))
+    }
+
+    /// Adds `other`'s counts, both keyings, into these.
+    pub fn merge(&mut self, other: &FaultCounters) {
+        add_counts(&mut self.by_vector, &other.by_vector);
+        add_counts(&mut self.by_ring, &other.by_ring);
+    }
+}
+
+/// Adds each count of `theirs` into the same slot of `mine`.
+pub(crate) fn add_counts(mine: &mut [u64], theirs: &[u64]) {
+    for (m, t) in mine.iter_mut().zip(theirs) {
+        *m += t;
     }
 }
 

@@ -87,6 +87,18 @@ impl SegmentHeatmap {
     pub fn iter(&self) -> impl Iterator<Item = (u32, &SegHeat)> {
         self.segs.iter().map(|(s, h)| (*s, h))
     }
+
+    /// Adds `other`'s counts into this heatmap segment by segment; a
+    /// segment new to this one is inserted in order.
+    pub fn merge(&mut self, other: &SegmentHeatmap) {
+        for (segno, theirs) in &other.segs {
+            let mine = self.entry(*segno);
+            mine.reads += theirs.reads;
+            mine.writes += theirs.writes;
+            mine.executes += theirs.executes;
+            mine.violations += theirs.violations;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -6,8 +6,8 @@
 //! workspace root; the CSV form is a flat `key,value` table using the
 //! same dotted keys as the JSON paths.
 
-use crate::counters::{vector_key, Crossing, OpClass, NUM_RINGS, NUM_VECTORS};
-use crate::heatmap::SegHeat;
+use crate::counters::{add_counts, CrossingCounters, FaultCounters, OpClassCounters, NUM_RINGS};
+use crate::heatmap::SegmentHeatmap;
 use crate::hist::CycleHistogram;
 use crate::Metrics;
 
@@ -237,20 +237,12 @@ pub struct MetricsSnapshot {
     pub instructions: u64,
     /// Simulated cycles elapsed.
     pub cycles: u64,
-    /// Per-kind crossing counts, in [`Crossing::ALL`] order.
-    pub crossings: Vec<(&'static str, u64)>,
-    /// `matrix[from][to]` ring-transition counts.
-    pub crossing_matrix: [[u64; NUM_RINGS]; NUM_RINGS],
-    /// Total events that changed the ring of execution.
-    pub ring_changes: u64,
-    /// Fault counts by vector name, in vector order.
-    pub faults_by_vector: Vec<(&'static str, u64)>,
-    /// Fault counts by faulting ring.
-    pub faults_by_ring: [u64; NUM_RINGS],
-    /// Total faults.
-    pub faults_total: u64,
-    /// Instruction counts by operand class, in [`OpClass::ALL`] order.
-    pub opcode_classes: Vec<(&'static str, u64)>,
+    /// Ring-crossing counts, per kind and as the from×to matrix.
+    pub crossings: CrossingCounters,
+    /// Fault counts by trap vector and by faulting ring.
+    pub faults: FaultCounters,
+    /// Instruction counts by operand-reference class.
+    pub opclasses: OpClassCounters,
     /// Instruction counts by ring of execution.
     pub instr_by_ring: [u64; NUM_RINGS],
     /// CALL-path cycle costs.
@@ -266,7 +258,7 @@ pub struct MetricsSnapshot {
     /// Extra descriptor-walk references on SDW-cache misses.
     pub sdw_miss_refs: HistogramSnapshot,
     /// Per-segment access counts, ascending by segment number.
-    pub heatmap: Vec<(u32, SegHeat)>,
+    pub heatmap: SegmentHeatmap,
     /// SDW associative-memory statistics.
     pub sdw_cache: SdwCacheStats,
     /// Fast-path engine statistics.
@@ -301,21 +293,9 @@ impl MetricsSnapshot {
             enabled: metrics.is_enabled(),
             instructions,
             cycles,
-            crossings: Crossing::ALL
-                .iter()
-                .map(|k| (k.key(), metrics.crossings.count(*k)))
-                .collect(),
-            crossing_matrix: metrics.crossings.matrix,
-            ring_changes: metrics.crossings.total_ring_changes(),
-            faults_by_vector: (0..NUM_VECTORS as u32)
-                .map(|v| (vector_key(v), metrics.faults.count_vector(v)))
-                .collect(),
-            faults_by_ring: metrics.faults.by_ring,
-            faults_total: metrics.faults.total(),
-            opcode_classes: OpClass::ALL
-                .iter()
-                .map(|c| (c.key(), metrics.opclasses.count(*c)))
-                .collect(),
+            crossings: metrics.crossings.clone(),
+            faults: metrics.faults.clone(),
+            opclasses: metrics.opclasses.clone(),
             instr_by_ring: metrics.instr_by_ring,
             call_cycles: HistogramSnapshot::of(&metrics.call_cycles),
             return_cycles: HistogramSnapshot::of(&metrics.return_cycles),
@@ -323,7 +303,7 @@ impl MetricsSnapshot {
             tpr_maximisations: metrics.tpr_maximisations,
             sdw_hit_refs: HistogramSnapshot::of(&metrics.sdw_hit_refs),
             sdw_miss_refs: HistogramSnapshot::of(&metrics.sdw_miss_refs),
-            heatmap: metrics.heatmap.iter().map(|(s, h)| (s, *h)).collect(),
+            heatmap: metrics.heatmap.clone(),
             sdw_cache,
             fastpath,
             sched: SchedStats::default(),
@@ -339,55 +319,20 @@ impl MetricsSnapshot {
     /// merging the snapshots of two disjoint runs equals the snapshot
     /// of their concatenation for every counter.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
-        fn merge_keyed<K: PartialEq + Clone>(mine: &mut Vec<(K, u64)>, theirs: &[(K, u64)]) {
-            for (key, v) in theirs {
-                match mine.iter_mut().find(|(k, _)| k == key) {
-                    Some((_, have)) => *have += v,
-                    None => mine.push((key.clone(), *v)),
-                }
-            }
-        }
         self.enabled |= other.enabled;
         self.instructions += other.instructions;
         self.cycles += other.cycles;
-        merge_keyed(&mut self.crossings, &other.crossings);
-        for (mine, theirs) in self
-            .crossing_matrix
-            .iter_mut()
-            .zip(other.crossing_matrix.iter())
-        {
-            for (m, t) in mine.iter_mut().zip(theirs.iter()) {
-                *m += t;
-            }
-        }
-        self.ring_changes += other.ring_changes;
-        merge_keyed(&mut self.faults_by_vector, &other.faults_by_vector);
-        for (m, t) in self.faults_by_ring.iter_mut().zip(other.faults_by_ring) {
-            *m += t;
-        }
-        self.faults_total += other.faults_total;
-        merge_keyed(&mut self.opcode_classes, &other.opcode_classes);
-        for (m, t) in self.instr_by_ring.iter_mut().zip(other.instr_by_ring) {
-            *m += t;
-        }
+        self.crossings.merge(&other.crossings);
+        self.faults.merge(&other.faults);
+        self.opclasses.merge(&other.opclasses);
+        add_counts(&mut self.instr_by_ring, &other.instr_by_ring);
         self.call_cycles.merge(&other.call_cycles);
         self.return_cycles.merge(&other.return_cycles);
         self.ea_depth.merge(&other.ea_depth);
         self.tpr_maximisations += other.tpr_maximisations;
         self.sdw_hit_refs.merge(&other.sdw_hit_refs);
         self.sdw_miss_refs.merge(&other.sdw_miss_refs);
-        for (segno, theirs) in &other.heatmap {
-            match self.heatmap.iter_mut().find(|(s, _)| s == segno) {
-                Some((_, mine)) => {
-                    mine.reads += theirs.reads;
-                    mine.writes += theirs.writes;
-                    mine.executes += theirs.executes;
-                    mine.violations += theirs.violations;
-                }
-                None => self.heatmap.push((*segno, *theirs)),
-            }
-        }
-        self.heatmap.sort_by_key(|(segno, _)| *segno);
+        self.heatmap.merge(&other.heatmap);
         self.sdw_cache.hits += other.sdw_cache.hits;
         self.sdw_cache.misses += other.sdw_cache.misses;
         self.sdw_cache.flushes += other.sdw_cache.flushes;
@@ -404,7 +349,12 @@ impl MetricsSnapshot {
         self.sched.merge(&other.sched);
         self.prof.merge(&other.prof);
         self.trace_dropped += other.trace_dropped;
-        merge_keyed(&mut self.extra, &other.extra);
+        for (key, v) in &other.extra {
+            match self.extra.iter_mut().find(|(k, _)| k == key) {
+                Some((_, have)) => *have += v,
+                None => self.extra.push((key.clone(), *v)),
+            }
+        }
         // Canonicalize the supplementary-counter order. Unmerged
         // snapshots list extras in export order; a merge may interleave
         // keys from snapshots whose processes differ, and the append
@@ -427,12 +377,15 @@ impl MetricsSnapshot {
         self.extra.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
     }
 
-    /// The value of a crossing counter by its key, if present.
-    pub fn crossing(&self, key: &str) -> Option<u64> {
-        self.crossings
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| *v)
+    /// The histograms under their export keys, in export order.
+    fn histograms(&self) -> [(&'static str, &HistogramSnapshot); 5] {
+        [
+            ("call_cycles", &self.call_cycles),
+            ("return_cycles", &self.return_cycles),
+            ("ea_indirect_depth", &self.ea_depth),
+            ("sdw_hit_extra_refs", &self.sdw_hit_refs),
+            ("sdw_miss_extra_refs", &self.sdw_miss_refs),
+        ]
     }
 
     /// Serializes the snapshot as a JSON document.
@@ -444,54 +397,39 @@ impl MetricsSnapshot {
         out.push_str(&format!("  \"cycles\": {},\n", self.cycles));
 
         out.push_str("  \"crossings\": {\n");
-        for (key, v) in &self.crossings {
+        for (key, v) in self.crossings.iter() {
             out.push_str(&format!("    \"{key}\": {v},\n"));
         }
-        out.push_str(&format!("    \"ring_changes\": {},\n", self.ring_changes));
+        out.push_str(&format!(
+            "    \"ring_changes\": {},\n",
+            self.crossings.total_ring_changes()
+        ));
         out.push_str("    \"matrix\": ");
-        out.push_str(&json_matrix(&self.crossing_matrix));
+        out.push_str(&json_matrix(&self.crossings.matrix));
         out.push_str("\n  },\n");
 
         out.push_str("  \"faults\": {\n");
-        out.push_str(&format!("    \"total\": {},\n", self.faults_total));
-        out.push_str("    \"by_vector\": {");
-        out.push_str(
-            &self
-                .faults_by_vector
-                .iter()
-                .map(|(k, v)| format!("\"{k}\": {v}"))
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
-        out.push_str("},\n");
+        out.push_str(&format!("    \"total\": {},\n", self.faults.total()));
+        out.push_str(&format!(
+            "    \"by_vector\": {{{}}},\n",
+            json_members(self.faults.iter())
+        ));
         out.push_str(&format!(
             "    \"by_ring\": {}\n  }},\n",
-            json_u64_array(&self.faults_by_ring)
+            json_u64_array(&self.faults.by_ring)
         ));
 
-        out.push_str("  \"opcode_classes\": {");
-        out.push_str(
-            &self
-                .opcode_classes
-                .iter()
-                .map(|(k, v)| format!("\"{k}\": {v}"))
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
-        out.push_str("},\n");
+        out.push_str(&format!(
+            "  \"opcode_classes\": {{{}}},\n",
+            json_members(self.opclasses.iter())
+        ));
         out.push_str(&format!(
             "  \"instructions_by_ring\": {},\n",
             json_u64_array(&self.instr_by_ring)
         ));
 
         out.push_str("  \"histograms\": {\n");
-        let hists = [
-            ("call_cycles", &self.call_cycles),
-            ("return_cycles", &self.return_cycles),
-            ("ea_indirect_depth", &self.ea_depth),
-            ("sdw_hit_extra_refs", &self.sdw_hit_refs),
-            ("sdw_miss_extra_refs", &self.sdw_miss_refs),
-        ];
+        let hists = self.histograms();
         for (i, (key, h)) in hists.iter().enumerate() {
             let sep = if i + 1 == hists.len() { "" } else { "," };
             out.push_str(&format!("    \"{key}\": {}{sep}\n", json_histogram(h)));
@@ -569,16 +507,10 @@ impl MetricsSnapshot {
             self.trace_dropped
         ));
 
-        out.push_str("  \"extra\": {");
-        out.push_str(
-            &self
-                .extra
-                .iter()
-                .map(|(k, v)| format!("\"{}\": {v}", json_escape(k)))
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
-        out.push_str("}\n}\n");
+        out.push_str(&format!(
+            "  \"extra\": {{{}}}\n}}\n",
+            json_members(self.extra.iter().map(|(k, v)| (k.as_str(), *v)))
+        ));
         out
     }
 
@@ -590,40 +522,34 @@ impl MetricsSnapshot {
             ("instructions".into(), self.instructions.to_string()),
             ("cycles".into(), self.cycles.to_string()),
         ];
-        for (key, v) in &self.crossings {
+        for (key, v) in self.crossings.iter() {
             rows.push((format!("crossings.{key}"), v.to_string()));
         }
         rows.push((
             "crossings.ring_changes".into(),
-            self.ring_changes.to_string(),
+            self.crossings.total_ring_changes().to_string(),
         ));
-        for (from, row) in self.crossing_matrix.iter().enumerate() {
+        for (from, row) in self.crossings.matrix.iter().enumerate() {
             for (to, v) in row.iter().enumerate() {
                 if *v > 0 {
                     rows.push((format!("crossings.matrix.{from}.{to}"), v.to_string()));
                 }
             }
         }
-        rows.push(("faults.total".into(), self.faults_total.to_string()));
-        for (key, v) in &self.faults_by_vector {
+        rows.push(("faults.total".into(), self.faults.total().to_string()));
+        for (key, v) in self.faults.iter() {
             rows.push((format!("faults.by_vector.{key}"), v.to_string()));
         }
-        for (ring, v) in self.faults_by_ring.iter().enumerate() {
+        for (ring, v) in self.faults.by_ring.iter().enumerate() {
             rows.push((format!("faults.by_ring.{ring}"), v.to_string()));
         }
-        for (key, v) in &self.opcode_classes {
+        for (key, v) in self.opclasses.iter() {
             rows.push((format!("opcode_classes.{key}"), v.to_string()));
         }
         for (ring, v) in self.instr_by_ring.iter().enumerate() {
             rows.push((format!("instructions_by_ring.{ring}"), v.to_string()));
         }
-        for (key, h) in [
-            ("call_cycles", &self.call_cycles),
-            ("return_cycles", &self.return_cycles),
-            ("ea_indirect_depth", &self.ea_depth),
-            ("sdw_hit_extra_refs", &self.sdw_hit_refs),
-            ("sdw_miss_extra_refs", &self.sdw_miss_refs),
-        ] {
+        for (key, h) in self.histograms() {
             rows.push((format!("histograms.{key}.count"), h.count.to_string()));
             rows.push((format!("histograms.{key}.sum"), h.sum.to_string()));
             rows.push((format!("histograms.{key}.min"), h.min.to_string()));
@@ -642,7 +568,7 @@ impl MetricsSnapshot {
             "ea.tpr_maximisations".into(),
             self.tpr_maximisations.to_string(),
         ));
-        for (segno, h) in &self.heatmap {
+        for (segno, h) in self.heatmap.iter() {
             rows.push((format!("heatmap.{segno}.reads"), h.reads.to_string()));
             rows.push((format!("heatmap.{segno}.writes"), h.writes.to_string()));
             rows.push((format!("heatmap.{segno}.executes"), h.executes.to_string()));
@@ -736,6 +662,15 @@ fn json_matrix(m: &[[u64; NUM_RINGS]; NUM_RINGS]) -> String {
             .collect::<Vec<_>>()
             .join(", ")
     )
+}
+
+/// The members of a flat JSON object: `"key": value` pairs joined by
+/// `", "`.
+fn json_members<'a>(pairs: impl Iterator<Item = (&'a str, u64)>) -> String {
+    pairs
+        .map(|(k, v)| format!("\"{}\": {v}", json_escape(k)))
+        .collect::<Vec<_>>()
+        .join(", ")
 }
 
 fn json_f64(x: f64) -> String {
@@ -919,12 +854,14 @@ mod tests {
         assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
-    #[test]
-    fn crossing_lookup_by_key() {
-        let s = sample_snapshot();
-        assert_eq!(s.crossing("call_down"), Some(1));
-        assert_eq!(s.crossing("upward_call_trap"), Some(0));
-        assert_eq!(s.crossing("nonsense"), None);
+    /// Records `[reads, writes, executes, violations]` references to
+    /// `segno`.
+    fn touch(heatmap: &mut SegmentHeatmap, segno: u32, counts: [u32; 4]) {
+        let modes = [AccessMode::Read, AccessMode::Write, AccessMode::Execute];
+        for (mode, n) in modes.into_iter().zip(counts) {
+            (0..n).for_each(|_| heatmap.record(segno, mode));
+        }
+        (0..counts[3]).for_each(|_| heatmap.record_violation(segno));
     }
 
     /// Builds a histogram snapshot straight from observations.
@@ -997,10 +934,13 @@ mod tests {
         merged.merge(&b);
         assert_eq!(merged.instructions, 2 * a.instructions);
         assert_eq!(merged.cycles, 2 * a.cycles);
-        assert_eq!(merged.crossing("call_down"), Some(2));
-        assert_eq!(merged.crossing_matrix[4][1], 2 * a.crossing_matrix[4][1]);
-        assert_eq!(merged.ring_changes, 2 * a.ring_changes);
-        assert_eq!(merged.faults_total, 2 * a.faults_total);
+        assert_eq!(merged.crossings.count(Crossing::CallDown), 2);
+        assert_eq!(merged.crossings.matrix[4][1], 2 * a.crossings.matrix[4][1]);
+        assert_eq!(
+            merged.crossings.total_ring_changes(),
+            2 * a.crossings.total_ring_changes()
+        );
+        assert_eq!(merged.faults.total(), 2 * a.faults.total());
         assert_eq!(merged.call_cycles.count, 2 * a.call_cycles.count);
         assert_eq!(merged.sdw_cache.hits, 2 * a.sdw_cache.hits);
         assert_eq!(merged.fastpath.fast_instructions, 160);
@@ -1016,8 +956,8 @@ mod tests {
             vec![("os.gate_calls_hcs".to_string(), 10)],
             "extras merge by key"
         );
-        let heat = merged.heatmap.iter().find(|(s, _)| *s == 10).unwrap().1;
-        assert_eq!(heat.executes, 2 * a.heatmap[0].1.executes);
+        let heat = merged.heatmap.get(10).unwrap();
+        assert_eq!(heat.executes, 2 * a.heatmap.get(10).unwrap().executes);
     }
 
     #[test]
@@ -1026,25 +966,14 @@ mod tests {
         let mut b = sample_snapshot();
         a.push_extra("os.only_in_a", 3);
         b.push_extra("os.only_in_b", 4);
-        b.heatmap.push((
-            99,
-            SegHeat {
-                reads: 1,
-                writes: 2,
-                executes: 3,
-                violations: 0,
-            },
-        ));
+        touch(&mut b.heatmap, 99, [1, 2, 3, 0]);
         let mut merged = a.clone();
         merged.merge(&b);
         let extra = |key: &str| merged.extra.iter().find(|(k, _)| k == key).map(|(_, v)| *v);
         assert_eq!(extra("os.only_in_a"), Some(3));
         assert_eq!(extra("os.only_in_b"), Some(4));
-        assert!(merged
-            .heatmap
-            .iter()
-            .any(|(s, h)| *s == 99 && h.executes == 3));
-        let segnos: Vec<u32> = merged.heatmap.iter().map(|(s, _)| *s).collect();
+        assert!(merged.heatmap.get(99).is_some_and(|h| h.executes == 3));
+        let segnos: Vec<u32> = merged.heatmap.iter().map(|(s, _)| s).collect();
         let mut sorted = segnos.clone();
         sorted.sort_unstable();
         assert_eq!(segnos, sorted, "heatmap stays ascending after merge");
@@ -1113,15 +1042,7 @@ mod tests {
         b.push_extra("os.proc.1.gate_calls", 4);
         b.push_extra("os.proc.0.gate_calls", 1);
         c.push_extra("os.proc.2.gate_calls", 9);
-        c.heatmap.push((
-            77,
-            SegHeat {
-                reads: 5,
-                writes: 0,
-                executes: 0,
-                violations: 1,
-            },
-        ));
+        touch(&mut c.heatmap, 77, [5, 0, 0, 1]);
         b.call_cycles.merge(&hist_of(&[3, 3, 700]));
         c.prof = ProfStats::default();
 

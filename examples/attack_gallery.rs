@@ -143,7 +143,7 @@ p:      its 0, {}, 0        ; forged ring field: 0
     // What the observability layer recorded across the machine-code
     // attacks: every blocked attempt shows up as a fault, and the
     // heatmap names the segments that were probed.
-    let faults: u64 = snaps.iter().map(|s| s.faults_total).sum();
+    let faults: u64 = snaps.iter().map(|s| s.faults.total()).sum();
     let violations: u64 = snaps
         .iter()
         .flat_map(|s| s.heatmap.iter())
@@ -154,7 +154,7 @@ p:      its 0, {}, 0        ; forged ring field: 0
         .iter()
         .flat_map(|s| s.heatmap.iter())
         .filter(|(_, h)| h.violations > 0)
-        .map(|(segno, _)| *segno)
+        .map(|(segno, _)| segno)
         .collect();
     probed.sort_unstable();
     probed.dedup();

@@ -43,16 +43,10 @@ datap:  its 4, {}, 0
     let snap = sys.metrics_snapshot();
     println!(
         "metrics: {} faults; segment {} saw {} violation(s) out of {} read attempt(s)",
-        snap.faults_total,
+        snap.faults.total(),
         sub.data_segno,
-        snap.heatmap
-            .iter()
-            .find(|(segno, _)| *segno == sub.data_segno)
-            .map_or(0, |(_, h)| h.violations),
-        snap.heatmap
-            .iter()
-            .find(|(segno, _)| *segno == sub.data_segno)
-            .map_or(0, |(_, h)| h.reads),
+        snap.heatmap.get(sub.data_segno).map_or(0, |h| h.violations),
+        snap.heatmap.get(sub.data_segno).map_or(0, |h| h.reads),
     );
 
     let mut sys = System::boot();
@@ -113,8 +107,8 @@ args:   its 4, {sc}, 0      ; arg0: index
     println!(
         "metrics: crossings {} ({} ring changes), {} fault(s), sdw cache {:.0}% hit",
         crossings.join(", "),
-        snap.ring_changes,
-        snap.faults_total,
+        snap.crossings.total_ring_changes(),
+        snap.faults.total(),
         100.0 * snap.sdw_cache.hit_ratio(),
     );
 }

@@ -421,9 +421,9 @@ fn debug_bare(mut world: World, trap: SegNo, loaded: u32, ring: Ring) -> ExitCod
                     } else {
                         crossings.join(", ")
                     },
-                    snap.ring_changes
+                    snap.crossings.total_ring_changes()
                 );
-                println!("  faults: {}", snap.faults_total);
+                println!("  faults: {}", snap.faults.total());
                 let cs = snap.sdw_cache;
                 println!(
                     "  sdw cache: {} hits, {} misses ({:.1}% hit)",

@@ -354,7 +354,7 @@ impl Shell {
                     } else {
                         crossings.join(", ")
                     },
-                    snap.ring_changes
+                    snap.crossings.total_ring_changes()
                 );
                 let sc = self.sys.state().sched.stats;
                 if sc.context_switches > 0
@@ -461,7 +461,7 @@ impl Shell {
                     println!("  (no references recorded — run something first)");
                 } else {
                     println!("  segno      reads     writes   executes violations");
-                    for (segno, h) in &snap.heatmap {
+                    for (segno, h) in snap.heatmap.iter() {
                         println!(
                             "  {segno:<6} {:>9} {:>10} {:>10} {:>10}",
                             h.reads, h.writes, h.executes, h.violations

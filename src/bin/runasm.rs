@@ -352,9 +352,9 @@ fn write_outputs(session: &Session, opts: &Options) -> Result<(), String> {
         write(path, body)?;
         println!(
             "metrics: {} crossings ({} ring changes), {} faults, sdw cache {:.0}% hit -> {path}",
-            snap.crossings.iter().map(|(_, v)| v).sum::<u64>(),
-            snap.ring_changes,
-            snap.faults_total,
+            snap.crossings.total(),
+            snap.crossings.total_ring_changes(),
+            snap.faults.total(),
             100.0 * snap.sdw_cache.hit_ratio()
         );
     }

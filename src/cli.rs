@@ -62,7 +62,7 @@ use ring_core::addr::SegNo;
 use ring_core::ring::Ring;
 use ring_core::sdw::SdwBuilder;
 use ring_cpu::machine::{Machine, MachineConfig};
-use ring_cpu::testkit::World;
+use ring_cpu::testkit::{World, WORLD_WORDS};
 use ring_cpu::FaultPlan;
 use ring_metrics::MetricsSnapshot;
 use ring_os::workload::{install_page_storm, install_storm_program, StormProc, StormSpec};
@@ -241,13 +241,14 @@ impl MachineArgs {
     /// Builds the world the flags describe, reading and assembling the
     /// program once: the bare program world, or the booted kernel with
     /// the storm processes installed, the campaign armed and the quantum
-    /// timer set. No recorder is on yet.
+    /// timer set. No recorder is on yet. A program too big for the bare
+    /// world is an error.
     ///
     /// # Panics
     ///
     /// Panics on values [`MachineArgs::parse`] refuses, such as a page
-    /// count outside [`StormSpec::PAGES`], and when the program or the
-    /// processes do not fit physical memory.
+    /// count outside [`StormSpec::PAGES`], and when the processes do not
+    /// fit physical memory.
     pub fn build(&self) -> Result<Session, String> {
         let program = self.program()?;
         if self.procs == 0 {
@@ -256,7 +257,7 @@ impl MachineArgs {
                 fastpath: self.fastpath,
                 ..MachineConfig::default()
             };
-            let (world, trap) = program_world(&image, self.ring, config);
+            let (world, trap) = program_world(&image, self.ring, config)?;
             return Ok(Session::Bare { world, trap, image });
         }
         let plan = self.chaos_plan()?;
@@ -286,30 +287,42 @@ impl MachineArgs {
 /// The bare program world: `image` at segment [`PROGRAM_SEGNO`] (4
 /// gates), a data segment at [`DATA_SEGNO`], the standard stacks, the
 /// trap segment, and the processor at word 0 of the program in `ring`.
-/// Returns the trap segment, on which the caller registers its handler.
-///
-/// # Panics
-///
-/// Panics when the image does not fit the world's memory.
-fn program_world(image: &Assembled, ring: Ring, config: MachineConfig) -> (World, SegNo) {
+/// Returns the trap segment, on which the caller registers its handler,
+/// or an error when the image leaves too little memory for the rest.
+fn program_world(
+    image: &Assembled,
+    ring: Ring,
+    config: MachineConfig,
+) -> Result<(World, SegNo), String> {
+    let too_big = || {
+        format!(
+            "the {}-word program does not fit the bare world's {WORLD_WORDS} words of memory \
+             beside its data, stack and trap segments",
+            image.len()
+        )
+    };
     let mut world = World::with_config(config);
-    let code = world.add_segment(
-        PROGRAM_SEGNO.value(),
-        SdwBuilder::procedure(ring, ring, Ring::R7)
-            .gates(4)
-            .bound_words(image.len().max(16)),
-    );
-    world.add_segment(
-        DATA_SEGNO.value(),
-        SdwBuilder::data(ring, ring).bound_words(1024),
-    );
-    world.add_standard_stacks(16);
-    let trap = world.add_trap_segment();
+    let code = world
+        .try_add_segment(
+            PROGRAM_SEGNO.value(),
+            SdwBuilder::procedure(ring, ring, Ring::R7)
+                .gates(4)
+                .bound_words(image.len().max(16)),
+        )
+        .ok_or_else(too_big)?;
+    world
+        .try_add_segment(
+            DATA_SEGNO.value(),
+            SdwBuilder::data(ring, ring).bound_words(1024),
+        )
+        .ok_or_else(too_big)?;
+    world.try_add_standard_stacks(16).ok_or_else(too_big)?;
+    let trap = world.try_add_trap_segment().ok_or_else(too_big)?;
     for (i, w) in image.words.iter().enumerate() {
         world.poke(code, i as u32, *w);
     }
     world.start(ring, code, 0);
-    (world, trap)
+    Ok((world, trap))
 }
 
 /// A world built from the machine flags.

@@ -67,6 +67,36 @@ fn bad_command_lines_exit_nonzero_with_a_message() {
     refused(RINGSH, &["--frobnicate"]);
 }
 
+/// A program the assembler accepts but the bare world cannot hold is
+/// refused with a message: too big for its own segment (`org 262143`,
+/// the assembler's limit), for the stacks (`org 253000`) or for the
+/// trap segment (`org 252500`). One that fits (`org 252000`) runs.
+#[test]
+fn programs_too_big_for_the_bare_world_exit_nonzero_with_a_message() {
+    let program = |org: u32| {
+        let path = format!("{}/org{org}.rasm", env!("CARGO_TARGET_TMPDIR"));
+        let source = format!("        drl 0o777\n        org {org}\n        dw 0\n");
+        std::fs::write(&path, source).expect("program written");
+        path
+    };
+    for org in [262_143, 253_000, 252_500] {
+        let path = program(org);
+        for bin in [RUNASM, RINGDBG] {
+            let out = run(bin, &[&path], "q\n");
+            let stderr = text(&out.stderr);
+            assert!(!out.status.success(), "{bin} org {org} succeeded");
+            assert!(!stderr.contains("panicked"), "{bin} org {org}: {stderr}");
+            assert!(
+                stderr.contains("does not fit the bare world"),
+                "{bin} org {org}: {stderr}"
+            );
+        }
+    }
+    let fits = program(252_000);
+    assert!(survives(RUNASM, &[&fits], "").contains("exit: Halted"));
+    assert!(survives(RINGDBG, &[&fits], "g\nq\n").contains("halted after"));
+}
+
 #[test]
 fn hostile_monitor_commands_print_a_reason() {
     let session = "m 12 0\nw 12 0\nm 10 99999999\nd 0 4294967295\nd 4294967295 8\ng\nq\n";

@@ -2,13 +2,16 @@
 
 Usage:
     python3 tests/golden/sim_hashes.py FLEET.json CHAOS_FLEET.json CHAOS_METRICS.json \
-        [OUTPUT ...]
+        TABLES.out [OUTPUT ...]
 
 FLEET.json and CHAOS_FLEET.json are `fleetbench --quick` reports, plain
 and with `--chaos-seed 7 --chaos-rate 300`. CHAOS_METRICS.json is the
 metrics export of the CI chaos smoke (`runasm --procs 3 --frames 10
 --pages 6 --rounds 40 --chaos-seed 7 --chaos-rate 250 --budget 20000000
---record chaos.rec --metrics-out chaos.json`).
+--record chaos.rec --metrics-out chaos.json`). TABLES.out is the
+standard output of `cargo run -p ring-bench --bin tables --release`,
+the figure and experiment tables that EXPERIMENTS.md quotes as its raw
+output.
 
 Each OUTPUT is hashed whole. The committed file pins every output of two
 observer runs, made from the repository root with these names:
@@ -69,7 +72,7 @@ def print_file(label, path):
         print(f"{label} without fastpath: sha256 {digest}")
 
 
-fleet, chaos_fleet, chaos_metrics = sys.argv[1:4]
+fleet, chaos_fleet, chaos_metrics, tables = sys.argv[1:5]
 print("# Regenerate with tests/golden/sim_hashes.py (see its docstring).")
 for label, path in (
     ("fleetbench --quick", fleet),
@@ -80,5 +83,6 @@ for label, path in (
     for key in ("merged_snapshot_hash", "merged_snapshot_hash_without_fastpath"):
         print(f"{label}: {key} {report[key]}")
 print_file("chaos smoke chaos.json", chaos_metrics)
-for path in sys.argv[4:]:
+print(f"tables stdout: sha256 {sha256(tables)}")
+for path in sys.argv[5:]:
     print_file(f"observer run {path}", path)

@@ -13,9 +13,11 @@ use multiring::core::{AbsAddr, SegNo};
 use multiring::cpu::machine::{Machine, MachineConfig, RunExit};
 use multiring::cpu::native::NativeAction;
 use multiring::cpu::testkit::World;
+use multiring::metrics::Crossing;
 use multiring::os::conventions::{gate_addr, ring1, segs};
 use multiring::os::driver::gen_call_sequence;
 use multiring::os::System;
+use multiring::trace::json::{self, Json};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -192,24 +194,25 @@ fn gate_calls_record_exact_crossing_counts() {
     assert_eq!(w.machine.run(10_000), RunExit::Halted);
 
     let snap = w.machine.metrics_snapshot();
-    assert_eq!(snap.crossing("call_down"), Some(CALLS));
-    assert_eq!(snap.crossing("return_up"), Some(CALLS));
-    assert_eq!(snap.crossing("call_same_ring"), Some(0));
+    let crossings = &snap.crossings;
+    assert_eq!(crossings.count(Crossing::CallDown), CALLS);
+    assert_eq!(crossings.count(Crossing::ReturnUp), CALLS);
+    assert_eq!(crossings.count(Crossing::CallSameRing), 0);
     assert_eq!(
-        snap.crossing("trap_to_ring0"),
-        Some(1),
+        crossings.count(Crossing::TrapToRing0),
+        1,
         "only the exit derail traps"
     );
-    assert_eq!(snap.crossing("upward_call_trap"), Some(0));
-    assert_eq!(snap.crossing_matrix[4][1], CALLS, "CALL cells 4->1");
-    assert_eq!(snap.crossing_matrix[1][4], CALLS, "RETURN cells 1->4");
-    assert_eq!(snap.ring_changes, 2 * CALLS + 1);
-    assert_eq!(snap.faults_total, 1);
+    assert_eq!(crossings.count(Crossing::UpwardCallTrap), 0);
+    assert_eq!(crossings.matrix[4][1], CALLS, "CALL cells 4->1");
+    assert_eq!(crossings.matrix[1][4], CALLS, "RETURN cells 1->4");
+    assert_eq!(crossings.total_ring_changes(), 2 * CALLS + 1);
+    assert_eq!(snap.faults.total(), 1);
     assert_eq!(snap.call_cycles.count, CALLS);
     // The counters agree with the machine's own statistics.
     let stats = w.machine.stats();
-    assert_eq!(snap.crossing("call_down"), Some(stats.calls_downward));
-    assert_eq!(snap.crossing("return_up"), Some(stats.returns_upward));
+    assert_eq!(crossings.count(Crossing::CallDown), stats.calls_downward);
+    assert_eq!(crossings.count(Crossing::ReturnUp), stats.returns_upward);
 }
 
 /// The same workload through the span recorder: `N` gate calls build
@@ -329,10 +332,10 @@ fn system_snapshot_carries_supervisor_extras() {
 
     let snap = sys.metrics_snapshot();
     assert!(
-        snap.crossing("call_down").unwrap() >= 1,
+        snap.crossings.count(Crossing::CallDown) >= 1,
         "gate call crossed down"
     );
-    assert!(snap.crossing("return_up").unwrap() >= 1);
+    assert!(snap.crossings.count(Crossing::ReturnUp) >= 1);
     let extra = |key: &str| {
         snap.extra
             .iter()
@@ -462,8 +465,10 @@ fn draining_spans_mid_run_leaves_the_profile_unchanged() {
 /// The CSV flattening is collision-free and lossless: every dotted key
 /// appears exactly once, and each row's value parses back to exactly
 /// what the snapshot struct holds — across every nested family
-/// (`crossings.*`, `histograms.*`, `heatmap.N.*`, `prof.*`, `trace.*`,
-/// `scheduler.*`, `extra.os.*`).
+/// (`crossings.*` with the matrix cells, `faults.*`, `opcode_classes.*`,
+/// `instructions_by_ring.*`, `histograms.*`, `heatmap.N.*`,
+/// `sdw_cache.*`, `fastpath.*`, `prof.*`, `trace.*`, `scheduler.*`,
+/// `extra.os.*`).
 #[test]
 fn csv_flattening_roundtrips_every_key_exactly_once() {
     // A supervisor run populates the most sections at once: hardware
@@ -508,14 +513,38 @@ fn csv_flattening_roundtrips_every_key_exactly_once() {
     };
     assert_eq!(num("instructions"), snap.instructions);
     assert_eq!(num("cycles"), snap.cycles);
-    for (key, v) in &snap.crossings {
-        assert_eq!(num(&format!("crossings.{key}")), *v);
+    for (key, v) in snap.crossings.iter() {
+        assert_eq!(num(&format!("crossings.{key}")), v);
     }
-    assert_eq!(num("crossings.ring_changes"), snap.ring_changes);
-    for (key, v) in &snap.faults_by_vector {
-        assert_eq!(num(&format!("faults.by_vector.{key}")), *v);
+    assert_eq!(
+        num("crossings.ring_changes"),
+        snap.crossings.total_ring_changes()
+    );
+    for (from, row) in snap.crossings.matrix.iter().enumerate() {
+        for (to, v) in row.iter().enumerate() {
+            // Only the cells that saw a transition are exported.
+            let key = format!("crossings.matrix.{from}.{to}");
+            if *v > 0 {
+                assert_eq!(num(&key), *v);
+            } else {
+                assert!(!rows.contains_key(&key), "zero cell {key} exported");
+            }
+        }
     }
-    for (segno, h) in &snap.heatmap {
+    assert_eq!(num("faults.total"), snap.faults.total());
+    for (key, v) in snap.faults.iter() {
+        assert_eq!(num(&format!("faults.by_vector.{key}")), v);
+    }
+    for (ring, v) in snap.faults.by_ring.iter().enumerate() {
+        assert_eq!(num(&format!("faults.by_ring.{ring}")), *v);
+    }
+    for (key, v) in snap.opclasses.iter() {
+        assert_eq!(num(&format!("opcode_classes.{key}")), v);
+    }
+    for (ring, v) in snap.instr_by_ring.iter().enumerate() {
+        assert_eq!(num(&format!("instructions_by_ring.{ring}")), *v);
+    }
+    for (segno, h) in snap.heatmap.iter() {
         assert_eq!(num(&format!("heatmap.{segno}.reads")), h.reads);
         assert_eq!(num(&format!("heatmap.{segno}.writes")), h.writes);
         assert_eq!(num(&format!("heatmap.{segno}.executes")), h.executes);
@@ -535,6 +564,35 @@ fn csv_flattening_roundtrips_every_key_exactly_once() {
         assert_eq!(num(&format!("histograms.{key}.p50")), h.percentile(0.50));
         assert_eq!(num(&format!("histograms.{key}.p99")), h.percentile(0.99));
     }
+    let sdw = snap.sdw_cache;
+    for (key, v) in [
+        ("hits", sdw.hits),
+        ("misses", sdw.misses),
+        ("flushes", sdw.flushes),
+        ("invalidations", sdw.invalidations),
+    ] {
+        assert_eq!(num(&format!("sdw_cache.{key}")), v);
+    }
+    let fp = snap.fastpath;
+    for (key, v) in [
+        ("fast_instructions", fp.fast_instructions),
+        ("slow_instructions", fp.slow_instructions),
+        ("tlb.hits", fp.tlb_hits),
+        ("tlb.misses", fp.tlb_misses),
+        ("tlb.installs", fp.tlb_installs),
+        ("tlb.invalidations", fp.tlb_invalidations),
+        ("tlb.flushes", fp.tlb_flushes),
+        ("icache.hits", fp.icache_hits),
+        ("icache.misses", fp.icache_misses),
+    ] {
+        assert_eq!(num(&format!("fastpath.{key}")), v);
+    }
+    for (key, ratio) in [
+        ("sdw_cache.hit_ratio", sdw.hit_ratio()),
+        ("fastpath.fast_ratio", fp.fast_ratio()),
+    ] {
+        assert_eq!(rows[key], format!("{ratio:.3}"));
+    }
     assert_eq!(num("prof.samples"), snap.prof.samples);
     assert_eq!(num("prof.sample_every"), snap.prof.sample_every);
     assert_eq!(num("prof.timeseries_points"), snap.prof.timeseries_points);
@@ -552,6 +610,155 @@ fn csv_flattening_roundtrips_every_key_exactly_once() {
         !snap.extra.is_empty(),
         "no extras recorded — the extra.* roundtrip is vacuous"
     );
+}
+
+/// The member at `path` of a parsed export, a key per object level and
+/// an index per array level.
+fn json_at<'a>(doc: &'a Json, path: &[&str]) -> &'a Json {
+    path.iter().fold(doc, |j, key| {
+        let next = match key.parse::<usize>() {
+            Ok(i) => j.as_arr().and_then(|items| items.get(i)),
+            Err(_) => j.get(key),
+        };
+        next.unwrap_or_else(|| panic!("export lacks {path:?}"))
+    })
+}
+
+/// The export's number at `path`, as a `u64`.
+fn json_u64(doc: &Json, path: &[&str]) -> u64 {
+    json_at(doc, path)
+        .as_u64()
+        .unwrap_or_else(|| panic!("{path:?} is not a count"))
+}
+
+/// The JSON export says what the snapshot holds: every family parsed
+/// back key by key equals the typed counters. A page storm under a
+/// chaos campaign fills most families at once, the `chaos.*` extras
+/// among them.
+#[test]
+fn json_export_roundtrips_every_family() {
+    let args = MachineArgs {
+        procs: 3,
+        frames: 10,
+        pages: 6,
+        rounds: 40,
+        chaos_seed: Some(7),
+        chaos_rate: 250,
+        ..MachineArgs::default()
+    };
+    let Ok(Session::Kernel { mut sys, .. }) = args.build() else {
+        panic!("--procs builds the kernel");
+    };
+    sys.enable_metrics();
+    assert_eq!(sys.machine.run(20_000_000), RunExit::Halted);
+    let snap = sys.metrics_snapshot();
+    let doc = json::parse(&snap.to_json()).expect("the export is JSON");
+    let num = |path: &[&str]| json_u64(&doc, path);
+
+    for (key, v) in snap.crossings.iter() {
+        assert_eq!(num(&["crossings", key]), v, "crossings.{key}");
+    }
+    assert_eq!(
+        num(&["crossings", "ring_changes"]),
+        snap.crossings.total_ring_changes()
+    );
+    for (from, row) in snap.crossings.matrix.iter().enumerate() {
+        for (to, v) in row.iter().enumerate() {
+            let (from, to) = (from.to_string(), to.to_string());
+            assert_eq!(num(&["crossings", "matrix", &from, &to]), *v);
+        }
+    }
+    assert_eq!(num(&["faults", "total"]), snap.faults.total());
+    for (key, v) in snap.faults.iter() {
+        assert_eq!(num(&["faults", "by_vector", key]), v, "vector {key}");
+    }
+    for (ring, v) in snap.faults.by_ring.iter().enumerate() {
+        assert_eq!(num(&["faults", "by_ring", &ring.to_string()]), *v);
+    }
+    for (key, v) in snap.opclasses.iter() {
+        assert_eq!(num(&["opcode_classes", key]), v, "op class {key}");
+    }
+    for (ring, v) in snap.instr_by_ring.iter().enumerate() {
+        assert_eq!(num(&["instructions_by_ring", &ring.to_string()]), *v);
+    }
+    let rows = json_at(&doc, &["heatmap"]).as_arr().expect("heatmap rows");
+    assert_eq!(rows.len(), snap.heatmap.len());
+    for (row, (segno, h)) in rows.iter().zip(snap.heatmap.iter()) {
+        for (key, v) in [
+            ("segno", u64::from(segno)),
+            ("reads", h.reads),
+            ("writes", h.writes),
+            ("executes", h.executes),
+            ("violations", h.violations),
+        ] {
+            assert_eq!(json_u64(row, &[key]), v, "heatmap {segno} {key}");
+        }
+    }
+    for (name, h) in [
+        ("call_cycles", &snap.call_cycles),
+        ("return_cycles", &snap.return_cycles),
+        ("ea_indirect_depth", &snap.ea_depth),
+        ("sdw_hit_extra_refs", &snap.sdw_hit_refs),
+        ("sdw_miss_extra_refs", &snap.sdw_miss_refs),
+    ] {
+        for (key, v) in [
+            ("count", h.count),
+            ("sum", h.sum),
+            ("min", h.min),
+            ("max", h.max),
+            ("p50", h.percentile(0.50)),
+            ("p99", h.percentile(0.99)),
+        ] {
+            assert_eq!(num(&["histograms", name, key]), v, "{name}.{key}");
+        }
+    }
+    let Some(Json::Obj(extra)) = doc.get("extra") else {
+        panic!("extra is an object");
+    };
+    assert_eq!(extra.len(), snap.extra.len(), "one member per extra");
+    for (key, v) in &snap.extra {
+        assert_eq!(num(&["extra", key]), *v, "extra {key}");
+    }
+
+    assert!(snap.faults.total() > 0 && !snap.heatmap.is_empty());
+    assert!(snap.extra("chaos.injected").is_some_and(|n| n > 0));
+}
+
+/// A default snapshot, the seed of every fleet fold, exports the same
+/// keys as the snapshot of a machine whose recorder never ran.
+#[test]
+fn default_snapshot_exports_a_disabled_machines_keys() {
+    fn keys(doc: &Json, prefix: &str, out: &mut Vec<String>) {
+        match doc {
+            Json::Obj(members) => {
+                for (k, v) in members {
+                    keys(v, &format!("{prefix}.{k}"), out);
+                }
+            }
+            Json::Arr(items) => {
+                for (i, v) in items.iter().enumerate() {
+                    keys(v, &format!("{prefix}.{i}"), out);
+                }
+            }
+            _ => out.push(prefix.to_string()),
+        }
+    }
+    let key_sets = |snap: &multiring::metrics::MetricsSnapshot| {
+        let mut json_keys = Vec::new();
+        keys(&json::parse(&snap.to_json()).unwrap(), "", &mut json_keys);
+        let csv_keys: Vec<String> = snap
+            .to_csv()
+            .lines()
+            .map(|l| l.split_once(',').unwrap().0.to_string())
+            .collect();
+        (json_keys, csv_keys)
+    };
+    let disabled = Machine::new(4 * 1024, MachineConfig::default()).metrics_snapshot();
+    assert!(!disabled.enabled);
+    let (json_keys, csv_keys) = key_sets(&multiring::metrics::MetricsSnapshot::default());
+    assert!(json_keys.contains(&".crossings.call_down".to_string()));
+    assert!(csv_keys.contains(&"opcode_classes.no_operand".to_string()));
+    assert_eq!((json_keys, csv_keys), key_sets(&disabled));
 }
 
 proptest! {
@@ -577,17 +784,19 @@ proptest! {
         merged.merge(&sb);
 
         // Linear-in-calls counters equal the concatenated run's.
-        prop_assert_eq!(merged.crossing("call_down"), concat.crossing("call_down"));
-        prop_assert_eq!(merged.crossing("return_up"), concat.crossing("return_up"));
-        prop_assert_eq!(merged.crossing_matrix[4][1], concat.crossing_matrix[4][1]);
-        prop_assert_eq!(merged.crossing_matrix[1][4], concat.crossing_matrix[1][4]);
+        for kind in [Crossing::CallDown, Crossing::ReturnUp] {
+            prop_assert_eq!(merged.crossings.count(kind), concat.crossings.count(kind));
+        }
+        prop_assert_eq!(merged.crossings.matrix[4][1], concat.crossings.matrix[4][1]);
+        prop_assert_eq!(merged.crossings.matrix[1][4], concat.crossings.matrix[1][4]);
         prop_assert_eq!(merged.call_cycles.count, concat.call_cycles.count);
 
         // Summed fields equal the sum of their parts.
         prop_assert_eq!(merged.instructions, sa.instructions + sb.instructions);
         prop_assert_eq!(merged.cycles, sa.cycles + sb.cycles);
-        prop_assert_eq!(merged.faults_total, sa.faults_total + sb.faults_total);
-        prop_assert_eq!(merged.ring_changes, sa.ring_changes + sb.ring_changes);
+        prop_assert_eq!(merged.faults.total(), sa.faults.total() + sb.faults.total());
+        let ring_changes = |s: &multiring::metrics::MetricsSnapshot| s.crossings.total_ring_changes();
+        prop_assert_eq!(ring_changes(&merged), ring_changes(&sa) + ring_changes(&sb));
         prop_assert_eq!(merged.call_cycles.sum, sa.call_cycles.sum + sb.call_cycles.sum);
         prop_assert_eq!(merged.call_cycles.min, sa.call_cycles.min.min(sb.call_cycles.min));
         prop_assert_eq!(merged.call_cycles.max, sa.call_cycles.max.max(sb.call_cycles.max));
@@ -602,11 +811,7 @@ proptest! {
         // The per-segment heatmap merges by segment number: the code
         // segment's execute count is the sum of both runs'.
         let executes = |s: &multiring::metrics::MetricsSnapshot| {
-            s.heatmap
-                .iter()
-                .find(|(segno, _)| *segno == 10)
-                .map(|(_, h)| h.executes)
-                .unwrap_or(0)
+            s.heatmap.get(10).map_or(0, |h| h.executes)
         };
         prop_assert_eq!(executes(&merged), executes(&sa) + executes(&sb));
     }
