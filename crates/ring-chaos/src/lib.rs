@@ -280,26 +280,20 @@ impl ChaosEngine {
         self.degraded_global
     }
 
-    /// Flattens the ledger into namespaced counter pairs for a metrics
-    /// snapshot's `extra` section.
-    pub fn export_pairs(&self) -> Vec<(String, u64)> {
-        let mut out = vec![
-            ("chaos.injected".into(), self.injected_total()),
-            ("chaos.detected".into(), self.detected),
-            ("chaos.armed_drum_errors".into(), self.armed_drum_errors()),
-            ("chaos.degraded.seg".into(), self.degraded_segs.len() as u64),
-            (
-                "chaos.degraded.global".into(),
-                u64::from(self.degraded_global),
-            ),
+    /// The ledger as namespaced counter pairs for a metrics snapshot's
+    /// `extra` section.
+    pub fn export_pairs(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        let totals = [
+            ("chaos.injected", self.injected_total()),
+            ("chaos.detected", self.detected),
+            ("chaos.armed_drum_errors", self.armed_drum_errors()),
+            ("chaos.degraded.seg", self.degraded_segs.len() as u64),
+            ("chaos.degraded.global", u64::from(self.degraded_global)),
         ];
-        for kind in ChaosKind::ALL {
-            out.push((
-                format!("chaos.injected.{}", kind.key()),
-                self.injected[kind.index()],
-            ));
-        }
-        out
+        let by_kind = ChaosKind::ALL
+            .into_iter()
+            .map(|kind| (kind.injected_key(), self.injected[kind.index()]));
+        totals.into_iter().chain(by_kind)
     }
 
     /// Serializes the complete engine state (plan, RNG, ledger) as a
@@ -534,9 +528,10 @@ mod tests {
     #[test]
     fn export_pairs_names_every_kind() {
         let e = ChaosEngine::off();
-        let pairs = e.export_pairs();
+        let pairs: Vec<_> = e.export_pairs().collect();
         for kind in ChaosKind::ALL {
             let key = format!("chaos.injected.{}", kind.key());
+            assert_eq!(kind.injected_key(), key);
             assert!(pairs.iter().any(|(k, _)| *k == key), "missing {key}");
         }
     }

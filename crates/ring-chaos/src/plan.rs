@@ -56,6 +56,20 @@ impl ChaosKind {
         }
     }
 
+    /// The kind's metrics key, `chaos.injected.<key>`.
+    pub fn injected_key(self) -> &'static str {
+        match self {
+            ChaosKind::MemParity => "chaos.injected.mem_parity",
+            ChaosKind::SdwCorrupt => "chaos.injected.sdw_corrupt",
+            ChaosKind::PtwCorrupt => "chaos.injected.ptw_corrupt",
+            ChaosKind::DrumReadError => "chaos.injected.drum_read_error",
+            ChaosKind::DrumWriteError => "chaos.injected.drum_write_error",
+            ChaosKind::LostIoCompletion => "chaos.injected.lost_io_completion",
+            ChaosKind::TlbCorrupt => "chaos.injected.tlb_corrupt",
+            ChaosKind::SpuriousTimer => "chaos.injected.spurious_timer",
+        }
+    }
+
     /// Parses a plan-file kind name.
     pub fn parse(s: &str) -> Option<ChaosKind> {
         ChaosKind::ALL.into_iter().find(|k| k.key() == s)

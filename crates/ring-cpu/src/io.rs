@@ -104,6 +104,9 @@ pub struct IoSystem {
     /// was lost. Expiry surfaces as an I/O-error trap so a waiter is
     /// never stranded forever.
     watchdogs: Vec<Option<u64>>,
+    /// Number of armed `watchdogs`, so the per-step expiry poll is O(1)
+    /// while none is armed (always, outside chaos runs).
+    armed_watchdogs: u32,
 }
 
 impl IoSystem {
@@ -115,6 +118,7 @@ impl IoSystem {
             busy_count: 0,
             lose_next: false,
             watchdogs: vec![None; NUM_CHANNELS],
+            armed_watchdogs: 0,
         }
     }
 
@@ -183,18 +187,23 @@ impl IoSystem {
 
     /// Number of channels with an expired-or-pending watchdog.
     pub fn pending_watchdogs(&self) -> u32 {
-        self.watchdogs.iter().flatten().count() as u32
+        self.armed_watchdogs
     }
 
     /// If a channel's watchdog has expired by `now`, clears it and
     /// returns the channel (the machine then raises an I/O-error trap
     /// with the watchdog code). At most one expiry per call.
+    #[inline]
     pub fn take_watchdog_expiry(&mut self, now: u64) -> Option<u8> {
+        if self.armed_watchdogs == 0 {
+            return None;
+        }
         let idx = self
             .watchdogs
             .iter()
             .position(|d| matches!(d, Some(t) if *t <= now))?;
         self.watchdogs[idx] = None;
+        self.armed_watchdogs -= 1;
         Some(idx as u8)
     }
 
@@ -265,7 +274,12 @@ impl IoSystem {
                 // watchdog and keep looking — another matured channel
                 // may still deliver normally this cycle.
                 self.lose_next = false;
-                self.watchdogs[idx] = Some(op.done_at + WATCHDOG_MARGIN);
+                if self.watchdogs[idx]
+                    .replace(op.done_at + WATCHDOG_MARGIN)
+                    .is_none()
+                {
+                    self.armed_watchdogs += 1;
+                }
                 continue;
             }
             return Some(idx as u8);
@@ -361,6 +375,7 @@ impl IoSystem {
         self.inflight = inflight;
         self.busy_count = busy_count;
         self.lose_next = lose_next;
+        self.armed_watchdogs = watchdogs.iter().flatten().count() as u32;
         self.watchdogs = watchdogs;
         Ok(())
     }
@@ -526,6 +541,56 @@ mod tests {
         assert!(fresh.completion_loss_armed());
         assert_eq!(fresh.pending_watchdogs(), 1);
         assert_eq!(fresh.channel_done_at(1), io.channel_done_at(1));
+    }
+
+    /// Starts a one-word output on `channel` at `now` and swallows its
+    /// completion, arming the channel's watchdog.
+    fn lose_one(io: &mut IoSystem, phys: &mut PhysMem, channel: u8, now: u64) -> u64 {
+        let (w0, w1) =
+            IoSystem::channel_program(channel, Direction::Output, AbsAddr::new(0).unwrap(), 1);
+        io.start(w0, w1, now).unwrap();
+        io.lose_next_completion();
+        let done = now + CHANNEL_LATENCY + CYCLES_PER_WORD;
+        assert_eq!(io.take_completion(done, phys), None);
+        done
+    }
+
+    fn armed_by_scan(io: &IoSystem) -> u32 {
+        io.watchdogs.iter().flatten().count() as u32
+    }
+
+    #[test]
+    fn armed_watchdog_count_follows_arming_expiry_and_restore() {
+        let mut io = IoSystem::new();
+        let mut phys = PhysMem::new(64);
+        assert_eq!(io.pending_watchdogs(), 0);
+        assert_eq!(io.take_watchdog_expiry(u64::MAX), None);
+        let first = lose_one(&mut io, &mut phys, 1, 0);
+        let second = lose_one(&mut io, &mut phys, 3, first);
+        assert_eq!((io.pending_watchdogs(), armed_by_scan(&io)), (2, 2));
+        // Re-arming a channel whose watchdog stands does not count twice.
+        let rearmed = lose_one(&mut io, &mut phys, 3, second);
+        assert_eq!((io.pending_watchdogs(), armed_by_scan(&io)), (2, 2));
+
+        let mut restored = IoSystem::new();
+        restored.restore_words(&io.export_words()).unwrap();
+        assert_eq!(restored.pending_watchdogs(), 2);
+
+        for io in [&mut io, &mut restored] {
+            assert_eq!(io.take_watchdog_expiry(first + WATCHDOG_MARGIN), Some(1));
+            assert_eq!((io.pending_watchdogs(), armed_by_scan(io)), (1, 1));
+            assert_eq!(io.take_watchdog_expiry(second + WATCHDOG_MARGIN), None);
+            assert_eq!(io.take_watchdog_expiry(rearmed + WATCHDOG_MARGIN), Some(3));
+            assert_eq!((io.pending_watchdogs(), armed_by_scan(io)), (0, 0));
+            assert_eq!(io.take_watchdog_expiry(u64::MAX), None);
+        }
+        // A restore over an armed system takes the image's count.
+        let mut armed = IoSystem::new();
+        lose_one(&mut armed, &mut phys, 0, 0);
+        armed
+            .restore_words(&IoSystem::new().export_words())
+            .unwrap();
+        assert_eq!(armed.pending_watchdogs(), 0);
     }
 
     #[test]

@@ -74,10 +74,9 @@ pub fn snapshot_hash(snap: &MetricsSnapshot) -> u64 {
 /// record which engine ran each step; everything else is the simulation
 /// itself, which must not depend on that choice.
 pub fn snapshot_hash_without_fastpath(snap: &MetricsSnapshot) -> u64 {
-    snapshot_hash(&MetricsSnapshot {
-        fastpath: FastPathStats::default(),
-        ..snap.clone()
-    })
+    let mut snap = snap.clone();
+    snap.fastpath = FastPathStats::default();
+    snapshot_hash(&snap)
 }
 
 /// One quarantined machine in the health report.

@@ -6,6 +6,8 @@
 //! workspace root; the CSV form is a flat `key,value` table using the
 //! same dotted keys as the JSON paths.
 
+use std::borrow::Cow;
+
 use crate::counters::{add_counts, CrossingCounters, FaultCounters, OpClassCounters, NUM_RINGS};
 use crate::heatmap::SegmentHeatmap;
 use crate::hist::CycleHistogram;
@@ -116,6 +118,41 @@ impl SchedStats {
         self.io_blocks += other.io_blocks;
         self.page_blocks += other.page_blocks;
         self.idle_cycles += other.idle_cycles;
+    }
+}
+
+/// One process's supervisor counters, exported in the `extra` section
+/// as `os.proc.<pid>.<name>`. A snapshot holds them by pid in
+/// [`MetricsSnapshot::procs`], so it carries no formatted key.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ProcCounters {
+    /// Gate transits (HCS + ring-1) made by the process.
+    pub gate_calls: u64,
+    /// Software-mediated upward calls made by the process.
+    pub upward_calls: u64,
+    /// Times the scheduler took the processor away from the process
+    /// while it was still runnable.
+    pub preemptions: u64,
+    /// Page faults (minor and major) the process took.
+    pub page_faults: u64,
+}
+
+impl ProcCounters {
+    /// The counters under their key suffixes, in export order.
+    pub fn iter(&self) -> [(&'static str, u64); 4] {
+        [
+            ("gate_calls", self.gate_calls),
+            ("upward_calls", self.upward_calls),
+            ("preemptions", self.preemptions),
+            ("page_faults", self.page_faults),
+        ]
+    }
+
+    fn merge(&mut self, other: &ProcCounters) {
+        self.gate_calls += other.gate_calls;
+        self.upward_calls += other.upward_calls;
+        self.preemptions += other.preemptions;
+        self.page_faults += other.page_faults;
     }
 }
 
@@ -274,9 +311,16 @@ pub struct MetricsSnapshot {
     /// (assigned after [`MetricsSnapshot::new`]; zero when tracing is
     /// off or the buffer never wrapped).
     pub trace_dropped: u64,
-    /// Namespaced supplementary counters (the supervisor contributes
-    /// `os.*` keys: gate transits, ACL denials, per-process crossings).
-    pub extra: Vec<(String, u64)>,
+    /// Namespaced supplementary counters under static keys, in push
+    /// order (the supervisor contributes `os.*` keys such as gate
+    /// transits and ACL denials, the chaos engine `chaos.*` keys).
+    pub extra: Vec<(&'static str, u64)>,
+    /// The supervisor's per-process counters by pid, exported after
+    /// [`MetricsSnapshot::extra`] as `os.proc.<pid>.*`.
+    pub procs: Vec<ProcCounters>,
+    /// Whether [`MetricsSnapshot::merge`] folded into this snapshot:
+    /// the writers then list the `extra` section sorted by key.
+    merged: bool,
 }
 
 impl MetricsSnapshot {
@@ -310,6 +354,8 @@ impl MetricsSnapshot {
             prof: ProfStats::default(),
             trace_dropped: 0,
             extra: Vec::new(),
+            procs: Vec::new(),
+            merged: false,
         }
     }
 
@@ -349,32 +395,77 @@ impl MetricsSnapshot {
         self.sched.merge(&other.sched);
         self.prof.merge(&other.prof);
         self.trace_dropped += other.trace_dropped;
-        for (key, v) in &other.extra {
-            match self.extra.iter_mut().find(|(k, _)| k == key) {
-                Some((_, have)) => *have += v,
-                None => self.extra.push((key.clone(), *v)),
+        for (i, &(key, v)) in other.extra.iter().enumerate() {
+            // Snapshots made by the same code list the same static keys
+            // in the same order: try the same position first, and compare
+            // key addresses before key bytes, which a fleet fold often
+            // finds out of cache.
+            let same = |&(k, _): &(&str, u64)| std::ptr::eq(k, key) || k == key;
+            let slot = match self.extra.get(i) {
+                Some(e) if same(e) => Some(i),
+                _ => self.extra.iter().position(same),
+            };
+            match slot {
+                Some(j) => self.extra[j].1 += v,
+                None => self.extra.push((key, v)),
             }
         }
-        // Canonicalize the supplementary-counter order. Unmerged
-        // snapshots list extras in export order; a merge may interleave
-        // keys from snapshots whose processes differ, and the append
-        // order would then depend on the fold shape. Fleet aggregation
-        // folds thousands of snapshots and demands exact associativity
-        // — sorted keys with summed values are the same bytes whichever
-        // way the fold tree is shaped.
-        self.extra.sort_by(|(a, _), (b, _)| a.cmp(b));
+        if self.procs.len() < other.procs.len() {
+            self.procs
+                .resize(other.procs.len(), ProcCounters::default());
+        }
+        for (mine, theirs) in self.procs.iter_mut().zip(&other.procs) {
+            mine.merge(theirs);
+        }
+        // A merge may interleave keys from snapshots whose processes
+        // differ, so its append order would depend on the fold shape.
+        // Fleet aggregation folds thousands of snapshots and demands
+        // exact associativity: the writers list a merged snapshot's
+        // extras sorted by key, the same bytes whichever way the fold
+        // tree is shaped.
+        self.merged = true;
     }
 
     /// Appends a namespaced supplementary counter (e.g.
     /// `os.gate_calls_hcs`).
-    pub fn push_extra(&mut self, key: impl Into<String>, value: u64) {
-        self.extra.push((key.into(), value));
+    pub fn push_extra(&mut self, key: &'static str, value: u64) {
+        self.extra.push((key, value));
     }
 
-    /// The value of a supplementary counter by its key, if present
-    /// (e.g. `chaos.recovered` when chaos injection is enabled).
+    /// The value of an exported `extra` key, if present: a
+    /// supplementary counter (e.g. `chaos.recovered` when chaos
+    /// injection is enabled) or a per-process `os.proc.<pid>.<name>`.
     pub fn extra(&self, key: &str) -> Option<u64> {
-        self.extra.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
+        if let Some(&(_, v)) = self.extra.iter().find(|(k, _)| *k == key) {
+            return Some(v);
+        }
+        let (pid, name) = key.strip_prefix("os.proc.")?.split_once('.')?;
+        let pid = pid.parse::<usize>().ok().filter(|p| p.to_string() == pid)?;
+        let counters = self.procs.get(pid)?.iter();
+        counters
+            .into_iter()
+            .find(|&(n, _)| n == name)
+            .map(|(_, v)| v)
+    }
+
+    /// The `extra` section as both writers list it: push order with
+    /// the per-process keys last in pid order or, once merged, every
+    /// key sorted (so `os.proc.10.*` precedes `os.proc.2.*`).
+    pub fn extras(&self) -> Vec<(Cow<'static, str>, u64)> {
+        let mut out: Vec<(Cow<'static, str>, u64)> = self
+            .extra
+            .iter()
+            .map(|&(k, v)| (Cow::Borrowed(k), v))
+            .collect();
+        for (pid, counters) in self.procs.iter().enumerate() {
+            for (name, v) in counters.iter() {
+                out.push((Cow::Owned(format!("os.proc.{pid}.{name}")), v));
+            }
+        }
+        if self.merged {
+            out.sort_by(|(a, _), (b, _)| a.cmp(b));
+        }
+        out
     }
 
     /// The histograms under their export keys, in export order.
@@ -509,7 +600,7 @@ impl MetricsSnapshot {
 
         out.push_str(&format!(
             "  \"extra\": {{{}}}\n}}\n",
-            json_members(self.extra.iter().map(|(k, v)| (k.as_str(), *v)))
+            json_members(self.extras().iter().map(|(k, v)| (k.as_ref(), *v)))
         ));
         out
     }
@@ -629,7 +720,7 @@ impl MetricsSnapshot {
             rows.push((format!("prof.{key}"), v.to_string()));
         }
         rows.push(("trace.dropped".into(), self.trace_dropped.to_string()));
-        for (k, v) in &self.extra {
+        for (k, v) in self.extras() {
             rows.push((format!("extra.{k}"), v.to_string()));
         }
 
@@ -953,7 +1044,7 @@ mod tests {
         assert_eq!(merged.trace_dropped, 22);
         assert_eq!(
             merged.extra,
-            vec![("os.gate_calls_hcs".to_string(), 10)],
+            vec![("os.gate_calls_hcs", 10)],
             "extras merge by key"
         );
         let heat = merged.heatmap.get(10).unwrap();
@@ -969,9 +1060,8 @@ mod tests {
         touch(&mut b.heatmap, 99, [1, 2, 3, 0]);
         let mut merged = a.clone();
         merged.merge(&b);
-        let extra = |key: &str| merged.extra.iter().find(|(k, _)| k == key).map(|(_, v)| *v);
-        assert_eq!(extra("os.only_in_a"), Some(3));
-        assert_eq!(extra("os.only_in_b"), Some(4));
+        assert_eq!(merged.extra("os.only_in_a"), Some(3));
+        assert_eq!(merged.extra("os.only_in_b"), Some(4));
         assert!(merged.heatmap.get(99).is_some_and(|h| h.executes == 3));
         let segnos: Vec<u32> = merged.heatmap.iter().map(|(s, _)| s).collect();
         let mut sorted = segnos.clone();
@@ -999,7 +1089,7 @@ mod tests {
         let mut merged = MetricsSnapshot::default();
         merged.merge(&a);
         let mut canonical = a.clone();
-        canonical.extra.sort_by(|(x, _), (y, _)| x.cmp(y));
+        canonical.extra.sort_by_key(|&(k, _)| k);
         assert_eq!(merged.to_json(), canonical.to_json());
         assert!(merged.enabled);
         assert_eq!(merged.instructions, a.instructions);
@@ -1019,14 +1109,22 @@ mod tests {
         ab.merge(&b);
         let mut ba = b.clone();
         ba.merge(&a);
-        assert_eq!(ab.extra, ba.extra, "merged extras are order-canonical");
-        let keys: Vec<&str> = ab.extra.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            ab.extras(),
+            ba.extras(),
+            "merged extras are order-canonical"
+        );
+        assert_eq!(ab.to_json(), ba.to_json());
+        let keys: Vec<String> = ab
+            .extras()
+            .into_iter()
+            .map(|(k, _)| k.into_owned())
+            .collect();
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         assert_eq!(keys, sorted, "extras sorted by key after merge");
-        let get = |key: &str| ab.extra.iter().find(|(k, _)| k == key).map(|(_, v)| *v);
-        assert_eq!(get("os.alpha"), Some(7), "colliding keys sum");
-        assert_eq!(get("os.zeta"), Some(8), "colliding keys sum");
+        assert_eq!(ab.extra("os.alpha"), Some(7), "colliding keys sum");
+        assert_eq!(ab.extra("os.zeta"), Some(8), "colliding keys sum");
     }
 
     #[test]
@@ -1038,10 +1136,14 @@ mod tests {
         let mut a = sample_snapshot();
         let mut b = sample_snapshot();
         let mut c = sample_snapshot();
-        a.push_extra("os.proc.0.gate_calls", 3);
-        b.push_extra("os.proc.1.gate_calls", 4);
-        b.push_extra("os.proc.0.gate_calls", 1);
-        c.push_extra("os.proc.2.gate_calls", 9);
+        let calls = |gate_calls| ProcCounters {
+            gate_calls,
+            ..ProcCounters::default()
+        };
+        a.procs = vec![calls(3)];
+        b.procs = vec![calls(1), calls(4)];
+        c.procs = vec![calls(0), calls(0), calls(9)];
+        c.push_extra("os.only_in_c", 2);
         touch(&mut c.heatmap, 77, [5, 0, 0, 1]);
         b.call_cycles.merge(&hist_of(&[3, 3, 700]));
         c.prof = ProfStats::default();
@@ -1059,6 +1161,95 @@ mod tests {
 
         assert_eq!(left.to_json(), right.to_json());
         assert_eq!(left.to_csv(), right.to_csv());
+    }
+
+    /// A snapshot with extras `os.b`, `os.a` and `n` processes whose
+    /// counters are `pid * 10 + field`.
+    fn with_procs(n: u64) -> MetricsSnapshot {
+        let mut s = MetricsSnapshot::default();
+        s.push_extra("os.b", 1);
+        s.push_extra("os.a", 2);
+        s.procs = (0..n)
+            .map(|pid| ProcCounters {
+                gate_calls: pid * 10 + 1,
+                upward_calls: pid * 10 + 2,
+                preemptions: pid * 10 + 3,
+                page_faults: pid * 10 + 4,
+            })
+            .collect();
+        s
+    }
+
+    fn export_keys(s: &MetricsSnapshot) -> Vec<String> {
+        s.extras()
+            .into_iter()
+            .map(|(k, _)| k.into_owned())
+            .collect()
+    }
+
+    #[test]
+    fn unmerged_extras_list_push_order_then_processes_by_pid() {
+        let s = with_procs(11);
+        let keys = export_keys(&s);
+        assert_eq!(
+            &keys[..6],
+            [
+                "os.b",
+                "os.a",
+                "os.proc.0.gate_calls",
+                "os.proc.0.upward_calls",
+                "os.proc.0.preemptions",
+                "os.proc.0.page_faults"
+            ]
+        );
+        assert_eq!(keys.len(), 2 + 4 * 11);
+        assert_eq!(keys[2 + 4 * 10], "os.proc.10.gate_calls");
+        assert!(s
+            .to_json()
+            .contains("\"extra\": {\"os.b\": 1, \"os.a\": 2, \"os.proc.0.gate_calls\": 1,"));
+        assert!(s
+            .to_csv()
+            .contains("extra.os.a,2\nextra.os.proc.0.gate_calls,1\n"));
+    }
+
+    #[test]
+    fn merged_extras_list_every_key_sorted() {
+        let mut s = with_procs(2);
+        s.merge(&with_procs(11));
+        let keys = export_keys(&s);
+        let mut sorted = keys.clone();
+        sorted.sort();
+        assert_eq!(keys, sorted);
+        let ten = keys.iter().position(|k| k == "os.proc.10.gate_calls");
+        let two = keys.iter().position(|k| k == "os.proc.2.gate_calls");
+        assert!(ten < two, "os.proc.10.* sorts before os.proc.2.*");
+        assert_eq!(s.extra("os.proc.1.page_faults"), Some(2 * 14));
+        assert_eq!(s.extra("os.proc.10.page_faults"), Some(104));
+        assert_eq!(s.extra("os.a"), Some(4));
+    }
+
+    #[test]
+    fn extra_answers_every_exported_key_and_nothing_else() {
+        for s in [with_procs(12), {
+            let mut m = with_procs(3);
+            m.merge(&with_procs(12));
+            m
+        }] {
+            for (key, v) in s.extras() {
+                assert_eq!(s.extra(&key), Some(v), "{key}");
+            }
+            for absent in [
+                "os.c",
+                "os.proc.12.gate_calls",
+                "os.proc.01.gate_calls",
+                "os.proc.+1.gate_calls",
+                "os.proc.1.gate_call",
+                "os.proc.1",
+                "os.proc.",
+            ] {
+                assert_eq!(s.extra(absent), None, "{absent}");
+            }
+        }
     }
 
     #[test]

@@ -27,6 +27,9 @@ use crate::fs::SegmentId;
 use crate::process::ProcessState;
 use crate::state::{Kernel, OsState};
 
+/// Words in each of a process's per-ring stack segments.
+const STACK_WORDS: u32 = 1024;
+
 /// Configuration knobs for a booted system.
 #[derive(Clone, Copy, Debug)]
 pub struct SystemConfig {
@@ -326,15 +329,32 @@ impl System {
     /// # Panics
     ///
     /// Panics when physical memory for the descriptor or stacks cannot
-    /// be allocated.
+    /// be allocated; [`System::try_login`] returns an error instead.
     pub fn login(&mut self, user: &str) -> usize {
+        self.try_login(user)
+            .unwrap_or_else(|e| panic!("login {user}: {e}"))
+    }
+
+    /// [`System::login`], or an error when physical memory cannot hold
+    /// the process's descriptor segment and stacks. On error nothing
+    /// has changed.
+    pub fn try_login(&mut self, user: &str) -> Result<usize, String> {
+        let need = 2 * segs::DESCRIPTOR_SLOTS + STACK_WORDS * Ring::all().count() as u32;
+        let left = self.alloc_mut().remaining();
+        if left < need {
+            return Err(format!(
+                "process {} needs {need} words of physical memory for its descriptor \
+                 segment and stacks, and {left} remain",
+                self.state().processes.len()
+            ));
+        }
         self.add_user(user);
         let alloc = self.alloc_mut();
         let desc_base = alloc
             .alloc(2 * segs::DESCRIPTOR_SLOTS)
-            .expect("descriptor segment");
+            .expect("room checked above");
         let stacks: Vec<AbsAddr> = Ring::all()
-            .map(|_| alloc.alloc(1024).expect("stack segment"))
+            .map(|_| alloc.alloc(STACK_WORDS).expect("room checked above"))
             .collect();
         // Supervisor template.
         for (segno, sdw) in &self.template {
@@ -342,7 +362,10 @@ impl System {
         }
         // Per-ring stacks: read and write brackets end at ring r.
         for (r, base) in Ring::all().zip(stacks) {
-            let sdw = SdwBuilder::data(r, r).addr(base).bound_words(1024).build();
+            let sdw = SdwBuilder::data(r, r)
+                .addr(base)
+                .bound_words(STACK_WORDS)
+                .build();
             Self::poke_sdw(
                 &mut self.machine,
                 desc_base,
@@ -362,7 +385,7 @@ impl System {
         self.machine.chaos_protect(trap_pair, trap_pair + 2);
         let st = self.state_mut();
         st.processes.push(ProcessState::new(user, desc_base));
-        st.processes.len() - 1
+        Ok(st.processes.len() - 1)
     }
 
     /// Installs `sdw` at `segno` in process `pid`'s descriptor segment.
@@ -514,25 +537,25 @@ impl System {
     }
 
     /// Builds the unified observability snapshot: machine metrics and
-    /// SDW-cache statistics, plus the supervisor's `os.*` counters and
-    /// per-process crossing counts in the `extra` section.
+    /// SDW-cache statistics, plus the supervisor's `os.*` counters in
+    /// the `extra` section and its per-process counters by pid.
     pub fn metrics_snapshot(&self) -> ring_metrics::MetricsSnapshot {
         let mut snap = self.machine.metrics_snapshot();
         let st = self.state();
-        for (k, v) in st.stats.export_pairs() {
-            snap.push_extra(k, v);
-        }
+        snap.extra.extend(st.stats.export_pairs());
         if self.machine.chaos().enabled() {
-            for (k, v) in st.chaos.export_pairs() {
-                snap.push_extra(k, v);
-            }
+            snap.extra.extend(st.chaos.export_pairs());
         }
-        for (pid, p) in st.processes.iter().enumerate() {
-            snap.push_extra(format!("os.proc.{pid}.gate_calls"), p.gate_calls);
-            snap.push_extra(format!("os.proc.{pid}.upward_calls"), p.upward_calls);
-            snap.push_extra(format!("os.proc.{pid}.preemptions"), p.preemptions);
-            snap.push_extra(format!("os.proc.{pid}.page_faults"), p.page_faults);
-        }
+        snap.procs = st
+            .processes
+            .iter()
+            .map(|p| ring_metrics::ProcCounters {
+                gate_calls: p.gate_calls,
+                upward_calls: p.upward_calls,
+                preemptions: p.preemptions,
+                page_faults: p.page_faults,
+            })
+            .collect();
         let sc = st.sched.stats;
         snap.sched = ring_metrics::SchedStats {
             context_switches: sc.context_switches,

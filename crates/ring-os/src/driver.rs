@@ -9,7 +9,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use ring_core::addr::{SegAddr, SegNo, WordNo};
+use ring_core::addr::{AbsAddr, SegAddr, SegNo, WordNo};
 use ring_core::registers::{Ipr, PtrReg};
 use ring_core::ring::Ring;
 use ring_core::sdw::SdwBuilder;
@@ -80,9 +80,27 @@ impl System {
         gates: u32,
         source: &str,
     ) -> Staged {
+        self.try_install_code(pid, ring, r3, gates, source)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`System::install_code`], or an error when physical memory
+    /// cannot hold the segment. On error nothing has changed.
+    ///
+    /// # Panics
+    ///
+    /// Panics on assembly errors.
+    pub fn try_install_code(
+        &mut self,
+        pid: usize,
+        ring: Ring,
+        r3: Ring,
+        gates: u32,
+        source: &str,
+    ) -> Result<Staged, String> {
         let out = assemble_memoised(source);
         let words = out.len().max(1);
-        let base = self.alloc_mut().alloc(words).expect("code storage");
+        let base = self.alloc_segment(words, "code")?;
         self.machine
             .phys_mut()
             .poke_slice(base, &out.words)
@@ -96,10 +114,10 @@ impl System {
             .alloc_segno()
             .expect("segment number");
         self.install_sdw(pid, segno, &sdw);
-        Staged {
+        Ok(Staged {
             segno,
             symbols: out.symbols.clone(),
-        }
+        })
     }
 
     /// Installs a data segment for process `pid` with write bracket top
@@ -117,8 +135,22 @@ impl System {
         data: &[Word],
         min_words: u32,
     ) -> Staged {
+        self.try_install_data(pid, r1, r2, data, min_words)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`System::install_data`], or an error when physical memory
+    /// cannot hold the segment. On error nothing has changed.
+    pub fn try_install_data(
+        &mut self,
+        pid: usize,
+        r1: Ring,
+        r2: Ring,
+        data: &[Word],
+        min_words: u32,
+    ) -> Result<Staged, String> {
         let words = (data.len() as u32).max(min_words).max(1);
-        let base = self.alloc_mut().alloc(words).expect("data storage");
+        let base = self.alloc_segment(words, "data")?;
         self.machine
             .phys_mut()
             .poke_slice(base, data)
@@ -131,10 +163,20 @@ impl System {
             .alloc_segno()
             .expect("segment number");
         self.install_sdw(pid, segno, &sdw);
-        Staged {
+        Ok(Staged {
             segno,
             symbols: Default::default(),
-        }
+        })
+    }
+
+    /// Allocates a `words`-word `what` segment, or says why it does not
+    /// fit the physical memory left.
+    fn alloc_segment(&mut self, words: u32, what: &str) -> Result<AbsAddr, String> {
+        let alloc = self.alloc_mut();
+        let left = alloc.remaining();
+        alloc.alloc(words).map_err(|_| {
+            format!("a {words}-word {what} segment does not fit the {left} words of physical memory left")
+        })
     }
 
     /// Installs a *native* procedure segment for process `pid`: an SDW

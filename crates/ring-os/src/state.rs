@@ -57,24 +57,21 @@ pub struct SupervisorStats {
 }
 
 impl SupervisorStats {
-    /// Flattens the counters into namespaced `os.*` pairs for a metrics
+    /// The counters as namespaced `os.*` pairs for a metrics
     /// snapshot's `extra` section.
-    pub fn export_pairs(&self) -> Vec<(String, u64)> {
-        vec![
-            ("os.segment_faults".into(), self.segment_faults),
-            ("os.page_faults".into(), self.page_faults),
-            ("os.upward_calls".into(), self.upward_calls),
-            ("os.downward_returns".into(), self.downward_returns),
-            (
-                "os.forged_returns_refused".into(),
-                self.forged_returns_refused,
-            ),
-            ("os.schedules".into(), self.schedules),
-            ("os.io_completions".into(), self.io_completions),
-            ("os.gate_calls_hcs".into(), self.gate_calls_hcs),
-            ("os.gate_calls_ring1".into(), self.gate_calls_ring1),
-            ("os.aborts".into(), self.aborts),
-            ("os.acl_denials".into(), self.acl_denials),
+    pub fn export_pairs(&self) -> [(&'static str, u64); 11] {
+        [
+            ("os.segment_faults", self.segment_faults),
+            ("os.page_faults", self.page_faults),
+            ("os.upward_calls", self.upward_calls),
+            ("os.downward_returns", self.downward_returns),
+            ("os.forged_returns_refused", self.forged_returns_refused),
+            ("os.schedules", self.schedules),
+            ("os.io_completions", self.io_completions),
+            ("os.gate_calls_hcs", self.gate_calls_hcs),
+            ("os.gate_calls_ring1", self.gate_calls_ring1),
+            ("os.aborts", self.aborts),
+            ("os.acl_denials", self.acl_denials),
         ]
     }
 }
@@ -106,18 +103,18 @@ pub struct ChaosRecoveryStats {
 }
 
 impl ChaosRecoveryStats {
-    /// Flattens the counters into namespaced `chaos.*` pairs for a
-    /// metrics snapshot's `extra` section (alongside the engine's own
-    /// injection ledger).
-    pub fn export_pairs(&self) -> Vec<(String, u64)> {
-        vec![
-            ("chaos.recovered".into(), self.recovered),
-            ("chaos.killed".into(), self.killed),
-            ("chaos.refetched".into(), self.refetched),
-            ("chaos.salvaged".into(), self.salvaged),
-            ("chaos.drum_retries".into(), self.drum_retries),
-            ("chaos.io_timeouts".into(), self.io_timeouts),
-            ("chaos.invariant_failures".into(), self.invariant_failures),
+    /// The counters as namespaced `chaos.*` pairs for a metrics
+    /// snapshot's `extra` section (alongside the engine's own injection
+    /// ledger).
+    pub fn export_pairs(&self) -> [(&'static str, u64); 7] {
+        [
+            ("chaos.recovered", self.recovered),
+            ("chaos.killed", self.killed),
+            ("chaos.refetched", self.refetched),
+            ("chaos.salvaged", self.salvaged),
+            ("chaos.drum_retries", self.drum_retries),
+            ("chaos.io_timeouts", self.io_timeouts),
+            ("chaos.invariant_failures", self.invariant_failures),
         ]
     }
 }

@@ -17,6 +17,7 @@ pub mod micro;
 mod storm;
 
 pub use storm::{
-    install_gate_storm, install_page_storm, install_storm_program, GateStormSpec, StormProc,
-    StormSpec, STORM_DATA_SEGNO,
+    install_gate_storm, install_page_storm, install_storm_program, try_install_gate_storm,
+    try_install_page_storm, try_install_storm_program, GateStormSpec, StormProc, StormSpec,
+    STORM_DATA_SEGNO,
 };

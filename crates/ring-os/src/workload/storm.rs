@@ -107,8 +107,23 @@ fn storm_source(data_segno: u32, pages: u32, rounds: u32) -> String {
 ///
 /// Panics on exhausted memory, assembly errors, or a page count
 /// outside [`StormSpec::PAGES`] — workload building is expected to be
-/// well-formed.
+/// well-formed. [`try_install_page_storm`] returns an error when the
+/// processes do not fit physical memory.
 pub fn install_page_storm(sys: &mut System, spec: &StormSpec) -> Vec<StormProc> {
+    try_install_page_storm(sys, spec).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`install_page_storm`], or an error when the processes do not fit
+/// physical memory. The processes logged in before the one that did
+/// not fit stay.
+///
+/// # Panics
+///
+/// Panics on a page count outside [`StormSpec::PAGES`].
+pub fn try_install_page_storm(
+    sys: &mut System,
+    spec: &StormSpec,
+) -> Result<Vec<StormProc>, String> {
     install_storm_with(sys, spec, |data_segno| {
         storm_source(data_segno, spec.pages, spec.rounds)
     })
@@ -125,6 +140,21 @@ pub fn install_page_storm(sys: &mut System, spec: &StormSpec) -> Vec<StormProc> 
 /// Panics on exhausted memory, assembly errors, or a page count
 /// outside [`StormSpec::PAGES`].
 pub fn install_storm_program(sys: &mut System, spec: &StormSpec, source: &str) -> Vec<StormProc> {
+    try_install_storm_program(sys, spec, source).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`install_storm_program`], or an error when the processes do not
+/// fit physical memory, as [`try_install_page_storm`].
+///
+/// # Panics
+///
+/// Panics on assembly errors or a page count outside
+/// [`StormSpec::PAGES`].
+pub fn try_install_storm_program(
+    sys: &mut System,
+    spec: &StormSpec,
+    source: &str,
+) -> Result<Vec<StormProc>, String> {
     install_storm_with(sys, spec, |_| source.to_string())
 }
 
@@ -132,7 +162,11 @@ pub fn install_storm_program(sys: &mut System, spec: &StormSpec, source: &str) -
 /// (the first user segment number, allocated before the program).
 pub const STORM_DATA_SEGNO: u32 = 64;
 
-fn install_storm_with<F>(sys: &mut System, spec: &StormSpec, source_for: F) -> Vec<StormProc>
+fn install_storm_with<F>(
+    sys: &mut System,
+    spec: &StormSpec,
+    source_for: F,
+) -> Result<Vec<StormProc>, String>
 where
     F: Fn(u32) -> String,
 {
@@ -142,12 +176,12 @@ where
         spec.pages,
         StormSpec::PAGES,
     );
-    let mut out = Vec::with_capacity(spec.procs);
+    let mut out = Vec::new();
     for i in 0..spec.procs {
         // Named after the pid it is about to get, so a later storm on
         // the same system creates fresh users and segments.
         let user = format!("storm{}", sys.state().processes.len());
-        let pid = sys.login(&user);
+        let pid = sys.try_login(&user)?;
         let words = (spec.pages * PAGE_WORDS) as usize;
         let id = sys.create_segment(
             &format!("/storm/{user}/data"),
@@ -173,7 +207,7 @@ where
             .bound_words(words as u32)
             .build();
         sys.install_sdw(pid, data_segno, &sdw);
-        let staged = sys.install_code(pid, Ring::R4, Ring::R4, 0, &source_for(data_segno));
+        let staged = sys.try_install_code(pid, Ring::R4, Ring::R4, 0, &source_for(data_segno))?;
         sys.prepare(pid, staged.segno, 0, Ring::R4);
         sys.park(pid);
         out.push(StormProc {
@@ -184,7 +218,7 @@ where
         });
     }
     activate_first(sys, &out);
-    out
+    Ok(out)
 }
 
 /// Shape of a gate-storm workload.
@@ -245,19 +279,30 @@ args:   its 4, {data}, 1
 ///
 /// Panics on exhausted memory or assembly errors.
 pub fn install_gate_storm(sys: &mut System, spec: &GateStormSpec) -> Vec<StormProc> {
-    let mut out = Vec::with_capacity(spec.procs);
+    try_install_gate_storm(sys, spec).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`install_gate_storm`], or an error when the processes do not fit
+/// physical memory. The processes logged in before the one that did
+/// not fit stay.
+pub fn try_install_gate_storm(
+    sys: &mut System,
+    spec: &GateStormSpec,
+) -> Result<Vec<StormProc>, String> {
+    let mut out = Vec::new();
     for i in 0..spec.procs {
         let user = format!("gate{i}");
-        let pid = sys.login(&user);
-        let data = sys.install_data(
+        let pid = sys.try_login(&user)?;
+        let data = sys.try_install_data(
             pid,
             Ring::R4,
             Ring::R4,
             &[Word::new(u64::from(spec.rounds)), Word::new(1)],
             16,
-        );
+        )?;
         debug_assert_eq!(data.segno, STORM_DATA_SEGNO);
-        let staged = sys.install_code(pid, Ring::R4, Ring::R4, 0, &gate_storm_source(data.segno));
+        let staged =
+            sys.try_install_code(pid, Ring::R4, Ring::R4, 0, &gate_storm_source(data.segno))?;
         sys.prepare(pid, staged.segno, 0, Ring::R4);
         sys.park(pid);
         out.push(StormProc {
@@ -268,7 +313,7 @@ pub fn install_gate_storm(sys: &mut System, spec: &GateStormSpec) -> Vec<StormPr
         });
     }
     activate_first(sys, &out);
-    out
+    Ok(out)
 }
 
 /// The first installed process runs immediately: point the machine at

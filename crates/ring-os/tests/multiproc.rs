@@ -11,7 +11,10 @@ use ring_cpu::recorder::{replay, run_recorded, Recorder};
 use ring_os::acl::{Acl, AclEntry, Modes};
 use ring_os::boot::{System, SystemConfig};
 use ring_os::process::KstEntry;
-use ring_os::workload::{install_page_storm, GateStormSpec, StormProc, StormSpec};
+use ring_os::workload::{
+    install_page_storm, try_install_gate_storm, try_install_page_storm, GateStormSpec, StormProc,
+    StormSpec,
+};
 use ring_segmem::paging::{Ptw, PAGE_WORDS};
 use ring_segmem::PageKey;
 
@@ -494,4 +497,38 @@ fn a_recycled_frame_shows_none_of_its_previous_owner() {
         "the frame was recycled"
     );
     assert_eq!(sys.machine.a(), Word::ZERO, "word 4100 of a zero segment");
+}
+
+/// Storms whose processes do not fit physical memory are errors of the
+/// fallible installers, naming the first process that did not fit; the
+/// processes before it stay logged in, and a refused login changes
+/// nothing.
+#[test]
+fn storms_too_big_for_physical_memory_are_errors() {
+    let mut sys = System::boot();
+    let gate = GateStormSpec {
+        procs: 250,
+        rounds: 1,
+    };
+    let e = try_install_gate_storm(&mut sys, &gate).expect_err("250 gate processes");
+    assert!(e.starts_with("process 239 needs 8704 words"), "{e}");
+    assert_eq!(sys.state().processes.len(), 239);
+    let left = sys.alloc_mut().remaining();
+    assert!(sys.try_login("late").is_err());
+    assert_eq!(sys.alloc_mut().remaining(), left);
+    assert_eq!(sys.state().processes.len(), 239);
+
+    let mut sys = System::boot();
+    let page = StormSpec {
+        procs: 250,
+        pages: 5,
+        rounds: 1,
+    };
+    let e = try_install_page_storm(&mut sys, &page).expect_err("250 page-storm processes");
+    assert!(e.starts_with("process 239 needs 8704 words"), "{e}");
+    let fits = StormSpec { procs: 239, ..page };
+    assert_eq!(
+        try_install_page_storm(&mut System::boot(), &fits).map(|p| p.len()),
+        Ok(239)
+    );
 }

@@ -7,6 +7,7 @@
 //!
 //! - [`span`] — the span model. CALL and trap entry open a span keyed
 //!   by `(ring, segment, entry word)`; RETURN and trap exit close it.
+//!   The recorder stores each event as a 16-byte record.
 //!   [`span::build_tree`] turns the raw event stream into a cross-ring
 //!   call tree with self/total simulated-cycle attribution, and
 //!   [`span::gate_table`] aggregates it per gate.
@@ -33,6 +34,6 @@ pub mod span;
 
 pub use recording::{Checkpoint, IoEvent, Recording, RECORDING_SCHEMA};
 pub use span::{
-    build_tree, gate_table, GateStat, InstantKind, Span, SpanEvent, SpanKey, SpanKind,
+    build_tree, gate_table, GateStat, InstantKind, Span, SpanEvent, SpanEvents, SpanKey, SpanKind,
     SpanRecorder, SpanTree,
 };

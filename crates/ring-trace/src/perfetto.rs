@@ -15,6 +15,8 @@
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
+use std::borrow::Borrow;
+
 use crate::json::escape;
 use crate::span::{SpanEvent, SpanKind};
 
@@ -31,7 +33,10 @@ pub const PROC_TID_BASE: u32 = 100;
 /// `E` record is emitted at that timestamp so the UI shows a complete
 /// slice). Unmatched `Close` events are skipped — the stream they close
 /// never opened, so there is nothing to draw.
-pub fn chrome_trace_json(events: &[SpanEvent], final_cycles: u64) -> String {
+pub fn chrome_trace_json<E: Borrow<SpanEvent>>(
+    events: impl IntoIterator<Item = E>,
+    final_cycles: u64,
+) -> String {
     let mut records: Vec<String> = Vec::new();
     // Track metadata: name each ring's track and pin the sort order so
     // ring 0 is the top row.
@@ -56,7 +61,7 @@ pub fn chrome_trace_json(events: &[SpanEvent], final_cycles: u64) -> String {
     // Replay the stack so each `E` lands on the track its `B` used.
     let mut stack: Vec<(u8, SpanKind)> = Vec::new();
     for ev in events {
-        match ev {
+        match ev.borrow() {
             SpanEvent::Open {
                 kind,
                 key,

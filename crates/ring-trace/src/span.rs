@@ -12,6 +12,7 @@
 //! a single branch per crossing).
 //! [`build_tree`] and [`gate_table`] are the analysis half.
 
+use std::borrow::Borrow;
 use std::fmt;
 
 /// Why a span was opened.
@@ -133,16 +134,112 @@ impl SpanEvent {
     }
 }
 
+/// One stored event: its cycle count and one packed word, 16 bytes in
+/// all where a [`SpanEvent`] takes 40 (an instant carries a `String`).
+///
+/// The word's fields, from bit 0 up: the event (bits 0–1); the span's
+/// or the instant's kind (bits 2–3); a ring (bits 8–15: the
+/// span's, the one a close returns to, or the instant's); the ring an
+/// open came from (bits 16–23); and from bit 24 a payload: an open's
+/// segment number (15 bits) and entry (18 bits), a dispatch's pid, or
+/// the index of an instant's name in [`SpanRecorder`]'s side list.
+#[derive(Clone, Copy, Debug)]
+struct SpanRecord {
+    cycles: u64,
+    word: u64,
+}
+
+/// Width of the event field at the bottom of a [`SpanRecord`] word.
+const TAG_BITS: u32 = 2;
+const TAG_OPEN: u64 = 0;
+const TAG_CLOSE: u64 = 1;
+const TAG_INSTANT: u64 = 2;
+const TAG_SCHED: u64 = 3;
+const KIND_SHIFT: u32 = 2;
+const RING_SHIFT: u32 = 8;
+const FROM_SHIFT: u32 = 16;
+const PAYLOAD_SHIFT: u32 = 24;
+/// Segment numbers are 15 bits in the architecture.
+const SEGNO_BITS: u32 = 15;
+/// A call entry is an 18-bit word number; a trap entry is a fault
+/// vector, far smaller.
+const ENTRY_BITS: u32 = 18;
+
+impl SpanRecord {
+    fn new(cycles: u64, tag: u64, kind: u64, ring: u8, payload: u64) -> SpanRecord {
+        SpanRecord {
+            cycles,
+            word: tag
+                | kind << KIND_SHIFT
+                | u64::from(ring) << RING_SHIFT
+                | payload << PAYLOAD_SHIFT,
+        }
+    }
+
+    fn field(self, shift: u32, bits: u32) -> u64 {
+        (self.word >> shift) & ((1 << bits) - 1)
+    }
+
+    fn ring(self, shift: u32) -> u8 {
+        self.field(shift, 8) as u8
+    }
+
+    /// The event this record stores; `name` yields an instant's name
+    /// from its index.
+    fn decode(self, name: impl FnOnce(usize) -> String) -> SpanEvent {
+        let cycles = self.cycles;
+        let payload = self.word >> PAYLOAD_SHIFT;
+        match self.field(0, TAG_BITS) {
+            TAG_OPEN => SpanEvent::Open {
+                kind: if self.field(KIND_SHIFT, 2) == 0 {
+                    SpanKind::Call
+                } else {
+                    SpanKind::Trap
+                },
+                key: SpanKey {
+                    ring: self.ring(RING_SHIFT),
+                    segno: (payload & ((1 << SEGNO_BITS) - 1)) as u32,
+                    entry: (payload >> SEGNO_BITS) as u32,
+                },
+                from_ring: self.ring(FROM_SHIFT),
+                cycles,
+            },
+            TAG_CLOSE => SpanEvent::Close {
+                to_ring: self.ring(RING_SHIFT),
+                cycles,
+            },
+            TAG_INSTANT => SpanEvent::Instant {
+                kind: match self.field(KIND_SHIFT, 2) {
+                    0 => InstantKind::Fault,
+                    1 => InstantKind::Violation,
+                    _ => InstantKind::Marker,
+                },
+                name: name(payload as usize),
+                ring: self.ring(RING_SHIFT),
+                cycles,
+            },
+            _ => SpanEvent::Sched {
+                pid: payload as u32,
+                cycles,
+            },
+        }
+    }
+}
+
 /// The machine-facing event log.
 ///
 /// Disabled (the default) it is inert: every method returns after one
 /// branch and the machine's architectural behaviour is untouched either
 /// way — the recorder only observes crossings, it never participates in
-/// them.
+/// them. Each event is stored as a 16-byte record; an instant's name is
+/// the one heap string, kept in a side list.
 #[derive(Clone, Debug, Default)]
 pub struct SpanRecorder {
     enabled: bool,
-    events: Vec<SpanEvent>,
+    records: Vec<SpanRecord>,
+    /// Instant names in recording order; an instant's record holds its
+    /// index here.
+    names: Vec<String>,
 }
 
 impl SpanRecorder {
@@ -163,17 +260,25 @@ impl SpanRecorder {
     }
 
     /// Records a span opening. No-op when disabled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key.segno` is wider than a segment number (15 bits)
+    /// or `key.entry` wider than a word number (18 bits): a record
+    /// cannot hold it, and the machine never makes such a key.
     #[inline]
     pub fn open(&mut self, kind: SpanKind, key: SpanKey, from_ring: u8, cycles: u64) {
         if !self.enabled {
             return;
         }
-        self.events.push(SpanEvent::Open {
-            kind,
-            key,
-            from_ring,
-            cycles,
-        });
+        assert!(
+            key.segno >> SEGNO_BITS == 0 && key.entry >> ENTRY_BITS == 0,
+            "span key {key} does not fit a span record"
+        );
+        let payload = u64::from(key.segno) | u64::from(key.entry) << SEGNO_BITS;
+        let mut rec = SpanRecord::new(cycles, TAG_OPEN, kind as u64, key.ring, payload);
+        rec.word |= u64::from(from_ring) << FROM_SHIFT;
+        self.records.push(rec);
     }
 
     /// Records the innermost span closing. No-op when disabled.
@@ -182,7 +287,8 @@ impl SpanRecorder {
         if !self.enabled {
             return;
         }
-        self.events.push(SpanEvent::Close { to_ring, cycles });
+        self.records
+            .push(SpanRecord::new(cycles, TAG_CLOSE, 0, to_ring, 0));
     }
 
     /// Records an instant event; `name` is only evaluated when enabled.
@@ -197,12 +303,15 @@ impl SpanRecorder {
         if !self.enabled {
             return;
         }
-        self.events.push(SpanEvent::Instant {
-            kind,
-            name: name(),
-            ring,
+        let index = self.names.len() as u64;
+        self.names.push(name());
+        self.records.push(SpanRecord::new(
             cycles,
-        });
+            TAG_INSTANT,
+            kind as u64,
+            ring,
+            index,
+        ));
     }
 
     /// Records a scheduler dispatch of process `pid`. No-op when
@@ -212,29 +321,69 @@ impl SpanRecorder {
         if !self.enabled {
             return;
         }
-        self.events.push(SpanEvent::Sched { pid, cycles });
+        self.records
+            .push(SpanRecord::new(cycles, TAG_SCHED, 0, 0, u64::from(pid)));
     }
 
-    /// The events recorded so far.
-    pub fn events(&self) -> &[SpanEvent] {
-        &self.events
+    /// The events recorded so far, decoded as they are iterated.
+    pub fn events(&self) -> SpanEvents<'_> {
+        SpanEvents {
+            records: self.records.iter(),
+            names: &self.names,
+        }
     }
 
     /// Drains the recorded events, leaving the recorder enabled.
     pub fn take_events(&mut self) -> Vec<SpanEvent> {
-        std::mem::take(&mut self.events)
+        let mut names = std::mem::take(&mut self.names);
+        std::mem::take(&mut self.records)
+            .into_iter()
+            .map(|r| r.decode(|i| std::mem::take(&mut names[i])))
+            .collect()
     }
 
     /// Number of events recorded so far.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.records.len()
     }
 
     /// True when no events have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.records.is_empty()
     }
 }
+
+/// The events of a [`SpanRecorder`], in recording order: an iterator
+/// that decodes each record into a [`SpanEvent`] (cloning an instant's
+/// name).
+#[derive(Clone, Debug)]
+pub struct SpanEvents<'a> {
+    records: std::slice::Iter<'a, SpanRecord>,
+    names: &'a [String],
+}
+
+impl SpanEvents<'_> {
+    /// True when no events are left ([`ExactSizeIterator::len`] counts
+    /// them).
+    pub fn is_empty(&self) -> bool {
+        self.records.len() == 0
+    }
+}
+
+impl Iterator for SpanEvents<'_> {
+    type Item = SpanEvent;
+
+    fn next(&mut self) -> Option<SpanEvent> {
+        let names = self.names;
+        self.records.next().map(|r| r.decode(|i| names[i].clone()))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.records.size_hint()
+    }
+}
+
+impl ExactSizeIterator for SpanEvents<'_> {}
 
 /// One node of the reconstructed call tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -279,11 +428,14 @@ pub struct SpanTree {
 /// `final_cycles` is the simulated cycle count at the end of the run;
 /// spans still open at that point are charged up to it (and keep
 /// `close_cycles == None` so callers can tell).
-pub fn build_tree(events: &[SpanEvent], final_cycles: u64) -> SpanTree {
+pub fn build_tree<E: Borrow<SpanEvent>>(
+    events: impl IntoIterator<Item = E>,
+    final_cycles: u64,
+) -> SpanTree {
     let mut tree = SpanTree::default();
     let mut stack: Vec<usize> = Vec::new();
     for ev in events {
-        match ev {
+        match ev.borrow() {
             SpanEvent::Open {
                 kind,
                 key,
@@ -402,6 +554,141 @@ mod tests {
         r.close(4, 20);
         r.instant(InstantKind::Fault, 4, 30, || unreachable!("lazy name"));
         assert!(r.is_empty());
+    }
+
+    /// Every event kind at its extremes: each ring pair, the widest
+    /// segment and entry, the largest pid, and named instants.
+    fn extreme_events() -> Vec<SpanEvent> {
+        let mut events = Vec::new();
+        let mut cycles = u64::MAX - 1_000;
+        for ring in 0..8u8 {
+            for from_ring in 0..8u8 {
+                for (kind, segno, entry) in [
+                    (SpanKind::Call, 32_767, 262_143),
+                    (SpanKind::Call, 0, 0),
+                    (SpanKind::Trap, 1, 31),
+                ] {
+                    cycles += 1;
+                    events.push(SpanEvent::Open {
+                        kind,
+                        key: key(ring, segno, entry),
+                        from_ring,
+                        cycles,
+                    });
+                }
+                events.push(SpanEvent::Close {
+                    to_ring: from_ring,
+                    cycles,
+                });
+            }
+            for kind in [
+                InstantKind::Fault,
+                InstantKind::Violation,
+                InstantKind::Marker,
+            ] {
+                events.push(SpanEvent::Instant {
+                    kind,
+                    name: format!("{kind:?} in ring {ring}"),
+                    ring,
+                    cycles,
+                });
+            }
+        }
+        events.push(SpanEvent::Instant {
+            kind: InstantKind::Marker,
+            name: String::new(),
+            ring: u8::MAX,
+            cycles: 0,
+        });
+        for pid in [0, 1, 12, u32::MAX] {
+            events.push(SpanEvent::Sched {
+                pid,
+                cycles: pid.into(),
+            });
+        }
+        events.push(SpanEvent::Open {
+            kind: SpanKind::Trap,
+            key: key(u8::MAX, 32_767, 262_143),
+            from_ring: u8::MAX,
+            cycles: u64::MAX,
+        });
+        events.push(SpanEvent::Close {
+            to_ring: u8::MAX,
+            cycles: u64::MAX,
+        });
+        events
+    }
+
+    fn record(r: &mut SpanRecorder, ev: &SpanEvent) {
+        match ev.clone() {
+            SpanEvent::Open {
+                kind,
+                key,
+                from_ring,
+                cycles,
+            } => r.open(kind, key, from_ring, cycles),
+            SpanEvent::Close { to_ring, cycles } => r.close(to_ring, cycles),
+            SpanEvent::Instant {
+                kind,
+                name,
+                ring,
+                cycles,
+            } => r.instant(kind, ring, cycles, || name),
+            SpanEvent::Sched { pid, cycles } => r.sched(pid, cycles),
+        }
+    }
+
+    #[test]
+    fn a_record_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<SpanRecord>(), 16);
+    }
+
+    #[test]
+    fn records_round_trip_every_event_kind() {
+        let events = extreme_events();
+        let mut r = SpanRecorder::new();
+        r.enable();
+        for ev in &events {
+            record(&mut r, ev);
+        }
+        assert_eq!(r.len(), events.len());
+        assert_eq!(r.events().len(), events.len());
+        assert_eq!(r.events().collect::<Vec<_>>(), events, "the view");
+        assert_eq!(r.take_events(), events, "the drain");
+        assert!(r.is_empty() && r.events().is_empty());
+    }
+
+    #[test]
+    fn records_round_trip_across_a_mid_run_drain() {
+        let events = extreme_events();
+        let (first, second) = events.split_at(events.len() / 2);
+        let mut r = SpanRecorder::new();
+        r.enable();
+        for ev in first {
+            record(&mut r, ev);
+        }
+        assert_eq!(r.take_events(), first);
+        for ev in second {
+            record(&mut r, ev);
+        }
+        assert_eq!(r.events().collect::<Vec<_>>(), second);
+        assert_eq!(r.take_events(), second);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a span record")]
+    fn a_segment_wider_than_fifteen_bits_is_refused() {
+        let mut r = SpanRecorder::new();
+        r.enable();
+        r.open(SpanKind::Call, key(0, 32_768, 0), 4, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a span record")]
+    fn an_entry_wider_than_eighteen_bits_is_refused() {
+        let mut r = SpanRecorder::new();
+        r.enable();
+        r.open(SpanKind::Call, key(0, 0, 262_144), 4, 0);
     }
 
     #[test]

@@ -53,7 +53,7 @@ use multiring::core::ring::Ring;
 use multiring::core::word::Word;
 use multiring::cpu::machine::RunExit;
 use multiring::os::acl::{Acl, AclEntry, Modes};
-use multiring::os::workload::{install_page_storm, StormSpec};
+use multiring::os::workload::{try_install_page_storm, StormSpec};
 use multiring::os::System;
 
 struct Shell {
@@ -72,18 +72,25 @@ impl Shell {
     /// Installs a page storm and runs it to the end; the storm's first
     /// process becomes current. The first storm on the system sets the
     /// frame budget (0 = unlimited); later ones keep the pool, whose
-    /// frames may already hold pages.
-    fn run_storm(&mut self, spec: &StormSpec, frames: u32) -> RunExit {
+    /// frames may already hold pages. Processes that do not fit
+    /// physical memory are reported, and nothing runs.
+    fn run_storm(&mut self, spec: &StormSpec, frames: u32) -> Option<RunExit> {
         let st = self.sys.state_mut();
         if st.frames.is_none() && frames > 0 {
             st.frames = Some(multiring::segmem::FramePool::new(frames));
         }
-        let installed = install_page_storm(&mut self.sys, spec);
+        let installed = match try_install_page_storm(&mut self.sys, spec) {
+            Ok(installed) => installed,
+            Err(e) => {
+                println!("  {e}");
+                return None;
+            }
+        };
         let quantum = self.sys.state().quantum;
         self.sys.machine.set_timer(Some(quantum));
         let exit = self.sys.machine.run(5_000_000);
         self.current = Some(installed[0].pid);
-        exit
+        Some(exit)
     }
 
     fn cmd(&mut self, parts: &[&str]) -> bool {
@@ -101,16 +108,27 @@ impl Shell {
                 );
             }
             ["login", user] => {
-                let pid = self.sys.login(user);
+                let pid = match self.sys.try_login(user) {
+                    Ok(pid) => pid,
+                    Err(e) => {
+                        println!("  {e}");
+                        return true;
+                    }
+                };
+                self.current = Some(pid);
                 // A scratch data segment at segno 11, matching the
                 // convention the shipped .rasm samples use.
-                let base = self.sys.alloc_mut().alloc(1024).expect("scratch storage");
+                let Ok(base) = self.sys.alloc_mut().alloc(1024) else {
+                    println!(
+                        "  {user} is process {pid} (now current; no memory left for scratch data)"
+                    );
+                    return true;
+                };
                 let sdw = multiring::core::sdw::SdwBuilder::data(Ring::R4, Ring::R4)
                     .addr(base)
                     .bound_words(1024)
                     .build();
                 self.sys.install_sdw(pid, 11, &sdw);
-                self.current = Some(pid);
                 println!("  {user} is process {pid} (now current; scratch data at segment 11)");
             }
             ["create", path, words @ ..] => {
@@ -272,7 +290,9 @@ impl Shell {
                     );
                     return true;
                 };
-                let exit = self.run_storm(&spec, frames);
+                let Some(exit) = self.run_storm(&spec, frames) else {
+                    return true;
+                };
                 println!(
                     "  {exit:?} after {} cycles; {procs} storm processes (see ps / stats)",
                     self.sys.machine.cycles()
@@ -296,7 +316,9 @@ impl Shell {
                     seed,
                     mean_interval: rate,
                 });
-                let exit = self.run_storm(&spec, 16);
+                let Some(exit) = self.run_storm(&spec, 16) else {
+                    return true;
+                };
                 let cs = self.sys.chaos_stats();
                 let e = self.sys.machine.chaos();
                 println!(

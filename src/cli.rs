@@ -65,7 +65,7 @@ use ring_cpu::machine::{Machine, MachineConfig};
 use ring_cpu::testkit::{World, WORLD_WORDS};
 use ring_cpu::FaultPlan;
 use ring_metrics::MetricsSnapshot;
-use ring_os::workload::{install_page_storm, install_storm_program, StormProc, StormSpec};
+use ring_os::workload::{try_install_page_storm, try_install_storm_program, StormProc, StormSpec};
 use ring_os::{System, SystemConfig};
 
 /// Segment number of the program in the bare world.
@@ -242,13 +242,13 @@ impl MachineArgs {
     /// program once: the bare program world, or the booted kernel with
     /// the storm processes installed, the campaign armed and the quantum
     /// timer set. No recorder is on yet. A program too big for the bare
-    /// world is an error.
+    /// world, or processes that do not fit the kernel's physical
+    /// memory, are an error.
     ///
     /// # Panics
     ///
     /// Panics on values [`MachineArgs::parse`] refuses, such as a page
-    /// count outside [`StormSpec::PAGES`], and when the processes do not
-    /// fit physical memory.
+    /// count outside [`StormSpec::PAGES`].
     pub fn build(&self) -> Result<Session, String> {
         let program = self.program()?;
         if self.procs == 0 {
@@ -273,9 +273,15 @@ impl MachineArgs {
             rounds: self.rounds,
         };
         let procs = match &program {
-            Some((source, _)) => install_storm_program(&mut sys, &spec, source),
-            None => install_page_storm(&mut sys, &spec),
-        };
+            Some((source, _)) => try_install_storm_program(&mut sys, &spec, source),
+            None => try_install_page_storm(&mut sys, &spec),
+        }
+        .map_err(|e| {
+            format!(
+                "--procs {}: the processes do not fit physical memory: {e}",
+                self.procs
+            )
+        })?;
         if let Some(plan) = plan {
             sys.enable_chaos(plan);
         }

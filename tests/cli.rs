@@ -67,18 +67,20 @@ fn bad_command_lines_exit_nonzero_with_a_message() {
     refused(RINGSH, &["--frobnicate"]);
 }
 
+/// A program whose last word is at `org`, written to a file.
+fn program(org: u32) -> String {
+    let path = format!("{}/org{org}.rasm", env!("CARGO_TARGET_TMPDIR"));
+    let source = format!("        drl 0o777\n        org {org}\n        dw 0\n");
+    std::fs::write(&path, source).expect("program written");
+    path
+}
+
 /// A program the assembler accepts but the bare world cannot hold is
 /// refused with a message: too big for its own segment (`org 262143`,
 /// the assembler's limit), for the stacks (`org 253000`) or for the
 /// trap segment (`org 252500`). One that fits (`org 252000`) runs.
 #[test]
 fn programs_too_big_for_the_bare_world_exit_nonzero_with_a_message() {
-    let program = |org: u32| {
-        let path = format!("{}/org{org}.rasm", env!("CARGO_TARGET_TMPDIR"));
-        let source = format!("        drl 0o777\n        org {org}\n        dw 0\n");
-        std::fs::write(&path, source).expect("program written");
-        path
-    };
     for org in [262_143, 253_000, 252_500] {
         let path = program(org);
         for bin in [RUNASM, RINGDBG] {
@@ -95,6 +97,46 @@ fn programs_too_big_for_the_bare_world_exit_nonzero_with_a_message() {
     let fits = program(252_000);
     assert!(survives(RUNASM, &[&fits], "").contains("exit: Halted"));
     assert!(survives(RINGDBG, &[&fits], "g\nq\n").contains("halted after"));
+}
+
+/// Processes that do not fit the kernel's physical memory are refused
+/// with a message naming the process count: 240 storm processes run
+/// out at a descriptor segment, ten copies of a 210 000-word program
+/// at a code segment. 239 storm processes still build, and the shell's
+/// storm and login report the shortfall.
+#[test]
+fn kernels_too_big_for_physical_memory_exit_nonzero_with_a_message() {
+    let big = program(209_999);
+    for args in [
+        &["--procs", "240"][..],
+        &["--procs", "250"],
+        &["--procs", "10", "--rounds", "1", &big],
+    ] {
+        for bin in [RUNASM, RINGDBG] {
+            let out = run(bin, args, "q\n");
+            let stderr = text(&out.stderr);
+            assert!(!out.status.success(), "{bin} {args:?} succeeded");
+            assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+            let named = format!(
+                "--procs {}: the processes do not fit physical memory",
+                args[1]
+            );
+            assert!(stderr.contains(&named), "{bin} {args:?}: {stderr}");
+        }
+    }
+    // 239 fit; most then abort in the simulation when their page
+    // tables find no memory, so the exit status reports failure.
+    let out = run(RUNASM, &["--procs", "239", "--rounds", "1"], "");
+    let (stdout, stderr) = (text(&out.stdout), text(&out.stderr));
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        stdout.contains("proc 238: ") && stdout.contains("exit: Halted"),
+        "{stdout}"
+    );
+    let session = "storm 300\nlogin alice\nquit\n";
+    let out = survives(RINGSH, &[], session);
+    let shortfall = "needs 8704 words of physical memory for its descriptor segment and stacks";
+    assert_eq!(out.matches(shortfall).count(), 2, "{out}");
 }
 
 #[test]

@@ -2,7 +2,7 @@
 
 Usage:
     python3 tests/golden/sim_hashes.py FLEET.json CHAOS_FLEET.json CHAOS_METRICS.json \
-        TABLES.out [OUTPUT ...]
+        TABLES.out PROCS12.json [OUTPUT ...]
 
 FLEET.json and CHAOS_FLEET.json are `fleetbench --quick` reports, plain
 and with `--chaos-seed 7 --chaos-rate 300`. CHAOS_METRICS.json is the
@@ -11,7 +11,9 @@ metrics export of the CI chaos smoke (`runasm --procs 3 --frames 10
 --record chaos.rec --metrics-out chaos.json`). TABLES.out is the
 standard output of `cargo run -p ring-bench --bin tables --release`,
 the figure and experiment tables that EXPERIMENTS.md quotes as its raw
-output.
+output. PROCS12.json is the metrics export of a twelve-process page
+storm (`runasm --procs 12 --rounds 3 --metrics-out procs12.json`), the
+one pinned export with two-digit pids in its `os.proc.<pid>.*` keys.
 
 Each OUTPUT is hashed whole. The committed file pins every output of two
 observer runs, made from the repository root with these names:
@@ -29,8 +31,8 @@ obs-ts.json sub-metrics.json sub-trace.json counters.json sub-ts.json
 sub.out. The second run's standard output prints the trace ring.
 
 Each fleet report also gives `merged_snapshot_hash_without_fastpath`,
-and each metrics export (an OUTPUT, or CHAOS_METRICS.json, that is a
-JSON object with a `fastpath` block) is hashed a second time with that
+and each metrics export (CHAOS_METRICS.json, PROCS12.json, or an OUTPUT
+that is a JSON object with a `fastpath` block) is hashed a second time with that
 block removed. The `fastpath` counters record which engine ran each
 step, so these lines pin the simulation apart from that choice: a
 change that moves work between the fast path and the reference
@@ -72,7 +74,7 @@ def print_file(label, path):
         print(f"{label} without fastpath: sha256 {digest}")
 
 
-fleet, chaos_fleet, chaos_metrics, tables = sys.argv[1:5]
+fleet, chaos_fleet, chaos_metrics, tables, procs12 = sys.argv[1:6]
 print("# Regenerate with tests/golden/sim_hashes.py (see its docstring).")
 for label, path in (
     ("fleetbench --quick", fleet),
@@ -84,5 +86,6 @@ for label, path in (
         print(f"{label}: {key} {report[key]}")
 print_file("chaos smoke chaos.json", chaos_metrics)
 print(f"tables stdout: sha256 {sha256(tables)}")
-for path in sys.argv[5:]:
+print_file("runasm --procs 12 --rounds 3 procs12.json", procs12)
+for path in sys.argv[6:]:
     print_file(f"observer run {path}", path)

@@ -224,13 +224,18 @@ proptest! {
         let _ = multiring::asm::assemble(&source);
     }
 
+    /// Every argument list parses to flags or an error, and every
+    /// parsed one builds a world or says why it cannot.
     #[test]
     fn machine_args_parser_never_panics(picks in vec(0..ARG_TOKENS.len(), 0..16)) {
         let args = picks.iter().map(|&i| ARG_TOKENS[i].to_string());
-        let _ = MachineArgs::parse(args, |flag, args| match flag {
+        let parsed = MachineArgs::parse(args, |flag, args| match flag {
             "--budget" => value(args, flag, "a count", number::<u64>).map(|_| true),
             _ => Ok(false),
         });
+        if let Ok(m) = parsed {
+            let _ = m.build();
+        }
     }
 
     #[test]
@@ -239,6 +244,25 @@ proptest! {
         if let Ok(plan) = FaultPlan::parse(&text) {
             let _ = multiring::cpu::ChaosEngine::with_plan(plan);
         }
+    }
+}
+
+/// A kernel that does not fit physical memory is an error of
+/// `MachineArgs::build` naming the process count; 239 storm processes
+/// still fit.
+#[test]
+fn kernels_too_big_for_physical_memory_are_build_errors() {
+    let build = |args: &[&str]| {
+        MachineArgs::parse(args.iter().map(|a| a.to_string()), |_, _| Ok(false))
+            .expect("flags parse")
+            .build()
+    };
+    assert!(build(&["--procs", "239"]).is_ok());
+    for procs in ["240", "18446744073709551615"] {
+        let Err(e) = build(&["--procs", procs]) else {
+            panic!("--procs {procs} built");
+        };
+        assert!(e.starts_with(&format!("--procs {procs}: ")), "{e}");
     }
 }
 

@@ -337,10 +337,7 @@ fn system_snapshot_carries_supervisor_extras() {
     );
     assert!(snap.crossings.count(Crossing::ReturnUp) >= 1);
     let extra = |key: &str| {
-        snap.extra
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| *v)
+        snap.extra(key)
             .unwrap_or_else(|| panic!("missing extra {key}"))
     };
     assert_eq!(extra("os.gate_calls_ring1"), 1);
@@ -550,8 +547,8 @@ fn csv_flattening_roundtrips_every_key_exactly_once() {
         assert_eq!(num(&format!("heatmap.{segno}.executes")), h.executes);
         assert_eq!(num(&format!("heatmap.{segno}.violations")), h.violations);
     }
-    for (k, v) in &snap.extra {
-        assert_eq!(num(&format!("extra.{k}")), *v);
+    for (k, v) in snap.extras() {
+        assert_eq!(num(&format!("extra.{k}")), v);
     }
     for (key, h) in [
         ("call_cycles", &snap.call_cycles),
@@ -715,9 +712,10 @@ fn json_export_roundtrips_every_family() {
     let Some(Json::Obj(extra)) = doc.get("extra") else {
         panic!("extra is an object");
     };
-    assert_eq!(extra.len(), snap.extra.len(), "one member per extra");
-    for (key, v) in &snap.extra {
-        assert_eq!(num(&["extra", key]), *v, "extra {key}");
+    let extras = snap.extras();
+    assert_eq!(extra.len(), extras.len(), "one member per extra");
+    for (key, v) in extras {
+        assert_eq!(num(&["extra", &key]), v, "extra {key}");
     }
 
     assert!(snap.faults.total() > 0 && !snap.heatmap.is_empty());
