@@ -127,8 +127,17 @@ pub(crate) struct ICache {
 
 impl ICache {
     fn new() -> ICache {
+        // Built directly on the heap: `Box::new([..; ICACHE_SLOTS])`
+        // would build its 32 KB on the stack first and then copy it.
+        let slots = match vec![ICacheEntry::empty(); ICACHE_SLOTS]
+            .into_boxed_slice()
+            .try_into()
+        {
+            Ok(slots) => slots,
+            Err(_) => unreachable!("the vector holds exactly ICACHE_SLOTS entries"),
+        };
         ICache {
-            slots: Box::new([ICacheEntry::empty(); ICACHE_SLOTS]),
+            slots,
             hits: 0,
             misses: 0,
         }

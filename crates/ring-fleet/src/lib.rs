@@ -451,23 +451,27 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetResult {
         }
     });
 
-    let mut machines = Vec::with_capacity(specs.len());
+    // The errors come out first, so the results can be collected in
+    // the slots' own allocation instead of a second vector as large.
+    let mut slots = slots.into_inner().expect("result lock");
     let mut member_errors = Vec::new();
-    for (i, slot) in slots
-        .into_inner()
-        .expect("result lock")
-        .into_iter()
-        .enumerate()
-    {
+    for (i, slot) in slots.iter_mut().enumerate() {
         match slot {
-            Some(Ok(result)) => machines.push(result),
-            Some(Err(detail)) => member_errors.push(MemberError { id: i, detail }),
+            Some(Ok(_)) => {}
+            Some(Err(detail)) => member_errors.push(MemberError {
+                id: i,
+                detail: std::mem::take(detail),
+            }),
             None => member_errors.push(MemberError {
                 id: i,
                 detail: "machine never ran (worker lost before claiming it)".to_string(),
             }),
         }
     }
+    let machines: Vec<MachineResult> = slots
+        .into_iter()
+        .filter_map(|slot| slot.and_then(Result::ok))
+        .collect();
     let mut merged = MetricsSnapshot::default();
     for m in &machines {
         if !m.health.is_quarantined() {

@@ -73,8 +73,9 @@ impl Default for SystemConfig {
     }
 }
 
-/// A frozen boot image: a system's entire physical memory captured as
-/// a shared read-only array, plus the configuration that built it.
+/// A frozen boot image: a system's physical memory captured as a
+/// shared read-only array, plus the configuration that built it. The
+/// array is the memory's stored prefix; the words past it read as zero.
 ///
 /// Build a prototype system once ([`System::boot_with`] plus workload
 /// installation), [`System::freeze`] it, then boot any number of
@@ -101,9 +102,11 @@ impl BootImage {
         std::sync::Arc::clone(&self.base)
     }
 
-    /// Image length in words.
+    /// Size in words of the memory the image describes (the
+    /// configured physical memory). Only the stored prefix is held;
+    /// the words past it read as zero.
     pub fn words(&self) -> usize {
-        self.base.len()
+        self.cfg.phys_words
     }
 }
 
@@ -173,7 +176,8 @@ impl System {
 
     /// Turns this system's physical memory into a shared read-only
     /// [`BootImage`], consuming the system: a prototype is built only
-    /// to be frozen, so its memory moves into the image uncopied.
+    /// to be frozen, so its memory's stored prefix moves into the image
+    /// uncopied.
     /// Freeze after world building and workload installation, before
     /// any execution, so clones replay from the exact installed state.
     pub fn freeze(mut self) -> BootImage {

@@ -186,8 +186,14 @@ impl Default for RingTlb {
 impl RingTlb {
     /// Creates an empty lookaside.
     pub fn new() -> RingTlb {
+        // Built directly on the heap: `Box::new([..; TLB_SLOTS])` would
+        // build its 40 KB on the stack first and then copy it.
+        let slots = match vec![EMPTY_ENTRY; TLB_SLOTS].into_boxed_slice().try_into() {
+            Ok(slots) => slots,
+            Err(_) => unreachable!("the vector holds exactly TLB_SLOTS entries"),
+        };
         RingTlb {
-            slots: Box::new([EMPTY_ENTRY; TLB_SLOTS]),
+            slots,
             epoch: 0,
             seg_counts: [0; SEG_BUCKETS],
             stats: TlbStats::default(),

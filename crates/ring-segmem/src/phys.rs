@@ -1,18 +1,23 @@
 //! Physical (absolute-addressed) memory.
 //!
-//! A flat array of 36-bit words addressed by 24-bit absolute address.
-//! All descriptor segments, page tables, and segment bodies live here;
-//! the processor reaches it only through address translation
+//! Up to 2^24 36-bit words addressed by 24-bit absolute address. All
+//! descriptor segments, page tables, and segment bodies live here; the
+//! processor reaches it only through address translation
 //! ([`crate::translate`]).
 //!
-//! Memory comes in two backings. [`PhysMem::new`] builds the classic
-//! flat array. [`PhysMem::cow`] builds a copy-on-write view over a
-//! shared read-only base image ([`Arc`]`<Vec<Word>>`): reads fall
-//! through to the base, and the first write to any [`COW_PAGE_WORDS`]
-//! aligned page materializes a private copy of that page. A fleet of
-//! machines booted from one frozen image therefore shares almost all
-//! of its storage — each machine pays only for the pages it actually
-//! changes.
+//! Host storage is committed on first write, the way the paper's
+//! demand paging commits core to a page only when it is first
+//! referenced: every word reads as zero until something stores to it.
+//! Memory comes in two backings. [`PhysMem::new`] builds a flat array
+//! that holds only its stored prefix — the words from address 0 up to
+//! the highest address ever stored, grown on demand — and reads the
+//! rest of its declared size as zero. [`PhysMem::cow`] builds a
+//! copy-on-write view over a shared read-only base image
+//! ([`Arc`]`<Vec<Word>>`): reads fall through to the base, and the
+//! first write to any [`COW_PAGE_WORDS`] aligned page materializes a
+//! private copy of that page. A fleet of machines booted from one
+//! frozen image therefore shares almost all of its storage — each
+//! machine pays only for the pages it actually changes.
 //!
 //! Page- and segment-sized transfers go through [`PhysMem::poke_slice`],
 //! [`PhysMem::peek_into`], [`PhysMem::read_slice`],
@@ -37,16 +42,18 @@ pub const COW_PAGE_WORDS: usize = 1024;
 /// copy-on-write overlay above a shared read-only base image.
 #[derive(Clone)]
 enum Backing {
-    /// Every word privately owned (the classic layout).
+    /// Every word privately owned, but only the stored prefix is held:
+    /// the words from address 0 up to the highest address stored,
+    /// extended by the first store past its end ([`grow`]). The rest of
+    /// the memory reads as zero, and a clone copies just the prefix.
     Flat(Vec<Word>),
     /// Shared base image plus private dirty pages.
     Cow {
         /// The frozen boot image, shared by reference count across
-        /// every machine cloned from it. Never written.
+        /// every machine cloned from it. Never written. It may be
+        /// shorter than the memory; words past it read as zero until
+        /// written.
         base: Arc<Vec<Word>>,
-        /// Configured size in words (may exceed `base.len()`; words
-        /// past the base read as zero until written).
-        size: usize,
         /// Private overlay, one optional page per [`COW_PAGE_WORDS`]
         /// window. `None` means the window still reads from `base`.
         pages: Vec<Option<Box<[Word]>>>,
@@ -72,6 +79,9 @@ enum Backing {
 #[derive(Clone)]
 pub struct PhysMem {
     backing: Backing,
+    /// Declared size in words: every address below it reads, as zero
+    /// where nothing is stored.
+    size: usize,
     reads: u64,
     writes: u64,
     /// Absolute addresses whose parity is bad (sorted for canonical
@@ -90,7 +100,9 @@ impl PhysMem {
     /// Maximum addressable size in words (24-bit absolute addresses).
     pub const MAX_WORDS: usize = 1 << 24;
 
-    /// Creates a zeroed memory of `words` words.
+    /// Creates a zeroed memory of `words` words. Nothing is allocated
+    /// until the first store: the flat array grows to cover the highest
+    /// address stored, and every word past it reads as zero.
     ///
     /// # Panics
     ///
@@ -98,7 +110,8 @@ impl PhysMem {
     pub fn new(words: usize) -> PhysMem {
         assert!(words <= Self::MAX_WORDS, "physical memory too large");
         PhysMem {
-            backing: Backing::Flat(vec![Word::ZERO; words]),
+            backing: Backing::Flat(Vec::new()),
+            size: words,
             reads: 0,
             writes: 0,
             poisoned: BTreeSet::new(),
@@ -128,10 +141,10 @@ impl PhysMem {
         PhysMem {
             backing: Backing::Cow {
                 base,
-                size: words,
                 pages: vec![None; windows],
                 dirty: 0,
             },
+            size: words,
             reads: 0,
             writes: 0,
             poisoned: BTreeSet::new(),
@@ -144,11 +157,12 @@ impl PhysMem {
     #[inline]
     fn get(&self, i: usize) -> Option<Word> {
         match &self.backing {
-            Backing::Flat(words) => words.get(i).copied(),
-            Backing::Cow {
-                base, size, pages, ..
-            } => {
-                if i >= *size {
+            Backing::Flat(words) => match words.get(i) {
+                Some(word) => Some(*word),
+                None => (i < self.size).then_some(Word::ZERO),
+            },
+            Backing::Cow { base, pages, .. } => {
+                if i >= self.size {
                     return None;
                 }
                 match &pages[i / COW_PAGE_WORDS] {
@@ -159,19 +173,21 @@ impl PhysMem {
         }
     }
 
-    /// Mutable access to slot `i`, materializing the private copy of
-    /// its page when the backing is copy-on-write.
+    /// Mutable access to slot `i`, extending a flat array's stored
+    /// prefix over it, or materializing the private copy of its page
+    /// when the backing is copy-on-write.
     #[inline]
     fn slot_mut(&mut self, i: usize) -> Option<&mut Word> {
+        let size = self.size;
         match &mut self.backing {
-            Backing::Flat(words) => words.get_mut(i),
-            Backing::Cow {
-                base,
-                size,
-                pages,
-                dirty,
-            } => {
-                if i >= *size {
+            Backing::Flat(words) => {
+                if i >= words.len() && i < size {
+                    grow(words, i + 1, size);
+                }
+                words.get_mut(i)
+            }
+            Backing::Cow { base, pages, dirty } => {
+                if i >= size {
                     return None;
                 }
                 let window = i / COW_PAGE_WORDS;
@@ -186,10 +202,7 @@ impl PhysMem {
 
     /// Size in words.
     pub fn size(&self) -> usize {
-        match &self.backing {
-            Backing::Flat(words) => words.len(),
-            Backing::Cow { size, .. } => *size,
-        }
+        self.size
     }
 
     /// Number of privately materialized (dirtied) copy-on-write pages.
@@ -201,6 +214,17 @@ impl PhysMem {
         }
     }
 
+    /// Words of host storage this memory holds privately: a flat
+    /// array's stored prefix, or a copy-on-write view's materialized
+    /// pages (the shared base image is not counted). Uncounted; it
+    /// changes nothing the simulated machine can observe.
+    pub fn stored_words(&self) -> usize {
+        match &self.backing {
+            Backing::Flat(words) => words.len(),
+            Backing::Cow { dirty, .. } => *dirty as usize * COW_PAGE_WORDS,
+        }
+    }
+
     /// True when this memory is a copy-on-write view over a shared
     /// base image.
     pub fn is_cow(&self) -> bool {
@@ -208,35 +232,40 @@ impl PhysMem {
     }
 
     /// The stored contents as `(first address, words)` runs in address
-    /// order: one run for flat memory, one per window for copy-on-write
-    /// memory. A run may stop short of its window (a clean window past
-    /// the end of the base image); the words it omits read as zero.
+    /// order: the stored prefix for flat memory, one run per window for
+    /// copy-on-write memory. A run may stop short of its window or of
+    /// the memory (a clean window past the end of the base image, the
+    /// end of a flat prefix); the words it omits read as zero.
     fn runs(&self) -> impl Iterator<Item = (usize, &[Word])> + '_ {
+        let size = self.size;
         let (flat, cow) = match &self.backing {
             Backing::Flat(words) => (Some((0, words.as_slice())), None),
-            Backing::Cow {
-                base, size, pages, ..
-            } => {
+            Backing::Cow { base, pages, .. } => {
                 let windows = (0..pages.len())
-                    .map(move |w| (w * COW_PAGE_WORDS, cow_run(base, *size, pages, w)));
+                    .map(move |w| (w * COW_PAGE_WORDS, cow_run(base, size, pages, w)));
                 (None, Some(windows))
             }
         };
         flat.into_iter().chain(cow.into_iter().flatten())
     }
 
-    /// Captures the full current contents as a shared read-only image
-    /// suitable for [`PhysMem::cow`]. Uncounted.
+    /// Captures the current contents as a shared read-only image
+    /// suitable for [`PhysMem::cow`]. Uncounted. The image ends with
+    /// the last stored run (a flat array's stored prefix); the words
+    /// past it read as zero, so a view over it with this memory's size
+    /// reads exactly what this memory does.
     pub fn freeze_base(&self) -> Arc<Vec<Word>> {
-        let mut image = vec![Word::ZERO; self.size()];
-        for (lo, run) in self.runs() {
+        let stored = || self.runs().filter(|(_, run)| !run.is_empty());
+        let end = stored().last().map_or(0, |(lo, run)| lo + run.len());
+        let mut image = vec![Word::ZERO; end];
+        for (lo, run) in stored() {
             image[lo..lo + run.len()].copy_from_slice(run);
         }
         Arc::new(image)
     }
 
     /// Like [`PhysMem::freeze_base`], but consumes the memory: a flat
-    /// array becomes the image without a copy.
+    /// array's stored prefix becomes the image without a copy.
     pub fn into_base(self) -> Arc<Vec<Word>> {
         match self.backing {
             Backing::Flat(words) => Arc::new(words),
@@ -330,7 +359,13 @@ impl PhysMem {
             self.high_water = self.high_water.max(hi as u32);
             let poisoned = &mut self.poisoned;
             match &mut self.backing {
-                Backing::Flat(mem) => mem[lo..hi].copy_from_slice(fits),
+                Backing::Flat(mem) => {
+                    let stop = flat_extent(mem.len(), lo, fits);
+                    if stop > lo {
+                        grow(mem, stop, self.size);
+                        mem[lo..stop].copy_from_slice(&fits[..stop - lo]);
+                    }
+                }
                 Backing::Cow {
                     base, pages, dirty, ..
                 } => {
@@ -398,16 +433,19 @@ impl PhysMem {
             return;
         }
         match &self.backing {
-            Backing::Flat(mem) => out.copy_from_slice(&mem[lo..lo + out.len()]),
-            Backing::Cow {
-                base, size, pages, ..
-            } => {
+            Backing::Flat(words) => {
+                let stored = words.get(lo..).unwrap_or(&[]);
+                let n = stored.len().min(out.len());
+                out[..n].copy_from_slice(&stored[..n]);
+                out[n..].fill(Word::ZERO);
+            }
+            Backing::Cow { base, pages, .. } => {
                 let mut done = 0;
                 while done < out.len() {
                     let at = lo + done;
                     let off = at % COW_PAGE_WORDS;
                     let take = (out.len() - done).min(COW_PAGE_WORDS - off);
-                    let run = cow_run(base, *size, pages, at / COW_PAGE_WORDS);
+                    let run = cow_run(base, self.size, pages, at / COW_PAGE_WORDS);
                     let stored = run.get(off..run.len().min(off + take)).unwrap_or(&[]);
                     out[done..done + stored.len()].copy_from_slice(stored);
                     out[done + stored.len()..done + take].fill(Word::ZERO);
@@ -461,7 +499,10 @@ impl PhysMem {
         if !fits.is_empty() {
             self.high_water = self.high_water.max(hi as u32);
             match &mut self.backing {
-                Backing::Flat(mem) => mem[lo..hi].copy_from_slice(fits),
+                Backing::Flat(mem) => {
+                    grow(mem, hi, self.size);
+                    mem[lo..hi].copy_from_slice(fits);
+                }
                 Backing::Cow {
                     base, pages, dirty, ..
                 } => {
@@ -517,7 +558,16 @@ impl PhysMem {
         self.high_water = self.high_water.max(hi as u32);
         let poisoned = &mut self.poisoned;
         match &mut self.backing {
-            Backing::Flat(mem) => mem[lo..hi].swap_with_slice(words),
+            // Past the stored prefix the incoming words are zero (what
+            // the prefix must hold ends at `stop`) and so is what they
+            // replace: the buffer already holds what a peek would read.
+            Backing::Flat(mem) => {
+                let stop = flat_extent(mem.len(), lo, words);
+                if stop > lo {
+                    grow(mem, stop, self.size);
+                    mem[lo..stop].swap_with_slice(&mut words[..stop - lo]);
+                }
+            }
             Backing::Cow {
                 base, pages, dirty, ..
             } => {
@@ -588,17 +638,12 @@ impl PhysMem {
     }
 
     /// Zeroes every word without touching the traffic counters (image
-    /// restore repopulates from a sparse capture afterwards). A
-    /// copy-on-write view detaches from its base image and becomes a
-    /// private flat array — restore rebuilds arbitrary contents, so
-    /// sharing is over.
+    /// restore repopulates from a sparse capture afterwards) by dropping
+    /// the stored words: the memory becomes an empty flat array of the
+    /// same size. A copy-on-write view detaches from its base image —
+    /// restore rebuilds arbitrary contents, so sharing is over.
     pub fn zero_all(&mut self) {
-        match &mut self.backing {
-            Backing::Flat(words) => words.fill(Word::ZERO),
-            Backing::Cow { size, .. } => {
-                self.backing = Backing::Flat(vec![Word::ZERO; *size]);
-            }
-        }
+        self.backing = Backing::Flat(Vec::new());
     }
 
     /// Overwrites the traffic counters (image restore; the counters
@@ -680,6 +725,37 @@ impl PhysMem {
     #[inline]
     pub fn ref_count(&self) -> u64 {
         self.reads + self.writes
+    }
+}
+
+/// Extends a flat array's stored prefix with zeros to `hi` words. When
+/// that outgrows its allocation, the new one is at least twice as large
+/// and at least one [`COW_PAGE_WORDS`] window (never past `size`), so a
+/// run of stores past the end costs amortised constant time.
+fn grow(words: &mut Vec<Word>, hi: usize, size: usize) {
+    if hi > words.capacity() {
+        let cap = hi.max(2 * words.capacity()).max(COW_PAGE_WORDS).min(size);
+        words.reserve_exact(cap - words.len());
+    }
+    if hi > words.len() {
+        words.resize(hi, Word::ZERO);
+    }
+}
+
+/// The end of the range `lo..lo + words.len()` that a flat array whose
+/// stored prefix is `stored` words long must hold after poking `words`
+/// there: the whole range inside the prefix, and past it up to the last
+/// nonzero word. The zeros beyond need no storage — they already read
+/// as zero. Below `lo` when nothing in the range needs storing.
+fn flat_extent(stored: usize, lo: usize, words: &[Word]) -> usize {
+    let hi = lo + words.len();
+    if hi <= stored {
+        return hi;
+    }
+    let past = stored.saturating_sub(lo);
+    match words[past..].iter().rposition(|w| *w != Word::ZERO) {
+        Some(k) => lo + past + k + 1,
+        None => stored,
     }
 }
 
@@ -780,6 +856,87 @@ mod tests {
         for i in 0..8 {
             assert_eq!(m.peek(AbsAddr::new(i).unwrap()).unwrap(), Word::ZERO);
         }
+    }
+
+    #[test]
+    fn fresh_memory_stores_nothing() {
+        let m = PhysMem::new(PhysMem::MAX_WORDS);
+        assert_eq!(m.size(), PhysMem::MAX_WORDS);
+        assert_eq!(m.stored_words(), 0);
+        let top = AbsAddr::new(PhysMem::MAX_WORDS as u32 - 1).unwrap();
+        assert_eq!(m.peek(top).unwrap(), Word::ZERO);
+        assert!(m.freeze_base().is_empty());
+    }
+
+    #[test]
+    fn peeks_and_zero_pokes_near_the_top_store_nothing() {
+        let mut m = PhysMem::new(PhysMem::MAX_WORDS);
+        let top = PhysMem::MAX_WORDS as u32 - 1;
+        let at = |a: u32| AbsAddr::new(a).unwrap();
+        assert_eq!(m.peek(at(top)).unwrap(), Word::ZERO);
+        m.poke(at(top), Word::ZERO).unwrap();
+        m.poke_slice(at(top - 9), &[Word::ZERO; 10]).unwrap();
+        let mut zeros = vec![Word::ZERO; 10];
+        m.swap_slice(at(top - 9), &mut zeros).unwrap();
+        assert_eq!(zeros, vec![Word::ZERO; 10]);
+        let mut read = vec![Word::new(1); 10];
+        m.read_slice(at(top - 9), &mut read).unwrap();
+        assert_eq!(read, vec![Word::ZERO; 10]);
+        assert_eq!(m.read(at(top)).unwrap(), Word::ZERO);
+        assert_eq!(m.stored_words(), 0);
+        assert_eq!(m.high_water(), top + 1, "the pokes still mark the top");
+        assert_eq!(m.read_count(), 11);
+    }
+
+    #[test]
+    fn stores_past_the_prefix_extend_it_to_the_highest_word_stored() {
+        let mut m = PhysMem::new(1 << 20);
+        let at = |a: u32| AbsAddr::new(a).unwrap();
+        m.write(at(40), Word::ZERO).unwrap();
+        assert_eq!(m.stored_words(), 41, "a counted write stores");
+        m.poke(at(10), Word::new(1)).unwrap();
+        assert_eq!(m.stored_words(), 41);
+        assert!(m.corrupt(60, 1));
+        assert_eq!(m.stored_words(), 61);
+        m.poke_slice(at(100), &[Word::new(2), Word::ZERO, Word::ZERO])
+            .unwrap();
+        assert_eq!(m.stored_words(), 101, "trailing zeros are not stored");
+        m.write_slice(at(200), &[Word::ZERO; 5]).unwrap();
+        assert_eq!(m.stored_words(), 205);
+        let mut buf = vec![Word::ZERO, Word::new(3)];
+        m.swap_slice(at(300), &mut buf).unwrap();
+        assert_eq!(m.stored_words(), 302);
+        assert_eq!(m.peek(at(301)).unwrap(), Word::new(3));
+        assert_eq!(m.peek(at(302)).unwrap(), Word::ZERO);
+    }
+
+    #[test]
+    fn zero_all_releases_the_stored_words() {
+        let mut m = PhysMem::new(1 << 16);
+        m.write(AbsAddr::new(5000).unwrap(), Word::new(4)).unwrap();
+        m.zero_all();
+        assert_eq!(m.stored_words(), 0);
+        assert_eq!(m.size(), 1 << 16);
+        assert_eq!(m.peek(AbsAddr::new(5000).unwrap()).unwrap(), Word::ZERO);
+        assert_eq!(m.write_count(), 1, "counters survive");
+        let mut cow = PhysMem::cow(m.freeze_base(), 1 << 16);
+        cow.write(AbsAddr::new(9000).unwrap(), Word::new(1))
+            .unwrap();
+        assert_eq!(cow.stored_words(), COW_PAGE_WORDS);
+        cow.zero_all();
+        assert_eq!(cow.stored_words(), 0);
+        assert_eq!(cow.size(), 1 << 16);
+    }
+
+    #[test]
+    fn clone_holds_only_the_stored_prefix() {
+        let mut m = PhysMem::new(PhysMem::MAX_WORDS);
+        m.poke(AbsAddr::new(100).unwrap(), Word::new(7)).unwrap();
+        let c = m.clone();
+        assert_eq!(c.stored_words(), 101);
+        assert_eq!(c.size(), PhysMem::MAX_WORDS);
+        assert_eq!(c.peek(AbsAddr::new(100).unwrap()).unwrap(), Word::new(7));
+        assert_eq!(c.freeze_base().len(), 101, "the image is the prefix");
     }
 
     #[test]

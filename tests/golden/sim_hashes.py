@@ -2,18 +2,23 @@
 
 Usage:
     python3 tests/golden/sim_hashes.py FLEET.json CHAOS_FLEET.json CHAOS_METRICS.json \
-        TABLES.out PROCS12.json [OUTPUT ...]
+        CHAOS.rec TABLES.out PROCS12.json STORM.rec [OUTPUT ...]
 
 FLEET.json and CHAOS_FLEET.json are `fleetbench --quick` reports, plain
-and with `--chaos-seed 7 --chaos-rate 300`. CHAOS_METRICS.json is the
-metrics export of the CI chaos smoke (`runasm --procs 3 --frames 10
---pages 6 --rounds 40 --chaos-seed 7 --chaos-rate 250 --budget 20000000
---record chaos.rec --metrics-out chaos.json`). TABLES.out is the
-standard output of `cargo run -p ring-bench --bin tables --release`,
-the figure and experiment tables that EXPERIMENTS.md quotes as its raw
-output. PROCS12.json is the metrics export of a twelve-process page
-storm (`runasm --procs 12 --rounds 3 --metrics-out procs12.json`), the
-one pinned export with two-digit pids in its `os.proc.<pid>.*` keys.
+and with `--chaos-seed 7 --chaos-rate 300`. CHAOS_METRICS.json and
+CHAOS.rec are the metrics export and the recording of the CI chaos
+smoke (`runasm --procs 3 --frames 10 --pages 6 --rounds 40 --chaos-seed
+7 --chaos-rate 250 --budget 20000000 --record chaos.rec --metrics-out
+chaos.json`). TABLES.out is the standard output of `cargo run -p
+ring-bench --bin tables --release`, the figure and experiment tables
+that EXPERIMENTS.md quotes as its raw output. PROCS12.json is the
+metrics export of a twelve-process page storm (`runasm --procs 12
+--rounds 3 --metrics-out procs12.json`), the one pinned export with
+two-digit pids in its `os.proc.<pid>.*` keys. STORM.rec is the
+recording of the CI multiprogramming smoke (`runasm --procs 4 --frames
+16 --record storm.rec --metrics-out storm.json`). A recording holds
+the machine images captured at its checkpoints and at its end, so the
+two recording lines pin how images are captured.
 
 Each OUTPUT is hashed whole. The committed file pins every output of two
 observer runs, made from the repository root with these names:
@@ -74,7 +79,7 @@ def print_file(label, path):
         print(f"{label} without fastpath: sha256 {digest}")
 
 
-fleet, chaos_fleet, chaos_metrics, tables, procs12 = sys.argv[1:6]
+fleet, chaos_fleet, chaos_metrics, chaos_rec, tables, procs12, storm_rec = sys.argv[1:8]
 print("# Regenerate with tests/golden/sim_hashes.py (see its docstring).")
 for label, path in (
     ("fleetbench --quick", fleet),
@@ -85,7 +90,9 @@ for label, path in (
     for key in ("merged_snapshot_hash", "merged_snapshot_hash_without_fastpath"):
         print(f"{label}: {key} {report[key]}")
 print_file("chaos smoke chaos.json", chaos_metrics)
+print(f"chaos smoke chaos.rec: sha256 {sha256(chaos_rec)}")
 print(f"tables stdout: sha256 {sha256(tables)}")
 print_file("runasm --procs 12 --rounds 3 procs12.json", procs12)
-for path in sys.argv[6:]:
+print(f"multiprogramming smoke storm.rec: sha256 {sha256(storm_rec)}")
+for path in sys.argv[8:]:
     print_file(f"observer run {path}", path)

@@ -141,6 +141,38 @@ const ARG_TOKENS: &[&str] = &[
     "\u{1F600}",
 ];
 
+/// The world a generated command line asks for first: none (the rest
+/// may still name one), a kernel of a few processes, the bare world's
+/// program, a kernel running that program, or a program file that is
+/// not there.
+const ARG_WORLDS: &[&[&str]] = &[
+    &[],
+    &["--procs", "1"],
+    &["--procs", "3"],
+    &["--procs", "8"],
+    &["examples/asm/subroutine.rasm"],
+    &["examples/asm/subroutine.rasm", "--procs", "2"],
+    &["missing.rasm"],
+];
+
+/// Well-formed machine flags, one per entry of the `cli` flag table
+/// (and `--budget`, the tools' own flag the property parses), each with
+/// values it accepts. Process and page counts stay small: a kernel
+/// build installs every process's storm segment eagerly.
+const ARG_FLAGS: &[(&str, &[&str])] = &[
+    ("--ring", &["0", "4", "7"]),
+    ("--no-fastpath", &[]),
+    ("--procs", &["1", "2", "4"]),
+    ("--quantum", &["1", "400", "5000"]),
+    ("--frames", &["0", "4", "16"]),
+    ("--pages", &["5", "6", "16"]),
+    ("--rounds", &["1", "30"]),
+    ("--chaos-seed", &["0", "7"]),
+    ("--chaos-rate", &["1", "250"]),
+    ("--chaos-plan", &["missing-plan.txt"]),
+    ("--budget", &["1", "20000000"]),
+];
+
 /// A ring-4 program making `calls` gate calls into a ring-1 native
 /// service, then exiting through a halting trap segment, with a chaos
 /// campaign armed so captured images carry every section.
@@ -225,10 +257,29 @@ proptest! {
     }
 
     /// Every argument list parses to flags or an error, and every
-    /// parsed one builds a world or says why it cannot.
+    /// parsed one builds a world or says why it cannot. The lists mix
+    /// well-formed flags with token soup, so most parse and many build
+    /// a kernel.
     #[test]
-    fn machine_args_parser_never_panics(picks in vec(0..ARG_TOKENS.len(), 0..16)) {
-        let args = picks.iter().map(|&i| ARG_TOKENS[i].to_string());
+    fn machine_args_parser_never_panics(
+        world in 0..ARG_WORLDS.len(),
+        picks in vec((0..12usize, 0..ARG_FLAGS.len(), any::<usize>(), 0..ARG_TOKENS.len()), 0..6),
+    ) {
+        let flags = picks.iter().flat_map(|&(kind, flag, v, token)| {
+            if kind == 0 {
+                return vec![ARG_TOKENS[token]];
+            }
+            let (flag, values) = ARG_FLAGS[flag];
+            let mut pair = vec![flag];
+            pair.extend(values.get(v % values.len().max(1)));
+            pair
+        });
+        let args: Vec<String> = ARG_WORLDS[world]
+            .iter()
+            .copied()
+            .chain(flags)
+            .map(str::to_string)
+            .collect();
         let parsed = MachineArgs::parse(args, |flag, args| match flag {
             "--budget" => value(args, flag, "a count", number::<u64>).map(|_| true),
             _ => Ok(false),
