@@ -1,10 +1,10 @@
 //! Experiment fixtures and table generators.
 //!
 //! Every figure and quantitative claim of the paper has an experiment
-//! here (see `DESIGN.md` §4 for the index). The same fixtures back the
-//! Criterion wall-time benches (`benches/`) and the simulated-cycle
-//! tables printed by the `tables` binary and recorded in
-//! `EXPERIMENTS.md`.
+//! here (see `DESIGN.md` §4 for the index). The fixtures back the
+//! simulated-cycle tables printed by the `tables` binary and recorded
+//! in `EXPERIMENTS.md`; host time is measured by the benchmark under
+//! `bench/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

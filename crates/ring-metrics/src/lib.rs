@@ -50,8 +50,8 @@ pub use heatmap::{SegHeat, SegmentHeatmap};
 pub use hist::CycleHistogram;
 pub use ring_buffer::EventRing;
 pub use snapshot::{
-    json_escape, FastPathStats, HistogramSnapshot, MetricsSnapshot, ProcCounters, ProfStats,
-    SchedStats, SdwCacheStats,
+    json_escape, json_f64, FastPathStats, HistogramSnapshot, MetricsSnapshot, ProcCounters,
+    ProfStats, SchedStats, SdwCacheStats,
 };
 
 use ring_core::access::{AccessMode, Fault};

@@ -764,14 +764,6 @@ fn json_members<'a>(pairs: impl Iterator<Item = (&'a str, u64)>) -> String {
         .join(", ")
 }
 
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "0".to_string()
-    }
-}
-
 fn json_histogram(h: &HistogramSnapshot) -> String {
     let buckets = h
         .buckets
@@ -790,6 +782,16 @@ fn json_histogram(h: &HistogramSnapshot) -> String {
         h.percentile(0.50),
         h.percentile(0.99)
     )
+}
+
+/// Formats a float for JSON with six decimals; a non-finite value
+/// (which JSON cannot hold) is written as `0`.
+pub fn json_f64(x: f64) -> String {
+    if x.is_finite() {
+        format!("{x:.6}")
+    } else {
+        "0".to_string()
+    }
 }
 
 /// Escapes a string for inclusion inside JSON double quotes.

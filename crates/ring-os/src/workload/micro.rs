@@ -1,12 +1,12 @@
 //! Single-process microbenchmark worlds.
 //!
 //! These builders construct bare [`World`]s (no supervisor, no
-//! scheduler) whose entire cost profile is one hot loop; the
-//! throughput harness in `ring-bench` times them under both execution
-//! engines, and the determinism suites replay them. Each takes the
-//! fast-path switch and an iteration count and returns a world ready
-//! to [`ring_cpu::machine::Machine::run`] — halting via a native trap
-//! handler when the loop derails out.
+//! scheduler) whose entire cost profile is one hot loop; the benchmark
+//! under `bench/` times them, the differential tests run them under
+//! both execution engines, and the determinism suites replay them.
+//! Each takes the fast-path switch and an iteration count and returns
+//! a world ready to [`ring_cpu::machine::Machine::run`] — halting via a
+//! native trap handler when the loop derails out.
 
 use ring_core::registers::{IndWord, PtrReg};
 use ring_core::ring::Ring;

@@ -1,9 +1,9 @@
 //! Canned workloads, shared by every harness.
 //!
 //! This module is the single home for workload construction. The
-//! benchmark CLIs (`ring-bench`), the fleet runner (`ring-fleet`), the
-//! CI smoke steps, and the record/replay suite all build their worlds
-//! here instead of keeping private copies:
+//! benchmark (`bench/`), the fleet runner (`ring-fleet`), the CI smoke
+//! steps, and the test suites all build their worlds here instead of
+//! keeping private copies:
 //!
 //! * the storm builders (re-exported at this level) — multiprocess
 //!   workloads on a booted [`crate::boot::System`]: the demand-paging
@@ -11,7 +11,8 @@
 //!   storm* ([`install_gate_storm`]).
 //! * [`micro`] — single-process microbenchmark worlds on a bare
 //!   [`ring_cpu::testkit::World`] (tight loop, gate storm, indirect
-//!   chain), used by the throughput harness.
+//!   chain), used by the benchmark and the differential and replay
+//!   tests.
 
 pub mod micro;
 mod storm;

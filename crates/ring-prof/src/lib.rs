@@ -27,7 +27,7 @@
 
 use std::collections::BTreeMap;
 
-use ring_metrics::json_escape;
+use ring_metrics::{json_escape, json_f64};
 use ring_trace::{SpanKey, SpanKind};
 
 /// One frame of the sampled stack: an open span (gate or trap entry).
@@ -386,14 +386,6 @@ impl TimeSeries {
                 ));
             }
         }
-    }
-}
-
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "0".to_string()
     }
 }
 

@@ -376,7 +376,10 @@ fn debug_bare(mut world: World, trap: SegNo, loaded: u32, ring: Ring) -> ExitCod
                 }
             }
             ["d", at, rest @ ..] => {
-                let at: u32 = at.parse().unwrap_or(0);
+                let Ok(at) = at.parse::<u32>() else {
+                    println!("  d <wordno> [n]");
+                    continue;
+                };
                 let n: u32 = rest.first().and_then(|v| v.parse().ok()).unwrap_or(8);
                 dump(&world, PROGRAM_SEGNO, at, n, |i, w| {
                     println!("{i:6}  {:0>12o}  {}", w.raw(), disassemble_word(w));
@@ -554,7 +557,10 @@ fn debug_bare(mut world: World, trap: SegNo, loaded: u32, ring: Ring) -> ExitCod
                 print_instr_at(&world);
             }
             ["b", at] => {
-                let at: u32 = at.parse().unwrap_or(0);
+                let Ok(at) = at.parse::<u32>() else {
+                    println!("  b [<seg>] <wordno>");
+                    continue;
+                };
                 toggle_breakpoint(&mut breakpoints, PROGRAM_SEGNO.value(), at);
             }
             ["b", seg, at] => {

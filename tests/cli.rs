@@ -145,13 +145,18 @@ fn kernels_too_big_for_physical_memory_exit_nonzero_with_a_message() {
 
 #[test]
 fn hostile_monitor_commands_print_a_reason() {
-    let session = "m 12 0\nw 12 0\nm 10 99999999\nd 0 4294967295\nd 4294967295 8\ng\nq\n";
+    let session = "m 12 0\nw 12 0\nm 10 99999999\nd 0 4294967295\nd 4294967295 8\n\
+                   b x\nd y\ng\nq\n";
     let out = survives(RINGDBG, &["examples/asm/subroutine.rasm"], session);
     assert_eq!(out.matches("  no word at ").count(), 5, "{out}");
     assert!(
         out.contains("no word at 10|16:"),
         "d stops at the bound: {out}"
     );
+    // A word number that does not parse prints the usage line; it does
+    // not set a breakpoint at word 0 or disassemble from there.
+    assert!(out.contains("  b [<seg>] <wordno>"), "{out}");
+    assert!(out.contains("  d <wordno> [n]"), "{out}");
     assert!(out.contains("halted after"), "{out}");
 }
 

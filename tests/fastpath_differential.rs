@@ -34,7 +34,7 @@ use multiring::core::sdw::SdwBuilder;
 use multiring::core::word::Word;
 use multiring::core::{AbsAddr, SegAddr, SegNo};
 use multiring::cpu::isa::{Instr, Opcode};
-use multiring::cpu::machine::{Machine, MachineConfig, StepOutcome};
+use multiring::cpu::machine::{Machine, MachineConfig, RunExit, StepOutcome};
 use multiring::cpu::native::NativeAction;
 use multiring::cpu::testkit::{addr, World};
 use multiring::os::workload::{
@@ -45,6 +45,7 @@ use multiring::segmem::Ptw;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::time::{Duration, Instant};
 
 const CODE: u32 = 10;
 const DATA: u32 = 11;
@@ -979,6 +980,86 @@ fn gate_storm_crossings_commit_fast_in_lockstep() {
         "only {} of {} steps committed on the fast path",
         stats.fast_steps,
         stats.instructions
+    );
+}
+
+/// A micro world builder: the fast-path switch and an iteration count.
+type MicroBuilder = fn(bool, u64) -> World;
+
+/// The micro worlds, each with the iteration count it runs at here.
+const MICRO_WORLDS: [(&str, MicroBuilder, u64); 3] = [
+    ("tight_loop", micro::tight_loop, 2_000),
+    ("gate_storm", micro::gate_storm, 400),
+    ("indirect_chain", micro::indirect_chain, 2_000),
+];
+
+/// Runs a micro world to its halt; returns `(instructions, cycles)`.
+fn run_micro(name: &str, w: &mut World, iters: u64) -> (u64, u64) {
+    let exit = w.machine.run(64 * iters + 10_000);
+    assert_eq!(exit, RunExit::Halted, "{name} did not run to completion");
+    (w.machine.stats().instructions, w.machine.cycles())
+}
+
+/// Every micro world halts on both engines with equal instruction and
+/// cycle counts, and neither the span recorder nor the profiler changes
+/// a fast-path run's cycles. The profiler is meant to be left on, so on
+/// the tight loop it may at most double the host time: best of five
+/// interleaved runs, a sanity bound rather than a measurement (the
+/// benchmark under `bench/` measures the observers).
+#[test]
+fn micro_worlds_agree_on_both_engines_and_under_observers() {
+    for (name, build, iters) in MICRO_WORLDS {
+        let fast = run_micro(name, &mut build(true, iters), iters);
+        assert_eq!(
+            fast,
+            run_micro(name, &mut build(false, iters), iters),
+            "{name}: engines diverged"
+        );
+
+        let mut spans = build(true, iters);
+        spans.machine.enable_spans();
+        assert_eq!(
+            run_micro(name, &mut spans, iters),
+            fast,
+            "{name}: spans changed cycles"
+        );
+        if name == "gate_storm" {
+            assert!(
+                !spans.machine.spans().is_empty(),
+                "gate storm recorded no spans"
+            );
+        }
+
+        let mut prof = build(true, iters);
+        prof.machine.enable_profiler(1_000, 5_000);
+        assert_eq!(
+            run_micro(name, &mut prof, iters),
+            fast,
+            "{name}: profiler changed cycles"
+        );
+        assert!(
+            prof.machine.profiler().samples() > 0,
+            "{name}: profiler never sampled"
+        );
+    }
+
+    let timed = |profiler: bool| {
+        let mut w = micro::tight_loop(true, 20_000);
+        if profiler {
+            w.machine.enable_profiler(1_000, 5_000);
+        }
+        let start = Instant::now();
+        run_micro("tight_loop", &mut w, 20_000);
+        start.elapsed()
+    };
+    let (mut off, mut on) = (Duration::MAX, Duration::MAX);
+    for _ in 0..5 {
+        off = off.min(timed(false));
+        on = on.min(timed(true));
+    }
+    assert!(
+        on <= off * 2,
+        "profiler on the tight loop took {on:?} against {off:?}"
     );
 }
 
