@@ -92,7 +92,7 @@ pub fn fig2_table() -> String {
 pub fn fig3_table() -> String {
     let sdw = SdwBuilder::procedure(Ring::R1, Ring::R3, Ring::R5)
         .gates(7)
-        .addr(ring_core::addr::AbsAddr::new(0o1234567).unwrap())
+        .addr(ring_core::addr::AbsAddr::from_bits(0o1234567))
         .bound(0o777)
         .build();
     let (w0, w1) = sdw.pack();
@@ -164,6 +164,11 @@ pub fn fig4_table() -> String {
     )
 }
 
+/// The ring numbered `n` in a scenario table.
+fn ring(n: u8) -> Ring {
+    Ring::new(n).expect("scenario rings are 0..=7")
+}
+
 fn short_fault(f: &Fault) -> String {
     match f {
         Fault::AccessViolation { violation, .. } => format!("violation: {violation}"),
@@ -199,7 +204,7 @@ pub fn fig5_table() -> String {
         ("indirect, all privileged", 1, 1, Some((0, 0))),
     ];
     for (desc, exec_r, pr_r, ind) in scenarios {
-        let exec_ring = Ring::new(exec_r).unwrap();
+        let exec_ring = ring(exec_r);
         let mut w = World::new();
         let code = w.add_segment(
             10,
@@ -209,7 +214,7 @@ pub fn fig5_table() -> String {
         w.start(exec_ring, code, 0);
         let eff = match ind {
             None => {
-                let pr = PtrReg::new(Ring::new(pr_r).unwrap(), addr(target.value(), 3));
+                let pr = PtrReg::new(ring(pr_r), addr(target.value(), 3));
                 w.machine.set_pr(1, pr);
                 let instr = Instr::pr_relative(Opcode::Lda, 1, 0);
                 w.machine
@@ -218,17 +223,15 @@ pub fn fig5_table() -> String {
                     .unwrap_or_else(|f| short_fault(&f))
             }
             Some((ind_r, wtop)) => {
-                let wt = Ring::new(wtop).unwrap();
+                let wt = ring(wtop);
                 let table = w.add_segment(11, SdwBuilder::data(wt, Ring::R7).bound_words(64));
                 w.write_ind_word(
                     table,
                     0,
-                    IndWord::new(Ring::new(ind_r).unwrap(), addr(target.value(), 3), false),
+                    IndWord::new(ring(ind_r), addr(target.value(), 3), false),
                 );
-                w.machine.set_pr(
-                    1,
-                    PtrReg::new(Ring::new(pr_r).unwrap(), addr(table.value(), 0)),
-                );
+                w.machine
+                    .set_pr(1, PtrReg::new(ring(pr_r), addr(table.value(), 0)));
                 let instr = Instr::pr_relative(Opcode::Lda, 1, 0).with_indirect();
                 w.machine
                     .effective_address(&instr, code)
@@ -327,13 +330,7 @@ pub fn fig8_table() -> String {
     let rows: Vec<Vec<String>> = cases
         .into_iter()
         .map(|(desc, s, wordno, eff, cur, same)| {
-            let outcome = match check_call(
-                s,
-                addr(20, wordno),
-                Ring::new(eff).unwrap(),
-                Ring::new(cur).unwrap(),
-                same,
-            ) {
+            let outcome = match check_call(s, addr(20, wordno), ring(eff), ring(cur), same) {
                 Ok(d) => format!("call, new ring {}", d.new_ring),
                 Err(f) => short_fault(&f),
             };
@@ -364,12 +361,7 @@ pub fn fig9_table() -> String {
     let rows: Vec<Vec<String>> = cases
         .into_iter()
         .map(|(desc, s, eff, cur)| {
-            let outcome = match check_return(
-                s,
-                addr(30, 7),
-                Ring::new(eff).unwrap(),
-                Ring::new(cur).unwrap(),
-            ) {
+            let outcome = match check_return(s, addr(30, 7), ring(eff), ring(cur)) {
                 Ok(d) => format!(
                     "return, new ring {}{}",
                     d.new_ring,

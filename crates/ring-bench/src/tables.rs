@@ -239,7 +239,10 @@ pub fn t2_table() -> String {
 // ---------------------------------------------------------------------
 
 fn rw_acl(user: &str) -> Acl {
-    Acl::single(AclEntry::new(user, Modes::RW, (Ring::R4, Ring::R4, Ring::R4), 0).unwrap())
+    Acl::single(
+        AclEntry::new(user, Modes::RW, (Ring::R4, Ring::R4, Ring::R4), 0)
+            .expect("a ring-4 read-write entry is well formed"),
+    )
 }
 
 /// Builds a directory tree `d0>d1>...` with `siblings` extra entries
@@ -289,9 +292,9 @@ pub fn fs_search_cycles(depth: u32, siblings: u32, library: bool) -> u64 {
                 (
                     gate_addr(segs::HCS, hcs::FS_STEP),
                     vec![
-                        SegAddr::from_parts(scratch.segno, handle_pos).unwrap(),
-                        SegAddr::from_parts(scratch.segno, cp).unwrap(),
-                        SegAddr::from_parts(scratch.segno, handle_pos).unwrap(),
+                        addr(scratch.segno, handle_pos),
+                        addr(scratch.segno, cp),
+                        addr(scratch.segno, handle_pos),
                     ],
                 )
             })
@@ -299,10 +302,7 @@ pub fn fs_search_cycles(depth: u32, siblings: u32, library: bool) -> u64 {
     } else {
         vec![(
             gate_addr(segs::HCS, hcs::FS_SEARCH),
-            vec![
-                SegAddr::from_parts(scratch.segno, 0).unwrap(),
-                SegAddr::from_parts(scratch.segno, result_pos).unwrap(),
-            ],
+            vec![addr(scratch.segno, 0), addr(scratch.segno, result_pos)],
         )]
     };
     let seq = gen_call_sequence(Ring::R4, &calls);
@@ -392,28 +392,22 @@ pub fn tty_cycles(len: u32, split: bool) -> (u64, u64) {
         });
         vec![
             (
-                SegAddr::from_parts(lib, 0).unwrap(),
+                addr(lib, 0),
                 vec![
-                    SegAddr::from_parts(scratch_segno, 0).unwrap(),
-                    SegAddr::from_parts(scratch_segno, count_pos).unwrap(),
-                    SegAddr::from_parts(scratch_segno, out_pos).unwrap(),
+                    addr(scratch_segno, 0),
+                    addr(scratch_segno, count_pos),
+                    addr(scratch_segno, out_pos),
                 ],
             ),
             (
                 gate_addr(segs::HCS, hcs::TTY_CONNECT),
-                vec![
-                    SegAddr::from_parts(scratch_segno, out_pos).unwrap(),
-                    SegAddr::from_parts(scratch_segno, count_pos).unwrap(),
-                ],
+                vec![addr(scratch_segno, out_pos), addr(scratch_segno, count_pos)],
             ),
         ]
     } else {
         vec![(
             gate_addr(segs::HCS, hcs::TTY_WRITE),
-            vec![
-                SegAddr::from_parts(scratch.segno, 0).unwrap(),
-                SegAddr::from_parts(scratch.segno, count_pos).unwrap(),
-            ],
+            vec![addr(scratch.segno, 0), addr(scratch.segno, count_pos)],
         )]
     };
     let seq = gen_call_sequence(Ring::R4, &calls);

@@ -45,7 +45,11 @@
 //! The instruction cache needs no invalidation protocol: each fetch
 //! re-peeks the instruction word through the TLB translation and a hit
 //! additionally requires the cached raw word to match, so self-modifying
-//! code, DMA into code pages, and DBR switches all miss naturally.
+//! code, DMA into code pages, and DBR switches all miss naturally. Its
+//! slots live in a [`SlotTable`], so building, cloning and dropping it
+//! handle only the slots it has filled.
+
+use std::thread::LocalKey;
 
 use ring_core::access::AccessMode;
 use ring_core::addr::{SegAddr, SegNo, WordNo, MAX_WORDNO};
@@ -53,12 +57,10 @@ use ring_core::effective;
 use ring_core::registers::{IndWord, Ipr, PtrReg, Tpr};
 use ring_core::ring::Ring;
 use ring_core::word::Word;
+use ring_segmem::slot_table::{Slot, SlotTable, Stock, SLOTS};
 
 use crate::isa::{AddrMode, Instr, Opcode, OperandUse};
 use crate::machine::Machine;
-
-/// Number of direct-mapped predecoded-instruction slots.
-const ICACHE_SLOTS: usize = 1024;
 
 /// Key marking an empty slot (real keys fit in 33 bits).
 const ICACHE_EMPTY: u64 = u64::MAX;
@@ -71,7 +73,7 @@ fn icache_key(addr: SegAddr) -> u64 {
 
 #[inline]
 fn icache_slot(key: u64) -> usize {
-    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize & (ICACHE_SLOTS - 1)
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize & (SLOTS - 1)
 }
 
 #[derive(Clone, Copy)]
@@ -99,12 +101,25 @@ impl ICacheEntry {
             eligible: !instr.opcode.privileged() && !matches!(instr.opcode, Opcode::Drl),
         }
     }
+}
 
-    fn empty() -> ICacheEntry {
-        ICacheEntry {
-            key: ICACHE_EMPTY,
-            ..ICacheEntry::new(0, 0, Instr::direct(Opcode::Nop, 0))
-        }
+impl Slot for ICacheEntry {
+    const EMPTY: ICacheEntry = ICacheEntry {
+        key: ICACHE_EMPTY,
+        raw: 0,
+        instr: Instr::direct(Opcode::Nop, 0),
+        use_class: OperandUse::None,
+        eligible: true,
+    };
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.key == ICACHE_EMPTY
+    }
+
+    fn stock() -> &'static LocalKey<Stock<ICacheEntry>> {
+        thread_local!(static STOCK: Stock<ICacheEntry> = const { Stock::new() });
+        &STOCK
     }
 }
 
@@ -117,8 +132,7 @@ impl ICacheEntry {
 /// instruction.
 #[derive(Clone)]
 pub(crate) struct ICache {
-    /// Fixed-size boxed array, masked indexing — no bounds check.
-    slots: Box<[ICacheEntry; ICACHE_SLOTS]>,
+    slots: SlotTable<ICacheEntry>,
     /// Fetches served from the cache (observability only).
     pub(crate) hits: u64,
     /// Fetches that had to decode (observability only).
@@ -127,17 +141,8 @@ pub(crate) struct ICache {
 
 impl ICache {
     fn new() -> ICache {
-        // Built directly on the heap: `Box::new([..; ICACHE_SLOTS])`
-        // would build its 32 KB on the stack first and then copy it.
-        let slots = match vec![ICacheEntry::empty(); ICACHE_SLOTS]
-            .into_boxed_slice()
-            .try_into()
-        {
-            Ok(slots) => slots,
-            Err(_) => unreachable!("the vector holds exactly ICACHE_SLOTS entries"),
-        };
         ICache {
-            slots,
+            slots: SlotTable::new(),
             hits: 0,
             misses: 0,
         }
@@ -158,7 +163,7 @@ impl ICache {
     ) -> Option<(Instr, OperandUse)> {
         let key = icache_key(addr);
         let slot = icache_slot(key);
-        let e = &self.slots[slot];
+        let e = self.slots.get(slot);
         if ((e.key ^ key) | (e.raw ^ raw.raw())) == 0 {
             let hit = *e;
             self.hits += 1;
@@ -171,7 +176,7 @@ impl ICache {
         self.misses += 1;
         let entry = ICacheEntry::new(key, raw.raw(), instr);
         let out = entry.eligible.then_some((instr, entry.use_class));
-        self.slots[slot] = entry;
+        self.slots.set(slot, entry);
         out
     }
 
@@ -179,7 +184,8 @@ impl ICache {
     #[inline]
     pub(crate) fn install(&mut self, addr: SegAddr, raw: Word, instr: Instr) {
         let key = icache_key(addr);
-        self.slots[icache_slot(key)] = ICacheEntry::new(key, raw.raw(), instr);
+        self.slots
+            .set(icache_slot(key), ICacheEntry::new(key, raw.raw(), instr));
     }
 }
 
@@ -203,6 +209,16 @@ impl FastState {
             access_buf: Vec::with_capacity(8),
             record: false,
         }
+    }
+
+    /// Returns to the state [`FastState::new`] builds, keeping the
+    /// table: the cache emptied, its counters zeroed (image restore).
+    pub(crate) fn reset(&mut self) {
+        self.icache.slots.clear();
+        self.icache.hits = 0;
+        self.icache.misses = 0;
+        self.access_buf.clear();
+        self.record = false;
     }
 }
 
@@ -541,3 +557,6 @@ impl Machine {
         self.ipr.addr = SegAddr::new(at0.addr.segno, at0.addr.wordno.wrapping_add(1));
     }
 }
+
+#[cfg(test)]
+mod props;

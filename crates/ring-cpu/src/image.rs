@@ -514,7 +514,7 @@ impl Machine {
             next_victim,
             stats: cache_stats,
         });
-        self.fast = crate::fastpath::FastState::new();
+        self.fast.reset();
         self.last_use = None;
         self.extra_cycles = 0;
         Ok(())

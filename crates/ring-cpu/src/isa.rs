@@ -377,7 +377,7 @@ pub struct Instr {
 
 impl Instr {
     /// A plain instruction with no base, no indexing, no indirection.
-    pub fn direct(opcode: Opcode, offset: u32) -> Instr {
+    pub const fn direct(opcode: Opcode, offset: u32) -> Instr {
         Instr {
             opcode,
             pr: None,

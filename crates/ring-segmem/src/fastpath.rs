@@ -42,6 +42,12 @@
 //! - **Flush is an epoch bump.** DBR loads flush in O(1) by
 //!   incrementing a generation counter; entries from older epochs never
 //!   match.
+//!
+//! The slots live in a [`SlotTable`], so building, cloning and dropping
+//! the lookaside, invalidating a segment and the epoch wrap handle only
+//! the slots it has filled.
+
+use std::thread::LocalKey;
 
 use ring_core::access::AccessMode;
 use ring_core::addr::{AbsAddr, SegAddr, SegNo};
@@ -51,20 +57,10 @@ use ring_core::summary::AccessSummary;
 
 use crate::paging::{split_wordno, Ptw, PAGE_SHIFT, PAGE_WORDS};
 use crate::phys::PhysMem;
+use crate::slot_table::{Slot, SlotTable, Stock, SLOTS};
 
-/// Number of direct-mapped slots.
-const TLB_SLOTS: usize = 1024;
 /// Key value marking an empty slot (real keys are 26 bits).
 const EMPTY: u32 = u32::MAX;
-/// Buckets of the per-segment occupancy count (a power of two). A
-/// booted system's segment numbers are all below this, so each bucket
-/// counts a single segment there.
-const SEG_BUCKETS: usize = 256;
-
-#[inline]
-fn bucket_of(segno: u16) -> usize {
-    usize::from(segno) & (SEG_BUCKETS - 1)
-}
 
 /// Mode bits within [`TlbEntry::modes`].
 const MODE_READ: u8 = 1 << 0;
@@ -90,7 +86,7 @@ fn key_of(segno: SegNo, page: u32, ring: Ring) -> u32 {
 
 #[inline]
 fn slot_of(key: u32) -> usize {
-    (key.wrapping_mul(0x9E37_79B1) >> 22) as usize & (TLB_SLOTS - 1)
+    (key.wrapping_mul(0x9E37_79B1) >> 22) as usize & (SLOTS - 1)
 }
 
 #[derive(Clone, Copy)]
@@ -131,6 +127,20 @@ const EMPTY_ENTRY: TlbEntry = TlbEntry {
     ptw_word: 0,
 };
 
+impl Slot for TlbEntry {
+    const EMPTY: TlbEntry = EMPTY_ENTRY;
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.key == EMPTY
+    }
+
+    fn stock() -> &'static LocalKey<Stock<TlbEntry>> {
+        thread_local!(static STOCK: Stock<TlbEntry> = const { Stock::new() });
+        &STOCK
+    }
+}
+
 /// A successful fast-path translation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FastHit {
@@ -162,18 +172,11 @@ pub struct TlbStats {
 /// The ring-checked translation lookaside (direct-mapped, 1024 slots).
 #[derive(Clone)]
 pub struct RingTlb {
-    /// Fixed-size boxed array (not a `Vec`): the slot index is always
-    /// masked to the table size, so indexing compiles without a bounds
-    /// check — this lookup is on the critical path of every fast-path
-    /// reference.
-    slots: Box<[TlbEntry; TLB_SLOTS]>,
+    /// The direct-mapped slots: this lookup is on the critical path of
+    /// every fast-path reference. Stale-epoch entries stay filled until
+    /// overwritten, invalidated or cleared.
+    slots: SlotTable<TlbEntry>,
     epoch: u32,
-    /// Occupied-slot count per segment-number bucket ([`bucket_of`]), so
-    /// invalidating a segment that was never cached is O(1) unless
-    /// another segment of its bucket is. Counts include stale-epoch
-    /// entries (they still occupy slots) and are maintained on
-    /// overwrite.
-    seg_counts: [u16; SEG_BUCKETS],
     stats: TlbStats,
 }
 
@@ -186,17 +189,20 @@ impl Default for RingTlb {
 impl RingTlb {
     /// Creates an empty lookaside.
     pub fn new() -> RingTlb {
-        // Built directly on the heap: `Box::new([..; TLB_SLOTS])` would
-        // build its 40 KB on the stack first and then copy it.
-        let slots = match vec![EMPTY_ENTRY; TLB_SLOTS].into_boxed_slice().try_into() {
-            Ok(slots) => slots,
-            Err(_) => unreachable!("the vector holds exactly TLB_SLOTS entries"),
-        };
         RingTlb {
-            slots,
+            slots: SlotTable::new(),
             epoch: 0,
-            seg_counts: [0; SEG_BUCKETS],
             stats: TlbStats::default(),
+        }
+    }
+
+    /// An empty lookaside whose epoch starts at `epoch`, so a test can
+    /// reach the epoch wrap in a few flushes.
+    #[cfg(test)]
+    fn with_epoch(epoch: u32) -> RingTlb {
+        RingTlb {
+            epoch,
+            ..RingTlb::new()
         }
     }
 
@@ -217,7 +223,7 @@ impl RingTlb {
     ) -> Option<FastHit> {
         let (page, offset) = split_wordno(addr.wordno);
         let key = key_of(addr.segno, page, ring);
-        let e = &self.slots[slot_of(key)];
+        let e = self.slots.get(slot_of(key));
         if e.key != key || e.epoch != self.epoch || offset >= e.limit {
             return None;
         }
@@ -256,7 +262,7 @@ impl RingTlb {
     pub fn probe_rw(&self, phys: &PhysMem, addr: SegAddr, ring: Ring) -> Option<FastHit> {
         let (page, offset) = split_wordno(addr.wordno);
         let key = key_of(addr.segno, page, ring);
-        let e = &self.slots[slot_of(key)];
+        let e = self.slots.get(slot_of(key));
         if e.key != key || e.epoch != self.epoch || offset >= e.limit {
             return None;
         }
@@ -288,7 +294,7 @@ impl RingTlb {
     pub fn probe_transfer(&self, addr: SegAddr, ring: Ring) -> bool {
         let (page, offset) = split_wordno(addr.wordno);
         let key = key_of(addr.segno, page, ring);
-        let e = &self.slots[slot_of(key)];
+        let e = self.slots.get(slot_of(key));
         e.key == key && e.epoch == self.epoch && offset < e.limit && e.modes & MODE_EXECUTE != 0
     }
 
@@ -350,26 +356,23 @@ impl RingTlb {
             ptw_word = raw.raw();
         }
         let key = key_of(addr.segno, page, ring);
-        let slot = slot_of(key);
-        let old = &self.slots[slot];
-        if old.key != EMPTY {
-            self.seg_counts[bucket_of(old.segno)] -= 1;
-        }
-        self.slots[slot] = TlbEntry {
-            key,
-            epoch: self.epoch,
-            base: base.value(),
-            limit,
-            modes,
-            r1: sdw.r1.number(),
-            segno: addr.segno.value() as u16,
-            paged,
-            ptw_ok_read,
-            ptw_ok_write,
-            ptw_addr: ptw_addr.value(),
-            ptw_word,
-        };
-        self.seg_counts[bucket_of(addr.segno.value() as u16)] += 1;
+        self.slots.set(
+            slot_of(key),
+            TlbEntry {
+                key,
+                epoch: self.epoch,
+                base: base.value(),
+                limit,
+                modes,
+                r1: sdw.r1.number(),
+                segno: addr.segno.value() as u16,
+                paged,
+                ptw_ok_read,
+                ptw_ok_write,
+                ptw_addr: ptw_addr.value(),
+                ptw_word,
+            },
+        );
         self.stats.installs += 1;
     }
 
@@ -378,18 +381,7 @@ impl RingTlb {
     pub fn invalidate_segment(&mut self, segno: SegNo) {
         self.stats.invalidations += 1;
         let target = segno.value() as u16;
-        let bucket = bucket_of(target);
-        if self.seg_counts[bucket] == 0 {
-            return;
-        }
-        let mut dropped = 0;
-        for e in self.slots.iter_mut() {
-            if e.key != EMPTY && e.segno == target {
-                *e = EMPTY_ENTRY;
-                dropped += 1;
-            }
-        }
-        self.seg_counts[bucket] -= dropped;
+        self.slots.retain(|e| e.segno != target);
     }
 
     /// Flushes everything in O(1) by starting a new epoch (DBR load).
@@ -398,8 +390,7 @@ impl RingTlb {
         if self.epoch == u32::MAX {
             // Epoch wrap: fall back to a hard clear so pre-wrap entries
             // cannot alias the restarted counter.
-            self.slots.fill(EMPTY_ENTRY);
-            self.seg_counts.fill(0);
+            self.slots.clear();
             self.epoch = 0;
         } else {
             self.epoch += 1;
@@ -413,8 +404,7 @@ impl RingTlb {
     /// world-building performed) are preserved so that a replay in an
     /// identically built world reports identical statistics.
     pub fn clear_preserving_stats(&mut self) {
-        self.slots.fill(EMPTY_ENTRY);
-        self.seg_counts.fill(0);
+        self.slots.clear();
     }
 
     /// Records `n` committed fast-path translations.
@@ -437,14 +427,16 @@ impl RingTlb {
 
 impl core::fmt::Debug for RingTlb {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let occupied = self.slots.iter().filter(|e| e.key != EMPTY).count();
         f.debug_struct("RingTlb")
-            .field("occupied", &occupied)
+            .field("occupied", &self.slots.len())
             .field("epoch", &self.epoch)
             .field("stats", &self.stats)
             .finish()
     }
 }
+
+#[cfg(test)]
+mod props;
 
 #[cfg(test)]
 mod tests {
@@ -595,7 +587,8 @@ mod tests {
     fn invalidation_spares_segments_sharing_a_bucket() {
         let phys = PhysMem::new(1 << 16);
         let mut tlb = RingTlb::new();
-        let twin = 3 + SEG_BUCKETS as u32;
+        // Segment 259 shares segment 3's low 8 bits.
+        let twin = 3 + 256;
         for segno in [3, twin] {
             tlb.install(&phys, addr(segno, 0), Ring::R4, &unpaged_sdw(), false);
         }
@@ -607,7 +600,6 @@ mod tests {
         assert!(tlb
             .probe(&phys, addr(twin, 0), Ring::R4, AccessMode::Read)
             .is_none());
-        assert_eq!(tlb.seg_counts[bucket_of(3)], 0);
     }
 
     #[test]

@@ -20,6 +20,7 @@ pub mod layout;
 pub mod paging;
 pub mod phys;
 pub mod sdw_cache;
+pub mod slot_table;
 pub mod translate;
 
 pub use backing::{BackingStore, PageKey};

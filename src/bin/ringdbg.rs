@@ -163,6 +163,12 @@ fn unreadable(segno: SegNo, wordno: u32) {
     println!("  no word at {segno}|{wordno}: no such segment, paged, out of bounds or past memory");
 }
 
+/// The optional word count of `d` and `m`: 8 when absent, `None` when
+/// given but not a number.
+fn count(rest: &[&str]) -> Option<u32> {
+    rest.first().map_or(Some(8), |v| v.parse().ok())
+}
+
 /// Shows `n` words of `segno` from word `at` on, stopping with the
 /// reason at the first word that is not there.
 fn dump(world: &World, segno: SegNo, at: u32, n: u32, show: impl Fn(u32, Word)) {
@@ -376,21 +382,20 @@ fn debug_bare(mut world: World, trap: SegNo, loaded: u32, ring: Ring) -> ExitCod
                 }
             }
             ["d", at, rest @ ..] => {
-                let Ok(at) = at.parse::<u32>() else {
+                let (Ok(at), Some(n)) = (at.parse::<u32>(), count(rest)) else {
                     println!("  d <wordno> [n]");
                     continue;
                 };
-                let n: u32 = rest.first().and_then(|v| v.parse().ok()).unwrap_or(8);
                 dump(&world, PROGRAM_SEGNO, at, n, |i, w| {
                     println!("{i:6}  {:0>12o}  {}", w.raw(), disassemble_word(w));
                 });
             }
             ["m", s, at, rest @ ..] => {
-                let (Ok(s), Ok(at)) = (s.parse::<u32>(), at.parse::<u32>()) else {
+                let (Ok(s), Ok(at), Some(n)) = (s.parse::<u32>(), at.parse::<u32>(), count(rest))
+                else {
                     println!("  m <segno> <wordno> [n]");
                     continue;
                 };
-                let n: u32 = rest.first().and_then(|v| v.parse().ok()).unwrap_or(8);
                 match SegNo::new(s) {
                     Some(seg) => dump(&world, seg, at, n, |i, w| {
                         println!("{s}|{i:<6}  {:0>12o}", w.raw());

@@ -146,17 +146,19 @@ fn kernels_too_big_for_physical_memory_exit_nonzero_with_a_message() {
 #[test]
 fn hostile_monitor_commands_print_a_reason() {
     let session = "m 12 0\nw 12 0\nm 10 99999999\nd 0 4294967295\nd 4294967295 8\n\
-                   b x\nd y\ng\nq\n";
+                   b x\nd y\nd 0 x\nm 11 0 x\ng\nq\n";
     let out = survives(RINGDBG, &["examples/asm/subroutine.rasm"], session);
     assert_eq!(out.matches("  no word at ").count(), 5, "{out}");
     assert!(
         out.contains("no word at 10|16:"),
         "d stops at the bound: {out}"
     );
-    // A word number that does not parse prints the usage line; it does
-    // not set a breakpoint at word 0 or disassemble from there.
+    // A word number or count that does not parse prints the usage
+    // line; it does not set a breakpoint at word 0, disassemble from
+    // there, or dump eight words.
     assert!(out.contains("  b [<seg>] <wordno>"), "{out}");
-    assert!(out.contains("  d <wordno> [n]"), "{out}");
+    assert_eq!(out.matches("  d <wordno> [n]").count(), 2, "{out}");
+    assert!(out.contains("  m <segno> <wordno> [n]"), "{out}");
     assert!(out.contains("halted after"), "{out}");
 }
 
