@@ -32,13 +32,14 @@ thread_local! {
 /// Assembles `source`, reusing this thread's earlier assembly of the
 /// same text. Assembly is a pure function of the text, and workload
 /// installers assemble the same few programs for every process of every
-/// machine. The memo is bounded: once it holds [`ASM_MEMO_CAPACITY`]
-/// sources it is emptied before the next one goes in.
+/// machine, as the micro worlds do for every world they build. The memo
+/// is bounded: once it holds [`ASM_MEMO_CAPACITY`] sources it is
+/// emptied before the next one goes in.
 ///
 /// # Panics
 ///
 /// Panics on assembly errors (see [`System::install_code`]).
-fn assemble_memoised(source: &str) -> Rc<ring_asm::Assembled> {
+pub(crate) fn assemble_memoised(source: &str) -> Rc<ring_asm::Assembled> {
     ASM_MEMO.with(|memo| {
         if let Some(out) = memo.borrow().get(source) {
             return Rc::clone(out);

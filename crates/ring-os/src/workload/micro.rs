@@ -25,7 +25,7 @@ fn config(fastpath: bool) -> MachineConfig {
 }
 
 fn finish_world(mut w: World, code_seg: ring_core::addr::SegNo, source: &str) -> World {
-    let out = ring_asm::assemble(source).expect("workload program");
+    let out = crate::driver::assemble_memoised(source);
     for (i, word) in out.words.iter().enumerate() {
         w.poke(code_seg, i as u32, *word);
     }

@@ -26,8 +26,10 @@
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
+use std::io::{self, Write};
 
-use ring_metrics::{json_escape, json_f64};
+use ring_metrics::json_f64;
+use ring_trace::json::{self, ArrayWriter};
 use ring_trace::{SpanKey, SpanKind};
 
 /// One frame of the sampled stack: an open span (gate or trap entry).
@@ -186,19 +188,21 @@ impl Profiler {
         self.folded.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
-    /// Perfetto counter-track events (`"ph": "C"`) for the cumulative
-    /// per-ring sample weight over simulated time, as a fragment to
-    /// splice into a `traceEvents` array.
-    fn perfetto_counter_events(&self, out: &mut Vec<String>) {
+    /// Writes Perfetto counter-track events (`"ph": "C"`) for the
+    /// cumulative per-ring sample weight over simulated time into a
+    /// `traceEvents` array.
+    fn write_counter_events<W: Write>(&self, events: &mut ArrayWriter<W>) -> io::Result<()> {
         let mut cumulative = [0u64; 8];
-        for (cycles, ring, weight) in &self.timeline {
-            cumulative[*ring as usize] += weight;
-            out.push(format!(
+        for &(cycles, ring, weight) in &self.timeline {
+            cumulative[ring as usize] += weight;
+            write!(
+                events.element()?,
                 "{{\"ph\": \"C\", \"name\": \"prof.samples.r{ring}\", \"pid\": 1, \
                  \"tid\": 0, \"ts\": {cycles}, \"args\": {{\"value\": {}}}}}",
-                cumulative[*ring as usize]
-            ));
+                cumulative[ring as usize]
+            )?;
         }
+        Ok(())
     }
 }
 
@@ -308,51 +312,61 @@ impl TimeSeries {
 
     /// The per-interval deltas (first point deltas against zero).
     pub fn deltas(&self) -> Vec<TimeSeriesPoint> {
+        self.each_delta().collect()
+    }
+
+    /// [`TimeSeries::deltas`], computed as they are iterated.
+    fn each_delta(&self) -> impl Iterator<Item = TimeSeriesPoint> + '_ {
         let mut prev = Totals::default();
-        self.points
-            .iter()
-            .map(|t| {
-                let dcycles = t.cycles.saturating_sub(prev.cycles);
-                let instructions = t.instructions.saturating_sub(prev.instructions);
-                let faults = t.faults.saturating_sub(prev.faults);
-                let ring_changes = t.ring_changes.saturating_sub(prev.ring_changes);
-                let page_faults = t.page_faults.saturating_sub(prev.page_faults);
-                prev = *t;
-                let rate = |n: u64| {
-                    if dcycles == 0 {
-                        0.0
-                    } else {
-                        n as f64 / dcycles as f64
-                    }
-                };
-                TimeSeriesPoint {
-                    cycles: t.cycles,
-                    dcycles,
-                    instructions,
-                    faults,
-                    ring_changes,
-                    page_faults,
-                    ipc: rate(instructions),
-                    fault_rate: rate(faults),
-                    paging_rate: rate(page_faults),
+        self.points.iter().map(move |t| {
+            let dcycles = t.cycles.saturating_sub(prev.cycles);
+            let instructions = t.instructions.saturating_sub(prev.instructions);
+            let faults = t.faults.saturating_sub(prev.faults);
+            let ring_changes = t.ring_changes.saturating_sub(prev.ring_changes);
+            let page_faults = t.page_faults.saturating_sub(prev.page_faults);
+            prev = *t;
+            let rate = |n: u64| {
+                if dcycles == 0 {
+                    0.0
+                } else {
+                    n as f64 / dcycles as f64
                 }
-            })
-            .collect()
+            };
+            TimeSeriesPoint {
+                cycles: t.cycles,
+                dcycles,
+                instructions,
+                faults,
+                ring_changes,
+                page_faults,
+                ipc: rate(instructions),
+                fault_rate: rate(faults),
+                paging_rate: rate(page_faults),
+            }
+        })
     }
 
     /// Serializes the series as a `ring-prof/timeseries/v1` JSON
     /// document of per-interval deltas.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"ring-prof/timeseries/v1\",\n");
-        out.push_str(&format!("  \"interval\": {},\n", self.every));
-        out.push_str("  \"points\": [\n");
-        let deltas = self.deltas();
-        for (i, p) in deltas.iter().enumerate() {
-            let sep = if i + 1 == deltas.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"cycles\": {}, \"dcycles\": {}, \"instructions\": {}, \
+        json::written(|out| self.write_json(out))
+    }
+
+    /// Writes [`TimeSeries::to_json`]'s document to `out`, a point at a
+    /// time.
+    pub fn write_json(&self, mut out: impl Write) -> io::Result<()> {
+        write!(
+            out,
+            "{{\n  \"schema\": \"ring-prof/timeseries/v1\",\n  \"interval\": {},\n  \"points\": [\n",
+            self.every
+        )?;
+        let mut points = ArrayWriter::new(out, "    ");
+        for p in self.each_delta() {
+            write!(
+                points.element()?,
+                "{{\"cycles\": {}, \"dcycles\": {}, \"instructions\": {}, \
                  \"faults\": {}, \"ring_changes\": {}, \"page_faults\": {}, \
-                 \"ipc\": {}, \"fault_rate\": {}, \"paging_rate\": {}}}{sep}\n",
+                 \"ipc\": {}, \"fault_rate\": {}, \"paging_rate\": {}}}",
                 p.cycles,
                 p.dcycles,
                 p.instructions,
@@ -362,30 +376,30 @@ impl TimeSeries {
                 json_f64(p.ipc),
                 json_f64(p.fault_rate),
                 json_f64(p.paging_rate),
-            ));
+            )?;
         }
-        out.push_str("  ]\n}\n");
-        out
+        points.finish()?.write_all(b"  ]\n}\n")
     }
 
-    /// Perfetto counter-track events for the rate curves, as fragments
-    /// to splice into a `traceEvents` array.
-    fn perfetto_counter_events(&self, out: &mut Vec<String>) {
-        for p in self.deltas() {
+    /// Writes Perfetto counter-track events for the rate curves into a
+    /// `traceEvents` array.
+    fn write_counter_events<W: Write>(&self, events: &mut ArrayWriter<W>) -> io::Result<()> {
+        for p in self.each_delta() {
             for (name, value) in [
                 ("ts.ipc", p.ipc),
                 ("ts.fault_rate", p.fault_rate),
                 ("ts.paging_rate", p.paging_rate),
             ] {
-                out.push(format!(
-                    "{{\"ph\": \"C\", \"name\": \"{}\", \"pid\": 1, \"tid\": 0, \
+                write!(
+                    events.element()?,
+                    "{{\"ph\": \"C\", \"name\": \"{name}\", \"pid\": 1, \"tid\": 0, \
                      \"ts\": {}, \"args\": {{\"value\": {}}}}}",
-                    json_escape(name),
                     p.cycles,
                     json_f64(value)
-                ));
+                )?;
             }
         }
+        Ok(())
     }
 }
 
@@ -394,17 +408,24 @@ impl TimeSeries {
 /// tracks (`"ph": "C"`), loadable in ui.perfetto.dev alongside the
 /// span trace.
 pub fn perfetto_counters(profiler: &Profiler, series: &TimeSeries) -> String {
-    let mut events = vec![
-        "{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": 1, \"tid\": 0, \
-         \"args\": {\"name\": \"ring-prof counters\"}}"
-            .to_string(),
-    ];
-    profiler.perfetto_counter_events(&mut events);
-    series.perfetto_counter_events(&mut events);
-    let mut out = String::from("{\"traceEvents\": [\n");
-    out.push_str(&events.join(",\n"));
-    out.push_str("\n]}\n");
-    out
+    json::written(|out| write_perfetto_counters(out, profiler, series))
+}
+
+/// Writes [`perfetto_counters`]'s document to `out`, an event at a time.
+pub fn write_perfetto_counters(
+    mut out: impl Write,
+    profiler: &Profiler,
+    series: &TimeSeries,
+) -> io::Result<()> {
+    out.write_all(b"{\"traceEvents\": [\n")?;
+    let mut events = ArrayWriter::new(out, "");
+    events.element()?.write_all(
+        b"{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": 1, \"tid\": 0, \
+          \"args\": {\"name\": \"ring-prof counters\"}}",
+    )?;
+    profiler.write_counter_events(&mut events)?;
+    series.write_counter_events(&mut events)?;
+    events.finish()?.write_all(b"]}\n")
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! A minimal JSON reader and string escaper.
+//! A minimal JSON reader, a string escaper, and a writer for arrays
+//! that streams their elements.
 //!
 //! The workspace builds without network access, so there is no serde;
 //! recordings are read back with this small recursive-descent parser.
@@ -10,6 +11,7 @@
 //! numbers.
 
 use std::fmt::Write as _;
+use std::io;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,6 +81,55 @@ pub fn escape(s: &str) -> String {
         }
     }
     out
+}
+
+/// The text a writer of JSON writes, as a string.
+pub fn written(write: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
+    let mut out = Vec::new();
+    write(&mut out).expect("a Vec takes every write");
+    String::from_utf8(out).expect("the JSON writers write UTF-8")
+}
+
+/// Writes the elements of a JSON array as they come, each on its own
+/// line after an indent, with the separators a joined document has: a
+/// comma ends every line but the last. The caller writes the brackets
+/// and whatever surrounds them.
+#[derive(Debug)]
+pub struct ArrayWriter<W> {
+    out: W,
+    indent: &'static str,
+    started: bool,
+}
+
+impl<W: io::Write> ArrayWriter<W> {
+    /// An array whose elements go to `out`, each line starting with
+    /// `indent`.
+    pub fn new(out: W, indent: &'static str) -> Self {
+        ArrayWriter {
+            out,
+            indent,
+            started: false,
+        }
+    }
+
+    /// Starts the next element and returns the writer to write it to.
+    pub fn element(&mut self) -> io::Result<&mut W> {
+        if self.started {
+            self.out.write_all(b",\n")?;
+        }
+        self.started = true;
+        self.out.write_all(self.indent.as_bytes())?;
+        Ok(&mut self.out)
+    }
+
+    /// Ends the last element's line, if there was one, and gives the
+    /// writer back.
+    pub fn finish(mut self) -> io::Result<W> {
+        if self.started {
+            self.out.write_all(b"\n")?;
+        }
+        Ok(self.out)
+    }
 }
 
 /// Deepest array/object nesting [`parse`] accepts. Recordings nest only

@@ -7,18 +7,22 @@
 //!
 //! - [`span`] — the span model. CALL and trap entry open a span keyed
 //!   by `(ring, segment, entry word)`; RETURN and trap exit close it.
-//!   The recorder stores each event as a 16-byte record.
+//!   The recorder stores events in one byte stream: a fixed 8-byte
+//!   open and 2-byte close for the common crossings, a varint form
+//!   for everything else, cycle deltas, and each instant name once.
 //!   [`span::build_tree`] turns the raw event stream into a cross-ring
 //!   call tree with self/total simulated-cycle attribution, and
 //!   [`span::gate_table`] aggregates it per gate.
 //! - [`perfetto`] — Chrome trace-event / Perfetto JSON export of a span
 //!   stream (one track per ring, instant events for faults and access
-//!   violations) loadable in `ui.perfetto.dev` or `chrome://tracing`.
+//!   violations) loadable in `ui.perfetto.dev` or `chrome://tracing`,
+//!   written to an `io::Write` record by record.
 //! - [`recording`] — the deterministic record/replay container: the
 //!   initial machine image, periodic checkpoints, and every I/O
 //!   completion, serialized as JSON.
 //! - [`json`] — the minimal JSON reader the recording loader uses (the
-//!   workspace has no serde).
+//!   workspace has no serde), and the array writer the streaming
+//!   exports share.
 //!
 //! The crate is pure data — it knows nothing about the machine. The
 //! `ring-cpu` crate emits span events from its CALL/RETURN/trap paths

@@ -16,8 +16,9 @@
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
 use std::borrow::Borrow;
+use std::io::{self, Write};
 
-use crate::json::escape;
+use crate::json::{self, escape, ArrayWriter};
 use crate::span::{SpanEvent, SpanKind};
 
 /// The `pid` every track shares (one machine = one "process").
@@ -27,33 +28,31 @@ const PID: u32 = 1;
 /// (`tid` = `PROC_TID_BASE` + simulated pid; rings use `tid` 0..7).
 pub const PROC_TID_BASE: u32 = 100;
 
-/// Renders a span stream as a Chrome trace-event JSON document.
+/// Renders a span stream as a Chrome trace-event JSON document: the
+/// bytes [`write_chrome_trace`] writes, as one string.
+pub fn chrome_trace_json<E: Borrow<SpanEvent>>(
+    events: impl IntoIterator<Item = E>,
+    final_cycles: u64,
+) -> String {
+    json::written(|out| write_chrome_trace(out, events, final_cycles))
+}
+
+/// Writes a span stream to `out` as a Chrome trace-event JSON document,
+/// each record as its event is read, so the export holds no more than
+/// the open spans and the tracks named so far.
 ///
 /// `final_cycles` closes any span still open when the run ended (its
 /// `E` record is emitted at that timestamp so the UI shows a complete
 /// slice). Unmatched `Close` events are skipped — the stream they close
 /// never opened, so there is nothing to draw.
-pub fn chrome_trace_json<E: Borrow<SpanEvent>>(
+pub fn write_chrome_trace<E: Borrow<SpanEvent>>(
+    mut out: impl Write,
     events: impl IntoIterator<Item = E>,
     final_cycles: u64,
-) -> String {
-    let mut records: Vec<String> = Vec::new();
-    // Track metadata: name each ring's track and pin the sort order so
-    // ring 0 is the top row.
+) -> io::Result<()> {
+    out.write_all(b"{\"traceEvents\": [\n")?;
+    let mut records = ArrayWriter::new(out, "  ");
     let mut rings_seen: Vec<u8> = Vec::new();
-    let note_ring = |records: &mut Vec<String>, rings_seen: &mut Vec<u8>, ring: u8| {
-        if !rings_seen.contains(&ring) {
-            rings_seen.push(ring);
-            records.push(format!(
-                "{{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": {PID}, \"tid\": {ring}, \
-                 \"args\": {{\"name\": \"ring {ring}\"}}}}"
-            ));
-            records.push(format!(
-                "{{\"ph\": \"M\", \"name\": \"thread_sort_index\", \"pid\": {PID}, \
-                 \"tid\": {ring}, \"args\": {{\"sort_index\": {ring}}}}}"
-            ));
-        }
-    };
     // Per-process scheduler tracks: name them on first sight and keep
     // at most one run slice open (the currently dispatched process).
     let mut procs_seen: Vec<u32> = Vec::new();
@@ -68,25 +67,31 @@ pub fn chrome_trace_json<E: Borrow<SpanEvent>>(
                 from_ring,
                 cycles,
             } => {
-                note_ring(&mut records, &mut rings_seen, key.ring);
-                let name = match kind {
-                    SpanKind::Call => format!("seg {}|{}", key.segno, key.entry),
-                    SpanKind::Trap => format!("trap {}|v{}", key.segno, key.entry),
+                note_ring(&mut records, &mut rings_seen, key.ring)?;
+                // The names are digits, letters, spaces and `|`: nothing
+                // to escape.
+                let (prefix, vector) = match kind {
+                    SpanKind::Call => ("seg", ""),
+                    SpanKind::Trap => ("trap", "v"),
                 };
-                records.push(format!(
-                    "{{\"ph\": \"B\", \"name\": \"{}\", \"cat\": \"{kind}\", \"pid\": {PID}, \
-                     \"tid\": {}, \"ts\": {cycles}, \"args\": {{\"from_ring\": {from_ring}}}}}",
-                    escape(&name),
+                write!(
+                    records.element()?,
+                    "{{\"ph\": \"B\", \"name\": \"{prefix} {}|{vector}{}\", \"cat\": \"{kind}\", \
+                     \"pid\": {PID}, \"tid\": {}, \"ts\": {cycles}, \
+                     \"args\": {{\"from_ring\": {from_ring}}}}}",
+                    key.segno,
+                    key.entry,
                     key.ring,
-                ));
+                )?;
                 stack.push((key.ring, *kind));
             }
             SpanEvent::Close { cycles, to_ring } => {
                 if let Some((tid, _)) = stack.pop() {
-                    records.push(format!(
+                    write!(
+                        records.element()?,
                         "{{\"ph\": \"E\", \"pid\": {PID}, \"tid\": {tid}, \"ts\": {cycles}, \
                          \"args\": {{\"to_ring\": {to_ring}}}}}"
-                    ));
+                    )?;
                 }
             }
             SpanEvent::Instant {
@@ -95,38 +100,43 @@ pub fn chrome_trace_json<E: Borrow<SpanEvent>>(
                 ring,
                 cycles,
             } => {
-                note_ring(&mut records, &mut rings_seen, *ring);
-                records.push(format!(
+                note_ring(&mut records, &mut rings_seen, *ring)?;
+                write!(
+                    records.element()?,
                     "{{\"ph\": \"i\", \"s\": \"t\", \"name\": \"{}\", \"cat\": \"{}\", \
                      \"pid\": {PID}, \"tid\": {ring}, \"ts\": {cycles}}}",
                     escape(name),
                     kind.category(),
-                ));
+                )?;
             }
             SpanEvent::Sched { pid, cycles } => {
                 if let Some(prev) = running.take() {
-                    records.push(format!(
+                    write!(
+                        records.element()?,
                         "{{\"ph\": \"E\", \"pid\": {PID}, \"tid\": {}, \"ts\": {cycles}}}",
                         PROC_TID_BASE + prev,
-                    ));
+                    )?;
                 }
                 let tid = PROC_TID_BASE + pid;
                 if !procs_seen.contains(pid) {
                     procs_seen.push(*pid);
-                    records.push(format!(
+                    write!(
+                        records.element()?,
                         "{{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": {PID}, \
                          \"tid\": {tid}, \"args\": {{\"name\": \"process {pid}\"}}}}"
-                    ));
-                    records.push(format!(
+                    )?;
+                    write!(
+                        records.element()?,
                         "{{\"ph\": \"M\", \"name\": \"thread_sort_index\", \"pid\": {PID}, \
                          \"tid\": {tid}, \"args\": {{\"sort_index\": {tid}}}}}"
-                    ));
+                    )?;
                 }
-                records.push(format!(
+                write!(
+                    records.element()?,
                     "{{\"ph\": \"B\", \"name\": \"run p{pid}\", \"cat\": \"sched\", \
                      \"pid\": {PID}, \"tid\": {tid}, \"ts\": {cycles}, \
                      \"args\": {{\"proc\": {pid}}}}}"
-                ));
+                )?;
                 running = Some(*pid);
             }
         }
@@ -135,29 +145,44 @@ pub fn chrome_trace_json<E: Borrow<SpanEvent>>(
     // innermost first, then the run slice of whichever process held
     // the machine when the run ended.
     while let Some((tid, _)) = stack.pop() {
-        records.push(format!(
+        write!(
+            records.element()?,
             "{{\"ph\": \"E\", \"pid\": {PID}, \"tid\": {tid}, \"ts\": {final_cycles}}}"
-        ));
+        )?;
     }
     if let Some(prev) = running.take() {
-        records.push(format!(
+        write!(
+            records.element()?,
             "{{\"ph\": \"E\", \"pid\": {PID}, \"tid\": {}, \"ts\": {final_cycles}}}",
             PROC_TID_BASE + prev,
-        ));
+        )?;
     }
-    let mut out = String::from("{\"traceEvents\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str("  ");
-        out.push_str(r);
-        if i + 1 < records.len() {
-            out.push(',');
-        }
-        out.push('\n');
+    records.finish()?.write_all(
+        b"], \"displayTimeUnit\": \"ms\", \"otherData\": {\"clock\": \"simulated cycles\"}}\n",
+    )
+}
+
+/// Names `ring`'s track and pins its sort order, so ring 0 is the top
+/// row, the first time the ring appears.
+fn note_ring<W: Write>(
+    records: &mut ArrayWriter<W>,
+    seen: &mut Vec<u8>,
+    ring: u8,
+) -> io::Result<()> {
+    if !seen.contains(&ring) {
+        seen.push(ring);
+        write!(
+            records.element()?,
+            "{{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": {PID}, \"tid\": {ring}, \
+             \"args\": {{\"name\": \"ring {ring}\"}}}}"
+        )?;
+        write!(
+            records.element()?,
+            "{{\"ph\": \"M\", \"name\": \"thread_sort_index\", \"pid\": {PID}, \
+             \"tid\": {ring}, \"args\": {{\"sort_index\": {ring}}}}}"
+        )?;
     }
-    out.push_str(
-        "], \"displayTimeUnit\": \"ms\", \"otherData\": {\"clock\": \"simulated cycles\"}}\n",
-    );
-    out
+    Ok(())
 }
 
 #[cfg(test)]

@@ -66,6 +66,9 @@
 //! compose with `--record`/`--replay`: replaying a recording
 //! reproduces the profile and the time series bit-for-bit.
 
+use std::collections::BTreeSet;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 
 use multiring::cli::{number, positive, text, value, MachineArgs, Session};
@@ -73,7 +76,7 @@ use multiring::core::access::Fault;
 use multiring::cpu::machine::{Machine, RunExit};
 use multiring::cpu::native::NativeAction;
 use multiring::cpu::Recorder;
-use multiring::trace::Recording;
+use multiring::trace::{perfetto, Recording, SpanEvent};
 
 /// The flags `runasm` owns; `MachineArgs` holds the rest.
 struct Options {
@@ -359,25 +362,32 @@ fn write_outputs(session: &Session, opts: &Options) -> Result<(), String> {
         );
     }
     if let Some(path) = &opts.trace_out {
-        write(
-            path,
-            multiring::trace::perfetto::chrome_trace_json(m.spans().events(), m.cycles()),
-        )?;
-        let tree = multiring::trace::build_tree(m.spans().events(), m.cycles());
+        // One pass: the export streams into the file while the summary
+        // counts the spans and their distinct gates.
+        let (mut spans, mut gates) = (0, BTreeSet::new());
+        let events = m.spans().events().inspect(|ev| {
+            if let SpanEvent::Open { kind, key, .. } = ev {
+                spans += 1;
+                gates.insert((*kind, *key));
+            }
+        });
+        write_with(path, |out| {
+            perfetto::write_chrome_trace(out, events, m.cycles())
+        })?;
         println!(
-            "trace: {} spans across {} gates -> {path} (load in ui.perfetto.dev)",
-            tree.spans.len(),
-            multiring::trace::gate_table(&tree).len()
+            "trace: {spans} spans across {} gates -> {path} (load in ui.perfetto.dev)",
+            gates.len()
         );
     }
     if let Some(path) = &opts.profile_out {
         let prof = m.profiler();
-        let body = if path.ends_with(".json") {
-            multiring::prof::perfetto_counters(prof, m.timeseries())
+        if path.ends_with(".json") {
+            write_with(path, |out| {
+                multiring::prof::write_perfetto_counters(out, prof, m.timeseries())
+            })?;
         } else {
-            prof.folded()
-        };
-        write(path, body)?;
+            write(path, prof.folded())?;
+        }
         println!(
             "profile: {} samples every {} cycles, {} stacks -> {path}",
             prof.samples(),
@@ -387,7 +397,7 @@ fn write_outputs(session: &Session, opts: &Options) -> Result<(), String> {
     }
     if let Some(path) = &opts.timeseries_out {
         let ts = m.timeseries();
-        write(path, ts.to_json())?;
+        write_with(path, |out| ts.write_json(out))?;
         println!(
             "timeseries: {} points every {} cycles -> {path}",
             ts.len(),
@@ -399,6 +409,16 @@ fn write_outputs(session: &Session, opts: &Options) -> Result<(), String> {
 
 fn write(path: &str, body: String) -> Result<(), String> {
     std::fs::write(path, body).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// Creates `path` and lets `write` fill it through a buffer.
+fn write_with(
+    path: &str,
+    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> Result<(), String> {
+    let fail = |e: io::Error| format!("cannot write {path}: {e}");
+    let mut out = BufWriter::new(File::create(path).map_err(fail)?);
+    write(&mut out).and_then(|()| out.flush()).map_err(fail)
 }
 
 /// The profiler configuration the flags ask for: `(sample_every,

@@ -201,3 +201,63 @@ fn shell_sessions_print_the_same_bytes_on_both_engines() {
                    storm 2 6 4 8\nchaos 7 300 2\nps\nstats\ntop 5\nheatmap\nquit\n";
     same_on_both_engines(RINGSH, &[], session);
 }
+
+/// Every output of the two observer runs that `tests/golden/sim_hashes.py`
+/// documents keeps its bytes: the metrics exports, the span traces, the
+/// profiles, the time series and the second run's standard output (the
+/// trace ring). `tests/golden/sim-hashes.txt` pins the same files by
+/// SHA-256; these are their FNV-1a 64 hashes.
+#[test]
+fn observer_runs_write_their_pinned_bytes() {
+    const PINNED: [(&str, u64); 9] = [
+        ("obs-metrics.json", 0xf561_2f6e_a599_a381),
+        ("obs-trace.json", 0xf055_ef80_6a67_3dc0),
+        ("obs.folded", 0xd743_a831_424d_34a5),
+        ("obs-ts.json", 0x8c7a_ad43_2606_2d61),
+        ("sub-metrics.json", 0x845e_aab4_c0c9_45f2),
+        ("sub-trace.json", 0xebc4_666c_6289_6683),
+        ("counters.json", 0xc9bd_7992_eccc_039a),
+        ("sub-ts.json", 0x2f16_42c1_17d1_f985),
+        ("sub.out", 0x7830_045d_99a3_daf8),
+    ];
+    let dir = std::env::temp_dir().join(format!("multiring-observers-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temporary directory");
+    let runasm = |args: &str, program: Option<&str>| {
+        let out = Command::new(RUNASM)
+            .args(args.split_whitespace().chain(program))
+            .current_dir(&dir)
+            .output()
+            .expect("runasm starts");
+        assert!(out.status.success(), "{args}: {}", text(&out.stderr));
+        out.stdout
+    };
+    runasm(
+        "--procs 3 --frames 6 --pages 5 --rounds 20 --metrics-out obs-metrics.json \
+         --trace-out obs-trace.json --profile-out obs.folded --timeseries-out obs-ts.json \
+         --sample-every 50 --timeseries-every 2000",
+        None,
+    );
+    let sub_out = runasm(
+        "--trace --metrics-out sub-metrics.json --trace-out sub-trace.json \
+         --profile-out counters.json --timeseries-out sub-ts.json \
+         --sample-every 4 --timeseries-every 8",
+        Some(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/examples/asm/subroutine.rasm"
+        )),
+    );
+    let mut moved = Vec::new();
+    for (name, pinned) in PINNED {
+        let bytes = match name {
+            "sub.out" => sub_out.clone(),
+            _ => std::fs::read(dir.join(name)).expect("output written"),
+        };
+        let hash = multiring::fleet::report::fnv1a64(&bytes);
+        if hash != pinned {
+            moved.push(format!("{name}: fnv1a64 {hash:016x}, pinned {pinned:016x}"));
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(moved.is_empty(), "{}", moved.join("\n"));
+}
