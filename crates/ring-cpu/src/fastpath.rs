@@ -57,7 +57,7 @@ use ring_core::effective;
 use ring_core::registers::{IndWord, Ipr, PtrReg, Tpr};
 use ring_core::ring::Ring;
 use ring_core::word::Word;
-use ring_segmem::slot_table::{Slot, SlotTable, Stock, SLOTS};
+use ring_segmem::slot_table::{Clean, Slot, SlotTable, Stock, SLOTS};
 
 use crate::isa::{AddrMode, Instr, Opcode, OperandUse};
 use crate::machine::Machine;
@@ -117,8 +117,8 @@ impl Slot for ICacheEntry {
         self.key == ICACHE_EMPTY
     }
 
-    fn stock() -> &'static LocalKey<Stock<ICacheEntry>> {
-        thread_local!(static STOCK: Stock<ICacheEntry> = const { Stock::new() });
+    fn stock() -> &'static LocalKey<Stock<Clean<ICacheEntry>>> {
+        thread_local!(static STOCK: Stock<Clean<ICacheEntry>> = const { Stock::new() });
         &STOCK
     }
 }

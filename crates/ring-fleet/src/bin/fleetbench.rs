@@ -4,9 +4,10 @@
 //! ```text
 //! cargo run --release -p ring-fleet --bin fleetbench [-- OPTIONS]
 //!
-//!   --quick          256 machines (CI smoke); default is 10,000
+//!   --quick          256 machines (the golden-hash fleet); default 10,000
 //!   --machines N     explicit fleet size
-//!   --threads K      worker threads (default: host parallelism)
+//!   --threads K      worker threads (default: host parallelism),
+//!                    at most one per machine
 //!   --seed S         fleet seed (default 0x5EED0F1EE7)
 //!   --mix M          pagestorm | gatestorm | mixed (default mixed)
 //!   --chaos-seed S   arm the chaos campaign with fleet chaos seed S
@@ -21,7 +22,8 @@
 //! wall-clock, and writes a `ring-fleet/bench/v2` JSON report whose
 //! `merged_snapshot_hash` — and, under chaos, health report and
 //! quarantine hash — are bit-stable across `--threads` values for a
-//! fixed seed — the determinism contract CI enforces. The report's
+//! fixed seed — the determinism contract `tests/quick_fleets.rs`
+//! enforces on the quick fleets. The report's
 //! `merged_snapshot_hash_without_fastpath` hashes the merged snapshot
 //! with its `fastpath` block zeroed: the simulation alone, whichever
 //! engine ran each step.

@@ -13,18 +13,26 @@
 //! read-only [`BootImage`], and every fleet member boots a
 //! copy-on-write view over it ([`ring_segmem::PhysMem::cow`]). A
 //! member that replays the identical world build dirties no pages;
-//! its private cost is only the pages its own execution writes.
+//! its private cost is only the pages its own execution writes, and
+//! those pages are recycled by the worker thread for its next member.
+//! Nor does the fleet keep a member's snapshot: the worker folds it as
+//! soon as the member finishes and keeps a small [`MemberSummary`].
 //!
 //! # Determinism contract
 //!
 //! Every machine is seeded from the fleet seed and its index alone,
 //! and host threading never touches simulated state: workers boot and
-//! run whole machines locally, and the merged snapshot is folded in
-//! machine-index order after every worker has joined. A fleet run
-//! with K worker threads is therefore bit-identical — merged snapshot
-//! JSON included — to the same seeds on 1 thread, and any single
-//! member is bit-identical to the same spec run standalone on a flat
-//! (non-CoW) memory. `docs/FLEET.md` states the contract precisely.
+//! run whole machines locally. Each worker folds the snapshots of the
+//! members it runs back to back — a contiguous run of indices — in
+//! index order, and after every worker has joined the runs are folded
+//! in index order too. [`MetricsSnapshot::merge`] is exactly
+//! associative, so the merged snapshot is the index-order fold of every
+//! healthy member's snapshot, however the queue split the fleet. A
+//! fleet run with K worker threads is therefore bit-identical — merged
+//! snapshot JSON included — to the same seeds on 1 thread, and any
+//! single member is bit-identical to the same spec run standalone on a
+//! flat (non-CoW) memory. `docs/FLEET.md` states the contract
+//! precisely.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -101,7 +109,8 @@ impl WorkloadMix {
 pub struct FleetConfig {
     /// Number of machines.
     pub machines: usize,
-    /// Worker threads; 0 picks the host's available parallelism.
+    /// Worker threads; 0 picks the host's available parallelism. A
+    /// fleet starts at most one worker per machine.
     pub threads: usize,
     /// Fleet seed; each machine's seed derives from this and its index.
     pub seed: u64,
@@ -235,6 +244,50 @@ pub struct MachineResult {
     pub health: MachineHealth,
 }
 
+/// What a fleet keeps of one member: its [`MachineResult`] without the
+/// snapshot, which the member's worker folded into the fleet's merged
+/// snapshot as soon as the member finished.
+#[derive(Clone, Debug)]
+pub struct MemberSummary {
+    /// The spec that produced it.
+    pub spec: MachineSpec,
+    /// Instructions the machine completed.
+    pub instructions: u64,
+    /// Simulated cycles elapsed.
+    pub cycles: u64,
+    /// Host wall-clock for boot + install + run, in nanoseconds.
+    pub wall_ns: u64,
+    /// Whether the machine halted with every process exited cleanly
+    /// inside the cycle budget.
+    pub completed: bool,
+    /// Whether the machine halted cleanly at all (see
+    /// [`MachineResult::halted`]).
+    pub halted: bool,
+    /// Copy-on-write pages this machine dirtied.
+    pub dirty_pages: u32,
+    /// The supervisor's health ledger (restarts, failures, quarantine).
+    pub health: MachineHealth,
+    /// Faults ring-0 recovery survived: the snapshot's `chaos.recovered`
+    /// extra (0 without chaos), which the health report sums.
+    pub recovered: u64,
+}
+
+impl From<MachineResult> for MemberSummary {
+    fn from(m: MachineResult) -> MemberSummary {
+        MemberSummary {
+            spec: m.spec,
+            instructions: m.instructions,
+            cycles: m.cycles,
+            wall_ns: m.wall_ns,
+            completed: m.completed,
+            halted: m.halted,
+            dirty_pages: m.dirty_pages,
+            recovered: m.snapshot.extra("chaos.recovered").unwrap_or(0),
+            health: m.health,
+        }
+    }
+}
+
 /// A worker-thread failure that cost the fleet a machine result.
 #[derive(Clone, Debug)]
 pub struct MemberError {
@@ -247,9 +300,9 @@ pub struct MemberError {
 /// A whole fleet's outcome.
 #[derive(Debug)]
 pub struct FleetResult {
-    /// Per-machine results in index order (machines listed in
+    /// Per-machine summaries in index order (machines listed in
     /// [`FleetResult::member_errors`] are absent).
-    pub machines: Vec<MachineResult>,
+    pub machines: Vec<MemberSummary>,
     /// Every healthy (non-quarantined) machine snapshot folded in
     /// index order. Quarantined machines are reported individually and
     /// hashed separately, never merged.
@@ -261,7 +314,8 @@ pub struct FleetResult {
     pub member_errors: Vec<MemberError>,
     /// Host wall-clock for the whole fleet (image builds included).
     pub wall_seconds: f64,
-    /// Worker threads actually used.
+    /// Worker threads actually used: the configured count, at most
+    /// one per machine.
     pub threads: usize,
     /// Words in each shared boot image (one per workload kind used).
     pub image_words: usize,
@@ -397,14 +451,82 @@ pub fn resolve_threads(cfg: &FleetConfig) -> usize {
         .unwrap_or(1)
 }
 
+/// The members one worker ran back to back, from index `first` on,
+/// with the snapshots of the healthy ones folded in index order
+/// (`None` until one is).
+struct Run {
+    first: usize,
+    merged: Option<MetricsSnapshot>,
+}
+
+/// A machine's summary, or why it has none; `None` until it ran.
+type Slot = Option<Result<MemberSummary, String>>;
+
+/// What the workers of one fleet run share.
+struct Shared<'a> {
+    cfg: &'a FleetConfig,
+    specs: Vec<MachineSpec>,
+    page_image: Option<BootImage>,
+    gate_image: Option<BootImage>,
+    queue: queue::RunQueue,
+    /// Each machine's slot, by index.
+    slots: Mutex<Vec<Slot>>,
+}
+
+impl Shared<'_> {
+    /// Worker `w`: runs the machines it claims until the queue is
+    /// empty, deposits their summaries by index, and returns its runs.
+    fn work(&self, w: usize) -> Vec<Run> {
+        let mut runs: Vec<Run> = Vec::new();
+        let mut last = None;
+        while let Some(i) = self.queue.next(w) {
+            // A steal shows as an index that does not follow the last.
+            if last.is_none_or(|l: usize| l + 1 != i) {
+                runs.push(Run {
+                    first: i,
+                    merged: None,
+                });
+            }
+            last = Some(i);
+            let spec = self.specs[i];
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                run_member(self.image(spec.kind), self.cfg, spec)
+            }))
+            .map_err(supervisor::panic_message);
+            let slot = result.map(|m| {
+                if !m.health.is_quarantined() {
+                    let run = runs.last_mut().expect("a run is open");
+                    run.merged
+                        .get_or_insert_with(MetricsSnapshot::default)
+                        .merge(&m.snapshot);
+                }
+                MemberSummary::from(m)
+            });
+            self.slots.lock().expect("result lock")[i] = Some(slot);
+        }
+        runs
+    }
+
+    /// The shared image machines of `kind` boot from.
+    fn image(&self, kind: WorkloadKind) -> &BootImage {
+        match kind {
+            WorkloadKind::PageStorm => self.page_image.as_ref().expect("page image built"),
+            WorkloadKind::GateStorm => self.gate_image.as_ref().expect("gate image built"),
+        }
+    }
+}
+
 /// Runs the whole fleet and folds the results.
 ///
-/// Workers claim machine indices from a work-stealing queue, boot each
-/// machine locally over the kind's shared image, and deposit results
-/// by index; the merged snapshot folds in index order on the calling
-/// thread, so thread count and steal interleaving cannot reach the
-/// bytes. Quarantined machines keep their per-machine results but are
-/// excluded from the healthy merged snapshot.
+/// At most one worker per machine claims machine indices from a
+/// work-stealing queue, boots each machine locally over the kind's
+/// shared image, and deposits a [`MemberSummary`] by index. It folds
+/// each healthy member's snapshot into its current run — the members
+/// it claimed back to back, which a steal ends — and drops it. After
+/// the join the runs fold in index order on the calling thread, so
+/// thread count and steal interleaving cannot reach the bytes.
+/// Quarantined machines keep their summaries but are excluded from the
+/// healthy merged snapshot.
 ///
 /// A worker panic outside the supervised attempt loop does not bring
 /// the fleet down: the panic is caught, the machine's slot is recorded
@@ -413,7 +535,7 @@ pub fn resolve_threads(cfg: &FleetConfig) -> usize {
 /// problem and surface as [`FailureClass::HostPanic`] failures.)
 pub fn run_fleet(cfg: &FleetConfig) -> FleetResult {
     let start = Instant::now();
-    let threads = resolve_threads(cfg).max(1);
+    let threads = resolve_threads(cfg).min(cfg.machines).max(1);
     let specs = cfg.specs();
     let needs_page = specs.iter().any(|s| s.kind == WorkloadKind::PageStorm);
     let needs_gate = specs.iter().any(|s| s.kind == WorkloadKind::GateStorm);
@@ -424,36 +546,30 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetResult {
         .or(gate_image.as_ref())
         .map_or(0, BootImage::words);
 
-    type Slot = Option<Result<MachineResult, String>>;
-    let queue = queue::RunQueue::new(specs.len(), threads);
-    let slots: Mutex<Vec<Slot>> = Mutex::new(vec![None; specs.len()]);
-    std::thread::scope(|s| {
-        for w in 0..threads {
-            let queue = &queue;
-            let slots = &slots;
-            let specs = &specs;
-            let page_image = page_image.as_ref();
-            let gate_image = gate_image.as_ref();
-            s.spawn(move || {
-                while let Some(i) = queue.next(w) {
-                    let spec = specs[i];
-                    let slot = catch_unwind(AssertUnwindSafe(|| {
-                        let image = match spec.kind {
-                            WorkloadKind::PageStorm => page_image.expect("page image built"),
-                            WorkloadKind::GateStorm => gate_image.expect("gate image built"),
-                        };
-                        run_member(image, cfg, spec)
-                    }))
-                    .map_err(supervisor::panic_message);
-                    slots.lock().expect("result lock")[i] = Some(slot);
-                }
-            });
-        }
+    let shared = Shared {
+        cfg,
+        queue: queue::RunQueue::new(specs.len(), threads),
+        slots: Mutex::new(vec![None; specs.len()]),
+        specs,
+        page_image,
+        gate_image,
+    };
+    let mut runs: Vec<Run> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|w| {
+                let shared = &shared;
+                s.spawn(move || shared.work(w))
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
 
     // The errors come out first, so the results can be collected in
     // the slots' own allocation instead of a second vector as large.
-    let mut slots = slots.into_inner().expect("result lock");
+    let mut slots = shared.slots.into_inner().expect("result lock");
     let mut member_errors = Vec::new();
     for (i, slot) in slots.iter_mut().enumerate() {
         match slot {
@@ -468,15 +584,14 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetResult {
             }),
         }
     }
-    let machines: Vec<MachineResult> = slots
+    let machines: Vec<MemberSummary> = slots
         .into_iter()
         .filter_map(|slot| slot.and_then(Result::ok))
         .collect();
+    runs.sort_unstable_by_key(|run| run.first);
     let mut merged = MetricsSnapshot::default();
-    for m in &machines {
-        if !m.health.is_quarantined() {
-            merged.merge(&m.snapshot);
-        }
+    for partial in runs.iter().filter_map(|run| run.merged.as_ref()) {
+        merged.merge(partial);
     }
     FleetResult {
         machines,

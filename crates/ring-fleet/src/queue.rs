@@ -13,7 +13,9 @@
 //! draining its own run — at one uncontended CAS per job, and the
 //! contiguous ranges preserve index locality. Nothing here affects
 //! determinism: *which* worker runs a job never influences the job's
-//! result, and the fleet folds results in index order afterwards.
+//! result. A worker folds the results of the jobs it claims back to
+//! back, a contiguous run of indices that a steal ends, and the fleet
+//! folds those runs in index order after the workers join.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

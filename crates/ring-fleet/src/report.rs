@@ -4,7 +4,7 @@
 use ring_chaos::FailureClass;
 use ring_metrics::{FastPathStats, MetricsSnapshot};
 
-use crate::{FleetConfig, FleetResult, MachineResult, WorkloadKind};
+use crate::{FleetConfig, FleetResult, MemberSummary, WorkloadKind};
 
 /// Exact order statistics over a set of per-machine values (unlike the
 /// bucketed [`ring_metrics::HistogramSnapshot`] percentiles, these are
@@ -115,7 +115,7 @@ pub struct HealthReport {
 
 impl HealthReport {
     /// Folds per-machine health, in index order.
-    pub fn of(machines: &[MachineResult]) -> HealthReport {
+    pub fn of(machines: &[MemberSummary]) -> HealthReport {
         let mut report = HealthReport::default();
         for m in machines {
             report.restarts_total += u64::from(m.health.restarts);
@@ -130,7 +130,7 @@ impl HealthReport {
                     attempts: m.health.failures.len() as u32,
                 });
             }
-            report.recoveries += m.snapshot.extra("chaos.recovered").unwrap_or(0);
+            report.recoveries += m.recovered;
             report.recovery_cycles_total += m.health.recovery_cycles;
         }
         report

@@ -5,8 +5,14 @@
 //! counts, and any single member must be bit-identical to the same
 //! spec run standalone on a private flat memory (the `runasm`-style
 //! single-machine path). The copy-on-write boot image is likewise
-//! required to be architecturally invisible.
+//! required to be architecturally invisible. A fleet keeps only a
+//! summary of each member, so members are compared through
+//! `run_member`, which runs exactly what a fleet member runs, and the
+//! merged snapshot must be the index-order fold of their snapshots.
 
+mod common;
+
+use common::{assert_same_summary, assert_summaries_of, healthy_fold, run_members};
 use ring_fleet::report::{fleet_json, fnv1a64, HealthReport};
 use ring_fleet::{
     build_image, run_fleet, run_member, run_standalone, ChaosParams, FleetConfig, SupervisorConfig,
@@ -38,19 +44,51 @@ fn merged_snapshot_is_bit_identical_across_thread_counts() {
     let json_eight = eight.merged.to_json();
     assert_eq!(json_one, json_eight, "merged snapshot depends on threads");
     assert_eq!(fnv1a64(json_one.as_bytes()), fnv1a64(json_eight.as_bytes()));
-    // Per-machine results are index-addressed and equally invariant.
+    // Per-machine summaries are index-addressed and equally invariant.
+    assert_eq!(one.machines.len(), eight.machines.len());
     for (a, b) in one.machines.iter().zip(eight.machines.iter()) {
-        assert_eq!(a.spec, b.spec);
-        assert_eq!(a.instructions, b.instructions);
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(a.dirty_pages, b.dirty_pages);
-        assert_eq!(
-            a.snapshot.to_json(),
-            b.snapshot.to_json(),
-            "machine {} snapshot depends on threads",
-            a.spec.id
-        );
+        assert_same_summary(a, b);
     }
+    // The merge is the members' own snapshots folded in index order.
+    let members = run_members(&small_fleet());
+    assert_summaries_of(&one.machines, &members);
+    assert_eq!(
+        json_one,
+        healthy_fold(&members).to_json(),
+        "merged snapshot is not the index-order fold of the members"
+    );
+}
+
+#[test]
+fn merged_snapshot_is_the_index_order_fold_at_any_thread_count() {
+    // Enough machines that a worker that drains its range early steals,
+    // splitting the fleet into runs that fold separately.
+    let cfg = FleetConfig {
+        machines: 24,
+        ..small_fleet()
+    };
+    let members = run_members(&cfg);
+    let want = healthy_fold(&members).to_json();
+    for threads in [1, 2, 3, 8] {
+        let fleet = run_fleet(&FleetConfig { threads, ..cfg });
+        assert_eq!(fleet.threads, threads);
+        assert!(fleet.member_errors.is_empty());
+        assert_summaries_of(&fleet.machines, &members);
+        assert_eq!(fleet.merged.to_json(), want, "{threads} threads");
+    }
+}
+
+#[test]
+fn a_fleet_starts_at_most_one_worker_per_machine() {
+    let cfg = FleetConfig {
+        machines: 3,
+        ..small_fleet()
+    };
+    let many = run_fleet(&FleetConfig { threads: 16, ..cfg });
+    let one = run_fleet(&FleetConfig { threads: 1, ..cfg });
+    assert_eq!(many.threads, 3, "a worker with no machine was started");
+    assert_eq!(one.threads, 1);
+    assert_eq!(many.merged.to_json(), one.merged.to_json());
 }
 
 #[test]
@@ -157,17 +195,17 @@ fn chaos_fleet_is_bit_identical_across_thread_counts() {
         health_one.recoveries > 0,
         "the campaign must actually inject (got a silent no-op)"
     );
+    assert_eq!(one.machines.len(), eight.machines.len());
     for (a, b) in one.machines.iter().zip(eight.machines.iter()) {
-        assert_eq!(a.spec, b.spec);
-        assert_eq!(a.instructions, b.instructions);
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(
-            a.snapshot.to_json(),
-            b.snapshot.to_json(),
-            "machine {} chaos snapshot depends on threads",
-            a.spec.id
-        );
+        assert_same_summary(a, b);
     }
+    let members = run_members(&chaotic_fleet(1));
+    assert_summaries_of(&one.machines, &members);
+    assert_eq!(
+        one.merged.to_json(),
+        healthy_fold(&members).to_json(),
+        "chaos merged snapshot is not the index-order fold of the members"
+    );
 }
 
 /// A snapshot's JSON without its `fastpath` block, the one part that
@@ -197,10 +235,19 @@ fn chaos_fleet_is_bit_identical_with_fast_path_on_and_off() {
             format!("{:?}", b.health),
             "machine {id} health"
         );
+    }
+    let members_on = run_members(&chaotic_fleet(4));
+    let members_off = run_members(&FleetConfig {
+        fastpath: false,
+        ..chaotic_fleet(4)
+    });
+    assert_eq!(members_on.len(), 16);
+    for (a, b) in members_on.iter().zip(&members_off) {
         assert_eq!(
             arch_json(&a.snapshot),
             arch_json(&b.snapshot),
-            "machine {id}: a chaos injection must not depend on the fast path"
+            "machine {}: a chaos injection must not depend on the fast path",
+            a.spec.id
         );
     }
     assert_eq!(arch_json(&on.merged), arch_json(&off.merged));

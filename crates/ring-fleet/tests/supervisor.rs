@@ -3,6 +3,9 @@
 //! and the isolation guarantee — a quarantined machine never perturbs
 //! a healthy machine's result.
 
+mod common;
+
+use common::{assert_same_summary, assert_summaries_of, healthy_fold, run_members};
 use ring_fleet::report::HealthReport;
 use ring_fleet::{
     run_fleet, ChaosParams, FailureClass, FleetConfig, SupervisorConfig, WorkloadMix,
@@ -89,13 +92,11 @@ fn exhausted_restart_budget_quarantines_deterministically() {
     assert_eq!(ha, hb, "quarantine outcome depends on threads");
     assert_eq!(ha.quarantine_hash(), hb.quarantine_hash());
     // The healthy merge folds exactly the non-quarantined machines.
-    let mut healthy = ring_metrics::MetricsSnapshot::default();
-    for m in a.machines.iter().filter(|m| !m.health.is_quarantined()) {
-        healthy.merge(&m.snapshot);
-    }
+    let members = run_members(&doomed_fleet());
+    assert_summaries_of(&a.machines, &members);
     assert_eq!(
         a.merged.to_json(),
-        healthy.to_json(),
+        healthy_fold(&members).to_json(),
         "quarantined machines must never reach the healthy merge"
     );
 }
@@ -139,15 +140,14 @@ fn host_kill_injector_quarantines_without_perturbing_healthy_machines() {
     // Every other machine's result is bit-identical to the kill-free
     // fleet: quarantine is perfectly isolated.
     for id in [0, 1, 3] {
-        let (b, r) = (&baseline.machines[id], &result.machines[id]);
-        assert_eq!(b.instructions, r.instructions);
-        assert_eq!(b.cycles, r.cycles);
-        assert_eq!(
-            b.snapshot.to_json(),
-            r.snapshot.to_json(),
-            "machine {id} perturbed by machine 2's quarantine"
-        );
+        assert_same_summary(&baseline.machines[id], &result.machines[id]);
     }
+    let members = run_members(&plain);
+    assert_eq!(
+        result.merged.to_json(),
+        healthy_fold([0, 1, 3].map(|id| &members[id])).to_json(),
+        "machines 0, 1 and 3 perturbed by machine 2's quarantine"
+    );
 
     let health = HealthReport::of(&result.machines);
     assert_eq!(health.quarantined.len(), 1);

@@ -1165,6 +1165,94 @@ mod tests {
         assert_eq!(left.to_csv(), right.to_csv());
     }
 
+    /// Folds `members` as a fleet does when its workers ran them in the
+    /// runs that start at the indices set in `starts` (index 0 always
+    /// starts one): each run folds its merged members in index order
+    /// from `MetricsSnapshot::default()`, a run that merged nothing is
+    /// skipped, and the runs fold in index order. `None` is a member
+    /// left out of the merge (quarantined).
+    fn fold_by_runs(members: &[Option<&MetricsSnapshot>], starts: u32) -> MetricsSnapshot {
+        let mut runs: Vec<Option<MetricsSnapshot>> = Vec::new();
+        for (i, member) in members.iter().enumerate() {
+            if i == 0 || starts & (1 << i) != 0 {
+                runs.push(None);
+            }
+            if let (Some(run), Some(snap)) = (runs.last_mut(), member) {
+                run.get_or_insert_with(MetricsSnapshot::default).merge(snap);
+            }
+        }
+        let mut merged = MetricsSnapshot::default();
+        for run in runs.iter().flatten() {
+            merged.merge(run);
+        }
+        merged
+    }
+
+    #[test]
+    fn every_split_into_runs_folds_to_the_left_fold() {
+        let calls = |gate_calls| ProcCounters {
+            gate_calls,
+            ..ProcCounters::default()
+        };
+        let mut a = sample_snapshot();
+        a.procs = vec![calls(3)];
+        let mut b = with_procs(11);
+        touch(&mut b.heatmap, 77, [5, 0, 2, 1]);
+        b.call_cycles = hist_of(&[3, 3, 700]);
+        b.prof.sample_every = 250;
+        let empty = MetricsSnapshot::default();
+        let mut c = sample_snapshot();
+        c.push_extra("os.only_in_c", 2);
+        c.ea_depth = hist_of(&[1, 2, 9]);
+        c.prof = ProfStats::default();
+        let mut d = with_procs(2);
+        touch(&mut d.heatmap, 4, [1, 1, 0, 0]);
+        d.return_cycles = hist_of(&[40, 41, 5000]);
+        let mut e = sample_snapshot();
+        e.push_extra("os.b", 6);
+        e.procs = vec![calls(0), calls(0), calls(0), calls(8)];
+        e.sdw_miss_refs = hist_of(&[2, 64]);
+        assert_ne!(a.prof.sample_every, b.prof.sample_every);
+
+        // Two members left out of the merge, so some splits hold a run
+        // that merges nothing.
+        let members = [
+            Some(&a),
+            None,
+            Some(&b),
+            Some(&empty),
+            Some(&c),
+            None,
+            Some(&d),
+            Some(&e),
+        ];
+        let left = fold_by_runs(&members, 0);
+        let mut by_hand = MetricsSnapshot::default();
+        for snap in [&a, &b, &empty, &c, &d, &e] {
+            by_hand.merge(snap);
+        }
+        assert_eq!(left.to_json(), by_hand.to_json());
+        for starts in 0..1u32 << members.len() {
+            let split = fold_by_runs(&members, starts);
+            assert_eq!(
+                split.to_json(),
+                left.to_json(),
+                "runs starting at {starts:#b}"
+            );
+            assert_eq!(
+                split.to_csv(),
+                left.to_csv(),
+                "runs starting at {starts:#b}"
+            );
+        }
+
+        // The merge is not commutative: the first nonzero profiler
+        // period wins, so the runs must fold in index order.
+        let mut swapped = members;
+        swapped.swap(0, 2);
+        assert_ne!(fold_by_runs(&swapped, 0).to_json(), left.to_json());
+    }
+
     /// A snapshot with extras `os.b`, `os.a` and `n` processes whose
     /// counters are `pid * 10 + field`.
     fn with_procs(n: u64) -> MetricsSnapshot {

@@ -57,7 +57,7 @@ use ring_core::summary::AccessSummary;
 
 use crate::paging::{split_wordno, Ptw, PAGE_SHIFT, PAGE_WORDS};
 use crate::phys::PhysMem;
-use crate::slot_table::{Slot, SlotTable, Stock, SLOTS};
+use crate::slot_table::{Clean, Slot, SlotTable, Stock, SLOTS};
 
 /// Key value marking an empty slot (real keys are 26 bits).
 const EMPTY: u32 = u32::MAX;
@@ -135,8 +135,8 @@ impl Slot for TlbEntry {
         self.key == EMPTY
     }
 
-    fn stock() -> &'static LocalKey<Stock<TlbEntry>> {
-        thread_local!(static STOCK: Stock<TlbEntry> = const { Stock::new() });
+    fn stock() -> &'static LocalKey<Stock<Clean<TlbEntry>>> {
+        thread_local!(static STOCK: Stock<Clean<TlbEntry>> = const { Stock::new() });
         &STOCK
     }
 }

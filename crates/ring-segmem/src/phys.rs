@@ -19,6 +19,16 @@
 //! frozen image therefore shares almost all of its storage — each
 //! machine pays only for the pages it actually changes.
 //!
+//! Private pages are recycled per thread. A dropped copy-on-write view
+//! hands its pages to a stock the thread keeps (at most 64 pages,
+//! 512 KB), and materializing a page — from the base, by a clone, or by
+//! a poke that covers the whole window — takes one from the stock
+//! before it allocates, then overwrites every word of it. A thread that
+//! runs machine after machine over one image thus reuses the same few
+//! dozen buffers instead of handing each member's pages back to the
+//! allocator, which may return them to the operating system only for
+//! the next member to fault them in again.
+//!
 //! Page- and segment-sized transfers go through [`PhysMem::poke_slice`],
 //! [`PhysMem::peek_into`], [`PhysMem::read_slice`],
 //! [`PhysMem::write_slice`] and [`PhysMem::swap_slice`]. They have
@@ -33,10 +43,18 @@ use ring_core::access::Fault;
 use ring_core::addr::AbsAddr;
 use ring_core::word::Word;
 
+use crate::slot_table::Stock;
+
 /// Granularity of the copy-on-write overlay, in words. Chosen to match
 /// the hardware page size so a dirtied page of simulated core maps to
 /// exactly one privately materialized host allocation.
 pub const COW_PAGE_WORDS: usize = 1024;
+
+/// Dropped copy-on-write pages a thread keeps for reuse: 64 pages of
+/// 8 KB, 512 KB a thread.
+const PAGE_STOCK_DEPTH: usize = 64;
+
+thread_local!(static PAGE_STOCK: Stock<Box<[Word]>> = const { Stock::new() });
 
 /// Storage behind a [`PhysMem`]: either a private flat array or a
 /// copy-on-write overlay above a shared read-only base image.
@@ -56,10 +74,52 @@ enum Backing {
         base: Arc<Vec<Word>>,
         /// Private overlay, one optional page per [`COW_PAGE_WORDS`]
         /// window. `None` means the window still reads from `base`.
-        pages: Vec<Option<Box<[Word]>>>,
+        pages: Pages,
         /// Number of materialized (dirtied) pages.
         dirty: u32,
     },
+}
+
+/// The private pages of a copy-on-write view. A clone takes its pages
+/// from this thread's stock, and dropped pages go back to it.
+struct Pages(Vec<Option<Box<[Word]>>>);
+
+impl Clone for Pages {
+    fn clone(&self) -> Pages {
+        let copy = |page: &[Word]| {
+            let mut copy = spare_page();
+            copy.copy_from_slice(page);
+            copy
+        };
+        Pages(
+            self.0
+                .iter()
+                .map(|page| page.as_deref().map(copy))
+                .collect(),
+        )
+    }
+}
+
+impl core::ops::Deref for Pages {
+    type Target = Vec<Option<Box<[Word]>>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl core::ops::DerefMut for Pages {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
+}
+
+impl Drop for Pages {
+    fn drop(&mut self) {
+        for page in self.0.iter_mut().filter_map(Option::take) {
+            Stock::give(&PAGE_STOCK, page, PAGE_STOCK_DEPTH);
+        }
+    }
 }
 
 /// Physical memory: up to 2^24 36-bit words.
@@ -141,7 +201,7 @@ impl PhysMem {
         PhysMem {
             backing: Backing::Cow {
                 base,
-                pages: vec![None; windows],
+                pages: Pages(vec![None; windows]),
                 dirty: 0,
             },
             size: words,
@@ -382,7 +442,9 @@ impl PhysMem {
                                     && poisoned.range(at as u32..stop as u32).next().is_none();
                                 if !clean {
                                     let page = if chunk.len() == COW_PAGE_WORDS {
-                                        Box::from(chunk)
+                                        let mut page = spare_page();
+                                        page.copy_from_slice(chunk);
+                                        page
                                     } else {
                                         let mut page = base_page(base, window);
                                         page[off..off + chunk.len()].copy_from_slice(chunk);
@@ -759,13 +821,21 @@ fn flat_extent(stored: usize, lo: usize, words: &[Word]) -> usize {
     }
 }
 
+/// A page buffer for its taker to overwrite whole: one a dropped view
+/// left in this thread's stock, holding that view's words, or else a
+/// new one.
+fn spare_page() -> Box<[Word]> {
+    Stock::take(&PAGE_STOCK).unwrap_or_else(|| vec![Word::ZERO; COW_PAGE_WORDS].into_boxed_slice())
+}
+
 /// A private copy of window `window` of the base image (zeros past its
 /// end), ready to be written.
 fn base_page(base: &[Word], window: usize) -> Box<[Word]> {
-    let mut page = vec![Word::ZERO; COW_PAGE_WORDS].into_boxed_slice();
+    let mut page = spare_page();
     let stored = base.get(window * COW_PAGE_WORDS..).unwrap_or(&[]);
     let n = stored.len().min(COW_PAGE_WORDS);
     page[..n].copy_from_slice(&stored[..n]);
+    page[n..].fill(Word::ZERO);
     page
 }
 
@@ -1153,6 +1223,60 @@ mod tests {
         assert!(!m.is_cow());
         assert_eq!(m.peek(AbsAddr::new(0).unwrap()).unwrap(), Word::ZERO);
         assert_eq!(base[0], Word::new(1), "the shared image survives");
+    }
+
+    fn stocked_pages() -> usize {
+        PAGE_STOCK.with(Stock::len)
+    }
+
+    #[test]
+    fn a_recycled_page_reads_its_own_base_and_writes_only() {
+        const W: usize = COW_PAGE_WORDS;
+        let at = |a: usize| AbsAddr::new(a as u32).unwrap();
+        // One machine over a full image stores a mark in every word of
+        // four windows and is dropped: its pages go to the stock.
+        let mut first = PhysMem::cow(Arc::new(vec![Word::new(0o1); 4 * W]), 4 * W);
+        first
+            .write_slice(at(0), &[Word::new(0o7777); 4 * W])
+            .unwrap();
+        assert_eq!(first.dirty_pages(), 4);
+        drop(first);
+        let stocked = stocked_pages();
+        assert!(stocked >= 4, "the dropped pages are kept");
+
+        // The next machine's image ends halfway through window 1, so
+        // windows 1 (its tail) and 3 (wholly) lie past the base.
+        let base: Vec<Word> = (0..W + W / 2).map(|i| Word::new(i as u64 + 1)).collect();
+        let mut next = PhysMem::cow(Arc::new(base.clone()), 4 * W);
+        let mut writes = vec![None; 4 * W];
+        for (i, v) in [(5, 0o55), (W + 3, 0o66), (3 * W + 1, 0o77)] {
+            next.write(at(i), Word::new(v)).unwrap();
+            writes[i] = Some(Word::new(v));
+        }
+        next.poke_slice(at(2 * W), &[Word::new(0o22); W]).unwrap();
+        writes[2 * W..3 * W].fill(Some(Word::new(0o22)));
+        assert_eq!(next.dirty_pages(), 4);
+        assert_eq!(
+            stocked_pages(),
+            stocked - 4,
+            "every page came from the stock"
+        );
+        let clone = next.clone();
+        for (i, written) in writes.into_iter().enumerate() {
+            let want = written.unwrap_or(base.get(i).copied().unwrap_or(Word::ZERO));
+            assert_eq!(next.peek(at(i)).unwrap(), want, "word {i}");
+            assert_eq!(clone.peek(at(i)).unwrap(), want, "clone word {i}");
+        }
+    }
+
+    #[test]
+    fn the_page_stock_is_bounded() {
+        let words = (PAGE_STOCK_DEPTH + 8) * COW_PAGE_WORDS;
+        let mut m = PhysMem::cow(Arc::new(Vec::new()), words);
+        m.write_slice(AbsAddr::new(0).unwrap(), &vec![Word::new(1); words])
+            .unwrap();
+        drop(m);
+        assert_eq!(stocked_pages(), PAGE_STOCK_DEPTH);
     }
 
     #[test]

@@ -13,11 +13,13 @@
 //!   it has filled. Clearing, retaining and cloning walk that list, not
 //!   the array.
 //! - **A per-thread stock of clean arrays.** A dropped table empties
-//!   its filled slots and hands its array to a small stock kept by the
-//!   thread, at most [`STOCK_DEPTH`] per entry type. Building or cloning
-//!   a table takes an array from the stock and allocates (writing all
-//!   1 024 empty slots) only when the stock is empty, so a thread that
-//!   builds machine after machine writes each array once.
+//!   its filled slots and hands its array to a small [`Stock`] kept by
+//!   the thread, at most [`STOCK_DEPTH`] per entry type. Building or
+//!   cloning a table takes an array from the stock and allocates
+//!   (writing all 1 024 empty slots) only when the stock is empty, so a
+//!   thread that builds machine after machine writes each array once.
+//!   The stock holds buffers of any type: the copy-on-write pages of
+//!   [`crate::phys`] are recycled through one as well.
 //!
 //! A table handed out is always all-empty: a stale entry would let one
 //! machine hit another machine's translation, and would make a fleet's
@@ -43,24 +45,58 @@ pub trait Slot: Copy + 'static {
 
     /// This thread's stock of clean arrays for this entry type, declared
     /// by each implementation as
-    /// `thread_local!(static STOCK: Stock<Self> = const { Stock::new() })`.
-    fn stock() -> &'static LocalKey<Stock<Self>>;
+    /// `thread_local!(static STOCK: Stock<Clean<Self>> = const { Stock::new() })`.
+    fn stock() -> &'static LocalKey<Stock<Clean<Self>>>;
 }
 
 /// A clean array and the (empty) filled-slot list that goes with it.
-type Clean<E> = (Box<[E; SLOTS]>, Vec<u16>);
+pub type Clean<E> = (Box<[E; SLOTS]>, Vec<u16>);
 
-/// A thread's clean arrays of one entry type (see [`Slot::stock`]).
-pub struct Stock<E: Slot>(RefCell<Vec<Clean<E>>>);
+/// A thread's stock of recycled buffers of one type, declared with
+/// `thread_local!`: a new owner takes a buffer from it instead of
+/// allocating, and a dropped owner hands its buffer back, up to a
+/// bound. Whoever takes a buffer gets it as it was handed back, so the
+/// owner that hands it back (a slot table) or the one that takes it
+/// (a copy-on-write page) must clean it.
+pub struct Stock<T>(RefCell<Vec<T>>);
 
-impl<E: Slot> Stock<E> {
+impl<T> Stock<T> {
     /// An empty stock.
-    pub const fn new() -> Stock<E> {
+    pub const fn new() -> Stock<T> {
         Stock(RefCell::new(Vec::new()))
+    }
+
+    /// Buffers held.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.0.borrow().len()
     }
 }
 
-impl<E: Slot> Default for Stock<E> {
+impl<T: 'static> Stock<T> {
+    /// A buffer from this thread's stock `key`, if it holds one (none
+    /// while the thread is being torn down).
+    pub fn take(key: &'static LocalKey<Stock<T>>) -> Option<T> {
+        key.try_with(|stock| stock.0.try_borrow_mut().ok()?.pop())
+            .ok()
+            .flatten()
+    }
+
+    /// Hands `item` to this thread's stock `key`, unless the stock holds
+    /// `depth` buffers already or is torn down (thread exit), in which
+    /// case `item` is dropped. Never panics.
+    pub fn give(key: &'static LocalKey<Stock<T>>, item: T, depth: usize) {
+        let _ = key.try_with(|stock| {
+            if let Ok(mut stock) = stock.0.try_borrow_mut() {
+                if stock.len() < depth {
+                    stock.push(item);
+                }
+            }
+        });
+    }
+}
+
+impl<T> Default for Stock<T> {
     fn default() -> Self {
         Stock::new()
     }
@@ -80,11 +116,7 @@ pub struct SlotTable<E: Slot> {
 impl<E: Slot> SlotTable<E> {
     /// An all-empty table, from this thread's stock when it has one.
     pub fn new() -> SlotTable<E> {
-        let stocked = E::stock()
-            .try_with(|stock| stock.0.borrow_mut().pop())
-            .ok()
-            .flatten();
-        let (slots, filled) = stocked.unwrap_or_else(|| {
+        let (slots, filled) = Stock::take(E::stock()).unwrap_or_else(|| {
             // Built directly on the heap: `Box::new([..; SLOTS])` would
             // build the array on the stack first and then copy it.
             let slots = match vec![E::EMPTY; SLOTS].into_boxed_slice().try_into() {
@@ -200,13 +232,7 @@ impl<E: Slot> Drop for SlotTable<E> {
             return;
         };
         let clean = (slots, core::mem::take(&mut self.filled));
-        let _ = E::stock().try_with(|stock| {
-            if let Ok(mut stock) = stock.0.try_borrow_mut() {
-                if stock.len() < STOCK_DEPTH {
-                    stock.push(clean);
-                }
-            }
-        });
+        Stock::give(E::stock(), clean, STOCK_DEPTH);
     }
 }
 
@@ -224,14 +250,14 @@ mod tests {
             self.0 == u32::MAX
         }
 
-        fn stock() -> &'static LocalKey<Stock<Entry>> {
-            thread_local!(static STOCK: Stock<Entry> = const { Stock::new() });
+        fn stock() -> &'static LocalKey<Stock<Clean<Entry>>> {
+            thread_local!(static STOCK: Stock<Clean<Entry>> = const { Stock::new() });
             &STOCK
         }
     }
 
     fn stocked() -> usize {
-        Entry::stock().with(|s| s.0.borrow().len())
+        Entry::stock().with(Stock::len)
     }
 
     #[test]

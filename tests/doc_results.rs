@@ -17,7 +17,24 @@ use multiring::trace::json::{self, Json};
 
 const RESULTS: &str = "docs/results/";
 
-/// The `.md` files at the root and anywhere under `docs/`.
+/// The Markdown files at the root that document the project. Any other
+/// `.md` file there, such as a plan that names result files before
+/// they are committed, is not documentation and is not checked.
+const DOCUMENTS: [&str; 10] = [
+    "CHANGELOG.md",
+    "CHANGES.md",
+    "CONTRIBUTING.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    "PAPER.md",
+    "PAPERS.md",
+    "README.md",
+    "ROADMAP.md",
+    "SNIPPETS.md",
+];
+
+/// The [`DOCUMENTS`] at the root, and the `.md` files anywhere under
+/// `docs/`.
 fn markdown_files(root: &Path) -> Vec<PathBuf> {
     fn walk(dir: &Path, recurse: bool, out: &mut Vec<PathBuf>) {
         for entry in fs::read_dir(dir).expect("readable directory") {
@@ -33,6 +50,7 @@ fn markdown_files(root: &Path) -> Vec<PathBuf> {
     }
     let mut files = Vec::new();
     walk(root, false, &mut files);
+    files.retain(|path| DOCUMENTS.iter().any(|d| *path == root.join(d)));
     walk(&root.join("docs"), true, &mut files);
     files.sort();
     files
@@ -154,6 +172,26 @@ fn cited_result_files_exist_and_are_bench_results() {
     }
     assert!(problems.is_empty(), "{}", problems.join("\n"));
     assert!(!cited_files.is_empty(), "no Markdown file cites a result");
+}
+
+#[test]
+fn the_plan_is_not_scanned_and_the_readme_is() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let files = markdown_files(root);
+    assert!(files.contains(&root.join("README.md")));
+    assert!(files.contains(&root.join("docs/PERF.md")));
+    // A new root document is checked only once it joins DOCUMENTS:
+    // besides them the root holds at most one Markdown file, the plan.
+    let unlisted: Vec<String> = fs::read_dir(root)
+        .expect("readable root")
+        .map(|e| e.expect("directory entry").file_name())
+        .map(|name| name.to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".md") && !DOCUMENTS.contains(&name.as_str()))
+        .collect();
+    assert!(
+        unlisted.len() <= 1,
+        "root Markdown files missing from DOCUMENTS: {unlisted:?}"
+    );
 }
 
 #[test]
