@@ -22,8 +22,8 @@
 //! wall-clock, and writes a `ring-fleet/bench/v2` JSON report whose
 //! `merged_snapshot_hash` — and, under chaos, health report and
 //! quarantine hash — are bit-stable across `--threads` values for a
-//! fixed seed — the determinism contract `tests/quick_fleets.rs`
-//! enforces on the quick fleets. The report's
+//! fixed seed — the determinism contract `tests/golden.rs` enforces
+//! on the quick fleets. The report's
 //! `merged_snapshot_hash_without_fastpath` hashes the merged snapshot
 //! with its `fastpath` block zeroed: the simulation alone, whichever
 //! engine ran each step.

@@ -1,8 +1,8 @@
 //! Canned workloads, shared by every harness.
 //!
 //! This module is the single home for workload construction. The
-//! benchmark (`bench/`), the fleet runner (`ring-fleet`), the CI smoke
-//! steps, and the test suites all build their worlds here instead of
+//! benchmark (`bench/`), the fleet runner (`ring-fleet`), the machine
+//! tools, and the test suites all build their worlds here instead of
 //! keeping private copies:
 //!
 //! * the storm builders (re-exported at this level) — multiprocess

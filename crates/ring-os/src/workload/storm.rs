@@ -1,7 +1,7 @@
 //! Multiprocess storm workloads on a booted system.
 //!
 //! The *page storm* is the standard demand-paging stressor used by the
-//! CLIs, the CI smoke test, and the record/replay suite: each process
+//! CLIs, the golden-file test, and the record/replay suite: each process
 //! gets a private paged data segment larger than the small-segment
 //! threshold and a program that sweeps every page of it, writing as it
 //! goes, for a configurable number of rounds. Run under a physical

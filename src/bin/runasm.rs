@@ -46,7 +46,9 @@
 //! * `--replay <file>` — re-run a recording in a world rebuilt from the
 //!   same flags and verify it bit-for-bit (final registers, memory,
 //!   cycles, I/O timeline), then report and write outputs as after a
-//!   run. Exits nonzero on divergence.
+//!   run. Exits nonzero on divergence, and before running when the
+//!   flags build a world other than the recorded one (another program,
+//!   ring or kernel shape).
 //!
 //! Profiler options (see the "Profiling and time series" section of
 //! `docs/OBSERVABILITY.md`):
@@ -228,10 +230,17 @@ fn run() -> Result<ExitCode, String> {
 }
 
 /// Re-runs the recording at `path` on `m`, which the same flags built,
-/// and checks it bit-for-bit.
+/// and checks it bit-for-bit. A world other than the recorded one is
+/// refused before anything runs, not replaced by the recorded image.
 fn replay(m: &mut Machine, path: &str) -> Result<RunExit, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let recording = Recording::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
+    if m.capture_image().words() != recording.initial {
+        return Err(format!(
+            "replay refused: {path} recorded `{}` in a world these flags do not build",
+            recording.program
+        ));
+    }
     let report =
         multiring::cpu::replay(m, &recording).map_err(|e| format!("replay failed: {e}"))?;
     if !report.ok {

@@ -5,6 +5,8 @@
 use std::io::{ErrorKind, Write as _};
 use std::process::{Command, Output, Stdio};
 
+use multiring::trace::json::{self, Json};
+
 const RUNASM: &str = env!("CARGO_BIN_EXE_runasm");
 const RINGDBG: &str = env!("CARGO_BIN_EXE_ringdbg");
 const RINGSH: &str = env!("CARGO_BIN_EXE_ringsh");
@@ -202,62 +204,93 @@ fn shell_sessions_print_the_same_bytes_on_both_engines() {
     same_on_both_engines(RINGSH, &[], session);
 }
 
-/// Every output of the two observer runs that `tests/golden/sim_hashes.py`
-/// documents keeps its bytes: the metrics exports, the span traces, the
-/// profiles, the time series and the second run's standard output (the
-/// trace ring). `tests/golden/sim-hashes.txt` pins the same files by
-/// SHA-256; these are their FNV-1a 64 hashes.
+/// The path of `examples/asm/<name>.rasm`.
+fn example(name: &str) -> String {
+    format!("{}/examples/asm/{name}.rasm", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// The path of a file `name` in the target's temporary directory.
+fn scratch(name: &str) -> String {
+    format!("{}/{name}", env!("CARGO_TARGET_TMPDIR"))
+}
+
+/// A profiled sieve recorded in one process replays in another with
+/// `replay OK` and writes its CSV metrics, folded stacks and time series
+/// again byte for byte. The stacks are distinct with positive weights,
+/// and the time series keeps its schema and interval and has points at
+/// strictly increasing cycles.
 #[test]
-fn observer_runs_write_their_pinned_bytes() {
-    const PINNED: [(&str, u64); 9] = [
-        ("obs-metrics.json", 0xf561_2f6e_a599_a381),
-        ("obs-trace.json", 0xf055_ef80_6a67_3dc0),
-        ("obs.folded", 0xd743_a831_424d_34a5),
-        ("obs-ts.json", 0x8c7a_ad43_2606_2d61),
-        ("sub-metrics.json", 0x845e_aab4_c0c9_45f2),
-        ("sub-trace.json", 0xebc4_666c_6289_6683),
-        ("counters.json", 0xc9bd_7992_eccc_039a),
-        ("sub-ts.json", 0x2f16_42c1_17d1_f985),
-        ("sub.out", 0x7830_045d_99a3_daf8),
-    ];
-    let dir = std::env::temp_dir().join(format!("multiring-observers-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temporary directory");
-    let runasm = |args: &str, program: Option<&str>| {
-        let out = Command::new(RUNASM)
-            .args(args.split_whitespace().chain(program))
-            .current_dir(&dir)
-            .output()
-            .expect("runasm starts");
-        assert!(out.status.success(), "{args}: {}", text(&out.stderr));
-        out.stdout
+fn a_recording_replays_its_metrics_profile_and_time_series() {
+    let (sieve, rec) = (example("sieve"), scratch("cli-sieve.rec"));
+    let run = |mode: &str, tag: &str| {
+        let outputs = [".csv", ".folded", "-ts.json"].map(|ext| scratch(&format!("{tag}{ext}")));
+        let flags = ["--metrics-out", "--profile-out", "--timeseries-out"];
+        let mut args = vec![mode, &rec, &sieve, "--sample-every", "100"];
+        args.extend(["--timeseries-every", "500"]);
+        args.extend(flags.iter().zip(&outputs).flat_map(|(f, o)| [*f, o]));
+        let read = |o| std::fs::read_to_string(o).expect("output written");
+        (survives(RUNASM, &args, ""), outputs.map(read))
     };
-    runasm(
-        "--procs 3 --frames 6 --pages 5 --rounds 20 --metrics-out obs-metrics.json \
-         --trace-out obs-trace.json --profile-out obs.folded --timeseries-out obs-ts.json \
-         --sample-every 50 --timeseries-every 2000",
-        None,
-    );
-    let sub_out = runasm(
-        "--trace --metrics-out sub-metrics.json --trace-out sub-trace.json \
-         --profile-out counters.json --timeseries-out sub-ts.json \
-         --sample-every 4 --timeseries-every 8",
-        Some(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/examples/asm/subroutine.rasm"
-        )),
-    );
-    let mut moved = Vec::new();
-    for (name, pinned) in PINNED {
-        let bytes = match name {
-            "sub.out" => sub_out.clone(),
-            _ => std::fs::read(dir.join(name)).expect("output written"),
-        };
-        let hash = multiring::fleet::report::fnv1a64(&bytes);
-        if hash != pinned {
-            moved.push(format!("{name}: fnv1a64 {hash:016x}, pinned {pinned:016x}"));
-        }
+    let (_, recorded) = run("--record", "cli-sieve-recorded");
+    let (stdout, replayed) = run("--replay", "cli-sieve-replayed");
+    assert!(stdout.contains("replay OK"), "{stdout}");
+    assert_eq!(recorded, replayed, "the replay wrote other outputs");
+
+    let [csv, folded, series] = &recorded;
+    assert!(csv.starts_with("key,value\nenabled,1\n"), "{csv}");
+    let mut stacks = std::collections::BTreeSet::new();
+    for line in folded.lines() {
+        let (stack, weight) = line.rsplit_once(' ').expect("`stack weight`");
+        assert!(weight.parse::<u64>().expect("a weight") > 0, "{line}");
+        assert!(stacks.insert(stack), "duplicate stack {stack}");
     }
-    let _ = std::fs::remove_dir_all(&dir);
-    assert!(moved.is_empty(), "{}", moved.join("\n"));
+    assert!(!stacks.is_empty(), "no folded stacks");
+    let ts = json::parse(series).expect("the time series parses");
+    let schema = ts.get("schema").and_then(Json::as_str);
+    assert_eq!(schema, Some("ring-prof/timeseries/v1"));
+    assert_eq!(ts.get("interval").and_then(Json::as_u64), Some(500));
+    let mut cycles = vec![0];
+    for p in ts.get("points").and_then(Json::as_arr).expect("points") {
+        let counters = "cycles dcycles instructions faults ring_changes page_faults";
+        for key in counters
+            .split(' ')
+            .chain(["ipc", "fault_rate", "paging_rate"])
+        {
+            assert!(p.get(key).is_some(), "a point without {key}");
+        }
+        cycles.extend(p.get("cycles").and_then(Json::as_u64));
+    }
+    assert!(cycles.windows(2).all(|w| w[0] < w[1]), "cycles {cycles:?}");
+    assert!(cycles.len() > 1, "no time-series points");
+}
+
+/// A recording replays only in the world it was made in. Another
+/// program, another ring or another kernel shape is refused before
+/// anything runs, with a message naming the recorded program; restoring
+/// the recorded image instead would approve a run these flags never
+/// made.
+#[test]
+fn a_recording_is_refused_in_another_world() {
+    let (gcd, fibonacci) = (example("gcd"), example("fibonacci"));
+    let (gcd_rec, storm_rec) = (scratch("cli-gcd.rec"), scratch("cli-storm.rec"));
+    survives(RUNASM, &["--record", &gcd_rec, &gcd], "");
+    let storm = ["--procs", "4", "--frames", "16", "--record", &storm_rec];
+    survives(RUNASM, &storm, "");
+    for (args, program) in [
+        (&["--replay", &gcd_rec, &fibonacci][..], gcd.as_str()),
+        (&["--replay", &gcd_rec, "--ring", "2", &gcd], &gcd),
+        (
+            &["--replay", &storm_rec, "--procs", "3", "--frames", "8"],
+            "page-storm",
+        ),
+    ] {
+        let out = run(RUNASM, args, "");
+        let (stdout, stderr) = (text(&out.stdout), text(&out.stderr));
+        assert!(!out.status.success(), "{args:?} succeeded: {stdout}");
+        assert!(stdout.is_empty(), "{args:?} ran: {stdout}");
+        assert!(
+            stderr.contains(&format!("recorded `{program}`")),
+            "{args:?}: {stderr}"
+        );
+    }
 }

@@ -298,6 +298,7 @@ fn gate_call_spans_build_exact_tree() {
             ["B", "E", "i", "M"].contains(&ph),
             "unexpected phase {ph:?}"
         );
+        assert!(ev.get("pid").is_some() && ev.get("tid").is_some(), "{ev:?}");
         if ph != "M" {
             tids.insert(ev.get("tid").and_then(|t| t.as_u64()).expect("tid"));
             assert!(ev.get("ts").is_some(), "timestamped event");
