@@ -20,7 +20,6 @@
 //! demonstrate.
 
 use crate::ring::Ring;
-use crate::sdw::Sdw;
 
 /// Which contributions are folded into the effective ring.
 ///
@@ -74,24 +73,10 @@ pub fn fold_pr(current: Ring, pr_ring: Ring, rules: EffectiveRingRules) -> Ring 
 }
 
 /// Step 3: folds an indirect word's ring and its containing segment's
-/// write-bracket top into the effective ring, subject to `rules`.
+/// write-bracket top (`SDW.R1`) into the effective ring, subject to
+/// `rules`.
 #[inline]
 pub fn fold_indirect(
-    current: Ring,
-    ind_ring: Ring,
-    containing_sdw: &Sdw,
-    rules: EffectiveRingRules,
-) -> Ring {
-    fold_indirect_parts(current, ind_ring, containing_sdw.r1, rules)
-}
-
-/// [`fold_indirect`] with the containing segment reduced to the one
-/// field the fold actually reads — its write-bracket top `R1`. The
-/// fast-path lookaside caches `R1` instead of whole SDWs and folds
-/// through this entry point; both paths share the same logic by
-/// construction.
-#[inline]
-pub fn fold_indirect_parts(
     current: Ring,
     ind_ring: Ring,
     write_bracket_top: Ring,
@@ -129,12 +114,12 @@ mod tests {
     #[test]
     fn indirect_fold_takes_all_three_sources() {
         let sdw = SdwBuilder::data(Ring::R5, Ring::R5).build(); // R1 = 5
-        let r = fold_indirect(Ring::R1, Ring::R3, &sdw, EffectiveRingRules::PAPER);
+        let r = fold_indirect(Ring::R1, Ring::R3, sdw.r1, EffectiveRingRules::PAPER);
         assert_eq!(r, Ring::R5, "write-bracket top dominates");
         let sdw2 = SdwBuilder::data(Ring::R0, Ring::R0).build();
-        let r = fold_indirect(Ring::R1, Ring::R6, &sdw2, EffectiveRingRules::PAPER);
+        let r = fold_indirect(Ring::R1, Ring::R6, sdw2.r1, EffectiveRingRules::PAPER);
         assert_eq!(r, Ring::R6, "indirect-word ring dominates");
-        let r = fold_indirect(Ring::R7, Ring::R0, &sdw2, EffectiveRingRules::PAPER);
+        let r = fold_indirect(Ring::R7, Ring::R0, sdw2.r1, EffectiveRingRules::PAPER);
         assert_eq!(r, Ring::R7, "current effective ring dominates");
     }
 
@@ -144,7 +129,7 @@ mod tests {
         let r = fold_indirect(
             Ring::R1,
             Ring::R6,
-            &sdw,
+            sdw.r1,
             EffectiveRingRules::NO_IND_TRACKING,
         );
         assert_eq!(r, Ring::R1, "weakened design ignores both tamper channels");
@@ -153,13 +138,16 @@ mod tests {
             use_ind_ring: true,
             use_write_bracket: false,
         };
-        assert_eq!(fold_indirect(Ring::R1, Ring::R6, &sdw, only_ind), Ring::R6);
+        assert_eq!(
+            fold_indirect(Ring::R1, Ring::R6, sdw.r1, only_ind),
+            Ring::R6
+        );
         let only_wb = EffectiveRingRules {
             use_pr_ring: false,
             use_ind_ring: false,
             use_write_bracket: true,
         };
-        assert_eq!(fold_indirect(Ring::R1, Ring::R6, &sdw, only_wb), Ring::R5);
+        assert_eq!(fold_indirect(Ring::R1, Ring::R6, sdw.r1, only_wb), Ring::R5);
     }
 
     #[test]
@@ -167,7 +155,7 @@ mod tests {
         let sdw = SdwBuilder::data(Ring::R0, Ring::R0).build();
         for cur in Ring::all() {
             for ind in Ring::all() {
-                let r = fold_indirect(cur, ind, &sdw, EffectiveRingRules::PAPER);
+                let r = fold_indirect(cur, ind, sdw.r1, EffectiveRingRules::PAPER);
                 assert!(r >= cur);
                 assert!(r >= ind);
             }

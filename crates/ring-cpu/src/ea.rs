@@ -8,11 +8,20 @@
 //! of the write bracket of the segment containing it. The capability to
 //! *read* each indirect word is validated before it is retrieved, at the
 //! effective ring as of that moment.
+//!
+//! The walk is written once, over a `PairPort` that reads one indirect
+//! pair. The reference interpreter and the native accessors read through
+//! `Counted`, whose reads are validated, counted and fault; the fast
+//! path reads through its probing port, whose reads are pure peeks that
+//! bail. Each port is monomorphised, so neither engine pays for the
+//! other's.
 
 use ring_core::access::{AccessMode, Fault, Violation};
 use ring_core::addr::{SegAddr, SegNo, WordNo, MAX_WORDNO};
 use ring_core::effective;
 use ring_core::registers::{IndWord, Tpr};
+use ring_core::ring::Ring;
+use ring_core::sdw::Sdw;
 use ring_core::validate;
 use ring_core::word::Word;
 
@@ -27,12 +36,109 @@ pub(crate) struct EffAddr {
     /// For immediate-mode instructions, the literal operand; the TPR
     /// address is not meaningful for a memory reference in that case.
     pub immediate: Option<Word>,
+    /// Indirect words followed.
+    pub depth: u32,
+}
+
+impl EffAddr {
+    /// The Fig. 5 telemetry event: chain depth, and whether folding
+    /// raised the effective ring above `ring`, the ring of execution (a
+    /// TPR ring-maximisation event). A literal reports none.
+    pub(crate) fn event(&self, ring: Ring) -> Option<(u32, bool)> {
+        self.immediate
+            .is_none()
+            .then_some((self.depth, self.tpr.ring.number() > ring.number()))
+    }
+}
+
+/// What the walk reads indirect words through.
+pub(crate) trait PairPort {
+    /// Why a walk stops short.
+    type Error;
+    /// The chain ran past `MachineConfig::indirect_limit`.
+    const LIMIT: Self::Error;
+    /// Reads the indirect pair at `addr` for effective ring `ring`:
+    /// its two words and the write-bracket top `R1` of the segment
+    /// containing it.
+    fn read_pair(
+        &mut self,
+        m: &mut Machine,
+        addr: SegAddr,
+        ring: Ring,
+    ) -> Result<(Word, Word, Ring), Self::Error>;
+}
+
+/// The reference port: one validated pair read — a counted SDW
+/// lookup, read validation, the pair's bound check and two counted
+/// reads. LDBR and SIO read their two-word operands through it too.
+pub(crate) struct Counted {
+    /// Install a lookaside entry for each pair, as the instruction
+    /// cycle does for indirect words; the native accessors install none.
+    pub warm: bool,
+}
+
+impl PairPort for Counted {
+    type Error = Fault;
+    const LIMIT: Fault = Fault::IndirectLimit;
+
+    fn read_pair(
+        &mut self,
+        m: &mut Machine,
+        addr: SegAddr,
+        ring: Ring,
+    ) -> Result<(Word, Word, Ring), Fault> {
+        let sdw = m.sdw_for(addr, AccessMode::Read)?;
+        validate::check_read(&sdw, addr, ring)?;
+        let second = pair_second(&sdw, addr, ring, AccessMode::Read)?;
+        let abs0 = m.tr.resolve(&mut m.phys, &sdw, addr, false)?;
+        let abs1 = m.tr.resolve(&mut m.phys, &sdw, second, false)?;
+        let (w0, w1) = (m.phys.read(abs0)?, m.phys.read(abs1)?);
+        if self.warm {
+            m.warm_fast_path(addr, ring, &sdw);
+        }
+        Ok((w0, w1, sdw.r1))
+    }
+}
+
+/// The second word of the pair at `first` in the segment `sdw`
+/// describes, which must also lie within the segment's bound.
+pub(crate) fn pair_second(
+    sdw: &Sdw,
+    first: SegAddr,
+    ring: Ring,
+    mode: AccessMode,
+) -> Result<SegAddr, Fault> {
+    let second = SegAddr::new(first.segno, first.wordno.wrapping_add(1));
+    if !sdw.in_bounds(second.wordno) {
+        return Err(Fault::AccessViolation {
+            mode,
+            violation: Violation::OutOfBounds,
+            addr: second,
+            ring,
+        });
+    }
+    Ok(second)
 }
 
 impl Machine {
     /// Forms the effective address for `instr`, whose instruction word
     /// came from segment `iseg`.
     pub(crate) fn form_ea(&mut self, instr: &Instr, iseg: SegNo) -> Result<EffAddr, Fault> {
+        let ea = self.walk_ea(&mut Counted { warm: true }, instr, iseg)?;
+        if let Some((depth, raised)) = ea.event(self.ipr.ring) {
+            self.obs.metrics.ea_formed(depth, raised);
+        }
+        Ok(ea)
+    }
+
+    /// Fig. 5 for `instr` from segment `iseg`, reading indirect words
+    /// through `port`.
+    pub(crate) fn walk_ea<P: PairPort>(
+        &mut self,
+        port: &mut P,
+        instr: &Instr,
+        iseg: SegNo,
+    ) -> Result<EffAddr, P::Error> {
         let mut offset = instr.offset;
         match instr.mode {
             AddrMode::Immediate => {
@@ -46,6 +152,7 @@ impl Machine {
                 return Ok(EffAddr {
                     tpr,
                     immediate: Some(Word::new(u64::from(offset))),
+                    depth: 0,
                 });
             }
             AddrMode::Indexed => {
@@ -55,7 +162,7 @@ impl Machine {
         }
 
         // Base: PR-relative or instruction-segment-relative.
-        let mut tpr = match instr.pr {
+        let tpr = match instr.pr {
             Some(n) => {
                 let pr = self.prs[n as usize];
                 Tpr {
@@ -68,54 +175,36 @@ impl Machine {
                 addr: SegAddr::new(iseg, WordNo::from_bits(u64::from(offset))),
             },
         };
+        self.follow_chain(port, tpr, instr.indirect)
+    }
 
-        // Indirection chain.
-        let mut indirect = instr.indirect;
+    /// The indirection chain from `tpr`: while `indirect`, reads the
+    /// pair at the TPR through `port` and folds its ring and its
+    /// segment's write-bracket top into the TPR ring.
+    pub(crate) fn follow_chain<P: PairPort>(
+        &mut self,
+        port: &mut P,
+        mut tpr: Tpr,
+        mut indirect: bool,
+    ) -> Result<EffAddr, P::Error> {
         let mut depth = 0u32;
         while indirect {
             depth += 1;
             if depth > self.config.indirect_limit {
-                return Err(Fault::IndirectLimit);
+                return Err(P::LIMIT);
             }
-            let sdw = self.sdw_for(tpr.addr, AccessMode::Read)?;
-            validate::check_read(&sdw, tpr.addr, tpr.ring)?;
-            let second = SegAddr::new(tpr.addr.segno, tpr.addr.wordno.wrapping_add(1));
-            if !sdw.in_bounds(second.wordno) {
-                return Err(Fault::AccessViolation {
-                    mode: AccessMode::Read,
-                    violation: Violation::OutOfBounds,
-                    addr: second,
-                    ring: tpr.ring,
-                });
-            }
-            let abs0 = self.tr.resolve(&mut self.phys, &sdw, tpr.addr, false)?;
-            let abs1 = self.tr.resolve(&mut self.phys, &sdw, second, false)?;
-            let w0 = self.phys.read(abs0)?;
-            let w1 = self.phys.read(abs1)?;
-            if self.config.fastpath {
-                let slow_fetch = self.natives.is_native(tpr.addr.segno);
-                self.tr
-                    .fast_install(&self.phys, tpr.addr, tpr.ring, &sdw, slow_fetch);
-            }
+            let (w0, w1, r1) = port.read_pair(self, tpr.addr, tpr.ring)?;
             let iw = IndWord::unpack(w0, w1);
-            let ring = effective::fold_indirect(tpr.ring, iw.ring, &sdw, self.config.ea_rules);
             tpr = Tpr {
-                ring,
+                ring: effective::fold_indirect(tpr.ring, iw.ring, r1, self.config.ea_rules),
                 addr: iw.addr,
             };
             indirect = iw.indirect;
         }
-
-        // Fig. 5 telemetry: chain depth, and whether folding raised the
-        // effective ring above the ring of execution (a TPR
-        // ring-maximisation event).
-        self.obs
-            .metrics
-            .ea_formed(depth, tpr.ring.number() > self.ipr.ring.number());
-
         Ok(EffAddr {
             tpr,
             immediate: None,
+            depth,
         })
     }
 }

@@ -1,14 +1,14 @@
 //! Instruction performance: operand access validation (Figs. 6 and 7)
 //! and the ALU/transfer semantics.
 
-use ring_core::access::{AccessMode, Fault, Violation};
+use ring_core::access::{AccessMode, Fault};
 use ring_core::addr::{SegAddr, SegNo};
-use ring_core::registers::{Dbr, PtrReg};
+use ring_core::registers::{Dbr, IndWord, PtrReg};
 use ring_core::ring::Ring;
 use ring_core::validate;
 use ring_core::word::Word;
 
-use crate::ea::EffAddr;
+use crate::ea::{pair_second, Counted, EffAddr, PairPort};
 use crate::isa::{Instr, Opcode, OperandUse};
 use crate::machine::Machine;
 
@@ -61,9 +61,6 @@ impl Machine {
                 // AOS: both the read and the write capability are
                 // required at the effective ring.
                 let ea = self.form_ea(&instr, iseg)?;
-                if ea.immediate.is_some() {
-                    return Err(Fault::IllegalModifier);
-                }
                 let (sdw, addr, ring) = self.memory_ea(&ea)?;
                 validate::check_read(&sdw, addr, ring)?;
                 validate::check_write(&sdw, addr, ring)?;
@@ -87,26 +84,8 @@ impl Machine {
             }
             OperandUse::WritePair => {
                 let ea = self.form_ea(&instr, iseg)?;
-                if ea.immediate.is_some() {
-                    return Err(Fault::IllegalModifier);
-                }
                 let (sdw, addr, ring) = self.memory_ea(&ea)?;
-                validate::check_write(&sdw, addr, ring)?;
-                let second = SegAddr::new(addr.segno, addr.wordno.wrapping_add(1));
-                if !sdw.in_bounds(second.wordno) {
-                    return Err(Fault::AccessViolation {
-                        mode: AccessMode::Write,
-                        violation: Violation::OutOfBounds,
-                        addr: second,
-                        ring,
-                    });
-                }
-                let (w0, w1) =
-                    ring_core::registers::IndWord::from_ptr(self.prs[instr.xreg as usize]).pack();
-                let abs0 = self.tr.resolve(&mut self.phys, &sdw, addr, true)?;
-                let abs1 = self.tr.resolve(&mut self.phys, &sdw, second, true)?;
-                self.phys.write(abs0, w0)?;
-                self.phys.write(abs1, w1)
+                self.write_pair(&sdw, addr, ring, self.prs[instr.xreg as usize])
             }
             OperandUse::Transfer => {
                 let ea = self.form_ea(&instr, iseg)?;
@@ -161,10 +140,12 @@ impl Machine {
         }
     }
 
-    /// Resolves a (non-immediate) effective address to its SDW and
-    /// validation ring.
+    /// Resolves the effective address of a memory operand to its SDW
+    /// and validation ring. A literal is no memory operand.
     fn memory_ea(&mut self, ea: &EffAddr) -> Result<(ring_core::sdw::Sdw, SegAddr, Ring), Fault> {
-        debug_assert!(ea.immediate.is_none());
+        if ea.immediate.is_some() {
+            return Err(Fault::IllegalModifier);
+        }
         let mode = AccessMode::Read; // only used for NoSuchSegment reporting
         let sdw = self.sdw_for(ea.tpr.addr, mode)?;
         Ok((sdw, ea.tpr.addr, ea.tpr.ring))
@@ -185,9 +166,6 @@ impl Machine {
 
     /// Writes the operand for a Write-class instruction (Fig. 6, write).
     fn operand_write(&mut self, ea: &EffAddr, value: Word) -> Result<(), Fault> {
-        if ea.immediate.is_some() {
-            return Err(Fault::IllegalModifier);
-        }
         let (sdw, addr, ring) = self.memory_ea(ea)?;
         validate::check_write(&sdw, addr, ring)?;
         let abs = self.tr.resolve(&mut self.phys, &sdw, addr, true)?;
@@ -196,10 +174,29 @@ impl Machine {
         Ok(())
     }
 
+    /// Stores `ptr` as an indirect-word pair at `addr` in the segment
+    /// `sdw` describes, with write validation at `ring` — what SPRI
+    /// does.
+    pub(crate) fn write_pair(
+        &mut self,
+        sdw: &ring_core::sdw::Sdw,
+        addr: SegAddr,
+        ring: Ring,
+        ptr: PtrReg,
+    ) -> Result<(), Fault> {
+        validate::check_write(sdw, addr, ring)?;
+        let second = pair_second(sdw, addr, ring, AccessMode::Write)?;
+        let (w0, w1) = IndWord::from_ptr(ptr).pack();
+        let abs0 = self.tr.resolve(&mut self.phys, sdw, addr, true)?;
+        let abs1 = self.tr.resolve(&mut self.phys, sdw, second, true)?;
+        self.phys.write(abs0, w0)?;
+        self.phys.write(abs1, w1)
+    }
+
     /// After a successful reference-path operand reference to `addr`
     /// from `ring` through `sdw`, installs the lookaside entry that
     /// lets the next reference to that page commit on the fast path.
-    fn warm_fast_path(&mut self, addr: SegAddr, ring: Ring, sdw: &ring_core::sdw::Sdw) {
+    pub(crate) fn warm_fast_path(&mut self, addr: SegAddr, ring: Ring, sdw: &ring_core::sdw::Sdw) {
         if self.config.fastpath {
             let slow_fetch = self.natives.is_native(addr.segno);
             self.tr
@@ -311,64 +308,27 @@ impl Machine {
 impl Machine {
     pub(crate) fn exec_privileged_read(&mut self, instr: Instr, iseg: SegNo) -> Result<(), Fault> {
         let ea = self.form_ea(&instr, iseg)?;
+        if instr.opcode == Opcode::Ldt {
+            self.timer = Some(self.operand_read(&ea)?.raw());
+            return Ok(());
+        }
+        // LDBR and SIO take a two-word operand, which a literal is not.
+        if ea.immediate.is_some() {
+            return Err(Fault::IllegalModifier);
+        }
+        let (w0, w1, _) = Counted { warm: false }.read_pair(self, ea.tpr.addr, ea.tpr.ring)?;
         match instr.opcode {
-            Opcode::Ldt => {
-                let v = self.operand_read_pub(&ea)?;
-                self.timer = Some(v.raw());
-                Ok(())
-            }
             Opcode::Ldbr => {
-                let (sdw, addr, ring) = self.memory_ea_pub(&ea)?;
-                validate::check_read(&sdw, addr, ring)?;
-                let second = SegAddr::new(addr.segno, addr.wordno.wrapping_add(1));
-                if !sdw.in_bounds(second.wordno) {
-                    return Err(Fault::AccessViolation {
-                        mode: AccessMode::Read,
-                        violation: Violation::OutOfBounds,
-                        addr: second,
-                        ring,
-                    });
-                }
-                let abs0 = self.tr.resolve(&mut self.phys, &sdw, addr, false)?;
-                let abs1 = self.tr.resolve(&mut self.phys, &sdw, second, false)?;
-                let w0 = self.phys.read(abs0)?;
-                let w1 = self.phys.read(abs1)?;
                 self.dbr = Dbr::unpack(w0, w1);
                 self.tr.flush_cache();
                 self.charge(self.config.costs.dbr_load);
                 Ok(())
             }
             Opcode::Sio => {
-                let (sdw, addr, ring) = self.memory_ea_pub(&ea)?;
-                validate::check_read(&sdw, addr, ring)?;
-                let second = SegAddr::new(addr.segno, addr.wordno.wrapping_add(1));
-                if !sdw.in_bounds(second.wordno) {
-                    return Err(Fault::AccessViolation {
-                        mode: AccessMode::Read,
-                        violation: Violation::OutOfBounds,
-                        addr: second,
-                        ring,
-                    });
-                }
-                let abs0 = self.tr.resolve(&mut self.phys, &sdw, addr, false)?;
-                let abs1 = self.tr.resolve(&mut self.phys, &sdw, second, false)?;
-                let w0 = self.phys.read(abs0)?;
-                let w1 = self.phys.read(abs1)?;
                 let now = self.cycles;
                 self.io.start(w0, w1, now)
             }
             _ => unreachable!("privileged read group"),
         }
-    }
-
-    fn operand_read_pub(&mut self, ea: &EffAddr) -> Result<Word, Fault> {
-        self.operand_read(ea)
-    }
-
-    fn memory_ea_pub(
-        &mut self,
-        ea: &EffAddr,
-    ) -> Result<(ring_core::sdw::Sdw, SegAddr, Ring), Fault> {
-        self.memory_ea(ea)
     }
 }

@@ -23,6 +23,11 @@
 //!   the (peek-preverified) operand write for real, and applies the
 //!   instruction's register effects via the *same* helpers the slow
 //!   path uses ([`Machine::exec_read_op`] and friends).
+//! * **Share the walk.** Fig. 5 effective-address formation is the
+//!   reference path's own walk ([`Machine::walk_ea`]), run on a probing
+//!   port that reads each indirect pair with two probes and two peeks
+//!   instead of a validated, counted read. This module holds no copy of
+//!   the walk or of its ring folds.
 //! * **Bail on anything that could fault.** Denials, bound overruns,
 //!   missing pages, decode errors, indirect-limit overruns: the fast
 //!   path never produces a fault itself; it steps aside and lets the
@@ -52,14 +57,14 @@
 use std::thread::LocalKey;
 
 use ring_core::access::AccessMode;
-use ring_core::addr::{SegAddr, SegNo, WordNo, MAX_WORDNO};
-use ring_core::effective;
-use ring_core::registers::{IndWord, Ipr, PtrReg, Tpr};
+use ring_core::addr::{AbsAddr, SegAddr, SegNo};
+use ring_core::registers::{Ipr, PtrReg};
 use ring_core::ring::Ring;
 use ring_core::word::Word;
 use ring_segmem::slot_table::{Clean, Slot, SlotTable, Stock, SLOTS};
 
-use crate::isa::{AddrMode, Instr, Opcode, OperandUse};
+use crate::ea::{EffAddr, PairPort};
+use crate::isa::{Instr, Opcode, OperandUse};
 use crate::machine::Machine;
 
 /// Key marking an empty slot (real keys fit in 33 bits).
@@ -222,13 +227,42 @@ impl FastState {
     }
 }
 
-/// Fast-path effective address: the TPR equivalent plus the immediate
-/// literal and the chain depth (for the Fig. 5 telemetry event).
-struct FastEa {
-    ring: Ring,
-    addr: SegAddr,
-    immediate: Option<Word>,
-    depth: u32,
+/// The fast path's [`PairPort`]: pure probes and peeks, tallying the
+/// counted reads and SDW lookups the reference path would make for the
+/// commit to charge. An `Err` bails.
+struct Probe {
+    reads: u64,
+    lookups: u64,
+}
+
+impl PairPort for Probe {
+    type Error = ();
+    const LIMIT: () = ();
+
+    #[inline(always)]
+    fn read_pair(
+        &mut self,
+        m: &mut Machine,
+        addr: SegAddr,
+        ring: Ring,
+    ) -> Result<(Word, Word, Ring), ()> {
+        let (tr, phys) = (&m.tr, &m.phys);
+        let hit0 = tr
+            .fast_probe(phys, addr, ring, AccessMode::Read)
+            .ok_or(())?;
+        let second = SegAddr::new(addr.segno, addr.wordno.wrapping_add(1));
+        // The probe's per-page bound test is exactly the SDW bound
+        // check the slow path applies to the pair's second word.
+        let hit1 = tr
+            .fast_probe(phys, second, ring, AccessMode::Read)
+            .ok_or(())?;
+        let w0 = m.fast_peek(hit0.abs).ok_or(())?;
+        let w1 = m.fast_peek(hit1.abs).ok_or(())?;
+        self.reads += hit0.ptw_reads + hit1.ptw_reads + 2;
+        self.lookups += 1;
+        m.fast_access(addr.segno, AccessMode::Read);
+        Ok((w0, w1, hit0.r1))
+    }
 }
 
 impl Machine {
@@ -245,309 +279,201 @@ impl Machine {
         let fetch = self
             .tr
             .fast_probe(&self.phys, iaddr, at0.ring, AccessMode::Execute)?;
-        // Peeks are poison-blind, so every word the fast path consumes
-        // must be checked explicitly: a poisoned word bails to the slow
-        // path, whose counted read raises the parity-error trap at the
-        // identical instruction.
-        if self.phys.is_poisoned(fetch.abs) {
-            return None;
-        }
-        let iword = self.phys.peek(fetch.abs).ok()?;
+        let iword = self.fast_peek(fetch.abs)?;
         // The cache also answers eligibility: the privileged group and
         // DRL (and, below, SPRI) keep their reference implementation,
         // so a lookup on one of those bails here.
         let (instr, use_class) = self.fast.icache.lookup_or_decode(iaddr, iword)?;
 
         // Counted reads and SDW lookups the slow path would have made.
-        let mut reads = fetch.ptw_reads + 1;
-        let mut lookups = 1u64;
+        let mut port = Probe {
+            reads: fetch.ptw_reads + 1,
+            lookups: 1,
+        };
         self.fast.record = self.obs.metrics.is_enabled();
         if self.fast.record {
             self.fast.access_buf.clear();
-            self.fast
-                .access_buf
-                .push((iaddr.segno.value(), AccessMode::Execute));
         }
+        self.fast_access(iaddr.segno, AccessMode::Execute);
 
+        if use_class == OperandUse::None {
+            // Nop or Neg (Drl bailed above, Rett/Halt are privileged):
+            // no address, and neither can fault.
+            self.fast_commit(at0, instr, use_class, &port, None);
+            self.exec_no_operand(instr).expect("NOP/NEG cannot fault");
+            return Some(());
+        }
+        // Formed at this one call site so that the walk inlines and its
+        // result stays in registers. Returned through memory, the address
+        // can be reloaded wider than it was stored, which defeats store
+        // forwarding on every step.
+        let ea = self.walk_ea(&mut port, &instr, iaddr.segno).ok()?;
+        // Only the read and address-only groups take a literal; every
+        // other class faults on one, on the slow path.
+        let literal_ok = matches!(use_class, OperandUse::Read | OperandUse::AddressOnly);
+        if ea.immediate.is_some() && !literal_ok {
+            return None;
+        }
         match use_class {
-            OperandUse::None => {
-                // Nop or Neg (Drl bailed above, Rett/Halt are
-                // privileged); neither can fault.
-                self.fast_commit(at0, instr, use_class, reads, lookups, None);
-                self.exec_no_operand(instr).expect("NOP/NEG cannot fault");
-                Some(())
-            }
             OperandUse::Read => {
-                let ea = self.fast_form_ea(&instr, iaddr.segno, &mut reads, &mut lookups)?;
                 let value = match ea.immediate {
                     Some(lit) => lit,
-                    None => {
-                        let hit =
-                            self.tr
-                                .fast_probe(&self.phys, ea.addr, ea.ring, AccessMode::Read)?;
-                        if self.phys.is_poisoned(hit.abs) {
-                            return None;
-                        }
-                        let v = self.phys.peek(hit.abs).ok()?;
-                        reads += hit.ptw_reads + 1;
-                        lookups += 1;
-                        if self.fast.record {
-                            self.fast
-                                .access_buf
-                                .push((ea.addr.segno.value(), AccessMode::Read));
-                        }
-                        v
-                    }
+                    None => self.fast_operand(&mut port, &ea, use_class)?.1,
                 };
-                let ea_event = ea
-                    .immediate
-                    .is_none()
-                    .then_some((ea.depth, ea.ring.number() > at0.ring.number()));
-                self.fast_commit(at0, instr, use_class, reads, lookups, ea_event);
+                self.fast_commit(at0, instr, use_class, &port, ea.event(at0.ring));
                 self.exec_read_op(instr, value)
                     .expect("read-group ops cannot fault");
                 Some(())
             }
             OperandUse::Write => {
-                let ea = self.fast_form_ea(&instr, iaddr.segno, &mut reads, &mut lookups)?;
-                if ea.immediate.is_some() {
-                    return None; // IllegalModifier on the slow path
-                }
-                let hit = self
-                    .tr
-                    .fast_probe(&self.phys, ea.addr, ea.ring, AccessMode::Write)?;
-                // Preverify so the committed write cannot fault.
-                self.phys.peek(hit.abs).ok()?;
-                reads += hit.ptw_reads;
-                lookups += 1;
-                if self.fast.record {
-                    self.fast
-                        .access_buf
-                        .push((ea.addr.segno.value(), AccessMode::Read));
-                }
+                let (abs, _) = self.fast_operand(&mut port, &ea, use_class)?;
                 let value = self.write_value(instr);
-                let ea_event = Some((ea.depth, ea.ring.number() > at0.ring.number()));
-                self.fast_commit(at0, instr, use_class, reads, lookups, ea_event);
-                self.phys
-                    .write(hit.abs, value)
-                    .expect("peek-verified address");
+                self.fast_commit(at0, instr, use_class, &port, ea.event(at0.ring));
+                self.phys.write(abs, value).expect("peek-verified address");
                 Some(())
             }
             OperandUse::ReadWrite => {
-                // AOS: both capabilities, one resolve with write intent.
-                let ea = self.fast_form_ea(&instr, iaddr.segno, &mut reads, &mut lookups)?;
-                if ea.immediate.is_some() {
-                    return None;
-                }
-                let hw = self.tr.fast_probe_rw(&self.phys, ea.addr, ea.ring)?;
-                if self.phys.is_poisoned(hw.abs) {
-                    return None;
-                }
-                let v = self.phys.peek(hw.abs).ok()?.wrapping_add(Word::new(1));
-                reads += hw.ptw_reads + 1;
-                lookups += 1;
-                if self.fast.record {
-                    self.fast
-                        .access_buf
-                        .push((ea.addr.segno.value(), AccessMode::Read));
-                }
-                let ea_event = Some((ea.depth, ea.ring.number() > at0.ring.number()));
-                self.fast_commit(at0, instr, use_class, reads, lookups, ea_event);
-                self.phys.write(hw.abs, v).expect("peek-verified address");
+                let (abs, v) = self.fast_operand(&mut port, &ea, use_class)?;
+                let v = v.wrapping_add(Word::new(1));
+                self.fast_commit(at0, instr, use_class, &port, ea.event(at0.ring));
+                self.phys.write(abs, v).expect("peek-verified address");
                 self.set_indicators(v);
                 Some(())
             }
             OperandUse::Pointer => {
                 // EAP: no operand reference, no validation.
-                let ea = self.fast_form_ea(&instr, iaddr.segno, &mut reads, &mut lookups)?;
-                if ea.immediate.is_some() {
-                    return None;
-                }
-                let ea_event = Some((ea.depth, ea.ring.number() > at0.ring.number()));
-                self.fast_commit(at0, instr, use_class, reads, lookups, ea_event);
-                self.prs[instr.xreg as usize] = PtrReg::new(ea.ring, ea.addr);
+                self.fast_commit(at0, instr, use_class, &port, ea.event(at0.ring));
+                self.prs[instr.xreg as usize] = PtrReg::new(ea.tpr.ring, ea.tpr.addr);
                 Some(())
             }
             OperandUse::Transfer => {
-                let ea = self.fast_form_ea(&instr, iaddr.segno, &mut reads, &mut lookups)?;
-                if ea.immediate.is_some() {
-                    return None;
-                }
                 let taken = self.transfer_taken(instr.opcode);
                 if taken {
                     // Fig. 7 advance check: one SDW lookup, no operand
                     // reference.
-                    if !self.tr.fast_probe_transfer(ea.addr, ea.ring) {
+                    if !self.tr.fast_probe_transfer(ea.tpr.addr, ea.tpr.ring) {
                         return None;
                     }
-                    lookups += 1;
-                    if self.fast.record {
-                        self.fast
-                            .access_buf
-                            .push((ea.addr.segno.value(), AccessMode::Read));
-                    }
+                    port.lookups += 1;
+                    self.fast_access(ea.tpr.addr.segno, AccessMode::Read);
                 }
-                let ea_event = Some((ea.depth, ea.ring.number() > at0.ring.number()));
-                self.fast_commit(at0, instr, use_class, reads, lookups, ea_event);
+                self.fast_commit(at0, instr, use_class, &port, ea.event(at0.ring));
                 if taken {
-                    self.ipr.addr = ea.addr;
+                    self.ipr.addr = ea.tpr.addr;
                 }
                 Some(())
             }
             OperandUse::AddressOnly => {
-                let ea = self.fast_form_ea(&instr, iaddr.segno, &mut reads, &mut lookups)?;
-                let count = u64::from(ea.addr.wordno.value());
-                let ea_event = ea
-                    .immediate
-                    .is_none()
-                    .then_some((ea.depth, ea.ring.number() > at0.ring.number()));
-                self.fast_commit(at0, instr, use_class, reads, lookups, ea_event);
+                let count = u64::from(ea.tpr.addr.wordno.value());
+                self.fast_commit(at0, instr, use_class, &port, ea.event(at0.ring));
                 self.exec_address_only(instr, count);
                 Some(())
             }
             OperandUse::Call | OperandUse::Return => {
-                self.fast_call_return(at0, instr, use_class, reads, lookups)
+                self.fast_call_return(at0, instr, use_class, port, ea)
             }
             // The SPRI double store stays on the reference path.
             OperandUse::WritePair => None,
+            OperandUse::None => unreachable!("committed above"),
         }
     }
 
-    /// CALL and RETURN (Figs. 8–9) on the target's resident SDW: the
-    /// reference path's check and apply step, with the descriptor read
-    /// by a pure peek instead of a counted lookup. A non-resident
-    /// target or a refused crossing bails with nothing mutated. Kept
-    /// out of line so the arms above compile as they would without it.
+    /// The operand reference of a Read, Write or AOS (`use_class`)
+    /// commit at `ea`, which names memory: its probe, a peek of the
+    /// word, and its counted reads, SDW lookup and heatmap event.
+    /// Returns the word's absolute address and value.
+    #[inline(always)]
+    fn fast_operand(
+        &mut self,
+        port: &mut Probe,
+        ea: &EffAddr,
+        use_class: OperandUse,
+    ) -> Option<(AbsAddr, Word)> {
+        let (tr, phys, addr, ring) = (&self.tr, &self.phys, ea.tpr.addr, ea.tpr.ring);
+        let hit = match use_class {
+            OperandUse::Write => tr.fast_probe(phys, addr, ring, AccessMode::Write)?,
+            // AOS: both capabilities, one resolve with write intent.
+            OperandUse::ReadWrite => tr.fast_probe_rw(phys, addr, ring)?,
+            _ => tr.fast_probe(phys, addr, ring, AccessMode::Read)?,
+        };
+        // A store reads nothing: it makes no counted read and may
+        // overwrite a poisoned word, and its peek only proves that the
+        // committed write cannot fault.
+        let value = if use_class == OperandUse::Write {
+            self.phys.peek(hit.abs).ok()?
+        } else {
+            port.reads += 1;
+            self.fast_peek(hit.abs)?
+        };
+        port.reads += hit.ptw_reads;
+        port.lookups += 1;
+        self.fast_access(addr.segno, AccessMode::Read);
+        Some((hit.abs, value))
+    }
+
+    /// Peeks the word at `abs` for the fast path to consume. Peeks are
+    /// poison-blind, so a poisoned word bails to the slow path, whose
+    /// counted read raises the parity-error trap at the identical
+    /// instruction.
+    #[inline(always)]
+    fn fast_peek(&self, abs: AbsAddr) -> Option<Word> {
+        if self.phys.is_poisoned(abs) {
+            return None;
+        }
+        self.phys.peek(abs).ok()
+    }
+
+    /// Notes a reference to `segno` for the access heatmap, reported
+    /// only if the attempt commits.
+    #[inline(always)]
+    fn fast_access(&mut self, segno: SegNo, mode: AccessMode) {
+        if self.fast.record {
+            self.fast.access_buf.push((segno.value(), mode));
+        }
+    }
+
+    /// CALL and RETURN (Figs. 8–9) to `ea` on the target's resident
+    /// SDW: the reference path's check and apply step, with the
+    /// descriptor read by a pure peek instead of a counted lookup. A
+    /// non-resident target or a refused crossing bails with nothing
+    /// mutated. Kept out of line so the arms above compile as they
+    /// would without it.
     #[inline(never)]
     fn fast_call_return(
         &mut self,
         at0: Ipr,
         instr: Instr,
         use_class: OperandUse,
-        mut reads: u64,
-        mut lookups: u64,
+        port: Probe,
+        ea: EffAddr,
     ) -> Option<()> {
         let iseg = at0.addr.segno;
-        let ea = self.fast_form_ea(&instr, iseg, &mut reads, &mut lookups)?;
-        if ea.immediate.is_some() {
-            return None; // IllegalModifier on the slow path
-        }
-        let tpr = Tpr {
-            ring: ea.ring,
-            addr: ea.addr,
-        };
-        let sdw = self.tr.fast_sdw(tpr.addr.segno)?;
-        let decision = self.check_call_return(use_class, &sdw, tpr, iseg).ok()?;
+        let sdw = self.tr.fast_sdw(ea.tpr.addr.segno)?;
+        let decision = self.check_call_return(use_class, &sdw, ea.tpr, iseg).ok()?;
         // The target lookup hits the associative memory without a
         // lookaside translation, and it costs no counted read.
         self.tr.fast_commit_sdw_hit();
-        if self.fast.record {
-            self.fast
-                .access_buf
-                .push((tpr.addr.segno.value(), AccessMode::Execute));
-        }
-        let ea_event = Some((ea.depth, ea.ring.number() > at0.ring.number()));
-        self.fast_commit(at0, instr, use_class, reads, lookups, ea_event);
+        self.fast_access(ea.tpr.addr.segno, AccessMode::Execute);
+        self.fast_commit(at0, instr, use_class, &port, ea.event(at0.ring));
         self.last_use = Some(use_class);
-        self.apply_call_return(tpr.addr, decision);
+        self.apply_call_return(ea.tpr.addr, decision);
         Some(())
     }
 
-    /// Fig. 5 effective-address formation on pure probes. Mirrors
-    /// [`Machine::form_ea`] exactly; `None` bails (chain too long, a
-    /// probe missed, or a word was unreachable).
-    fn fast_form_ea(
-        &mut self,
-        instr: &Instr,
-        iseg: SegNo,
-        reads: &mut u64,
-        lookups: &mut u64,
-    ) -> Option<FastEa> {
-        let mut offset = instr.offset;
-        match instr.mode {
-            AddrMode::Immediate => {
-                return Some(FastEa {
-                    ring: self.ipr.ring,
-                    addr: SegAddr::new(iseg, WordNo::from_bits(u64::from(offset))),
-                    immediate: Some(Word::new(u64::from(offset))),
-                    depth: 0,
-                });
-            }
-            AddrMode::Indexed => {
-                offset = (offset + self.x[instr.xreg as usize]) & MAX_WORDNO;
-            }
-            AddrMode::None => {}
-        }
-        let (mut ring, mut addr) = match instr.pr {
-            Some(n) => {
-                let pr = self.prs[n as usize];
-                (
-                    effective::fold_pr(self.ipr.ring, pr.ring, self.config.ea_rules),
-                    SegAddr::new(pr.addr.segno, pr.addr.wordno.wrapping_add(offset)),
-                )
-            }
-            None => (
-                self.ipr.ring,
-                SegAddr::new(iseg, WordNo::from_bits(u64::from(offset))),
-            ),
-        };
-        let mut indirect = instr.indirect;
-        let mut depth = 0u32;
-        while indirect {
-            depth += 1;
-            if depth > self.config.indirect_limit {
-                return None; // IndirectLimit on the slow path
-            }
-            let hit0 = self
-                .tr
-                .fast_probe(&self.phys, addr, ring, AccessMode::Read)?;
-            let second = SegAddr::new(addr.segno, addr.wordno.wrapping_add(1));
-            // The probe's per-page bound test is exactly the SDW bound
-            // check the slow path applies to the pair's second word.
-            let hit1 = self
-                .tr
-                .fast_probe(&self.phys, second, ring, AccessMode::Read)?;
-            if self.phys.is_poisoned(hit0.abs) || self.phys.is_poisoned(hit1.abs) {
-                return None;
-            }
-            let w0 = self.phys.peek(hit0.abs).ok()?;
-            let w1 = self.phys.peek(hit1.abs).ok()?;
-            *reads += hit0.ptw_reads + hit1.ptw_reads + 2;
-            *lookups += 1;
-            if self.fast.record {
-                self.fast
-                    .access_buf
-                    .push((addr.segno.value(), AccessMode::Read));
-            }
-            let iw = IndWord::unpack(w0, w1);
-            ring = effective::fold_indirect_parts(ring, iw.ring, hit0.r1, self.config.ea_rules);
-            addr = iw.addr;
-            indirect = iw.indirect;
-        }
-        Some(FastEa {
-            ring,
-            addr,
-            immediate: None,
-            depth,
-        })
-    }
-
     /// Commits an attempt: charges the counted reads, credits the cache
-    /// statistics with `lookups` lookaside translations, mirrors the
-    /// slow path's trace and metrics events, and advances the
-    /// instruction counter (transfers, CALL and RETURN overwrite it
-    /// after).
+    /// statistics with the lookaside translations, mirrors the slow
+    /// path's trace and metrics events, and advances the instruction
+    /// counter (transfers, CALL and RETURN overwrite it after).
     fn fast_commit(
         &mut self,
         at0: Ipr,
         instr: Instr,
         use_class: OperandUse,
-        reads: u64,
-        lookups: u64,
+        port: &Probe,
         ea_event: Option<(u32, bool)>,
     ) {
-        self.phys.charge_reads(reads);
-        self.tr.fast_commit_hits(lookups);
+        self.phys.charge_reads(port.reads);
+        self.tr.fast_commit_hits(port.lookups);
         self.stats.fast_steps += 1;
         // `last_use` stays `None`: its only consumer attributes cycle
         // costs to the CALL/RETURN histograms, and those two classes

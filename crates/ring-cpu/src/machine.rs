@@ -21,7 +21,7 @@ use ring_core::access::Fault;
 use ring_core::addr::{SegAddr, SegNo, WordNo, MAX_WORDNO};
 use ring_core::callret::StackRule;
 use ring_core::effective::EffectiveRingRules;
-use ring_core::registers::{Dbr, Ipr, PtrReg, NUM_PR};
+use ring_core::registers::{Dbr, Ipr, PtrReg, Tpr, NUM_PR};
 use ring_core::ring::Ring;
 use ring_core::sdw::Sdw;
 use ring_core::validate;
@@ -30,6 +30,7 @@ use ring_metrics::{FastPathStats, Metrics, MetricsSnapshot, SdwCacheStats};
 use ring_segmem::phys::PhysMem;
 use ring_segmem::translate::Translator;
 
+use crate::ea::Counted;
 use crate::io::IoSystem;
 use crate::isa::Instr;
 use crate::native::{NativeAction, NativeRegistry};
@@ -757,36 +758,12 @@ impl Machine {
     /// top): exactly the Fig. 5 treatment. This is how a native
     /// procedure dereferences an argument-list entry safely.
     pub fn read_pointer_validated(&mut self, ptr: PtrReg) -> Result<PtrReg, Fault> {
-        let mut ring = ring_core::effective::fold_pr(self.ipr.ring, ptr.ring, self.config.ea_rules);
-        let mut addr = ptr.addr;
-        let mut depth = 0u32;
-        loop {
-            depth += 1;
-            if depth > self.config.indirect_limit {
-                return Err(Fault::IndirectLimit);
-            }
-            let sdw = self.sdw_for(addr, ring_core::access::AccessMode::Read)?;
-            validate::check_read(&sdw, addr, ring)?;
-            let second = SegAddr::new(addr.segno, addr.wordno.wrapping_add(1));
-            if !sdw.in_bounds(second.wordno) {
-                return Err(Fault::AccessViolation {
-                    mode: ring_core::access::AccessMode::Read,
-                    violation: ring_core::access::Violation::OutOfBounds,
-                    addr: second,
-                    ring,
-                });
-            }
-            let abs0 = self.tr.resolve(&mut self.phys, &sdw, addr, false)?;
-            let abs1 = self.tr.resolve(&mut self.phys, &sdw, second, false)?;
-            let w0 = self.phys.read(abs0)?;
-            let w1 = self.phys.read(abs1)?;
-            let iw = ring_core::registers::IndWord::unpack(w0, w1);
-            ring = ring_core::effective::fold_indirect(ring, iw.ring, &sdw, self.config.ea_rules);
-            addr = iw.addr;
-            if !iw.indirect {
-                return Ok(PtrReg::new(ring, addr));
-            }
-        }
+        let tpr = Tpr {
+            ring: ring_core::effective::fold_pr(self.ipr.ring, ptr.ring, self.config.ea_rules),
+            addr: ptr.addr,
+        };
+        let ea = self.follow_chain(&mut Counted { warm: false }, tpr, true)?;
+        Ok(PtrReg::new(ea.tpr.ring, ea.tpr.addr))
     }
 
     /// Stores `ptr` as an indirect-word pair at `at` with write
@@ -794,21 +771,7 @@ impl Machine {
     pub fn write_pointer_validated(&mut self, at: PtrReg, ptr: PtrReg) -> Result<(), Fault> {
         let ring = self.ipr.ring.least_privileged(at.ring);
         let sdw = self.sdw_for(at.addr, ring_core::access::AccessMode::Write)?;
-        validate::check_write(&sdw, at.addr, ring)?;
-        let second = SegAddr::new(at.addr.segno, at.addr.wordno.wrapping_add(1));
-        if !sdw.in_bounds(second.wordno) {
-            return Err(Fault::AccessViolation {
-                mode: ring_core::access::AccessMode::Write,
-                violation: ring_core::access::Violation::OutOfBounds,
-                addr: second,
-                ring,
-            });
-        }
-        let (w0, w1) = ring_core::registers::IndWord::from_ptr(ptr).pack();
-        let abs0 = self.tr.resolve(&mut self.phys, &sdw, at.addr, true)?;
-        let abs1 = self.tr.resolve(&mut self.phys, &sdw, second, true)?;
-        self.phys.write(abs0, w0)?;
-        self.phys.write(abs1, w1)
+        self.write_pair(&sdw, at.addr, ring, ptr)
     }
 
     /// Returns a pointer to the `n`-th argument given the argument-list

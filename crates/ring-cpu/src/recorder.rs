@@ -4,9 +4,9 @@
 //! checkpoints, and every I/O completion as a run executes;
 //! [`replay`] re-runs a [`Recording`] in a freshly built machine and
 //! verifies it bit-for-bit (final registers, memory, cycles, I/O
-//! timeline). [`seek`] restores the nearest checkpoint at or before a
-//! target instruction count and re-executes forward — the primitive
-//! behind `ringdbg`'s reverse-step.
+//! timeline, checkpoints). [`seek`] restores the nearest checkpoint at
+//! or before a target instruction count and re-executes forward — the
+//! primitive behind `ringdbg`'s reverse-step.
 //!
 //! The simulator is deterministic by construction, so a recording's
 //! I/O events are *verification* data (and future-proofing for device
@@ -122,8 +122,10 @@ pub struct ReplayReport {
 
 /// Replays `recording` in `machine` (which must be built from the same
 /// program and configuration) and verifies it against the recorded
-/// run: every I/O completion at the recorded instruction/cycle/channel
-/// and a bit-identical final image.
+/// run: every I/O completion at the recorded instruction/cycle/channel,
+/// every checkpoint (what [`seek`] restores) at its recorded cycle count
+/// with the recorded instruction count and image, and a bit-identical
+/// final image.
 ///
 /// Returns `Err` only when the recording cannot be applied at all
 /// (wrong machine shape); divergence during the run is reported in the
@@ -132,6 +134,7 @@ pub fn replay(machine: &mut Machine, recording: &Recording) -> Result<ReplayRepo
     machine.restore_image(&MachineImage::from_words(recording.initial.clone()))?;
     let mut mismatch: Option<String> = None;
     let mut io_seen = 0usize;
+    let mut checkpoints_seen = 0usize;
     // Async trap deliveries retire no instruction, so allow headroom
     // beyond the instruction count before declaring the replay stuck.
     let max_steps = recording
@@ -164,9 +167,32 @@ pub fn replay(machine: &mut Machine, recording: &Recording) -> Result<ReplayRepo
                 }
             }
         }
+        // The recorder checkpoints after the step that reaches its
+        // cycle mark, so each checkpoint falls exactly on a step's end.
+        while let Some(want) = recording.checkpoints.get(checkpoints_seen) {
+            if mismatch.is_some() || machine.cycles() < want.cycles {
+                break;
+            }
+            if machine.cycles() > want.cycles {
+                mismatch = Some(format!(
+                    "replay stepped past checkpoint {checkpoints_seen} at cycle {}",
+                    want.cycles
+                ));
+            } else if machine.stats().instructions != want.instructions
+                || machine.capture_image().words() != want.image.as_slice()
+            {
+                mismatch = Some(format!("checkpoint {checkpoints_seen} diverged"));
+            }
+            checkpoints_seen += 1;
+        }
         if let StepOutcome::Halted = outcome {
             break;
         }
+    }
+    if mismatch.is_none() && checkpoints_seen != recording.checkpoints.len() {
+        mismatch = Some(format!(
+            "replay never reached checkpoint {checkpoints_seen}"
+        ));
     }
     if mismatch.is_none() && io_seen != recording.io_events.len() {
         mismatch = Some(format!(

@@ -720,6 +720,43 @@ fn privileged_instructions_fault_outside_ring_0() {
     }
 }
 
+/// LDBR and SIO take a two-word operand, so ring 0 gets the illegal
+/// modifier fault for a literal, as every other class that names memory
+/// does, on both engines; nothing loads and no channel starts. LDT
+/// keeps its literal.
+#[test]
+fn ldbr_and_sio_refuse_a_literal() {
+    for fastpath in [true, false] {
+        for op in [Opcode::Ldbr, Opcode::Sio, Opcode::Ldt] {
+            let mut w = World::with_config(MachineConfig {
+                fastpath,
+                ..Default::default()
+            });
+            let code = w.add_segment(
+                CODE,
+                SdwBuilder::procedure(Ring::R0, Ring::R0, Ring::R0).bound_words(16),
+            );
+            let trap = w.add_trap_segment();
+            w.machine
+                .register_native(trap, |_, _| Ok(NativeAction::Halt));
+            w.start(Ring::R0, code, 0);
+            w.poke_instr(code, 0, Instr::direct(op, 5).immediate());
+            let dbr = w.machine.dbr();
+            if op == Opcode::Ldt {
+                step_ok(&mut w);
+                // The timer runs down by the LDT's own cycles.
+                let spent = w.machine.cycles();
+                assert_eq!(w.machine.timer(), Some(5 - spent), "fastpath={fastpath}");
+                continue;
+            }
+            let f = step_traps(&mut w);
+            assert_eq!(f, Fault::IllegalModifier, "{op:?} fastpath={fastpath}");
+            assert_eq!(w.machine.dbr(), dbr, "{op:?} fastpath={fastpath}");
+            assert_eq!(w.machine.io().next_done_at(), None, "{op:?}");
+        }
+    }
+}
+
 #[test]
 fn halt_in_ring_0_stops_the_machine() {
     let mut w = World::new();

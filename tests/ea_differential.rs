@@ -7,6 +7,7 @@ use multiring::core::registers::{IndWord, PtrReg};
 use multiring::core::ring::Ring;
 use multiring::core::sdw::SdwBuilder;
 use multiring::cpu::isa::{Instr, Opcode};
+use multiring::cpu::machine::{MachineConfig, StepOutcome};
 use multiring::cpu::testkit::{addr, World};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -20,24 +21,14 @@ fn effective_ring_matches_oracle_over_random_chains() {
         let pr_ring = Ring::new(rng.gen_range(exec_ring.number()..8)).unwrap();
         let depth = rng.gen_range(0..5u32);
 
-        let mut w = World::new();
-        let code = w.add_segment(
-            10,
-            SdwBuilder::procedure(exec_ring, exec_ring, exec_ring).bound_words(64),
-        );
-        w.start(exec_ring, code, 0);
-
         // Chain tables 20..20+depth, each readable by everyone (so the
         // chain never faults on read) with a random write-bracket top;
-        // final target segment 19.
-        w.add_segment(19, SdwBuilder::data(Ring::R7, Ring::R7).bound_words(64));
+        // final target segment 19. Each hop is (write-bracket top,
+        // indirect-word ring, next address).
         let mut contributions = vec![exec_ring.number(), pr_ring.number()];
+        let mut hops = Vec::new();
         for i in 0..depth {
             let r1 = rng.gen_range(0..8u8);
-            let seg = w.add_segment(
-                20 + i,
-                SdwBuilder::data(Ring::new(r1).unwrap(), Ring::R7).bound_words(64),
-            );
             let ind_ring = rng.gen_range(0..8u8);
             let last = i + 1 == depth;
             let next = if last {
@@ -45,18 +36,39 @@ fn effective_ring_matches_oracle_over_random_chains() {
             } else {
                 addr(20 + i + 1, 0)
             };
-            w.write_ind_word(
-                seg,
-                0,
-                IndWord::new(Ring::new(ind_ring).unwrap(), next, !last),
-            );
+            hops.push((r1, ind_ring, next));
             contributions.push(r1);
             contributions.push(ind_ring);
-            let _ = seg;
         }
-
         let base = if depth == 0 { addr(19, 3) } else { addr(20, 0) };
-        w.machine.set_pr(1, PtrReg::new(pr_ring, base));
+        let world = |fastpath: bool| {
+            let mut w = World::with_config(MachineConfig {
+                fastpath,
+                ..Default::default()
+            });
+            let code = w.add_segment(
+                10,
+                SdwBuilder::procedure(exec_ring, exec_ring, exec_ring).bound_words(64),
+            );
+            w.start(exec_ring, code, 0);
+            w.add_segment(19, SdwBuilder::data(Ring::R7, Ring::R7).bound_words(64));
+            for (i, &(r1, ind_ring, next)) in (0u32..).zip(&hops) {
+                let seg = w.add_segment(
+                    20 + i,
+                    SdwBuilder::data(Ring::new(r1).unwrap(), Ring::R7).bound_words(64),
+                );
+                let more = i + 1 < depth;
+                w.write_ind_word(
+                    seg,
+                    0,
+                    IndWord::new(Ring::new(ind_ring).unwrap(), next, more),
+                );
+            }
+            w.machine.set_pr(1, PtrReg::new(pr_ring, base));
+            (w, code)
+        };
+        let (mut w, code) = world(true);
+
         let mut instr = Instr::pr_relative(Opcode::Lda, 1, 0);
         if depth > 0 {
             instr = instr.with_indirect();
@@ -71,16 +83,47 @@ fn effective_ring_matches_oracle_over_random_chains() {
         } else {
             oracle::effective_ring(&contributions)
         };
+        let what =
+            format!("exec={exec_ring} pr={pr_ring} depth={depth} contributions={contributions:?}");
         match w.machine.effective_address(&instr, code) {
             Ok(tpr) => {
-                assert_eq!(
-                    tpr.ring, expected,
-                    "exec={exec_ring} pr={pr_ring} depth={depth} contributions={contributions:?}"
-                );
+                assert_eq!(tpr.ring, expected, "{what}");
                 checked += 1;
             }
             Err(e) => panic!("chain unexpectedly faulted: {e}"),
         }
+        if depth == 0 {
+            continue;
+        }
+
+        // Both engines and the native accessor share one walk, so the
+        // lockstep differential cannot see a fold that walk drops. Form
+        // the chain three more ways against the oracle: `eap pr2,
+        // pr1|0,*` on each engine, where the repeat commits on the fast
+        // path of a fast-path machine, and `read_pointer_validated`.
+        let eap = Instr::pr_relative(Opcode::Eap, 1, 0)
+            .with_indirect()
+            .with_xreg(2);
+        for fastpath in [true, false] {
+            let (mut w, code) = world(fastpath);
+            w.poke_instr(code, 0, eap);
+            w.poke_instr(code, 1, eap);
+            for run in 0..2 {
+                assert_eq!(w.machine.step(), StepOutcome::Ran, "{what}");
+                assert_eq!(
+                    w.machine.pr(2).ring,
+                    expected,
+                    "fastpath={fastpath} run={run} {what}"
+                );
+            }
+            let fast_steps = u64::from(fastpath);
+            assert_eq!(w.machine.stats().fast_steps, fast_steps, "{what}");
+        }
+        let ptr = w
+            .machine
+            .read_pointer_validated(PtrReg::new(pr_ring, base))
+            .expect("chain reads");
+        assert_eq!(ptr.ring, expected, "read_pointer_validated {what}");
     }
     assert!(checked >= 300);
 }

@@ -205,7 +205,7 @@ proptest! {
         sdw in arb_sdw(),
     ) {
         let r = multiring::core::effective::fold_indirect(
-            cur, ind, &sdw, EffectiveRingRules::PAPER,
+            cur, ind, sdw.r1, EffectiveRingRules::PAPER,
         );
         prop_assert!(r >= cur);
         prop_assert!(r >= ind);

@@ -128,6 +128,22 @@ fn gate_storm_record_replay_is_bit_identical() {
         rep_w.machine.take_span_events(),
         "replayed span stream differs from the recorded run's"
     );
+
+    // Checkpoints are what `seek` restores, so replay checks each one:
+    // a changed image word, or a checkpoint moved off the cycle where
+    // the run takes it, is a divergence that names the checkpoint.
+    let mut image_tampered = recording.clone();
+    *image_tampered.checkpoints[1].image.last_mut().unwrap() ^= 1;
+    let mut cycles_tampered = recording.clone();
+    cycles_tampered.checkpoints[1].cycles += 1;
+    for tampered in [image_tampered, cycles_tampered] {
+        let mut w = gate_storm_world(CALLS);
+        w.start(Ring::R4, SegNo::new(10).unwrap(), 0);
+        let report = replay(&mut w.machine, &tampered).expect("recording applies");
+        assert!(!report.ok, "a tampered checkpoint replayed clean");
+        let mismatch = report.mismatch.unwrap();
+        assert!(mismatch.contains("checkpoint 1"), "{mismatch}");
+    }
 }
 
 /// The sampling profiler and the time-series pipeline are driven by
