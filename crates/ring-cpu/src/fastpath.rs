@@ -45,7 +45,8 @@
 //! * **Mirror the observability surface.** A committed fast instruction
 //!   makes one observer call carrying the same trace event and the same
 //!   SDW-lookup, access-heatmap, instruction-mix and EA-depth counts as
-//!   its slow twin reports.
+//!   its slow twin reports, packed as one commit record
+//!   ([`ring_metrics::commit`]).
 //!
 //! The instruction cache needs no invalidation protocol: each fetch
 //! re-peeks the instruction word through the TLB translation and a hit
@@ -61,6 +62,7 @@ use ring_core::addr::{AbsAddr, SegAddr, SegNo};
 use ring_core::registers::{Ipr, PtrReg};
 use ring_core::ring::Ring;
 use ring_core::word::Word;
+use ring_metrics::CommitRefs;
 use ring_segmem::slot_table::{Clean, Slot, SlotTable, Stock, SLOTS};
 
 use crate::ea::{EffAddr, PairPort};
@@ -198,12 +200,12 @@ impl ICache {
 #[derive(Clone)]
 pub(crate) struct FastState {
     pub(crate) icache: ICache,
-    /// Reusable buffer of heatmap events accumulated during an attempt
-    /// and reported only on commit.
-    access_buf: Vec<(u32, AccessMode)>,
+    /// The segment references of the current attempt, reported only on
+    /// commit.
+    refs: CommitRefs,
     /// Whether the current attempt records observability events
     /// (latched from `Metrics::is_enabled` at attempt start, so the
-    /// disabled-metrics hot path skips the buffer entirely).
+    /// disabled-metrics hot path skips the references entirely).
     record: bool,
 }
 
@@ -211,7 +213,7 @@ impl FastState {
     pub(crate) fn new() -> FastState {
         FastState {
             icache: ICache::new(),
-            access_buf: Vec::with_capacity(8),
+            refs: CommitRefs::default(),
             record: false,
         }
     }
@@ -222,7 +224,7 @@ impl FastState {
         self.icache.slots.clear();
         self.icache.hits = 0;
         self.icache.misses = 0;
-        self.access_buf.clear();
+        self.refs.clear();
         self.record = false;
     }
 }
@@ -292,7 +294,7 @@ impl Machine {
         };
         self.fast.record = self.obs.metrics.is_enabled();
         if self.fast.record {
-            self.fast.access_buf.clear();
+            self.fast.refs.clear();
         }
         self.fast_access(iaddr.segno, AccessMode::Execute);
 
@@ -428,7 +430,7 @@ impl Machine {
     #[inline(always)]
     fn fast_access(&mut self, segno: SegNo, mode: AccessMode) {
         if self.fast.record {
-            self.fast.access_buf.push((segno.value(), mode));
+            self.fast.refs.push(segno, mode);
         }
     }
 
@@ -479,7 +481,7 @@ impl Machine {
         // costs to the CALL/RETURN histograms, and those two classes
         // set it themselves.
         self.obs
-            .fast_instruction(at0, instr, use_class, &self.fast.access_buf, ea_event);
+            .fast_instruction(at0, instr, use_class, &self.fast.refs, ea_event);
         self.ipr.addr = SegAddr::new(at0.addr.segno, at0.addr.wordno.wrapping_add(1));
     }
 }

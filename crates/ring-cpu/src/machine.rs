@@ -26,7 +26,7 @@ use ring_core::ring::Ring;
 use ring_core::sdw::Sdw;
 use ring_core::validate;
 use ring_core::word::Word;
-use ring_metrics::{FastPathStats, Metrics, MetricsSnapshot, SdwCacheStats};
+use ring_metrics::{FastPathStats, MetricsSnapshot, SdwCacheStats};
 use ring_segmem::phys::PhysMem;
 use ring_segmem::translate::Translator;
 
@@ -526,11 +526,6 @@ impl Machine {
     /// state either way.
     pub fn enable_metrics(&mut self) {
         self.obs.metrics.enable();
-    }
-
-    /// The metrics recorder (read-only).
-    pub fn metrics(&self) -> &Metrics {
-        &self.obs.metrics
     }
 
     /// SDW associative-memory statistics, independent of the metrics

@@ -19,14 +19,15 @@
 //! The profiler and the time series are driven by simulated cycles;
 //! the step loop asks [`Observer::due`] once per step for both.
 //! Per-reference counters (SDW lookups, segment accesses, EA depth) are
-//! not commit points: they stay plain [`Metrics`] updates at their
-//! chokepoints.
+//! not commit points: on the reference path they stay plain [`Metrics`]
+//! updates at their chokepoints, and a fast-path commit carries its own
+//! in its one [`Metrics::fast_commit`] call.
 
-use ring_core::access::{vector, AccessMode, Fault};
+use ring_core::access::{vector, Fault};
 use ring_core::addr::{SegAddr, SegNo, WordNo};
 use ring_core::registers::Ipr;
 use ring_core::ring::Ring;
-use ring_metrics::{Crossing, EventRing, Metrics};
+use ring_metrics::{CommitRefs, Crossing, EventRing, Metrics};
 use ring_prof::{Profiler, TimeSeries, Totals};
 use ring_trace::{InstantKind, SpanKey, SpanKind, SpanRecorder};
 
@@ -114,31 +115,23 @@ impl Observer {
     }
 
     /// The fast path committed `instr` from `at`: the same events as
-    /// its reference twin, with the twin's segment `accesses` and
-    /// effective-address event. Each access stands for one SDW lookup
-    /// that hit the associative memory, since the twin's
-    /// `Machine::sdw_for` reports a lookup and an access together.
+    /// its reference twin, with the twin's segment references `refs`
+    /// and effective-address event, in one metrics call. Each reference
+    /// stands for one SDW lookup that hit the associative memory, since
+    /// the twin's `Machine::sdw_for` reports a lookup and an access
+    /// together.
     #[inline]
     pub(crate) fn fast_instruction(
         &mut self,
         at: Ipr,
         instr: Instr,
         use_class: OperandUse,
-        accesses: &[(u32, AccessMode)],
+        refs: &CommitRefs,
         ea_event: Option<(u32, bool)>,
     ) {
         self.push(|| TraceEvent::Instr { at, instr });
-        if !self.metrics.is_enabled() {
-            return;
-        }
-        self.metrics.instruction(at.ring, use_class.metric_class());
-        self.metrics.sdw_hits(accesses.len() as u64);
-        for &(segno, mode) in accesses {
-            self.metrics.access(segno, mode);
-        }
-        if let Some((depth, maximised)) = ea_event {
-            self.metrics.ea_formed(depth, maximised);
-        }
+        self.metrics
+            .fast_commit(at.ring, use_class.metric_class(), refs, ea_event);
     }
 
     /// A native procedure body was entered at `segno|entry`.

@@ -180,12 +180,10 @@ impl OpClass {
         }
     }
 
-    fn index(self) -> usize {
-        // Infallible: ALL enumerates every variant.
-        OpClass::ALL
-            .iter()
-            .position(|c| *c == self)
-            .unwrap_or_default()
+    /// The class's position in [`OpClass::ALL`], which lists the
+    /// variants in declaration order.
+    pub(crate) fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -198,7 +196,12 @@ pub struct OpClassCounters {
 impl OpClassCounters {
     /// Records one instruction of `class`.
     pub fn record(&mut self, class: OpClass) {
-        self.counts[class.index()] += 1;
+        self.record_n(class, 1);
+    }
+
+    /// Records `n` instructions of `class`.
+    pub(crate) fn record_n(&mut self, class: OpClass, n: u64) {
+        self.counts[class.index()] += n;
     }
 
     /// Count for one class.
@@ -307,6 +310,13 @@ mod tests {
         assert_eq!(c.matrix[4][4], 1);
         assert_eq!(c.total(), 4);
         assert_eq!(c.total_ring_changes(), 3);
+    }
+
+    #[test]
+    fn opclass_index_is_the_position_in_all() {
+        for (i, c) in OpClass::ALL.into_iter().enumerate() {
+            assert_eq!(c.index(), i, "{}", c.key());
+        }
     }
 
     #[test]

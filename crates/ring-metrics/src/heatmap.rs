@@ -42,12 +42,17 @@ impl SegmentHeatmap {
 
     /// Records one reference of `mode` to segment `segno`.
     pub fn record(&mut self, segno: u32, mode: AccessMode) {
+        self.record_n(segno, mode, 1);
+    }
+
+    /// Records `n` references of `mode` to segment `segno`.
+    pub(crate) fn record_n(&mut self, segno: u32, mode: AccessMode, n: u64) {
         let heat = self.entry(segno);
-        match mode {
-            AccessMode::Read => heat.reads += 1,
-            AccessMode::Write => heat.writes += 1,
-            AccessMode::Execute => heat.executes += 1,
-        }
+        // No branch on the mode: a commit-table fold takes records whose
+        // modes follow no pattern.
+        heat.reads += n * u64::from(mode == AccessMode::Read);
+        heat.writes += n * u64::from(mode == AccessMode::Write);
+        heat.executes += n * u64::from(mode == AccessMode::Execute);
     }
 
     /// Records one refused reference to segment `segno`.
@@ -56,7 +61,7 @@ impl SegmentHeatmap {
     }
 
     /// The counts for `segno`, inserted zeroed in segment order if new.
-    fn entry(&mut self, segno: u32) -> &mut SegHeat {
+    pub(crate) fn entry(&mut self, segno: u32) -> &mut SegHeat {
         let i = match self.segs.binary_search_by_key(&segno, |(s, _)| *s) {
             Ok(i) => i,
             Err(i) => {

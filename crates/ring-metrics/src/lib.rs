@@ -39,12 +39,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod commit;
 pub mod counters;
 pub mod heatmap;
 pub mod hist;
 pub mod ring_buffer;
 pub mod snapshot;
 
+pub use commit::CommitRefs;
 pub use counters::{Crossing, CrossingCounters, FaultCounters, OpClass, OpClassCounters};
 pub use heatmap::{SegHeat, SegmentHeatmap};
 pub use hist::CycleHistogram;
@@ -57,38 +59,37 @@ pub use snapshot::{
 use ring_core::access::{AccessMode, Fault};
 use ring_core::ring::Ring;
 
+use commit::{CommitTable, Tallies};
+
 /// The aggregate recorder threaded through the machine and supervisor.
 ///
 /// Constructed disabled; [`Metrics::enable`] turns recording on. Every
 /// recording method bails on the first branch when disabled, so a
 /// disabled `Metrics` costs one predictable-taken compare per event.
+/// The counters are read through [`MetricsSnapshot::new`]: fast-path
+/// commits wait in a fixed table ([`commit`]) until a snapshot folds
+/// them in.
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
     enabled: bool,
     /// Ring-crossing counts (matrix and per-kind).
-    pub crossings: CrossingCounters,
+    crossings: CrossingCounters,
     /// Fault counts by vector and by faulting ring.
-    pub faults: FaultCounters,
-    /// Instruction counts by operand-reference class.
-    pub opclasses: OpClassCounters,
-    /// Instruction counts by ring of execution.
-    pub instr_by_ring: [u64; counters::NUM_RINGS],
+    faults: FaultCounters,
     /// Cycle cost of completed CALL instructions.
-    pub call_cycles: CycleHistogram,
+    call_cycles: CycleHistogram,
     /// Cycle cost of completed RETURN instructions.
-    pub return_cycles: CycleHistogram,
-    /// Indirect-chain depth of each effective-address formation.
-    pub ea_depth: CycleHistogram,
-    /// Fig. 5 events where folding raised the effective ring above the
-    /// ring of execution.
-    pub tpr_maximisations: u64,
-    /// Extra descriptor-walk references on SDW-cache hits (always 0,
-    /// recorded for the latency contrast with misses).
-    pub sdw_hit_refs: CycleHistogram,
+    return_cycles: CycleHistogram,
     /// Extra descriptor-walk references on SDW-cache misses.
-    pub sdw_miss_refs: CycleHistogram,
-    /// Per-segment reference and violation counts.
-    pub heatmap: SegmentHeatmap,
+    sdw_miss_refs: CycleHistogram,
+    /// The counters fast-path commits feed, less the commits `commits`
+    /// still holds: instructions by ring and by class, EA depth and TPR
+    /// maximisations, SDW-cache hits (whose extra descriptor-walk
+    /// references are always 0, recorded for the latency contrast with
+    /// misses) and the per-segment heatmap.
+    tallies: Tallies,
+    /// Fast-path commits not yet in `tallies`.
+    commits: CommitTable,
 }
 
 impl Metrics {
@@ -122,8 +123,31 @@ impl Metrics {
         if !self.enabled {
             return;
         }
-        self.instr_by_ring[ring.number() as usize] += 1;
-        self.opclasses.record(class);
+        self.tallies.instr_by_ring[ring.number() as usize] += 1;
+        self.tallies.opclasses.record(class);
+    }
+
+    /// A fast-path commit: one instruction of `class` in `ring`, whose
+    /// segment references `refs` each hit the SDW cache, with the Fig. 5
+    /// event `ea` (see [`Metrics::ea_formed`]). It counts what
+    /// [`Metrics::instruction`], a hit [`Metrics::sdw_lookup`] and an
+    /// [`Metrics::access`] per reference, and [`Metrics::ea_formed`]
+    /// count, as one record in the commit table.
+    #[inline]
+    pub fn fast_commit(
+        &mut self,
+        ring: Ring,
+        class: OpClass,
+        refs: &CommitRefs,
+        ea: Option<(u32, bool)>,
+    ) {
+        if !self.enabled {
+            return;
+        }
+        match refs.record(ring, class, ea) {
+            Some(record) => self.commits.count(record, &mut self.tallies),
+            None => self.tallies.add_unpacked(ring, class, refs, ea),
+        }
     }
 
     /// Control crossed (or stayed within) a ring boundary.
@@ -142,7 +166,7 @@ impl Metrics {
         }
         self.faults.record(fault, ring);
         if let Fault::AccessViolation { addr, .. } = fault {
-            self.heatmap.record_violation(addr.segno.value());
+            self.tallies.heatmap.record_violation(addr.segno.value());
         }
     }
 
@@ -153,7 +177,7 @@ impl Metrics {
         if !self.enabled {
             return;
         }
-        self.heatmap.record(segno, mode);
+        self.tallies.heatmap.record(segno, mode);
     }
 
     /// An SDW lookup completed: a cache hit, or a miss costing
@@ -163,19 +187,10 @@ impl Metrics {
             return;
         }
         if hit {
-            self.sdw_hit_refs.record(extra_refs);
+            self.tallies.sdw_hit_refs.record(extra_refs);
         } else {
             self.sdw_miss_refs.record(extra_refs);
         }
-    }
-
-    /// `n` SDW lookups hit the cache: the same as `n` hit
-    /// [`Metrics::sdw_lookup`]s, in one event.
-    pub fn sdw_hits(&mut self, n: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.sdw_hit_refs.record_n(0, n);
     }
 
     /// A CALL instruction completed, costing `cycles`.
@@ -201,10 +216,18 @@ impl Metrics {
         if !self.enabled {
             return;
         }
-        self.ea_depth.record(u64::from(depth));
+        self.tallies.ea_depth.record(u64::from(depth));
         if maximised {
-            self.tpr_maximisations += 1;
+            self.tallies.tpr_maximisations += 1;
         }
+    }
+
+    /// The counters fast-path commits feed, with the commit table
+    /// folded in: what counting each event as it happened would hold.
+    fn folded(&self) -> Tallies {
+        let mut folded = self.tallies.clone();
+        folded.add_records(self.commits.iter());
+        folded
     }
 }
 
@@ -213,6 +236,10 @@ mod tests {
     use super::*;
     use ring_core::access::Violation;
     use ring_core::addr::SegAddr;
+
+    fn snapshot(m: &Metrics) -> MetricsSnapshot {
+        MetricsSnapshot::new(m, 0, 0, SdwCacheStats::default(), FastPathStats::default())
+    }
 
     #[test]
     fn disabled_metrics_record_nothing() {
@@ -225,13 +252,14 @@ mod tests {
         m.call_cycles(9);
         m.ea_formed(3, true);
         assert!(!m.is_enabled());
-        assert_eq!(m.crossings.total(), 0);
-        assert_eq!(m.faults.total(), 0);
-        assert_eq!(m.opclasses.total(), 0);
-        assert_eq!(m.call_cycles.count(), 0);
-        assert_eq!(m.ea_depth.count(), 0);
-        assert_eq!(m.tpr_maximisations, 0);
-        assert!(m.heatmap.is_empty());
+        let s = snapshot(&m);
+        assert_eq!(s.crossings.total(), 0);
+        assert_eq!(s.faults.total(), 0);
+        assert_eq!(s.opclasses.total(), 0);
+        assert_eq!(s.call_cycles.count, 0);
+        assert_eq!(s.ea_depth.count, 0);
+        assert_eq!(s.tpr_maximisations, 0);
+        assert!(s.heatmap.is_empty());
     }
 
     #[test]
@@ -257,20 +285,21 @@ mod tests {
         m.return_cycles(7);
         m.ea_formed(2, true);
 
-        assert_eq!(m.instr_by_ring[4], 1);
-        assert_eq!(m.instr_by_ring[1], 1);
-        assert_eq!(m.crossings.count(Crossing::CallDown), 1);
-        assert_eq!(m.crossings.matrix[4][1], 1);
-        assert_eq!(m.crossings.matrix[1][4], 1);
-        assert_eq!(m.faults.total(), 1);
-        assert_eq!(m.faults.by_ring[5], 1);
+        let s = snapshot(&m);
+        assert_eq!(s.instr_by_ring[4], 1);
+        assert_eq!(s.instr_by_ring[1], 1);
+        assert_eq!(s.crossings.count(Crossing::CallDown), 1);
+        assert_eq!(s.crossings.matrix[4][1], 1);
+        assert_eq!(s.crossings.matrix[1][4], 1);
+        assert_eq!(s.faults.total(), 1);
+        assert_eq!(s.faults.by_ring[5], 1);
         // The access-violation fault also marks the heatmap.
-        let heat = m.heatmap.get(11).unwrap();
+        let heat = s.heatmap.get(11).unwrap();
         assert_eq!(heat.writes, 1);
         assert_eq!(heat.violations, 1);
-        assert_eq!(m.sdw_hit_refs.count(), 1);
-        assert_eq!(m.sdw_miss_refs.count(), 1);
-        assert_eq!(m.call_cycles.count(), 1);
-        assert_eq!(m.tpr_maximisations, 1);
+        assert_eq!(s.sdw_hit_refs.count, 1);
+        assert_eq!(s.sdw_miss_refs.count, 1);
+        assert_eq!(s.call_cycles.count, 1);
+        assert_eq!(s.tpr_maximisations, 1);
     }
 }

@@ -333,21 +333,22 @@ impl MetricsSnapshot {
         sdw_cache: SdwCacheStats,
         fastpath: FastPathStats,
     ) -> MetricsSnapshot {
+        let tallies = metrics.folded();
         MetricsSnapshot {
             enabled: metrics.is_enabled(),
             instructions,
             cycles,
             crossings: metrics.crossings.clone(),
             faults: metrics.faults.clone(),
-            opclasses: metrics.opclasses.clone(),
-            instr_by_ring: metrics.instr_by_ring,
+            opclasses: tallies.opclasses,
+            instr_by_ring: tallies.instr_by_ring,
             call_cycles: HistogramSnapshot::of(&metrics.call_cycles),
             return_cycles: HistogramSnapshot::of(&metrics.return_cycles),
-            ea_depth: HistogramSnapshot::of(&metrics.ea_depth),
-            tpr_maximisations: metrics.tpr_maximisations,
-            sdw_hit_refs: HistogramSnapshot::of(&metrics.sdw_hit_refs),
+            ea_depth: HistogramSnapshot::of(&tallies.ea_depth),
+            tpr_maximisations: tallies.tpr_maximisations,
+            sdw_hit_refs: HistogramSnapshot::of(&tallies.sdw_hit_refs),
             sdw_miss_refs: HistogramSnapshot::of(&metrics.sdw_miss_refs),
-            heatmap: metrics.heatmap.clone(),
+            heatmap: tallies.heatmap,
             sdw_cache,
             fastpath,
             sched: SchedStats::default(),

@@ -136,3 +136,72 @@ loop:   lda pr2|0,*
 ",
     )
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ring_cpu::machine::RunExit;
+
+    /// The host time of each recorder on the 3 M-instruction gate storm
+    /// and tight loop: five configurations (observers off, metrics,
+    /// spans and the profiler each alone, all three), run interleaved,
+    /// each world built afresh per run. Prints every configuration's
+    /// median over the runs and its ratio to the observers-off median.
+    /// Run with `cargo test --release -p ring-os --lib -- --ignored
+    /// --nocapture observer_timing`.
+    #[test]
+    #[ignore = "a timing, not a check; run it in release"]
+    fn observer_timing() {
+        use std::time::Instant;
+        const INSTRUCTIONS: u64 = 3_000_000;
+        const RUNS: usize = 15;
+        // (name, metrics, spans, profiler)
+        let configs = [
+            ("off", false, false, false),
+            ("metrics", true, false, false),
+            ("spans", false, true, false),
+            ("profiler", false, false, true),
+            ("all three", true, true, true),
+        ];
+        let worlds = ["gate_storm", "tight_loop"];
+        let build = |world| match world {
+            "gate_storm" => gate_storm(true, INSTRUCTIONS / 8),
+            _ => tight_loop(true, INSTRUCTIONS / 5),
+        };
+        let mut secs = vec![vec![Vec::with_capacity(RUNS); configs.len()]; worlds.len()];
+        for _ in 0..RUNS {
+            for (w, world) in worlds.into_iter().enumerate() {
+                for (c, &(_, metrics, spans, profiler)) in configs.iter().enumerate() {
+                    let mut world = build(world);
+                    if metrics {
+                        world.machine.enable_metrics();
+                    }
+                    if spans {
+                        world.machine.enable_spans();
+                    }
+                    if profiler {
+                        world.machine.enable_profiler(1000, 5000);
+                    }
+                    let start = Instant::now();
+                    let exit = world.machine.run(2 * INSTRUCTIONS);
+                    secs[w][c].push(start.elapsed().as_secs_f64());
+                    assert_eq!(exit, RunExit::Halted);
+                }
+            }
+        }
+        let median = |xs: &mut Vec<f64>| {
+            xs.sort_by(f64::total_cmp);
+            xs[xs.len() / 2]
+        };
+        for (w, world) in worlds.into_iter().enumerate() {
+            let medians: Vec<f64> = secs[w].iter_mut().map(median).collect();
+            for ((config, ..), m) in configs.iter().zip(&medians) {
+                println!(
+                    "{world} {config:>9}: {:7.1} ms, {:.3}x off (median of {RUNS})",
+                    m * 1e3,
+                    m / medians[0],
+                );
+            }
+        }
+    }
+}
