@@ -61,7 +61,7 @@ impl Machine {
                 // AOS: both the read and the write capability are
                 // required at the effective ring.
                 let ea = self.form_ea(&instr, iseg)?;
-                let (sdw, addr, ring) = self.memory_ea(&ea)?;
+                let (sdw, addr, ring) = self.memory_ea(&ea, AccessMode::Write)?;
                 validate::check_read(&sdw, addr, ring)?;
                 validate::check_write(&sdw, addr, ring)?;
                 let abs = self.tr.resolve(&mut self.phys, &sdw, addr, true)?;
@@ -84,7 +84,7 @@ impl Machine {
             }
             OperandUse::WritePair => {
                 let ea = self.form_ea(&instr, iseg)?;
-                let (sdw, addr, ring) = self.memory_ea(&ea)?;
+                let (sdw, addr, ring) = self.memory_ea(&ea, AccessMode::Write)?;
                 self.write_pair(&sdw, addr, ring, self.prs[instr.xreg as usize])
             }
             OperandUse::Transfer => {
@@ -93,7 +93,7 @@ impl Machine {
                     return Err(Fault::IllegalModifier);
                 }
                 if self.transfer_taken(instr.opcode) {
-                    let (sdw, addr, ring) = self.memory_ea(&ea)?;
+                    let (sdw, addr, ring) = self.memory_ea(&ea, AccessMode::Execute)?;
                     validate::check_transfer(&sdw, addr, ring)?;
                     // Ordinary transfers cannot change the ring.
                     self.ipr.addr = addr;
@@ -141,13 +141,18 @@ impl Machine {
     }
 
     /// Resolves the effective address of a memory operand to its SDW
-    /// and validation ring. A literal is no memory operand.
-    fn memory_ea(&mut self, ea: &EffAddr) -> Result<(ring_core::sdw::Sdw, SegAddr, Ring), Fault> {
+    /// and validation ring, counting a `heat` reference to its segment.
+    /// A literal is no memory operand.
+    fn memory_ea(
+        &mut self,
+        ea: &EffAddr,
+        heat: AccessMode,
+    ) -> Result<(ring_core::sdw::Sdw, SegAddr, Ring), Fault> {
         if ea.immediate.is_some() {
             return Err(Fault::IllegalModifier);
         }
-        let mode = AccessMode::Read; // only used for NoSuchSegment reporting
-        let sdw = self.sdw_for(ea.tpr.addr, mode)?;
+        // A missing segment faults as a read, whatever the class.
+        let sdw = self.sdw_for_as(ea.tpr.addr, AccessMode::Read, heat)?;
         Ok((sdw, ea.tpr.addr, ea.tpr.ring))
     }
 
@@ -156,7 +161,7 @@ impl Machine {
         if let Some(lit) = ea.immediate {
             return Ok(lit);
         }
-        let (sdw, addr, ring) = self.memory_ea(ea)?;
+        let (sdw, addr, ring) = self.memory_ea(ea, AccessMode::Read)?;
         validate::check_read(&sdw, addr, ring)?;
         let abs = self.tr.resolve(&mut self.phys, &sdw, addr, false)?;
         let v = self.phys.read(abs)?;
@@ -166,7 +171,7 @@ impl Machine {
 
     /// Writes the operand for a Write-class instruction (Fig. 6, write).
     fn operand_write(&mut self, ea: &EffAddr, value: Word) -> Result<(), Fault> {
-        let (sdw, addr, ring) = self.memory_ea(ea)?;
+        let (sdw, addr, ring) = self.memory_ea(ea, AccessMode::Write)?;
         validate::check_write(&sdw, addr, ring)?;
         let abs = self.tr.resolve(&mut self.phys, &sdw, addr, true)?;
         self.phys.write(abs, value)?;

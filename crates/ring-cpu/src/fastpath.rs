@@ -357,7 +357,7 @@ impl Machine {
                         return None;
                     }
                     port.lookups += 1;
-                    self.fast_access(ea.tpr.addr.segno, AccessMode::Read);
+                    self.fast_access(ea.tpr.addr.segno, AccessMode::Execute);
                 }
                 self.fast_commit(at0, instr, use_class, &port, ea.event(at0.ring));
                 if taken {
@@ -409,7 +409,11 @@ impl Machine {
         };
         port.reads += hit.ptw_reads;
         port.lookups += 1;
-        self.fast_access(addr.segno, AccessMode::Read);
+        let heat = match use_class {
+            OperandUse::Write | OperandUse::ReadWrite => AccessMode::Write,
+            _ => AccessMode::Read,
+        };
+        self.fast_access(addr.segno, heat);
         Some((hit.abs, value))
     }
 

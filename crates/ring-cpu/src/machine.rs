@@ -702,6 +702,18 @@ impl Machine {
         addr: SegAddr,
         mode: ring_core::access::AccessMode,
     ) -> Result<Sdw, Fault> {
+        self.sdw_for_as(addr, mode, mode)
+    }
+
+    /// [`Machine::sdw_for`], with the reference counted in the heatmap
+    /// as a `heat` reference; a missing segment still faults with
+    /// `mode`.
+    pub(crate) fn sdw_for_as(
+        &mut self,
+        addr: SegAddr,
+        mode: ring_core::access::AccessMode,
+        heat: ring_core::access::AccessMode,
+    ) -> Result<Sdw, Fault> {
         if !self.obs.metrics.is_enabled() {
             return self.tr.fetch_sdw(&mut self.phys, &self.dbr, addr, mode);
         }
@@ -713,7 +725,7 @@ impl Machine {
             .metrics
             .sdw_lookup(hit, self.phys.ref_count() - refs_before);
         if result.is_ok() {
-            self.obs.metrics.access(addr.segno.value(), mode);
+            self.obs.metrics.access(addr.segno.value(), heat);
         }
         result
     }

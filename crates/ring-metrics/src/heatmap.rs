@@ -8,9 +8,10 @@ use ring_core::access::AccessMode;
 pub struct SegHeat {
     /// Validated read references (operand fetches, indirect words).
     pub reads: u64,
-    /// Validated write references.
+    /// Validated write references (stores, SPRI, AOS).
     pub writes: u64,
-    /// Validated execute references (instruction fetches, transfers).
+    /// Validated execute references (instruction fetches, taken
+    /// transfers, CALL and RETURN targets).
     pub executes: u64,
     /// References refused by access validation (any violation kind).
     pub violations: u64,

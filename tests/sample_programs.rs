@@ -7,8 +7,16 @@ use multiring::cpu::native::NativeAction;
 use multiring::cpu::testkit::World;
 
 fn run_sample(path: &str, budget: u64) -> (World, RunExit) {
+    let mut world = sample(path, true);
+    let exit = world.machine.run(budget);
+    (world, exit)
+}
+
+/// The bare world `runasm` builds for `path`, on the fast path or not.
+fn sample(path: &str, fastpath: bool) -> World {
     let args = MachineArgs {
         file: Some(path.to_string()),
+        fastpath,
         ..MachineArgs::default()
     };
     let Session::Bare {
@@ -20,8 +28,7 @@ fn run_sample(path: &str, budget: u64) -> (World, RunExit) {
     world
         .machine
         .register_native(trap, |_, _| Ok(NativeAction::Halt));
-    let exit = world.machine.run(budget);
-    (world, exit)
+    world
 }
 
 #[test]
@@ -45,6 +52,28 @@ fn sieve_sample_counts_primes_below_64() {
     let data = ring_core::addr::SegNo::new(11).unwrap();
     assert_eq!(world.peek(data, 13).raw(), 0, "13 is prime");
     assert_eq!(world.peek(data, 15).raw(), 1, "15 is composite");
+}
+
+/// The access heatmap files each operand reference under its class. In
+/// the sieve's data segment 11, its stores (STA, STZ, AOS) count as
+/// writes and its loads as reads; in its code segment 10, its taken
+/// transfers count as executes beside the fetches, and the one read is
+/// the indirect word EAP follows. Both engines agree.
+#[test]
+fn sieve_heatmap_counts_stores_as_writes_and_transfers_as_executes() {
+    for fastpath in [true, false] {
+        let mut world = sample("examples/asm/sieve.rasm", fastpath);
+        world.machine.enable_metrics();
+        assert_eq!(world.machine.run(50_000), RunExit::Halted);
+        assert_eq!(world.machine.stats().fast_steps > 0, fastpath);
+        let snap = world.machine.metrics_snapshot();
+        let heat = |segno| {
+            let h = snap.heatmap.get(segno).expect("segment referenced");
+            (h.reads, h.writes, h.executes)
+        };
+        assert_eq!(heat(11), (489, 273, 0), "data segment, fastpath {fastpath}");
+        assert_eq!(heat(10), (1, 0, 1562), "code segment, fastpath {fastpath}");
+    }
 }
 
 #[test]
