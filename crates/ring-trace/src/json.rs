@@ -275,11 +275,13 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Copy a full UTF-8 scalar starting here.
-                let s = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = s.chars().next().ok_or("unexpected end of string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or escape: both are
+                // ASCII, so the run ends on a character boundary.
+                let run = &bytes[*pos..];
+                let len = run.iter().position(|b| matches!(b, b'"' | b'\\'));
+                let run = &run[..len.unwrap_or(run.len())];
+                out.push_str(std::str::from_utf8(run).map_err(|e| e.to_string())?);
+                *pos += run.len();
             }
         }
     }
@@ -322,6 +324,17 @@ mod tests {
         let doc = format!("{{\"k\": \"{}\"}}", escape(nasty));
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("k").unwrap().as_str(), Some(nasty));
+    }
+
+    #[test]
+    fn strings_keep_multibyte_characters_beside_escapes() {
+        let text = "é—\"𝄞\\ ring ①\n";
+        let doc = format!("[\"{}\", \"\"]", escape(text));
+        let v = parse(&doc).unwrap();
+        let items = v.as_arr().unwrap();
+        assert_eq!(items[0].as_str(), Some(text));
+        assert_eq!(items[1].as_str(), Some(""));
+        assert!(parse("\"é—").is_err(), "unterminated");
     }
 
     #[test]
