@@ -343,19 +343,44 @@ fn assert_machines_equal(fast: &Machine, slow: &Machine, at: &str) {
     assert_eq!(fast.halted(), slow.halted(), "halt state diverged {at}");
 }
 
+/// Steps between the mid-run metrics comparisons of [`run_lockstep`].
+const METRICS_EVERY: usize = 8;
+
 /// Steps both engines over the same seed, checking full architectural
-/// equality after every instruction and whole-world equality at the
-/// end. Returns the number of fast-path commits, so callers can check
-/// the fast path was actually exercised.
+/// equality after every instruction, the architectural metrics every
+/// [`METRICS_EVERY`] steps, and whole-world equality at the end. Halfway
+/// it also clones both machines and steps the clones on, checking their
+/// metrics: a clone carries the recorder's pending fast-path commits.
+/// Returns the number of fast-path commits, so callers can check the
+/// fast path was actually exercised.
 fn run_lockstep(seed: u64, steps: usize) -> u64 {
     let mut fast = build_world(seed, true);
     let mut slow = build_world(seed, false);
     for i in 0..steps {
+        if i == steps / 2 {
+            let (mut fast, mut slow) = (fast.machine.clone(), slow.machine.clone());
+            for j in 0..2 * METRICS_EVERY {
+                let at = format!("at step {j} of clones taken at step {i} (seed {seed:#018x})");
+                assert_eq!(fast.step(), slow.step(), "outcome diverged {at}");
+                assert_eq!(
+                    arch_metrics_csv(&fast),
+                    arch_metrics_csv(&slow),
+                    "architectural metrics diverged {at}"
+                );
+            }
+        }
         let of = fast.machine.step();
         let os = slow.machine.step();
         let at = format!("at step {i} (seed {seed:#018x})");
         assert_eq!(of, os, "outcome diverged {at}");
         assert_machines_equal(&fast.machine, &slow.machine, &at);
+        if i % METRICS_EVERY == 0 {
+            assert_eq!(
+                arch_metrics_csv(&fast.machine),
+                arch_metrics_csv(&slow.machine),
+                "architectural metrics diverged {at}"
+            );
+        }
         if of == StepOutcome::Halted {
             break;
         }

@@ -20,6 +20,7 @@ use std::process::Command;
 use multiring::fleet::report::fleet_json;
 use multiring::fleet::{run_fleet, ChaosParams, FleetConfig};
 use multiring::trace::json::{self, Json};
+use multiring::trace::Recording;
 
 const GOLDEN: &str = include_str!("golden/sim-hashes.txt");
 const HEADER: &str = "# Computed by tests/golden.rs, which writes this text on a mismatch.";
@@ -337,6 +338,60 @@ fn the_golden_file_is_what_the_simulator_computes() {
     );
     for (cmd, run) in RUNASM.iter().zip(&runs) {
         cmd.holds(run, &fast, &reference);
+    }
+}
+
+/// The chaos smoke and the multiprogramming smoke end before the
+/// default checkpoint interval, so their golden recordings hold no
+/// checkpoint. Recorded again at a shorter interval, each holds six,
+/// replays OK to the same metrics export, and replays to `replay
+/// DIVERGED` at checkpoint 2 once a word of that checkpoint's image is
+/// changed.
+#[test]
+fn kernel_recordings_with_checkpoints_replay_and_check_each() {
+    for (cmd, every) in [(&RUNASM[0], "4000"), (&RUNASM[2], "2000")] {
+        let dir = fresh(&format!("checkpoints-every-{every}"));
+        let rec = cmd.flag("--record").expect("a recording");
+        let metrics = cmd.flag("--metrics-out").expect("a metrics export");
+        // The command with `--record` swapped for `flag` on `file` and
+        // the metrics export written to `out`.
+        let args = |flag: &'static str, file: &'static str, out: &'static str| {
+            let mut args = cmd.args.split_whitespace().collect::<Vec<_>>();
+            for a in &mut args {
+                *a = match *a {
+                    "--record" => flag,
+                    a if a == rec => file,
+                    a if a == metrics => out,
+                    a => a,
+                };
+            }
+            args.extend(["--checkpoint-every", every]);
+            args
+        };
+        runasm(&dir, args("--record", rec, metrics));
+        let text = String::from_utf8(read(&dir, rec)).expect("UTF-8");
+        let recording = Recording::from_json(&text).expect("a recording");
+        assert_eq!(recording.checkpoints.len(), 6, "{rec} every {every} cycles");
+
+        let replayed = runasm(&dir, args("--replay", rec, "replayed.json"));
+        assert!(replayed.contains("replay OK"), "{rec}: {replayed}");
+        let same = read(&dir, metrics) == read(&dir, "replayed.json");
+        assert!(same, "{rec} replayed to another metrics export");
+
+        let mut tampered = recording.clone();
+        *tampered.checkpoints[2].image.last_mut().expect("an image") ^= 1;
+        fs::write(dir.join("tampered.rec"), tampered.to_json()).expect("written");
+        let out = Command::new(env!("CARGO_BIN_EXE_runasm"))
+            .args(args("--replay", "tampered.rec", "tampered.json"))
+            .current_dir(&dir)
+            .output()
+            .expect("runasm starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "a changed checkpoint replayed clean");
+        assert!(
+            stderr.contains("replay DIVERGED: checkpoint 2 diverged"),
+            "{rec}: {stderr}"
+        );
     }
 }
 
