@@ -720,10 +720,13 @@ impl Machine {
         let hits_before = self.tr.cache_stats().hits;
         let refs_before = self.phys.ref_count();
         let result = self.tr.fetch_sdw(&mut self.phys, &self.dbr, addr, mode);
-        let hit = self.tr.cache_stats().hits > hits_before;
-        self.obs
-            .metrics
-            .sdw_lookup(hit, self.phys.ref_count() - refs_before);
+        if self.tr.cache_stats().hits > hits_before {
+            self.obs.metrics.sdw_hit();
+        } else {
+            self.obs
+                .metrics
+                .sdw_miss(self.phys.ref_count() - refs_before);
+        }
         if result.is_ok() {
             self.obs.metrics.access(addr.segno.value(), heat);
         }

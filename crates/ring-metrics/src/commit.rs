@@ -137,7 +137,7 @@ pub(crate) struct Tallies {
     pub(crate) instr_by_ring: [u64; NUM_RINGS],
     pub(crate) ea_depth: CycleHistogram,
     pub(crate) tpr_maximisations: u64,
-    pub(crate) sdw_hit_refs: CycleHistogram,
+    pub(crate) sdw_hits: u64,
     pub(crate) heatmap: SegmentHeatmap,
 }
 
@@ -159,7 +159,7 @@ impl Tallies {
                 self.heatmap.record_n(segno, mode, n);
             }
         }
-        self.sdw_hit_refs.record_n(0, hits);
+        self.sdw_hits += hits;
         for (depth, &n) in events[1..].iter().enumerate() {
             self.ea_depth.record_n(depth as u64, n);
         }
@@ -178,7 +178,7 @@ impl Tallies {
         self.instr_by_ring[ring.number() as usize] += 1;
         self.opclasses.record(class);
         for (segno, mode) in refs.iter() {
-            self.sdw_hit_refs.record(0);
+            self.sdw_hits += 1;
             self.heatmap.record(segno, mode);
         }
         if let Some((depth, maximised)) = ea {
@@ -189,13 +189,13 @@ impl Tallies {
 }
 
 /// Sets in the table, of two records each.
-const SET_BITS: u32 = 5;
+const SET_BITS: u32 = 4;
 const SETS: usize = 1 << SET_BITS;
 /// An unused slot's record: none, and every field zero, so that with its
 /// count of 0 it counts nothing.
 const EMPTY: u64 = 1 << 63;
 
-/// Commit records and their counts, in 32 sets of two: 1 KB, held
+/// Commit records and their counts, in 16 sets of two: 512 bytes, held
 /// inline so that a recorder costs no allocation for it.
 #[derive(Clone, Debug)]
 pub(crate) struct CommitTable {
@@ -329,7 +329,7 @@ mod tests {
     fn record_direct(m: &mut Metrics, c: &Commit) {
         m.instruction(c.ring, c.class);
         for &(segno, mode) in &c.refs {
-            m.sdw_lookup(true, 0);
+            m.sdw_hit();
             m.access(segno.value(), mode);
         }
         if let Some((depth, maximised)) = c.ea {

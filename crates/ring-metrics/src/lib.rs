@@ -84,9 +84,7 @@ pub struct Metrics {
     sdw_miss_refs: CycleHistogram,
     /// The counters fast-path commits feed, less the commits `commits`
     /// still holds: instructions by ring and by class, EA depth and TPR
-    /// maximisations, SDW-cache hits (whose extra descriptor-walk
-    /// references are always 0, recorded for the latency contrast with
-    /// misses) and the per-segment heatmap.
+    /// maximisations, SDW-cache hits and the per-segment heatmap.
     tallies: Tallies,
     /// Fast-path commits not yet in `tallies`.
     commits: CommitTable,
@@ -130,7 +128,7 @@ impl Metrics {
     /// A fast-path commit: one instruction of `class` in `ring`, whose
     /// segment references `refs` each hit the SDW cache, with the Fig. 5
     /// event `ea` (see [`Metrics::ea_formed`]). It counts what
-    /// [`Metrics::instruction`], a hit [`Metrics::sdw_lookup`] and an
+    /// [`Metrics::instruction`], an [`Metrics::sdw_hit`] and an
     /// [`Metrics::access`] per reference, and [`Metrics::ea_formed`]
     /// count, as one record in the commit table.
     #[inline]
@@ -180,17 +178,22 @@ impl Metrics {
         self.tallies.heatmap.record(segno, mode);
     }
 
-    /// An SDW lookup completed: a cache hit, or a miss costing
-    /// `extra_refs` descriptor-walk memory references.
-    pub fn sdw_lookup(&mut self, hit: bool, extra_refs: u64) {
+    /// An SDW lookup hit the associative memory, at the cost of no
+    /// descriptor-walk memory reference.
+    pub fn sdw_hit(&mut self) {
         if !self.enabled {
             return;
         }
-        if hit {
-            self.tallies.sdw_hit_refs.record(extra_refs);
-        } else {
-            self.sdw_miss_refs.record(extra_refs);
+        self.tallies.sdw_hits += 1;
+    }
+
+    /// An SDW lookup missed the associative memory, costing
+    /// `extra_refs` descriptor-walk memory references.
+    pub fn sdw_miss(&mut self, extra_refs: u64) {
+        if !self.enabled {
+            return;
         }
+        self.sdw_miss_refs.record(extra_refs);
     }
 
     /// A CALL instruction completed, costing `cycles`.
@@ -248,7 +251,7 @@ mod tests {
         m.crossing(Crossing::CallDown, Ring::R4, Ring::R1);
         m.fault(&Fault::TimerRunout, Ring::R4);
         m.access(10, AccessMode::Read);
-        m.sdw_lookup(false, 2);
+        m.sdw_miss(2);
         m.call_cycles(9);
         m.ea_formed(3, true);
         assert!(!m.is_enabled());
@@ -279,8 +282,8 @@ mod tests {
             Ring::R5,
         );
         m.access(11, AccessMode::Write);
-        m.sdw_lookup(true, 0);
-        m.sdw_lookup(false, 2);
+        m.sdw_hit();
+        m.sdw_miss(2);
         m.call_cycles(9);
         m.return_cycles(7);
         m.ea_formed(2, true);

@@ -216,6 +216,13 @@ impl HistogramSnapshot {
         }
     }
 
+    /// The snapshot of `n` observations of 0.
+    fn of_zeros(n: u64) -> HistogramSnapshot {
+        let mut h = CycleHistogram::new();
+        h.record_n(0, n);
+        HistogramSnapshot::of(&h)
+    }
+
     /// Folds `other` into this histogram: counts add, bucket lists
     /// merge by range, and min/max/mean are recomputed exactly as if
     /// every observation had landed in one histogram. Because both
@@ -346,7 +353,7 @@ impl MetricsSnapshot {
             return_cycles: HistogramSnapshot::of(&metrics.return_cycles),
             ea_depth: HistogramSnapshot::of(&tallies.ea_depth),
             tpr_maximisations: tallies.tpr_maximisations,
-            sdw_hit_refs: HistogramSnapshot::of(&tallies.sdw_hit_refs),
+            sdw_hit_refs: HistogramSnapshot::of_zeros(tallies.sdw_hits),
             sdw_miss_refs: HistogramSnapshot::of(&metrics.sdw_miss_refs),
             heatmap: tallies.heatmap,
             sdw_cache,
@@ -826,7 +833,7 @@ mod tests {
         m.crossing(Crossing::ReturnUp, Ring::R1, Ring::R4);
         m.fault(&ring_core::access::Fault::TimerRunout, Ring::R4);
         m.access(10, AccessMode::Execute);
-        m.sdw_lookup(false, 2);
+        m.sdw_miss(2);
         m.call_cycles(9);
         m.ea_formed(1, false);
         let mut s = MetricsSnapshot::new(
