@@ -143,9 +143,9 @@ pub(crate) struct Tallies {
 
 impl Tallies {
     /// Counts `n` commits of each `(record, n)` in `records`: the
-    /// plain counters per record, the two histograms once at the end.
+    /// plain counters per record, the EA-depth histogram once at the
+    /// end.
     pub(crate) fn add_records(&mut self, records: impl Iterator<Item = (u64, u64)>) {
-        let mut hits = 0;
         // Commits by Fig. 5 event: none, then depth 0 to `MAX_DEPTH`.
         let mut events = [0; MAX_DEPTH as usize + 2];
         for (record, n) in records {
@@ -154,12 +154,11 @@ impl Tallies {
             self.opclasses.record_n(class, n);
             events[(record >> DEPTH & 3) as usize] += n;
             self.tpr_maximisations += (record >> MAXIMISED & 1) * n;
-            hits += (record >> HELD & 3) * n;
+            self.sdw_hits += (record >> HELD & 3) * n;
             for (segno, mode) in refs(record) {
                 self.heatmap.record_n(segno, mode, n);
             }
         }
-        self.sdw_hits += hits;
         for (depth, &n) in events[1..].iter().enumerate() {
             self.ea_depth.record_n(depth as u64, n);
         }
