@@ -743,13 +743,13 @@ pub fn t7_table() -> String {
     ]);
     rows.push(vec![
         "mean CALL cycles".into(),
-        format!("{:.1}", same.call_cycles.mean),
-        format!("{:.1}", down.call_cycles.mean),
+        format!("{:.1}", same.call_cycles.mean()),
+        format!("{:.1}", down.call_cycles.mean()),
     ]);
     rows.push(vec![
         "mean RETURN cycles".into(),
-        format!("{:.1}", same.return_cycles.mean),
-        format!("{:.1}", down.return_cycles.mean),
+        format!("{:.1}", same.return_cycles.mean()),
+        format!("{:.1}", down.return_cycles.mean()),
     ]);
     rows.push(vec![
         "SDW cache hit ratio".into(),
@@ -850,7 +850,7 @@ mod tests {
         assert_eq!(down.crossings.count(Crossing::TrapToRing0), n);
         assert_eq!(down.crossings.count(Crossing::UpwardCallTrap), 0);
         assert_eq!(down.faults.total(), n);
-        assert_eq!(down.call_cycles.count, n);
+        assert_eq!(down.call_cycles.count(), n);
         // The same-ring control crosses no ring boundary on CALL.
         let same = crossing_census(Ring::R4, iters);
         assert_eq!(same.crossings.count(Crossing::CallDown), 0);

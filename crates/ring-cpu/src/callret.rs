@@ -23,6 +23,11 @@ use ring_core::sdw::Sdw;
 use crate::isa::OperandUse;
 use crate::machine::Machine;
 
+/// The pointer register that holds the stack pointer by software
+/// convention (Multics used PR6): a CALL that stays in its ring keeps
+/// the stack segment it names.
+pub const SP_PR: usize = 6;
+
 /// A CALL or RETURN that passed its Fig. 8 or Fig. 9 check.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum CallReturn {
@@ -74,7 +79,7 @@ impl Machine {
         match decision {
             CallReturn::Call(d) => {
                 let ring_changed = d.new_ring != self.ipr.ring;
-                let sp = self.prs[self.config.sp_pr as usize];
+                let sp = self.prs[SP_PR];
                 let stack_segno = call_stack_segno(
                     self.config.stack_rule,
                     &self.dbr,

@@ -37,6 +37,7 @@ use ring_core::sdw::Sdw;
 use ring_core::word::WORD_BITS;
 
 use crate::machine::Machine;
+use crate::trap::TRAP_SEGNO;
 
 /// Bounded re-roll attempts when a drawn injection target is invalid
 /// (protected range, out of range, empty map). Bounded so a degenerate
@@ -90,7 +91,7 @@ impl Machine {
     /// The physical range of the trap segment (vectors + save area),
     /// which injection must never poison.
     fn protected_range(&self) -> Option<(u32, u32)> {
-        let sa = self.dbr.sdw_addr(self.config.trap_segno)?;
+        let sa = self.dbr.sdw_addr(TRAP_SEGNO)?;
         let w0 = self.phys.peek(sa).ok()?;
         let w1 = self.phys.peek(sa.wrapping_add(1)).ok()?;
         let sdw = Sdw::unpack(w0, w1);
@@ -151,7 +152,7 @@ impl Machine {
         }
         for _ in 0..TARGET_REROLLS {
             let segno = (self.chaos.rand() % u64::from(self.dbr.bound)) as u32;
-            if segno == self.config.trap_segno.value() {
+            if segno == TRAP_SEGNO.value() {
                 continue;
             }
             let segno_t = ring_core::addr::SegNo::from_bits(u64::from(segno));
@@ -182,7 +183,7 @@ impl Machine {
         let start = (self.chaos.rand() % u64::from(bound)) as u32;
         for i in 0..bound {
             let segno = (start + i) % bound;
-            if segno == self.config.trap_segno.value() {
+            if segno == TRAP_SEGNO.value() {
                 continue;
             }
             let segno_t = ring_core::addr::SegNo::from_bits(u64::from(segno));

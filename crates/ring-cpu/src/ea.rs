@@ -28,6 +28,10 @@ use ring_core::word::Word;
 use crate::isa::{AddrMode, Instr};
 use crate::machine::Machine;
 
+/// The most indirect words one effective-address chain may follow; the
+/// next one faults.
+pub(crate) const INDIRECT_LIMIT: u32 = 16;
+
 /// The result of effective-address formation.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct EffAddr {
@@ -55,7 +59,7 @@ impl EffAddr {
 pub(crate) trait PairPort {
     /// Why a walk stops short.
     type Error;
-    /// The chain ran past `MachineConfig::indirect_limit`.
+    /// The chain ran past [`INDIRECT_LIMIT`] indirect words.
     const LIMIT: Self::Error;
     /// Reads the indirect pair at `addr` for effective ring `ring`:
     /// its two words and the write-bracket top `R1` of the segment
@@ -190,7 +194,7 @@ impl Machine {
         let mut depth = 0u32;
         while indirect {
             depth += 1;
-            if depth > self.config.indirect_limit {
+            if depth > INDIRECT_LIMIT {
                 return Err(P::LIMIT);
             }
             let (w0, w1, r1) = port.read_pair(self, tpr.addr, tpr.ring)?;

@@ -12,6 +12,11 @@ use crate::ea::{pair_second, Counted, EffAddr, PairPort};
 use crate::isa::{Instr, Opcode, OperandUse};
 use crate::machine::Machine;
 
+/// Cycles LDBR takes beyond its counted operand reads. The flush of the
+/// SDW associative memory costs nothing here; it shows up as the misses
+/// that follow.
+pub(crate) const DBR_LOAD_CYCLES: u64 = 5;
+
 impl Machine {
     /// Performs `instr`, fetched from segment `iseg` whose descriptor
     /// (already retrieved for the fetch validation) is `isdw`.
@@ -326,7 +331,7 @@ impl Machine {
             Opcode::Ldbr => {
                 self.dbr = Dbr::unpack(w0, w1);
                 self.tr.flush_cache();
-                self.charge(self.config.costs.dbr_load);
+                self.charge(DBR_LOAD_CYCLES);
                 Ok(())
             }
             Opcode::Sio => {

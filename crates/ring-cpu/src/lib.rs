@@ -46,7 +46,7 @@ pub mod trap;
 pub use image::MachineImage;
 pub use io::{Direction, IoSystem, TtyDevice};
 pub use isa::{AddrMode, Instr, Opcode, OperandUse};
-pub use machine::{CostModel, ExecStats, Machine, MachineConfig, RunExit, StepOutcome};
+pub use machine::{ExecStats, Machine, MachineConfig, RunExit, StepOutcome};
 pub use native::{NativeAction, NativeFn, NativeRegistry};
 pub use recorder::{replay, run_recorded, seek, Recorder, ReplayReport, DEFAULT_CHECKPOINT_EVERY};
 pub use ring_chaos::{ChaosEngine, ChaosKind, FaultPlan};

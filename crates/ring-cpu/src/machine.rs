@@ -38,32 +38,9 @@ use crate::observe::Observer;
 use crate::trace::TraceEvent;
 use crate::trap::SavedState;
 
-/// Fixed cycle costs beyond counted memory references.
-#[derive(Clone, Copy, Debug)]
-pub struct CostModel {
-    /// Base cost of every instruction (decode + ALU).
-    pub base_instruction: u64,
-    /// Overhead of a trap: forcing ring 0, state save sequencing
-    /// (the save-area stores are counted as memory references on top).
-    pub trap_overhead: u64,
-    /// Overhead of loading the DBR (beyond the associative-memory
-    /// flush, whose cost shows up as subsequent misses).
-    pub dbr_load: u64,
-    /// Overhead of restoring processor state (RETT), beyond the
-    /// save-area reads.
-    pub rett_overhead: u64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            base_instruction: 1,
-            trap_overhead: 12,
-            dbr_load: 5,
-            rett_overhead: 6,
-        }
-    }
-}
+/// Base cost of every instruction (decode and ALU), in cycles, on top
+/// of its counted memory references.
+pub(crate) const BASE_INSTRUCTION_CYCLES: u64 = 1;
 
 /// Static machine configuration.
 #[derive(Clone, Copy, Debug)]
@@ -73,21 +50,11 @@ pub struct MachineConfig {
     /// Effective-ring formation rules (full paper design by default;
     /// weakened variants for the T6 ablation).
     pub ea_rules: EffectiveRingRules,
-    /// Maximum indirect-word chain length before faulting.
-    pub indirect_limit: u32,
     /// SDW associative-memory capacity.
     pub sdw_cache: usize,
-    /// Segment containing the trap vectors and save area (must be a
-    /// present, unpaged ring-0 segment).
-    pub trap_segno: SegNo,
-    /// Word number of trap vector 0 within the trap segment.
-    pub trap_vector_base: u32,
     /// Word number of the processor state save area within the trap
     /// segment.
     pub trap_save_offset: u32,
-    /// Which pointer register is the stack pointer by software
-    /// convention (Multics used PR6).
-    pub sp_pr: u8,
     /// Hardening beyond the paper (the eventual Multics 6180 adopted
     /// it): privileged instructions additionally require the executing
     /// segment's SDW privileged bit, not just ring 0. Off by default
@@ -101,8 +68,6 @@ pub struct MachineConfig {
     /// run the reference interpreter alone (`--no-fastpath` in the
     /// tools).
     pub fastpath: bool,
-    /// Fixed cycle costs.
-    pub costs: CostModel,
 }
 
 impl Default for MachineConfig {
@@ -110,15 +75,10 @@ impl Default for MachineConfig {
         MachineConfig {
             stack_rule: StackRule::DbrBase,
             ea_rules: EffectiveRingRules::PAPER,
-            indirect_limit: 16,
             sdw_cache: ring_segmem::sdw_cache::SdwCache::DEFAULT_CAPACITY,
-            trap_segno: SegNo::from_bits(1),
-            trap_vector_base: 0,
             trap_save_offset: 64,
-            sp_pr: 6,
             require_privileged_segments: false,
             fastpath: true,
-            costs: CostModel::default(),
         }
     }
 }
@@ -841,9 +801,8 @@ impl Machine {
             (self.execute_one(), Some(snapshot))
         };
         self.stats.instructions += 1;
-        let spent = self.config.costs.base_instruction
-            + (self.phys.ref_count() - refs_before)
-            + self.extra_cycles;
+        let spent =
+            BASE_INSTRUCTION_CYCLES + (self.phys.ref_count() - refs_before) + self.extra_cycles;
         self.cycles += spent;
         if let Some(t) = self.timer.as_mut() {
             *t = t.saturating_sub(spent);

@@ -34,6 +34,7 @@ use ring_trace::{InstantKind, SpanKey, SpanKind, SpanRecorder};
 use crate::isa::{Instr, OperandUse};
 use crate::machine::ExecStats;
 use crate::trace::TraceEvent;
+use crate::trap::TRAP_SEGNO;
 
 /// The machine's recorders. All start off; each costs one branch per
 /// commit point while off and never changes architectural state.
@@ -187,8 +188,8 @@ impl Observer {
     }
 
     /// `fault` forced ring 0 from ring `from`, vectoring into the trap
-    /// segment `trap_segno`.
-    pub(crate) fn trap(&mut self, fault: Fault, from: Ring, trap_segno: SegNo, cycles: u64) {
+    /// segment.
+    pub(crate) fn trap(&mut self, fault: Fault, from: Ring, cycles: u64) {
         self.push(|| TraceEvent::Trap { fault });
         self.metrics.fault(&fault, from);
         // The software-assisted crossings get their own kind; every
@@ -204,7 +205,7 @@ impl Observer {
         }
         let key = SpanKey {
             ring: 0,
-            segno: trap_segno.value(),
+            segno: TRAP_SEGNO.value(),
             entry: fault.vector(),
         };
         if self.spans.is_enabled() {
@@ -255,7 +256,7 @@ mod tests {
     }
 
     fn trap(o: &mut Observer, fault: Fault) {
-        o.trap(fault, Ring::R4, SegNo::from_bits(1), 0);
+        o.trap(fault, Ring::R4, 0);
     }
 
     #[test]

@@ -223,9 +223,8 @@ impl World {
     /// [`World::add_trap_segment`], or `None` when the segment does not
     /// fit the physical memory left.
     pub fn try_add_trap_segment(&mut self) -> Option<SegNo> {
-        let segno = self.machine.config().trap_segno.value();
         self.try_add_segment(
-            segno,
+            crate::trap::TRAP_SEGNO.value(),
             SdwBuilder::procedure(Ring::R0, Ring::R0, Ring::R0)
                 .write(true)
                 .bound_words(256),

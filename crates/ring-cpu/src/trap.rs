@@ -11,6 +11,9 @@
 //! re-executed from scratch after RETT — the simulator's analogue of
 //! the hardware's instruction-retry support.
 //!
+//! The fixed location is the trap segment, [`TRAP_SEGNO`]: a fault with
+//! vector `v` transfers to its word [`TRAP_VECTOR_BASE`] plus `v`.
+//!
 //! # Save-area layout (within the trap segment, at `trap_save_offset`)
 //!
 //! ```text
@@ -26,7 +29,7 @@
 //! ```
 
 use ring_core::access::{AccessMode, Fault};
-use ring_core::addr::{pack_pointer, unpack_pointer, SegAddr, WordNo, MAX_WORDNO};
+use ring_core::addr::{pack_pointer, unpack_pointer, SegAddr, SegNo, WordNo, MAX_WORDNO};
 use ring_core::registers::{Ipr, PtrReg, NUM_PR};
 use ring_core::ring::Ring;
 use ring_core::sdw::Sdw;
@@ -38,6 +41,21 @@ use crate::machine::{Machine, StepOutcome};
 
 /// Number of words in the processor-state save area.
 pub const SAVE_WORDS: u32 = 19;
+
+/// The segment holding the trap vectors and the save area: a present,
+/// unpaged ring-0 segment in every address space.
+pub const TRAP_SEGNO: SegNo = SegNo::from_bits(1);
+
+/// Word number of trap vector 0 within [`TRAP_SEGNO`].
+pub const TRAP_VECTOR_BASE: u32 = 0;
+
+/// Cycles a trap takes to force ring 0 and sequence the state save, on
+/// top of the save area's counted stores.
+pub(crate) const TRAP_OVERHEAD_CYCLES: u64 = 12;
+
+/// Cycles RETT takes to restore the processor state, on top of the save
+/// area's counted reads.
+pub(crate) const RETT_OVERHEAD_CYCLES: u64 = 6;
 
 /// A complete snapshot of the program-visible processor state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -145,9 +163,8 @@ impl Machine {
         if matches!(fault, Fault::ParityError { .. } | Fault::IoError { .. }) {
             self.chaos.note_detected();
         }
-        self.obs
-            .trap(fault, self.ipr.ring, self.config.trap_segno, self.cycles);
-        self.cycles += self.config.costs.trap_overhead;
+        self.obs.trap(fault, self.ipr.ring, self.cycles);
+        self.cycles += TRAP_OVERHEAD_CYCLES;
         self.last_fault = Some(fault);
 
         if let Err(df) = self.write_save_area(&snapshot, &fault) {
@@ -160,10 +177,8 @@ impl Machine {
         self.ipr = Ipr::new(
             Ring::R0,
             SegAddr::new(
-                self.config.trap_segno,
-                WordNo::from_bits(u64::from(
-                    (self.config.trap_vector_base + fault.vector()) & MAX_WORDNO,
-                )),
+                TRAP_SEGNO,
+                WordNo::from_bits(u64::from((TRAP_VECTOR_BASE + fault.vector()) & MAX_WORDNO)),
             ),
         );
         StepOutcome::Trapped(fault)
@@ -174,7 +189,7 @@ impl Machine {
         // Hardware state saving bypasses the access brackets (it is the
         // processor, not a program, storing) but not presence or bounds.
         let last = SegAddr::new(
-            self.config.trap_segno,
+            TRAP_SEGNO,
             WordNo::from_bits(u64::from(self.config.trap_save_offset + SAVE_WORDS - 1)),
         );
         sdw.check_present_and_bounds(AccessMode::Write, last)?;
@@ -199,7 +214,7 @@ impl Machine {
     /// first save-area word.
     fn save_area_sdw(&mut self, mode: AccessMode) -> Result<Sdw, Fault> {
         let first = WordNo::from_bits(u64::from(self.config.trap_save_offset));
-        self.sdw_for(SegAddr::new(self.config.trap_segno, first), mode)
+        self.sdw_for(SegAddr::new(TRAP_SEGNO, first), mode)
     }
 
     /// Moves save-area words from word `first` of the save area on,
@@ -226,7 +241,7 @@ impl Machine {
         while i < n {
             let wordno =
                 WordNo::from_bits(u64::from(self.config.trap_save_offset + first + i as u32));
-            let addr = SegAddr::new(self.config.trap_segno, wordno);
+            let addr = SegAddr::new(TRAP_SEGNO, wordno);
             let abs = self.tr.resolve(&mut self.phys, sdw, addr, write)?;
             // Neither the word number nor the absolute address may wrap
             // inside a run.
@@ -270,7 +285,7 @@ impl Machine {
         self.in_trap = false;
         self.last_fault = None;
         self.obs.rett(self.ipr.ring, self.cycles);
-        self.charge(self.config.costs.rett_overhead);
+        self.charge(RETT_OVERHEAD_CYCLES);
         Ok(())
     }
 
@@ -392,7 +407,7 @@ mod tests {
             .addr(pt)
             .bound_words(2 * PAGE_WORDS)
             .build();
-        let segno = w.machine.config().trap_segno.value();
+        let segno = TRAP_SEGNO.value();
         w.install_sdw(segno, &sdw);
         w.machine
     }
@@ -413,7 +428,7 @@ mod tests {
         let sdw = m.save_area_sdw(mode)?;
         for (i, w) in words.iter_mut().enumerate() {
             let wordno = u64::from(m.config.trap_save_offset + first + i as u32);
-            let addr = SegAddr::new(m.config.trap_segno, WordNo::from_bits(wordno));
+            let addr = SegAddr::new(TRAP_SEGNO, WordNo::from_bits(wordno));
             let abs = m.tr.resolve(&mut m.phys, &sdw, addr, write)?;
             if write {
                 m.phys.write(abs, *w)?;

@@ -13,6 +13,7 @@ use ring_cpu::isa::{Instr, Opcode};
 use ring_cpu::machine::{MachineConfig, StepOutcome};
 use ring_cpu::native::NativeAction;
 use ring_cpu::testkit::{addr, World};
+use ring_cpu::trap::{TRAP_SEGNO, TRAP_VECTOR_BASE};
 
 const CODE: u32 = 10;
 const DATA: u32 = 11;
@@ -793,9 +794,9 @@ fn trap_enters_ring_0_at_the_fault_vector() {
     assert_eq!(w.machine.ring(), Ring::R0);
     assert_eq!(
         w.machine.ipr().addr.wordno.value(),
-        w.machine.config().trap_vector_base + vector
+        TRAP_VECTOR_BASE + vector
     );
-    assert_eq!(w.machine.ipr().addr.segno, w.machine.config().trap_segno);
+    assert_eq!(w.machine.ipr().addr.segno, TRAP_SEGNO);
 }
 
 #[test]
@@ -908,7 +909,7 @@ fn execute_below_bracket_bottom_faults() {
         SdwBuilder::procedure(Ring::R4, Ring::R5, Ring::R5).bound_words(16),
     );
     w.add_trap_segment();
-    let trap = w.machine.config().trap_segno;
+    let trap = TRAP_SEGNO;
     w.machine
         .register_native(trap, |_, _| Ok(NativeAction::Halt));
     w.start(Ring::R2, code, 0);

@@ -120,20 +120,14 @@ pub struct FleetConfig {
     pub procs: usize,
     /// Pages per page-storm process's data segment.
     pub pages: u32,
-    /// Minimum workload rounds per process.
+    /// Minimum workload rounds per process; each machine adds up to
+    /// `ROUNDS_JITTER` (6) seed-derived rounds.
     pub base_rounds: u32,
-    /// Seed-derived extra rounds in `0..=jitter` (per-machine variety;
-    /// zero makes every machine of a kind identical).
-    pub rounds_jitter: u32,
     /// Scheduler quantum in cycles.
     pub quantum: u64,
-    /// Physical frame budget for demand paging.
-    pub frames: u32,
     /// Per-machine cycle budget; a machine that exhausts it reports
     /// `completed: false`.
     pub budget: u64,
-    /// Physical words per machine (image size; keep small for fleets).
-    pub phys_words: usize,
     /// Fast-path execution engine switch.
     pub fastpath: bool,
     /// Self-healing supervisor policy (chaos campaign, checkpoint
@@ -152,16 +146,24 @@ impl Default for FleetConfig {
             procs: 2,
             pages: 5,
             base_rounds: 6,
-            rounds_jitter: 6,
             quantum: 2_000,
-            frames: 6,
             budget: 5_000_000,
-            phys_words: 1 << 17,
             fastpath: true,
             supervisor: SupervisorConfig::default(),
         }
     }
 }
+
+/// The most seed-derived rounds a machine adds to
+/// [`FleetConfig::base_rounds`], for variety across the fleet.
+pub(crate) const ROUNDS_JITTER: u32 = 6;
+
+/// Physical frames each machine's demand pager may fill.
+pub(crate) const FRAMES: u32 = 6;
+
+/// Physical words per machine: the boot image's size, small enough
+/// that a fleet's images stay cheap.
+pub(crate) const PHYS_WORDS: usize = 1 << 17;
 
 /// One machine's derived identity: everything needed to reproduce its
 /// run in isolation.
@@ -194,7 +196,7 @@ impl FleetConfig {
             id,
             seed,
             kind: self.mix.kind(id),
-            rounds: self.base_rounds + (seed % u64::from(self.rounds_jitter + 1)) as u32,
+            rounds: self.base_rounds + (seed % u64::from(ROUNDS_JITTER + 1)) as u32,
         }
     }
 
@@ -207,11 +209,10 @@ impl FleetConfig {
     /// so one frozen image per workload kind serves every member).
     pub fn system_config(&self) -> SystemConfig {
         SystemConfig {
-            phys_words: self.phys_words,
+            phys_words: PHYS_WORDS,
             quantum: self.quantum,
-            frame_budget: Some(self.frames),
+            frame_budget: Some(FRAMES),
             fastpath: self.fastpath,
-            ..SystemConfig::default()
         }
     }
 }

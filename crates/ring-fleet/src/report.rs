@@ -7,7 +7,7 @@ use ring_metrics::{FastPathStats, MetricsSnapshot};
 use crate::{FleetConfig, FleetResult, MemberSummary, WorkloadKind};
 
 /// Exact order statistics over a set of per-machine values (unlike the
-/// bucketed [`ring_metrics::HistogramSnapshot`] percentiles, these are
+/// bucketed [`ring_metrics::CycleHistogram::percentile`], these are
 /// computed from the full sorted sample).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Percentiles {
@@ -248,7 +248,7 @@ pub fn fleet_json(cfg: &FleetConfig, result: &FleetResult, quick: bool) -> Strin
         crossings = result.merged.crossings.total_ring_changes(),
         wall_pct = Percentiles::of(&wall_ns).json(),
         instr_pct = Percentiles::of(&instr).json(),
-        words = cfg.phys_words,
+        words = crate::PHYS_WORDS,
         dirty_pct = dirty_stats.json(),
         shared = shared_fraction,
     )

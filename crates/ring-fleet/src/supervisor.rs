@@ -43,6 +43,10 @@ pub struct ChaosParams {
     pub mean_interval: u64,
 }
 
+/// Dead simulated cycles charged before restart attempt `n`, scaled by
+/// `2^(n-1)` (deterministic exponential backoff).
+pub(crate) const BACKOFF_CYCLES: u64 = 25_000;
+
 /// Supervisor policy: checkpoint cadence, watchdog, restart budget.
 #[derive(Clone, Copy, Debug)]
 pub struct SupervisorConfig {
@@ -54,9 +58,6 @@ pub struct SupervisorConfig {
     pub checkpoint_every: u64,
     /// Restarts allowed before a machine is quarantined.
     pub restart_budget: u32,
-    /// Dead simulated cycles charged before restart attempt `n`,
-    /// scaled by `2^(n-1)` (deterministic exponential backoff).
-    pub backoff_cycles: u64,
     /// Simulated-cycle ceiling per attempt; a machine still running at
     /// the ceiling is classified [`FailureClass::Wedged`].
     pub watchdog_cycles: u64,
@@ -72,7 +73,6 @@ impl Default for SupervisorConfig {
             chaos: None,
             checkpoint_every: 250_000,
             restart_budget: 2,
-            backoff_cycles: 25_000,
             watchdog_cycles: 1_000_000_000,
             kill_machine: None,
         }
@@ -138,7 +138,7 @@ fn run_attempt(
         // Exponential backoff, in dead simulated cycles: deterministic,
         // and visible to the cycle-addressed chaos stream.
         sys.machine
-            .advance_cycles(sup.backoff_cycles << (attempt - 1).min(16));
+            .advance_cycles(BACKOFF_CYCLES << (attempt - 1).min(16));
     }
     if let Some(ch) = sup.chaos {
         // Fresh fault stream per attempt: transient faults do not
@@ -325,7 +325,7 @@ pub fn run_supervised(
                 health.recovery_cycles = health
                     .recovery_cycles
                     .saturating_add(rolled_back)
-                    .saturating_add(sup.backoff_cycles << (attempt - 1).min(16));
+                    .saturating_add(BACKOFF_CYCLES << (attempt - 1).min(16));
             }
         }
     }

@@ -106,6 +106,39 @@ impl CycleHistogram {
         }
     }
 
+    /// Folds `other` into this histogram: buckets, count and sum add,
+    /// and min and max widen. Both sides bucket on the same log₂
+    /// boundaries, so merging the histograms of two runs equals the
+    /// histogram of their concatenation.
+    pub fn merge(&mut self, other: &CycleHistogram) {
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
+        }
+        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+
+    /// The value at quantile `p` in `[0, 1]`, resolved to bucket
+    /// granularity: the upper bound of the bucket holding the rank-`p`
+    /// observation, clamped to the exact observed `[min, max]`. Zero
+    /// when the histogram is empty.
+    pub fn percentile(&self, p: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let rank = ((p.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let mut seen = 0u64;
+        for (_, hi, c) in self.nonzero_buckets() {
+            seen += c;
+            if seen >= rank {
+                return hi.clamp(self.min, self.max);
+            }
+        }
+        self.max
+    }
+
     /// Iterates the non-empty buckets as `(lo, hi, count)`.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
         self.buckets

@@ -52,8 +52,8 @@ pub use heatmap::{SegHeat, SegmentHeatmap};
 pub use hist::CycleHistogram;
 pub use ring_buffer::EventRing;
 pub use snapshot::{
-    json_escape, json_f64, FastPathStats, HistogramSnapshot, MetricsSnapshot, ProcCounters,
-    ProfStats, SchedStats, SdwCacheStats,
+    json_escape, json_f64, FastPathStats, MetricsSnapshot, ProcCounters, ProfStats, SchedStats,
+    SdwCacheStats,
 };
 
 use ring_core::access::{AccessMode, Fault};
@@ -259,8 +259,8 @@ mod tests {
         assert_eq!(s.crossings.total(), 0);
         assert_eq!(s.faults.total(), 0);
         assert_eq!(s.opclasses.total(), 0);
-        assert_eq!(s.call_cycles.count, 0);
-        assert_eq!(s.ea_depth.count, 0);
+        assert_eq!(s.call_cycles.count(), 0);
+        assert_eq!(s.ea_depth.count(), 0);
         assert_eq!(s.tpr_maximisations, 0);
         assert!(s.heatmap.is_empty());
     }
@@ -300,9 +300,9 @@ mod tests {
         let heat = s.heatmap.get(11).unwrap();
         assert_eq!(heat.writes, 1);
         assert_eq!(heat.violations, 1);
-        assert_eq!(s.sdw_hit_refs.count, 1);
-        assert_eq!(s.sdw_miss_refs.count, 1);
-        assert_eq!(s.call_cycles.count, 1);
+        assert_eq!(s.sdw_hit_refs.count(), 1);
+        assert_eq!(s.sdw_miss_refs.count(), 1);
+        assert_eq!(s.call_cycles.count(), 1);
         assert_eq!(s.tpr_maximisations, 1);
     }
 }

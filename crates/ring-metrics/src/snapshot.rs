@@ -187,89 +187,6 @@ impl ProfStats {
     }
 }
 
-/// A bucketed histogram flattened for export.
-#[derive(Clone, Debug, Default)]
-pub struct HistogramSnapshot {
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: u64,
-    /// Smallest observation (0 when empty).
-    pub min: u64,
-    /// Largest observation (0 when empty).
-    pub max: u64,
-    /// Exact mean (0.0 when empty).
-    pub mean: f64,
-    /// Non-empty buckets as `(lo, hi, count)` inclusive ranges.
-    pub buckets: Vec<(u64, u64, u64)>,
-}
-
-impl HistogramSnapshot {
-    fn of(h: &CycleHistogram) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: h.count(),
-            sum: h.sum(),
-            min: h.min(),
-            max: h.max(),
-            mean: h.mean(),
-            buckets: h.nonzero_buckets().collect(),
-        }
-    }
-
-    /// The snapshot of `n` observations of 0.
-    fn of_zeros(n: u64) -> HistogramSnapshot {
-        let mut h = CycleHistogram::new();
-        h.record_n(0, n);
-        HistogramSnapshot::of(&h)
-    }
-
-    /// Folds `other` into this histogram: counts add, bucket lists
-    /// merge by range, and min/max/mean are recomputed exactly as if
-    /// every observation had landed in one histogram. Because both
-    /// sides bucket on identical log₂ boundaries, merging snapshots of
-    /// two runs equals the snapshot of their concatenation.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.mean = self.sum as f64 / self.count as f64;
-        for (lo, hi, c) in &other.buckets {
-            match self.buckets.iter_mut().find(|(l, h, _)| l == lo && h == hi) {
-                Some((_, _, mine)) => *mine += c,
-                None => self.buckets.push((*lo, *hi, *c)),
-            }
-        }
-        self.buckets.sort_by_key(|(lo, _, _)| *lo);
-    }
-
-    /// The value at quantile `p` in `[0, 1]`, resolved to bucket
-    /// granularity: the upper bound of the bucket holding the rank-`p`
-    /// observation, clamped to the exact observed `[min, max]`. Zero
-    /// when the histogram is empty.
-    pub fn percentile(&self, p: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((p.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (_, hi, c) in &self.buckets {
-            seen += c;
-            if seen >= rank {
-                return (*hi).clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-}
-
 /// A complete, self-contained picture of everything the observability
 /// layer recorded, plus the execution totals it is reported against.
 #[derive(Clone, Debug, Default)]
@@ -290,17 +207,18 @@ pub struct MetricsSnapshot {
     /// Instruction counts by ring of execution.
     pub instr_by_ring: [u64; NUM_RINGS],
     /// CALL-path cycle costs.
-    pub call_cycles: HistogramSnapshot,
+    pub call_cycles: CycleHistogram,
     /// RETURN-path cycle costs.
-    pub return_cycles: HistogramSnapshot,
+    pub return_cycles: CycleHistogram,
     /// Effective-address indirect-chain depths.
-    pub ea_depth: HistogramSnapshot,
+    pub ea_depth: CycleHistogram,
     /// Fig. 5 TPR ring-maximisation events.
     pub tpr_maximisations: u64,
-    /// Extra descriptor-walk references on SDW-cache hits.
-    pub sdw_hit_refs: HistogramSnapshot,
+    /// Extra descriptor-walk references on SDW-cache hits (always 0:
+    /// a hit walks nothing).
+    pub sdw_hit_refs: CycleHistogram,
     /// Extra descriptor-walk references on SDW-cache misses.
-    pub sdw_miss_refs: HistogramSnapshot,
+    pub sdw_miss_refs: CycleHistogram,
     /// Per-segment access counts, ascending by segment number.
     pub heatmap: SegmentHeatmap,
     /// SDW associative-memory statistics.
@@ -341,6 +259,8 @@ impl MetricsSnapshot {
         fastpath: FastPathStats,
     ) -> MetricsSnapshot {
         let tallies = metrics.folded();
+        let mut sdw_hit_refs = CycleHistogram::new();
+        sdw_hit_refs.record_n(0, tallies.sdw_hits);
         MetricsSnapshot {
             enabled: metrics.is_enabled(),
             instructions,
@@ -349,12 +269,12 @@ impl MetricsSnapshot {
             faults: metrics.faults.clone(),
             opclasses: tallies.opclasses,
             instr_by_ring: tallies.instr_by_ring,
-            call_cycles: HistogramSnapshot::of(&metrics.call_cycles),
-            return_cycles: HistogramSnapshot::of(&metrics.return_cycles),
-            ea_depth: HistogramSnapshot::of(&tallies.ea_depth),
+            call_cycles: metrics.call_cycles.clone(),
+            return_cycles: metrics.return_cycles.clone(),
+            ea_depth: tallies.ea_depth,
             tpr_maximisations: tallies.tpr_maximisations,
-            sdw_hit_refs: HistogramSnapshot::of_zeros(tallies.sdw_hits),
-            sdw_miss_refs: HistogramSnapshot::of(&metrics.sdw_miss_refs),
+            sdw_hit_refs,
+            sdw_miss_refs: metrics.sdw_miss_refs.clone(),
             heatmap: tallies.heatmap,
             sdw_cache,
             fastpath,
@@ -477,7 +397,7 @@ impl MetricsSnapshot {
     }
 
     /// The histograms under their export keys, in export order.
-    fn histograms(&self) -> [(&'static str, &HistogramSnapshot); 5] {
+    fn histograms(&self) -> [(&'static str, &CycleHistogram); 5] {
         [
             ("call_cycles", &self.call_cycles),
             ("return_cycles", &self.return_cycles),
@@ -649,11 +569,11 @@ impl MetricsSnapshot {
             rows.push((format!("instructions_by_ring.{ring}"), v.to_string()));
         }
         for (key, h) in self.histograms() {
-            rows.push((format!("histograms.{key}.count"), h.count.to_string()));
-            rows.push((format!("histograms.{key}.sum"), h.sum.to_string()));
-            rows.push((format!("histograms.{key}.min"), h.min.to_string()));
-            rows.push((format!("histograms.{key}.max"), h.max.to_string()));
-            rows.push((format!("histograms.{key}.mean"), format!("{:.3}", h.mean)));
+            rows.push((format!("histograms.{key}.count"), h.count().to_string()));
+            rows.push((format!("histograms.{key}.sum"), h.sum().to_string()));
+            rows.push((format!("histograms.{key}.min"), h.min().to_string()));
+            rows.push((format!("histograms.{key}.max"), h.max().to_string()));
+            rows.push((format!("histograms.{key}.mean"), format!("{:.3}", h.mean())));
             rows.push((
                 format!("histograms.{key}.p50"),
                 h.percentile(0.50).to_string(),
@@ -772,21 +692,20 @@ fn json_members<'a>(pairs: impl Iterator<Item = (&'a str, u64)>) -> String {
         .join(", ")
 }
 
-fn json_histogram(h: &HistogramSnapshot) -> String {
+fn json_histogram(h: &CycleHistogram) -> String {
     let buckets = h
-        .buckets
-        .iter()
+        .nonzero_buckets()
         .map(|(lo, hi, c)| format!("{{\"lo\": {lo}, \"hi\": {hi}, \"count\": {c}}}"))
         .collect::<Vec<_>>()
         .join(", ");
     format!(
         "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {}, \
          \"p50\": {}, \"p99\": {}, \"buckets\": [{buckets}]}}",
-        h.count,
-        h.sum,
-        h.min,
-        h.max,
-        json_f64(h.mean),
+        h.count(),
+        h.sum(),
+        h.min(),
+        h.max(),
+        json_f64(h.mean()),
         h.percentile(0.50),
         h.percentile(0.99)
     )
@@ -965,13 +884,17 @@ mod tests {
         (0..counts[3]).for_each(|_| heatmap.record_violation(segno));
     }
 
-    /// Builds a histogram snapshot straight from observations.
-    fn hist_of(values: &[u64]) -> HistogramSnapshot {
+    /// Builds a histogram straight from observations.
+    fn hist_of(values: &[u64]) -> CycleHistogram {
         let mut h = CycleHistogram::default();
         for v in values {
             h.record(*v);
         }
-        HistogramSnapshot::of(&h)
+        h
+    }
+
+    fn buckets(h: &CycleHistogram) -> Vec<(u64, u64, u64)> {
+        h.nonzero_buckets().collect()
     }
 
     #[test]
@@ -997,12 +920,12 @@ mod tests {
         let mut merged = hist_of(&a_vals);
         merged.merge(&hist_of(&b_vals));
         let both = hist_of(&[&a_vals[..], &b_vals[..]].concat());
-        assert_eq!(merged.count, both.count);
-        assert_eq!(merged.sum, both.sum);
-        assert_eq!(merged.min, both.min);
-        assert_eq!(merged.max, both.max);
-        assert_eq!(merged.buckets, both.buckets);
-        assert!((merged.mean - both.mean).abs() < 1e-9);
+        assert_eq!(merged.count(), both.count());
+        assert_eq!(merged.sum(), both.sum());
+        assert_eq!(merged.min(), both.min());
+        assert_eq!(merged.max(), both.max());
+        assert_eq!(buckets(&merged), buckets(&both));
+        assert!((merged.mean() - both.mean()).abs() < 1e-9);
         for p in [0.5, 0.9, 0.99] {
             assert_eq!(merged.percentile(p), both.percentile(p));
         }
@@ -1013,17 +936,17 @@ mod tests {
         let mut a = hist_of(&[4, 4, 17]);
         let before = a.clone();
         a.merge(&hist_of(&[]));
-        assert_eq!(a.buckets, before.buckets);
+        assert_eq!(buckets(&a), buckets(&before));
         assert_eq!(
-            (a.count, a.min, a.max),
-            (before.count, before.min, before.max)
+            (a.count(), a.min(), a.max()),
+            (before.count(), before.min(), before.max())
         );
         let mut empty = hist_of(&[]);
         empty.merge(&before);
-        assert_eq!(empty.buckets, before.buckets);
+        assert_eq!(buckets(&empty), buckets(&before));
         assert_eq!(
-            (empty.count, empty.min, empty.max),
-            (before.count, before.min, before.max)
+            (empty.count(), empty.min(), empty.max()),
+            (before.count(), before.min(), before.max())
         );
     }
 
@@ -1042,7 +965,7 @@ mod tests {
             2 * a.crossings.total_ring_changes()
         );
         assert_eq!(merged.faults.total(), 2 * a.faults.total());
-        assert_eq!(merged.call_cycles.count, 2 * a.call_cycles.count);
+        assert_eq!(merged.call_cycles.count(), 2 * a.call_cycles.count());
         assert_eq!(merged.sdw_cache.hits, 2 * a.sdw_cache.hits);
         assert_eq!(merged.fastpath.fast_instructions, 160);
         assert_eq!(merged.sched.context_switches, 14);
@@ -1103,7 +1026,7 @@ mod tests {
         assert_eq!(merged.to_json(), canonical.to_json());
         assert!(merged.enabled);
         assert_eq!(merged.instructions, a.instructions);
-        assert_eq!(merged.call_cycles.buckets, a.call_cycles.buckets);
+        assert_eq!(buckets(&merged.call_cycles), buckets(&a.call_cycles));
     }
 
     #[test]
@@ -1354,8 +1277,8 @@ mod tests {
     fn histogram_percentiles_clamp_to_observed_range_after_merge() {
         let mut h = hist_of(&[100]);
         h.merge(&hist_of(&[3]));
-        assert!(h.percentile(0.0) >= h.min);
-        assert!(h.percentile(1.0) <= h.max);
+        assert!(h.percentile(0.0) >= h.min());
+        assert!(h.percentile(1.0) <= h.max());
         assert_eq!(h.percentile(1.0), 100);
         let empty = hist_of(&[]);
         assert_eq!(empty.percentile(0.5), 0, "empty histogram reports zero");

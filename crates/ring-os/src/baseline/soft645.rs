@@ -73,7 +73,7 @@ struct GateTable {
 /// Standard segment numbers of the fixture.
 pub mod segs {
     /// Trap segment (present in every ring's descriptor).
-    pub const TRAP: u32 = 1;
+    pub const TRAP: u32 = ring_cpu::trap::TRAP_SEGNO.value();
     /// User (ring 4) code segment.
     pub const USER_CODE: u32 = 10;
     /// User data segment.
@@ -111,11 +111,7 @@ impl Soft645 {
     /// supervisor did after gatekeeper validation), sums them, and
     /// stores the sum at `USER_DATA[63]`.
     pub fn new(n_args: u32) -> Soft645 {
-        let config = MachineConfig {
-            trap_segno: SegNo::new(segs::TRAP).expect("segno"),
-            ..MachineConfig::default()
-        };
-        let mut machine = Machine::new(512 * 1024, config);
+        let mut machine = Machine::new(512 * 1024, MachineConfig::default());
         let mut alloc = PhysAllocator::new(0o100, 512 * 1024);
 
         // Storage shared by all rings' descriptors.

@@ -12,9 +12,7 @@
 //! its machine ([`crate::state::Kernel`]), so `System` is
 //! `Clone + Send`, and a checkpoint is a clone.
 
-use ring_core::addr::{AbsAddr, SegNo};
-use ring_core::callret::StackRule;
-use ring_core::effective::EffectiveRingRules;
+use ring_core::addr::AbsAddr;
 use ring_core::ring::Ring;
 use ring_core::sdw::{Sdw, SdwBuilder};
 use ring_core::word::Word;
@@ -35,15 +33,6 @@ const STACK_WORDS: u32 = 1024;
 pub struct SystemConfig {
     /// Physical memory size in words.
     pub phys_words: usize,
-    /// SDW associative-memory capacity.
-    pub sdw_cache: usize,
-    /// Effective-ring rules (ablations).
-    pub ea_rules: EffectiveRingRules,
-    /// CALL stack-selection rule. Keep the default [`StackRule::DbrBase`]
-    /// for booted systems: the plain Fig. 8 rule puts stacks at segment
-    /// numbers 0–7, which this layout reserves for the supervisor (use
-    /// bare `ring-cpu` worlds to experiment with that rule).
-    pub stack_rule: StackRule,
     /// Scheduler quantum in cycles.
     pub quantum: u64,
     /// Whether the machine's fast-path execution engine (translation
@@ -53,22 +42,15 @@ pub struct SystemConfig {
     /// segments at `n` resident frames, with CLOCK eviction to a
     /// simulated drum; `None` never reclaims frames (legacy).
     pub frame_budget: Option<u32>,
-    /// Simulated cycles a drum transfer takes; a major page fault
-    /// blocks the faulting process for this long.
-    pub page_in_latency: u64,
 }
 
 impl Default for SystemConfig {
     fn default() -> Self {
         SystemConfig {
             phys_words: 2 * 1024 * 1024,
-            sdw_cache: ring_segmem::sdw_cache::SdwCache::DEFAULT_CAPACITY,
-            ea_rules: EffectiveRingRules::PAPER,
-            stack_rule: StackRule::DbrBase,
             quantum: 5_000,
             fastpath: true,
             frame_budget: None,
-            page_in_latency: 1_000,
         }
     }
 }
@@ -195,13 +177,11 @@ impl System {
 
     /// Boots on an explicit physical memory (flat or copy-on-write).
     fn boot_on(cfg: SystemConfig, phys: ring_segmem::PhysMem) -> System {
+        // The machine's default stack rule, `StackRule::DbrBase`, is the
+        // one a booted system needs: the plain Fig. 8 rule puts stacks at
+        // segment numbers 0–7, which this layout reserves for the
+        // supervisor.
         let mconfig = MachineConfig {
-            stack_rule: cfg.stack_rule,
-            ea_rules: cfg.ea_rules,
-            sdw_cache: cfg.sdw_cache,
-            trap_segno: SegNo::new(segs::TRAP).expect("segno"),
-            trap_vector_base: 0,
-            trap_save_offset: 64,
             fastpath: cfg.fastpath,
             ..MachineConfig::default()
         };
@@ -259,7 +239,6 @@ impl System {
         let mut os = OsState::new();
         os.quantum = cfg.quantum;
         os.frames = cfg.frame_budget.map(ring_segmem::FramePool::new);
-        os.page_in_latency = cfg.page_in_latency;
         machine.set_native_state(Kernel { os, alloc });
 
         crate::traps::install(&mut machine);

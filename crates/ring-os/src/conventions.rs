@@ -20,13 +20,13 @@ pub const PR_AP: usize = 1;
 /// the caller's ring, which is what makes returns secure.
 pub const PR_RP: usize = 2;
 /// PR6: the stack pointer.
-pub const PR_SP: usize = 6;
+pub const PR_SP: usize = ring_cpu::callret::SP_PR;
 
 /// Standard segment numbers, identical in every process (supervisor
 /// segments are shared).
 pub mod segs {
     /// The ring-0 trap segment: vectors + processor save area.
-    pub const TRAP: u32 = 1;
+    pub const TRAP: u32 = ring_cpu::trap::TRAP_SEGNO.value();
     /// The hardcore-supervisor gate segment (ring 0).
     pub const HCS: u32 = 2;
     /// The outer-supervisor gate segment (ring 1).

@@ -167,8 +167,6 @@ pub struct OsState {
     pub stats: SupervisorStats,
     /// Scheduler quantum in cycles (timer reload value).
     pub quantum: u64,
-    /// Trace of scheduler decisions (process ids), for tests.
-    pub schedule_trace: Vec<usize>,
     /// Run and blocked queues plus scheduling counters.
     pub sched: Scheduler,
     /// Physical-frame budget for demand paging, when one is configured;
@@ -176,9 +174,6 @@ pub struct OsState {
     pub frames: Option<FramePool>,
     /// The simulated drum holding evicted pages.
     pub backing: BackingStore,
-    /// Simulated cycles a drum transfer takes; a major page fault
-    /// blocks the faulting process for this long.
-    pub page_in_latency: u64,
     /// Fault-recovery counters (chaos runs).
     pub chaos: ChaosRecoveryStats,
     /// Consecutive failed drum reads per `(pid, segno, page)`, for the
@@ -199,11 +194,9 @@ impl OsState {
             accounts: BTreeMap::new(),
             stats: SupervisorStats::default(),
             quantum: 5_000,
-            schedule_trace: Vec::new(),
             sched: Scheduler::new(),
             frames: None,
             backing: BackingStore::new(),
-            page_in_latency: 1_000,
             chaos: ChaosRecoveryStats::default(),
             drum_attempts: HashMap::new(),
         }

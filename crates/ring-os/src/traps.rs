@@ -67,6 +67,10 @@ pub const IO_WAIT_CODE: u32 = 0o776;
 /// supervisor gives up and kills the faulting process.
 pub const MAX_DRUM_RETRIES: u32 = 3;
 
+/// Simulated cycles a drum transfer takes; a major page fault blocks
+/// the faulting process for this long.
+pub(crate) const PAGE_IN_LATENCY: u64 = 1_000;
+
 /// A page of zeros, for the part of a frame a file image does not fill.
 const ZERO_PAGE: [Word; PAGE_WORDS as usize] = [Word::ZERO; PAGE_WORDS as usize];
 
@@ -301,7 +305,7 @@ fn load_page(
                 "drum read for segment {segno} page {page} failed after {MAX_DRUM_RETRIES} retries"
             ));
         }
-        return Ok(Some(m.cycles() + (s.page_in_latency << n)));
+        return Ok(Some(m.cycles() + (PAGE_IN_LATENCY << n)));
     }
     let mut victim = None;
     let mut major = false;
@@ -403,7 +407,7 @@ fn load_page(
     }
     if major {
         s.sched.stats.page_faults_major += 1;
-        Ok(Some(m.cycles() + s.page_in_latency))
+        Ok(Some(m.cycles() + PAGE_IN_LATENCY))
     } else {
         s.sched.stats.page_faults_minor += 1;
         Ok(None)
@@ -468,13 +472,12 @@ fn pop_ready(s: &mut OsState) -> Option<usize> {
 
 /// Gives the processor to `next`: reload its DBR (flushing the SDW
 /// cache and TLB — the address space changed), restore its saved state
-/// into the trap save area, and note the dispatch for the trace.
+/// into the trap save area, and note the dispatch in the span log.
 fn dispatch_to(m: &mut Machine, s: &mut OsState, next: usize) -> Result<(), Fault> {
     if next != s.current {
         s.sched.stats.context_switches += 1;
     }
     s.current = next;
-    s.schedule_trace.push(next);
     let dbr = s.processes[next].dbr;
     let resume = s.processes[next]
         .saved

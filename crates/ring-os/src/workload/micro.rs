@@ -204,4 +204,46 @@ mod tests {
             }
         }
     }
+
+    /// The host memory of a long kernel run: the livelocked page storm
+    /// of `runasm --procs 12 --frames 10 --rounds 3 --quantum 300
+    /// --budget 3000000`, built with the calls `MachineArgs::build`
+    /// makes, run for 3 M instructions. Prints the process's peak
+    /// resident set (`VmHWM`), so run it alone: `cargo test --release
+    /// -p ring-os --lib -- --ignored --exact --nocapture
+    /// workload::micro::tests::livelocked_storm_peak_memory`.
+    #[test]
+    #[ignore = "a peak-memory reading, not a check; run it alone in release"]
+    fn livelocked_storm_peak_memory() {
+        use crate::boot::{System, SystemConfig};
+        use crate::workload::{try_install_page_storm, StormSpec};
+        const INSTRUCTIONS: u64 = 3_000_000;
+        let mut sys = System::boot_with(SystemConfig {
+            quantum: 300,
+            frame_budget: Some(10),
+            ..SystemConfig::default()
+        });
+        let spec = StormSpec {
+            procs: 12,
+            pages: 5,
+            rounds: 3,
+        };
+        try_install_page_storm(&mut sys, &spec).expect("the storm fits");
+        sys.machine.set_timer(Some(300));
+        let exit = sys.machine.run(INSTRUCTIONS);
+        let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+        let hwm = status
+            .lines()
+            .find(|l| l.starts_with("VmHWM:"))
+            .unwrap_or("VmHWM: unavailable");
+        let snap = sys.metrics_snapshot();
+        println!(
+            "{exit:?} after {} instructions, {} cycles, {} major page faults, {} context switches",
+            sys.machine.stats().instructions,
+            sys.machine.cycles(),
+            snap.sched.page_faults_major,
+            snap.sched.context_switches,
+        );
+        println!("{}", hwm.split_whitespace().collect::<Vec<_>>().join(" "));
+    }
 }

@@ -34,6 +34,18 @@ fn build_chaos(
     (sys, procs)
 }
 
+/// The scheduler's dispatches as the span log holds them: the pid
+/// dispatched and the cycle of the dispatch, in order.
+fn dispatches(sys: &mut System) -> Vec<(u32, u64)> {
+    sys.take_span_events()
+        .into_iter()
+        .filter_map(|e| match e {
+            ring_trace::SpanEvent::Sched { pid, cycles } => Some((pid, cycles)),
+            _ => None,
+        })
+        .collect()
+}
+
 fn storm() -> StormSpec {
     StormSpec {
         procs: 3,
@@ -88,8 +100,14 @@ fn campaign_survives_and_accounts_for_every_fault() {
 
 #[test]
 fn same_seed_same_world_bit_identical() {
-    let (a, exit_a) = run_campaign(42, 500);
-    let (b, exit_b) = run_campaign(42, 500);
+    let run = || {
+        let (mut sys, _) = build_chaos(storm(), 8, 300, Some(campaign(42, 500)));
+        sys.enable_spans();
+        let exit = sys.machine.run(10_000_000);
+        (sys, exit)
+    };
+    let (mut a, exit_a) = run();
+    let (mut b, exit_b) = run();
     assert_eq!(exit_a, exit_b);
     assert_eq!(
         a.machine.capture_image(),
@@ -101,9 +119,11 @@ fn same_seed_same_world_bit_identical() {
         b.metrics_json(),
         "identical seeds must produce identical metrics snapshots"
     );
+    let schedule = dispatches(&mut a);
+    assert!(schedule.len() > 1, "the storm switches processes");
     assert_eq!(
-        a.state().schedule_trace,
-        b.state().schedule_trace,
+        schedule,
+        dispatches(&mut b),
         "identical seeds must produce identical schedules"
     );
 }

@@ -30,6 +30,18 @@ fn build(spec: StormSpec, frames: u32, quantum: u64) -> (System, Vec<StormProc>)
     (sys, procs)
 }
 
+/// The scheduler's dispatches as the span log holds them: the pid
+/// dispatched and the cycle of the dispatch, in order.
+fn dispatches(sys: &mut System) -> Vec<(u32, u64)> {
+    sys.take_span_events()
+        .into_iter()
+        .filter_map(|e| match e {
+            ring_trace::SpanEvent::Sched { pid, cycles } => Some((pid, cycles)),
+            _ => None,
+        })
+        .collect()
+}
+
 #[test]
 fn four_process_storm_completes_under_frame_pressure() {
     let spec = StormSpec {
@@ -147,6 +159,7 @@ fn three_process_storm_replays_bit_identically() {
     // Record a run that takes page faults, evictions, and timer
     // preemptions.
     let (mut a, _) = build(spec, 8, 300);
+    a.enable_spans();
     let mut rec = Recorder::start(&a.machine, "page-storm", 10_000);
     let exit = run_recorded(&mut a.machine, 5_000_000, &mut rec);
     assert_eq!(exit, RunExit::Halted);
@@ -163,13 +176,17 @@ fn three_process_storm_replays_bit_identically() {
     // delivery point, which the final image's cycle and register state
     // pins down exactly.
     let (mut b, _) = build(spec, 8, 300);
+    b.enable_spans();
     let report = replay(&mut b.machine, &recording).expect("replay applies");
     assert!(report.ok, "divergence: {:?}", report.mismatch);
-    // The replayed kernel made the same scheduling decisions.
+    // The replayed kernel made the same scheduling decisions at the
+    // same cycles.
+    let schedule = dispatches(&mut a);
+    assert!(schedule.len() > 1, "the recording switches processes");
     assert_eq!(
-        a.state().schedule_trace,
-        b.state().schedule_trace,
-        "schedule trace must replay identically"
+        schedule,
+        dispatches(&mut b),
+        "schedule must replay identically"
     );
 }
 
@@ -220,14 +237,14 @@ fn storm_matches_with_fastpath_off() {
         };
         let mut sys = System::boot_with(cfg);
         install_page_storm(&mut sys, &spec);
+        sys.enable_spans();
         sys.machine.set_timer(Some(350));
         let exit = sys.machine.run(5_000_000);
         assert_eq!(exit, RunExit::Halted);
-        let st = sys.state();
         (
             sys.machine.stats().instructions,
-            st.schedule_trace.clone(),
-            st.sched.stats,
+            dispatches(&mut sys),
+            sys.state().sched.stats,
         )
     };
     let (instr_on, trace_on, stats_on) = run(true);

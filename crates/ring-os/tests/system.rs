@@ -482,7 +482,7 @@ ctr:    its 4, {data_segno}, 0
     let st = sys.stats();
     assert!(st.schedules >= 2, "scheduler ran: {}", st.schedules);
     assert!(
-        sys.state().schedule_trace.len() >= 2,
+        sys.state().sched.stats.context_switches >= 2,
         "multiple switches recorded"
     );
 }

@@ -439,22 +439,22 @@ fn debug_bare(mut world: World, trap: SegNo, loaded: u32, ring: Ring) -> ExitCod
                     cs.misses,
                     100.0 * cs.hit_ratio()
                 );
-                if snap.call_cycles.count > 0 {
+                if snap.call_cycles.count() > 0 {
                     println!(
                         "  call path: {} calls, {:.1} cycles mean (min {}, max {})",
-                        snap.call_cycles.count,
-                        snap.call_cycles.mean,
-                        snap.call_cycles.min,
-                        snap.call_cycles.max
+                        snap.call_cycles.count(),
+                        snap.call_cycles.mean(),
+                        snap.call_cycles.min(),
+                        snap.call_cycles.max()
                     );
                 }
-                if snap.return_cycles.count > 0 {
+                if snap.return_cycles.count() > 0 {
                     println!(
                         "  return path: {} returns, {:.1} cycles mean (min {}, max {})",
-                        snap.return_cycles.count,
-                        snap.return_cycles.mean,
-                        snap.return_cycles.min,
-                        snap.return_cycles.max
+                        snap.return_cycles.count(),
+                        snap.return_cycles.mean(),
+                        snap.return_cycles.min(),
+                        snap.return_cycles.max()
                     );
                 }
             }

@@ -407,15 +407,15 @@ impl Shell {
                         cs.invalidations
                     );
                 }
-                if snap.call_cycles.count > 0 {
+                if snap.call_cycles.count() > 0 {
                     println!(
                         "  call path: {} calls, {:.1} cycles mean (min {}, max {}); return path: {} returns, {:.1} mean",
-                        snap.call_cycles.count,
-                        snap.call_cycles.mean,
-                        snap.call_cycles.min,
-                        snap.call_cycles.max,
-                        snap.return_cycles.count,
-                        snap.return_cycles.mean
+                        snap.call_cycles.count(),
+                        snap.call_cycles.mean(),
+                        snap.call_cycles.min(),
+                        snap.call_cycles.max(),
+                        snap.return_cycles.count(),
+                        snap.return_cycles.mean()
                     );
                 }
                 let ce = self.sys.machine.chaos();

@@ -45,7 +45,8 @@
 //!   completions and spurious timer runouts, drawn from a deterministic
 //!   PRNG stream. Identical seeds produce bit-identical runs (and
 //!   recordings).
-//! * `--chaos-rate N` — mean cycles between injections (default 5000).
+//! * `--chaos-rate N` — mean cycles between injections (default 5000);
+//!   on its own it arms the campaign of `--chaos-seed 0`.
 //! * `--chaos-plan <file>` — explicit schedule instead of a campaign: one
 //!   `CYCLE KIND` pair per line (kinds: `mem_parity`, `sdw_corrupt`,
 //!   `ptw_corrupt`, `drum_read_error`, `drum_write_error`,
@@ -165,6 +166,7 @@ impl MachineArgs {
     {
         let mut args = args.into_iter();
         let mut m = MachineArgs::default();
+        let mut rate_given = false;
         while let Some(flag) = args.next() {
             let a: &mut dyn Iterator<Item = String> = &mut args;
             match flag.as_str() {
@@ -187,7 +189,8 @@ impl MachineArgs {
                 "--rounds" => m.rounds = value(a, &flag, "a round count >= 1", positive)?,
                 "--chaos-seed" => m.chaos_seed = Some(value(a, &flag, "a seed number", number)?),
                 "--chaos-rate" => {
-                    m.chaos_rate = value(a, &flag, "a mean cycle interval >= 1", positive)?
+                    m.chaos_rate = value(a, &flag, "a mean cycle interval >= 1", positive)?;
+                    rate_given = true;
                 }
                 "--chaos-plan" => m.chaos_plan = Some(value(a, &flag, "a file name", text)?),
                 _ if own(&flag, a)? => {}
@@ -198,8 +201,15 @@ impl MachineArgs {
         if m.file.is_none() && m.procs == 0 {
             return Err("no input file: name a .rasm file or give --procs N".to_string());
         }
-        if m.chaos_seed.is_some() && m.chaos_plan.is_some() {
-            return Err("--chaos-seed and --chaos-plan are mutually exclusive".to_string());
+        if m.chaos_plan.is_some() {
+            if m.chaos_seed.is_some() {
+                return Err("--chaos-seed and --chaos-plan are mutually exclusive".to_string());
+            }
+            if rate_given {
+                return Err("--chaos-rate and --chaos-plan are mutually exclusive".to_string());
+            }
+        } else if rate_given {
+            m.chaos_seed.get_or_insert(0);
         }
         if m.chaos() && m.procs == 0 {
             return Err("chaos injection requires --procs (recovery lives in the kernel)".into());
@@ -444,6 +454,20 @@ mod tests {
         assert!(parse(&["--procs", "1", "--chaos-seed", "1"])
             .unwrap()
             .chaos());
+    }
+
+    #[test]
+    fn a_lone_chaos_rate_arms_the_seed_0_campaign() {
+        let m = parse(&["--procs", "1", "--chaos-rate", "50"]).unwrap();
+        assert!(m.chaos());
+        assert_eq!((m.chaos_seed, m.chaos_rate), (Some(0), 50));
+        let m = parse(&["--procs", "1", "--chaos-rate", "50", "--chaos-seed", "9"]).unwrap();
+        assert_eq!((m.chaos_seed, m.chaos_rate), (Some(9), 50));
+        let e = parse(&["p", "--chaos-rate", "50"]).unwrap_err();
+        assert!(e.contains("requires --procs"), "{e}");
+        let e = parse(&["--procs", "1", "--chaos-rate", "50", "--chaos-plan", "f"]).unwrap_err();
+        assert!(e.contains("mutually exclusive"), "{e}");
+        assert!(!parse(&["--procs", "1"]).unwrap().chaos());
     }
 
     #[test]

@@ -65,12 +65,24 @@ fn bad_command_lines_exit_nonzero_with_a_message() {
         &["--procs", "1", "--pages", "4"],
         &["--procs", "1", "--pages", "257"],
         &["--chaos-seed", "1", prog],
+        &[prog, "--chaos-rate", "50"],
+        &["--procs", "1", "--chaos-rate", "50", "--chaos-plan", prog],
     ] {
         refused(RUNASM, args);
         refused(RINGDBG, args);
     }
     refused(RUNASM, &["--record", "a", "--replay", "b", prog]);
     refused(RINGSH, &["--frobnicate"]);
+}
+
+/// `--chaos-rate` on its own arms the campaign of `--chaos-seed 0`, as
+/// it does in `fleetbench`.
+#[test]
+fn a_lone_chaos_rate_runs_the_seed_0_campaign() {
+    let lone = survives(RUNASM, &["--procs", "1", "--chaos-rate", "1"], "");
+    let seeded = ["--procs", "1", "--chaos-seed", "0", "--chaos-rate", "1"];
+    assert!(lone.contains("chaos:"), "{lone}");
+    assert_eq!(lone, survives(RUNASM, &seeded, ""));
 }
 
 /// A program whose last word is at `org`, written to a file.

@@ -819,7 +819,6 @@ fn booted_page_storm_agrees_in_lockstep() {
             quantum: 400,
             frame_budget: Some(8),
             fastpath,
-            ..SystemConfig::default()
         });
         let procs = install_page_storm(&mut sys, &spec);
         sys.enable_metrics();

@@ -208,7 +208,7 @@ fn gate_calls_record_exact_crossing_counts() {
     assert_eq!(crossings.matrix[1][4], CALLS, "RETURN cells 1->4");
     assert_eq!(crossings.total_ring_changes(), 2 * CALLS + 1);
     assert_eq!(snap.faults.total(), 1);
-    assert_eq!(snap.call_cycles.count, CALLS);
+    assert_eq!(snap.call_cycles.count(), CALLS);
     // The counters agree with the machine's own statistics.
     let stats = w.machine.stats();
     assert_eq!(crossings.count(Crossing::CallDown), stats.calls_downward);
@@ -555,10 +555,10 @@ fn csv_flattening_roundtrips_every_key_exactly_once() {
         ("call_cycles", &snap.call_cycles),
         ("return_cycles", &snap.return_cycles),
     ] {
-        assert_eq!(num(&format!("histograms.{key}.count")), h.count);
-        assert_eq!(num(&format!("histograms.{key}.sum")), h.sum);
-        assert_eq!(num(&format!("histograms.{key}.min")), h.min);
-        assert_eq!(num(&format!("histograms.{key}.max")), h.max);
+        assert_eq!(num(&format!("histograms.{key}.count")), h.count());
+        assert_eq!(num(&format!("histograms.{key}.sum")), h.sum());
+        assert_eq!(num(&format!("histograms.{key}.min")), h.min());
+        assert_eq!(num(&format!("histograms.{key}.max")), h.max());
         assert_eq!(num(&format!("histograms.{key}.p50")), h.percentile(0.50));
         assert_eq!(num(&format!("histograms.{key}.p99")), h.percentile(0.99));
     }
@@ -700,10 +700,10 @@ fn json_export_roundtrips_every_family() {
         ("sdw_miss_extra_refs", &snap.sdw_miss_refs),
     ] {
         for (key, v) in [
-            ("count", h.count),
-            ("sum", h.sum),
-            ("min", h.min),
-            ("max", h.max),
+            ("count", h.count()),
+            ("sum", h.sum()),
+            ("min", h.min()),
+            ("max", h.max()),
             ("p50", h.percentile(0.50)),
             ("p99", h.percentile(0.99)),
         ] {
@@ -788,7 +788,7 @@ proptest! {
         }
         prop_assert_eq!(merged.crossings.matrix[4][1], concat.crossings.matrix[4][1]);
         prop_assert_eq!(merged.crossings.matrix[1][4], concat.crossings.matrix[1][4]);
-        prop_assert_eq!(merged.call_cycles.count, concat.call_cycles.count);
+        prop_assert_eq!(merged.call_cycles.count(), concat.call_cycles.count());
 
         // Summed fields equal the sum of their parts.
         prop_assert_eq!(merged.instructions, sa.instructions + sb.instructions);
@@ -796,16 +796,16 @@ proptest! {
         prop_assert_eq!(merged.faults.total(), sa.faults.total() + sb.faults.total());
         let ring_changes = |s: &multiring::metrics::MetricsSnapshot| s.crossings.total_ring_changes();
         prop_assert_eq!(ring_changes(&merged), ring_changes(&sa) + ring_changes(&sb));
-        prop_assert_eq!(merged.call_cycles.sum, sa.call_cycles.sum + sb.call_cycles.sum);
-        prop_assert_eq!(merged.call_cycles.min, sa.call_cycles.min.min(sb.call_cycles.min));
-        prop_assert_eq!(merged.call_cycles.max, sa.call_cycles.max.max(sb.call_cycles.max));
+        prop_assert_eq!(merged.call_cycles.sum(), sa.call_cycles.sum() + sb.call_cycles.sum());
+        prop_assert_eq!(merged.call_cycles.min(), sa.call_cycles.min().min(sb.call_cycles.min()));
+        prop_assert_eq!(merged.call_cycles.max(), sa.call_cycles.max().max(sb.call_cycles.max()));
 
         // Percentiles over the merged histogram stay inside the
         // observed range.
         let p50 = merged.call_cycles.percentile(0.50);
         let p99 = merged.call_cycles.percentile(0.99);
-        prop_assert!(merged.call_cycles.min <= p50 && p50 <= p99);
-        prop_assert!(p99 <= merged.call_cycles.max);
+        prop_assert!(merged.call_cycles.min() <= p50 && p50 <= p99);
+        prop_assert!(p99 <= merged.call_cycles.max());
 
         // The per-segment heatmap merges by segment number: the code
         // segment's execute count is the sum of both runs'.

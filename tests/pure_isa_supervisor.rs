@@ -10,6 +10,7 @@ use ring_core::sdw::SdwBuilder;
 use ring_core::word::Word;
 use ring_cpu::machine::{MachineConfig, RunExit};
 use ring_cpu::testkit::{addr, World};
+use ring_cpu::trap::TRAP_SEGNO;
 
 const CODE: u32 = 10;
 const DATA: u32 = 11;
@@ -67,7 +68,7 @@ qptr    = 0                 ; unused label trick avoided
 fn build() -> World {
     let config = MachineConfig::default();
     let mut w = World::with_config(config);
-    let trap_segno = w.machine.config().trap_segno.value();
+    let trap_segno = TRAP_SEGNO.value();
     let sup = ring_asm::assemble(&supervisor_source()).expect("supervisor assembles");
     let trap = w.add_segment(
         trap_segno,
@@ -106,7 +107,7 @@ done:   tra done            ; spin (budget-bounded)
     w.start(Ring::R4, code, 0);
     assert_eq!(w.machine.run(400), RunExit::BudgetExhausted);
     assert_eq!(w.machine.a().raw(), 111, "both resumes landed correctly");
-    let trap_segno = w.machine.config().trap_segno.value();
+    let trap_segno = TRAP_SEGNO.value();
     let trap = ring_core::addr::SegNo::new(trap_segno).unwrap();
     assert_eq!(w.peek(trap, 100).raw(), 2, "two derails counted");
     assert_eq!(w.machine.ring(), Ring::R4, "resumed in the user ring");
@@ -135,7 +136,7 @@ ctr:    its 4, 11, 0
     w.start(Ring::R4, code, 0);
     w.machine.set_timer(Some(120));
     assert_eq!(w.machine.run(2_000), RunExit::BudgetExhausted);
-    let trap = ring_core::addr::SegNo::new(w.machine.config().trap_segno.value()).unwrap();
+    let trap = ring_core::addr::SegNo::new(TRAP_SEGNO.value()).unwrap();
     let ticks = w.peek(trap, 101).raw();
     assert!(ticks >= 3, "several timer runouts serviced in asm: {ticks}");
     assert!(w.peek(data, 0).raw() > 0, "user loop kept making progress");
@@ -180,7 +181,7 @@ fn privileged_segment_hardening_blocks_unmarked_ring0_code() {
         ..Default::default()
     };
     let mut w = World::with_config(config);
-    let trap_segno = w.machine.config().trap_segno.value();
+    let trap_segno = TRAP_SEGNO.value();
     // The trap segment is marked privileged (the supervisor).
     let sup = ring_asm::assemble(
         &"        halt\n".repeat(ring_core::access::Fault::NUM_VECTORS as usize),
@@ -310,7 +311,7 @@ fn sio_instruction_prints_through_the_channel() {
     // Ring-0 machine code starts a typewriter transfer with SIO and
     // spins until the completion trap bumps a counter (asm handler).
     let mut w = build();
-    let trap_segno = w.machine.config().trap_segno.value();
+    let trap_segno = TRAP_SEGNO.value();
     let _ = trap_segno;
     let code = w.add_segment(
         CODE,
